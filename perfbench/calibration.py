@@ -1,20 +1,22 @@
 """Machine-speed calibration for the latency metrics.
 
-The machines this benchmark runs on change speed by 15-30% within a few
-minutes (shared cores, frequency changes): the same op, repeated in one
-process, gets that much slower and faster again, and the program's
-time tracks a fixed pure-Python kernel closely.  Measured over 110 s on
-a 2-core container, three fixed ops (a README search, a README analyze,
-an analyze of a random pencil) varied by 12-15% (relative sd of 14 s
-medians) while their ratio to the kernel's time varied by 4-6%.
+The machines this benchmark runs on change speed while it runs: on the
+2-core container it was written on, a fixed kernel flips between about
+3 ms and 5.5 ms every few seconds, on either core, and the share of time
+spent slow differs from run to run.  Raw times followed it: across ten
+runs of one workload the spread of the latency median reached 0.38, and
+between two sets of ten runs the medians of latency and of set-up time
+moved by up to 36% and 29%, with no change to the program.
 
-So every op is followed by one run of `kernel()`, and each latency is
-also reported rescaled to a reference speed: raw x REFERENCE_S / (median
-kernel time around the op).  `setup_s` stays raw: kernel runs taken once
-at start-up swing by +-30% and tracked the import time worse than no
-rescaling at all.  The kernel does what the program does most:
-Fraction arithmetic, big-integer modular arithmetic and dict/list work in
-the interpreter.  It does not call the program.
+So every run samples a fixed pure-Python kernel (Fraction arithmetic,
+big-integer modular arithmetic and dict work) about once a second, and
+the gated latencies are the raw ones times REFERENCE_MS over the mean
+kernel time of the run.  The mean, not the median, because the slowdown
+of a run grows with the share of time the machine spent slow.  Set-up
+steps run once each, at one moment of the run, so each is rescaled by
+kernel samples taken just before and after it (at_reference_speed).  The
+kernel does not call the program.  Raw times are printed next to the
+gated ones.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import statistics
 import time
 from fractions import Fraction
 
-# Kernel time that defines the reference speed (about the median on the
-# machine the benchmark was written on).
-REFERENCE_S = 0.005
+# Kernel time that defines the reference speed: its fast-state time on the
+# machine the benchmark was written on.
+REFERENCE_MS = 3.0
 
-# Kernel samples on each side of an op that set its speed factor.
-WINDOW = 5
+# Seconds between kernel samples during a run.
+INTERVAL_S = 1.0
 
 
 def kernel() -> float:
@@ -47,13 +49,21 @@ def kernel() -> float:
     return time.perf_counter() - t0
 
 
-def op_factors(kernel_times: list[float]) -> list[float]:
-    """Per-op speed factor: median kernel time in a window around the op,
-    over the reference time.  A factor of 1.2 means the machine ran 20%
-    slower than the reference while the op ran."""
-    n = len(kernel_times)
-    out = []
-    for i in range(n):
-        window = kernel_times[max(0, i - WINDOW): i + WINDOW + 1]
-        out.append(statistics.median(window) / REFERENCE_S)
-    return out
+def kernel_ms(runs: int = 3) -> float:
+    """One sample: median kernel time over `runs` runs, in milliseconds."""
+    return statistics.median(kernel() for _ in range(runs)) * 1e3
+
+
+def speed_factor(samples_ms: list[float]) -> float:
+    """How much slower than the reference the machine ran: 1.2 means 20%."""
+    return statistics.fmean(samples_ms) / REFERENCE_MS
+
+
+def at_reference_speed(timed) -> float:
+    """Call timed(), which returns a wall time in seconds, between two kernel
+    samples, and return that time rescaled to the reference speed by their
+    mean: for set-up steps, which run once each at some moment of the run
+    rather than all through it."""
+    before = kernel_ms()
+    seconds = timed()
+    return seconds * REFERENCE_MS * 2 / (before + kernel_ms())

@@ -8,8 +8,11 @@ is one closed-loop request: the next op starts when the previous one ends.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -87,6 +90,24 @@ class Workload:
         self.workdir = workdir
         self.lib = lib  # the program's modules, for building inputs
         self.schema = lib.schema
+        self.checker_s = 0.0  # time spent in checker_side()
+        # inputs on which the program is known to fail: malformed inputs
+        # that must end in exit 1 with one `error:` line, and well-formed
+        # ones the program raises on.  They run once per run, outside the
+        # timed loop, so the failures among them do not depend on how far a
+        # run gets or on the seed.
+        self.probes: list[Op] = []
+
+    @contextmanager
+    def checker_side(self):
+        """Time the benchmark's own reference computations (sympy work for
+        the checks), which no change to the program can move; set-up time
+        is measured without them."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.checker_s += time.perf_counter() - t0
 
     def write(self, name: str, text: str) -> str:
         path = os.path.join(self.workdir, name)
@@ -106,21 +127,25 @@ class Workload:
 
 
 class AnalyzeWorkload(Workload):
-    """`analyze` on random smooth integral pencils with entries in
-    [-entry_bound, entry_bound] (`pencil.random_pencil`)."""
+    """`analyze` on a fixed corpus of random smooth integral pencils with
+    entries in [-entry_bound, entry_bound] (`pencil.random_pencil` drawn
+    from random.Random(0)).  Every pass runs the whole corpus, in an order
+    drawn from the seed: the inputs are the same in every run, so runs
+    differ only in which pencils the last, unfinished pass reaches."""
 
-    def __init__(self, name, entry_bound, pass_size, seed, workdir, lib):
+    def __init__(self, name, entry_bound, corpus_size, seed, workdir, lib):
         super().__init__(seed, workdir, lib)
         self.name = name
-        self.entry_bound = entry_bound
-        self.pass_size = pass_size
+        rng = random.Random(0)
+        self.corpus = [
+            self.analyze_op(f"{name}[{k}]", lib.pencil.random_pencil(rng, entry_bound),
+                            f"{name}-{k}.json")
+            for k in range(corpus_size)
+        ]
 
     def make_pass(self, j):
-        rng = random.Random(f"{self.name}:{self.seed}:{j}")
-        ops = []
-        for k in range(self.pass_size):
-            pen = self.lib.pencil.random_pencil(rng, self.entry_bound)
-            ops.append(self.analyze_op(f"{self.name}[{j}.{k}]", pen, f"{self.name}-{j}-{k}.json"))
+        ops = list(self.corpus)
+        random.Random(f"{self.name}:{self.seed}:{j}").shuffle(ops)
         return ops
 
 
@@ -132,6 +157,11 @@ T5_D10 = [Fraction(c) for c in (12, -5, 0, 0, 0, 1)]
 D10_DELTA = [Fraction(c) for c in (-5, 0, 0, 0, 5)]
 SPLIT = from_roots([0, 1, 2, 3, 4])
 C5 = [Fraction(c) for c in (1, 3, -3, -4, 1, 1)]  # t^5+t^4-4t^3-3t^2+3t+1
+# t^5+9t^4-9t^3+3t+8, a quintic _random_quintic drew: with delta' = c P',
+# its canonical pencil has entries beyond int64 and `analyze` raises
+# OverflowError in localarith.padic_soluble
+INT64_PROBE = [Fraction(c) for c in (8, 3, 0, -9, 9, 1)]
+INT64_MAX = 2**63 - 1
 ONE = [Fraction(1)]
 
 README_SEARCH_CONDITIONS = {
@@ -150,6 +180,7 @@ class Quintic:
     poly_arg: str
     delta_arg: str
     label: Optional[str] = None  # known Galois label
+    pencil: object = None  # canonical pencil, once computed
 
 
 def _per_factor_arg(entries) -> str:
@@ -175,6 +206,9 @@ class ModelsWorkload(Workload):
                     "t*(t-1)*(t-2)*(t-3)*(t-4)", "5;5;1;1;1", "REDUCIBLE"),
         ]
         self.fixed = self._readme_ops()
+        self.probes = self._malformed_probes(self.readme_pencil)
+        q = self._disc_twisted(INT64_PROBE)
+        self.probes.append(self.canonical_analyze_op(f"int64 overflow {q.key} analyze", q))
 
     # -- fixed part: README examples, built once --------------------------
 
@@ -182,7 +216,7 @@ class ModelsWorkload(Workload):
         lib = self.lib
         t52 = self.readme[0]
         model = lib.canon.canonical_quadrics(lib.exact.RatPoly.of(T5_2), lib.exact.RatPoly.of(ONE))
-        pen = model.to_pencil()
+        pen = self.readme_pencil = model.to_pencil()
         ops = [self.analyze_op("readme analyze pencil.json", pen, "pencil.json", "F20")]
         pencil_path = ops[0].steps[0][-1]
         local_spec = {"pencil": _pencil_matrices(pen), "places": [3, 5, 7]}
@@ -190,10 +224,6 @@ class ModelsWorkload(Workload):
                           ["--json", "local", pencil_path, "--places", "3,5,7"],
                           lambda code, out: checks.check_local(code, out, local_spec)))
         ops.append(self.canon_op("readme canon", t52))
-        # README example; '2,0,1' is three per-factor entries for an
-        # irreducible P, so the expected outcome is a one-line error
-        ops.append(malformed_op("readme kummer t^5-2", "kummer",
-                                ["--json", "kummer", "--poly", "t^5-2", "--delta", "2,0,1", "--b", "1"]))
         ops.append(self.kummer_op("readme kummer split", self.readme[2], 7))
         ops.append(self.search_op("readme search t^5-2", t52, README_SEARCH_CONDITIONS["t5-2"]))
         ops.append(self.search_op("readme search d10", self.readme[1], README_SEARCH_CONDITIONS["d10"]))
@@ -209,15 +239,24 @@ class ModelsWorkload(Workload):
                               lambda code, out, spec=spec: checks.check_simulate(code, out, spec)))
         ops.append(cli_op("readme verify-lemmas", "verify-lemmas", ["--json", "verify-lemmas"],
                           lambda code, out: checks.check_lemmas(code, out, {})))
-        bad_json = self.write("malformed.json", "{not json")
-        ops.append(malformed_op("malformed pencil json", "analyze", ["--json", "analyze", bad_json]))
-        data = json.loads(lib.pencil.pencil_dumps(pen))
-        data["phi1"][0][1] = data["phi1"][1][0] = "1/0"
-        zero_den = self.write("zero-denominator.json", json.dumps(data))
-        ops.append(malformed_op("pencil entry 1/0", "analyze", ["--json", "analyze", zero_den]))
         for q in self.readme:
             ops.extend(self.chain(q, f"readme {q.key}", b=7, n_conditions=1))
         return ops
+
+    def _malformed_probes(self, pen) -> list[Op]:
+        """Malformed inputs; each must end in exit 1 with one `error:` line.
+        The README's own kummer example is one: '2,0,1' is three per-factor
+        entries for an irreducible P."""
+        bad_json = self.write("malformed.json", "{not json")
+        data = json.loads(self.lib.pencil.pencil_dumps(pen))
+        data["phi1"][0][1] = data["phi1"][1][0] = "1/0"
+        zero_den = self.write("zero-denominator.json", json.dumps(data))
+        return [
+            malformed_op("readme kummer t^5-2", "kummer",
+                         ["--json", "kummer", "--poly", "t^5-2", "--delta", "2,0,1", "--b", "1"]),
+            malformed_op("malformed pencil json", "analyze", ["--json", "analyze", bad_json]),
+            malformed_op("pencil entry 1/0", "analyze", ["--json", "analyze", zero_den]),
+        ]
 
     # -- op builders ----------------------------------------------------------
 
@@ -269,18 +308,26 @@ class ModelsWorkload(Workload):
     def chain(self, q: Quintic, label, b, n_conditions) -> list[Op]:
         """Round trip, search and analyze of the canonical pencil of q."""
         lib = self.lib
-        conditions = checks.pick_conditions(q.P, q.delta, n_conditions, start=MARGIN + 1)
-        model = lib.canon.canonical_quadrics(
-            lib.exact.RatPoly.of(q.P),
-            [lib.exact.RatPoly.of(e) for e in q.delta] if isinstance(q.delta[0], list)
-            else lib.exact.RatPoly.of(q.delta),
-        )
-        fname = label.replace(" ", "-").replace("[", "").replace("]", "") + ".json"
+        with self.checker_side():
+            conditions = checks.pick_conditions(q.P, q.delta, n_conditions, start=MARGIN + 1)
         return [
             self.roundtrip_op(f"{label} roundtrip", q, b),
             self.search_op(f"{label} search", q, conditions),
-            self.analyze_op(f"{label} analyze", model.to_pencil(), fname, q.label),
+            self.canonical_analyze_op(f"{label} analyze", q),
         ]
+
+    def canonical_analyze_op(self, label, q: Quintic) -> Op:
+        """`analyze` of the canonical pencil of q."""
+        fname = label.replace(" ", "-").replace("[", "").replace("]", "") + ".json"
+        return self.analyze_op(label, self.canonical_pencil(q), fname, q.label)
+
+    def canonical_pencil(self, q: Quintic):
+        if q.pencil is None:
+            RatPoly = self.lib.exact.RatPoly
+            delta = ([RatPoly.of(e) for e in q.delta] if isinstance(q.delta[0], list)
+                     else RatPoly.of(q.delta))
+            q.pencil = self.lib.canon.canonical_quadrics(RatPoly.of(q.P), delta).to_pencil()
+        return q.pencil
 
     # -- seeded part ----------------------------------------------------------
 
@@ -308,20 +355,33 @@ class ModelsWorkload(Workload):
                        _per_factor_arg(split_delta(pattern)))
 
     def _random_quintic(self, rng) -> Quintic:
-        """roundtrip_corpus style: random monic quintic, delta' = c P' with c
-        the squarefree part of disc(P), so that the norm is a square."""
+        """roundtrip_corpus style: random monic quintic with nonzero
+        discriminant.  Quintics whose canonical pencil does not fit int64
+        (see fits_int64) are drawn again; INT64_PROBE shows that defect."""
         while True:
-            P = [Fraction(rng.randrange(-9, 10)) for _ in range(5)] + [Fraction(1)]
-            disc = checks.discriminant(P)
-            if disc != 0:
-                break
-        c = _squarefree_part(int(disc))
-        dP = [k * P[k] for k in range(1, 6)]
-        delta = [c * x for x in dP]
+            with self.checker_side():
+                P = [Fraction(rng.randrange(-9, 10)) for _ in range(5)] + [Fraction(1)]
+                if checks.discriminant(P) == 0:
+                    continue
+            q = self._disc_twisted(P)
+            if fits_int64(self.canonical_pencil(q)):
+                return q
+
+    def _disc_twisted(self, P) -> Quintic:
+        """(P, delta' = c P') with c the squarefree part of disc(P), so that
+        the norm is a square."""
+        with self.checker_side():
+            c = _squarefree_part(int(checks.discriminant(P)))
+        delta = [c * k * P[k] for k in range(1, 6)]
         return Quintic(f"random[{poly_expr(P)}]", P, delta, poly_expr(P), poly_expr(delta))
 
     def make_pass(self, j):
-        rng = random.Random(f"{self.name}:{self.seed}:{j}")
+        """The README part plus quintics and a `simulate` drawn from the pass
+        index alone, in an order drawn from the seed.  Pass j holds the same
+        inputs in every run, so runs differ only in which ops the last,
+        unfinished pass reaches, as in AnalyzeWorkload; the undecided share
+        of a run no longer depends on which quintics its seed drew."""
+        rng = random.Random(f"{self.name}:{j}")
         ops = list(self.fixed)
         for q in (self._c5_variant(rng), self._split_quintic(rng), self._random_quintic(rng)):
             b = rng.choice([x for x in range(-9, 10) if checks.peval(q.P, Fraction(x)) != 0])
@@ -333,7 +393,20 @@ class ModelsWorkload(Workload):
         spec = {"systems": 40, "dims": dims}
         ops.append(cli_op(f"[{j}] simulate seed {sim_seed} dims {dims}", "simulate", argv,
                           lambda code, out: checks.check_simulate(code, out, spec)))
+        random.Random(f"{self.name}:{self.seed}:{j}").shuffle(ops)
         return ops
+
+
+def fits_int64(pen) -> bool:
+    """Whether both forms of the pencil, each scaled by the lcm of its
+    denominators, have entries within int64.  localarith.padic_soluble
+    casts them so (np.array(..., dtype=np.int64)) and raises OverflowError
+    when they do not; the timed corpus leaves such inputs to INT64_PROBE."""
+    for m in (pen.phi1, pen.phi2):
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        if any(abs(x * den) > INT64_MAX for row in m for x in row):
+            return False
+    return True
 
 
 def _squarefree_part(n: int) -> int:
@@ -348,9 +421,9 @@ def _squarefree_part(n: int) -> int:
 
 def make_workload(name: str, seed: int, workdir: str, lib) -> Workload:
     if name == "analyze-h9":
-        return AnalyzeWorkload(name, 9, 8, seed, workdir, lib)
+        return AnalyzeWorkload(name, 9, 24, seed, workdir, lib)
     if name == "analyze-tall":
-        return AnalyzeWorkload(name, 1000, 4, seed, workdir, lib)
+        return AnalyzeWorkload(name, 1000, 8, seed, workdir, lib)
     if name == "models":
         return ModelsWorkload(seed, workdir, lib)
     raise ValueError(f"unknown workload {name!r}")

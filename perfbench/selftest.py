@@ -3,12 +3,15 @@
 1. BENCHMARK.json names exactly the metrics the code reports, with the
    same units.
 2. Short runs of each gated workload print every metric with its unit, and
-   the result line holds exactly the listed metrics as finite numbers.
+   the result line holds exactly the listed metrics as finite numbers;
+   traced counts are per op (one or two CLI calls per op).
 3. Tampered outputs are counted as failed: a wrong witness b, a wrong
    witness prime, a wrong Galois label, a wrong factor, a wrong
    double-cover form, a simulator report hiding failures, a wrong lemma
    row and a witness point that is not a zero.  The untampered outputs
    pass.
+4. After the runs, the program's modules and sympy in sys.modules are the
+   ones the runs used: the repeated imports of setup_s put them back.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from types import SimpleNamespace
 
 import corpus
@@ -64,10 +68,17 @@ def _run_problems(run_mod, lib, import_s, deadlines, workload, trace) -> list[st
     for name, unit in expected:
         if not any(name in line and unit in line for line in lines):
             problems.append(f"{workload}: {name} not printed with unit {unit}")
-    if not trace:
-        for name in ("wall_s", "fail_ratio", "undecided_ratio", "analyze_tail_ms"):
+    if trace:
+        calls = result["metrics"]["cli.main.calls"]["value"]
+        if not 1 <= calls <= 2:
+            problems.append(f"{workload}: cli.main.calls = {calls}, not one or two per op")
+    else:
+        for name in ("wall_s", "fail_ratio", "undecided_ratio", "deadline_misses",
+                     "analyze_tail_ms"):
             if name not in text:
                 problems.append(f"{workload}: {name} not printed")
+        if workload == "models" and text.count("  probe ") != 4:
+            problems.append("models: the four known-defect probes are not all reported")
     if result["attempted"] < 1 or not result["correct"]:
         problems.append(f"{workload} trace {trace}: attempted {result['attempted']}, "
                         f"correct {result['correct']}")
@@ -174,6 +185,10 @@ def main(lib, import_s, run_mod) -> int:
     for w in spec["workloads"]:
         for trace in (0, 1):
             problems += _run_problems(run_mod, lib, import_s, deadlines, w["name"], trace)
+    # the repeated imports of setup_s must leave the run's modules in place
+    if sys.modules.get("quadpencil.cli") is not lib.cli or \
+            sys.modules.get("sympy") is not lib.cli.sympy:
+        problems.append("the set-up samples did not put the run's modules back")
     for p in problems:
         print(f"smoke: {p}")
     print("smoke: " + ("FAIL" if problems else "ok"))

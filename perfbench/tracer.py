@@ -11,7 +11,7 @@ Every wrapper keeps aggregated counters (calls, total time, self time).
 Stage functions additionally record a span (op id, name, start, end,
 parent span) in memory; hot kernels do not, so a traced run holds a few
 spans per op rather than millions.  Self time is a frame's duration minus
-the time of the frames opened inside it.
+the time of the frames opened inside it.  Metrics are reported per op.
 """
 
 from __future__ import annotations
@@ -273,27 +273,37 @@ class Tracer:
 
     # -- results ------------------------------------------------------------
 
-    def metrics(self) -> dict[str, float]:
+    def snapshot(self):
+        """A copy of the counters, to report them as they were at a pass end."""
+        return ({key: list(v) for key, v in self.stats.items()}, dict(self.extra),
+                dict(self.deadline_misses))
+
+    def metrics(self, snapshot, n_ops: int) -> dict[str, float]:
+        """Per-layer metrics from a snapshot that covers n_ops traced ops.
+
+        Counts and times are per op, so a faster program, which runs more
+        ops in the same seconds, does not report more work.
+        """
+        stats, e, misses = snapshot
         out: dict[str, float] = {}
         layer_self = {layer: 0.0 for layer in SELF_LAYERS}
-        for key, (calls, _total, self_s) in self.stats.items():
-            out[f"{key}.calls"] = calls
-            out[f"{key}.self_ms"] = self_s * 1e3
+        for key, (calls, _total, self_s) in stats.items():
+            out[f"{key}.calls"] = calls / n_ops
+            out[f"{key}.self_ms"] = self_s * 1e3 / n_ops
             layer_self[key.split(".")[0]] += self_s
         for layer, s in layer_self.items():
-            out[f"{layer}.self_ms"] = s * 1e3
-        e = self.extra
-        out["galois.tschirnhausen_steps"] = e["galois.tschirnhausen_steps"]
-        out["exact.cycle_type.from_galois.calls"] = e["exact.cycle_type.from_galois.calls"]
-        out["localarith.find_bT.primes_scanned"] = e["localarith.find_bT.primes_scanned"]
+            out[f"{layer}.self_ms"] = s * 1e3 / n_ops
+        for key in ("galois.tschirnhausen_steps", "exact.cycle_type.from_galois.calls",
+                    "localarith.find_bT.primes_scanned"):
+            out[key] = e[key] / n_ops
         out["localarith.find_bT.match_ratio"] = _ratio(
             e["localarith.find_bT.matched"], e["localarith.find_bT.primes_scanned"])
         out["exact.sqrt_in_etale.decided_ratio"] = _ratio(
-            e["exact.sqrt_in_etale.decided"], self.stats["exact.sqrt_in_etale"][0])
+            e["exact.sqrt_in_etale.decided"], stats["exact.sqrt_in_etale"][0])
         out["localarith.padic_soluble.decided_ratio"] = _ratio(
-            e["localarith.padic_soluble.decided"], self.stats["localarith.padic_soluble"][0])
-        for layer, n in self.deadline_misses.items():
-            out[f"{layer}.deadline_misses"] = n
+            e["localarith.padic_soluble.decided"], stats["localarith.padic_soluble"][0])
+        for layer, n in misses.items():
+            out[f"{layer}.deadline_misses"] = n / n_ops
         return out
 
     def dump(self, path, op_labels):
