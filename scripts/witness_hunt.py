@@ -8,7 +8,7 @@ pattern (residue nonzero at w1, zero at w2)."""
 import argparse
 from collections import Counter
 
-from quadpencil.exact import RatPoly, strip_square_content
+from quadpencil.exact import RatPoly, good_primes, strip_square_content
 from quadpencil.galois import RamifiedPrimeError, frobenius_class
 from quadpencil.localarith import (
     DT_RES_NONZERO,
@@ -16,8 +16,6 @@ from quadpencil.localarith import (
     bad_set_s0,
     find_bT,
 )
-
-import sympy
 
 
 def main():
@@ -34,11 +32,7 @@ def main():
 
     counts = Counter()
     first = {}
-    p = 100
-    while p < args.scan:
-        p = int(sympy.nextprime(p))
-        if p in s0:
-            continue
+    for p in good_primes(s0, 101, args.scan):
         try:
             fr = frobenius_class(P, factors, p)
         except RamifiedPrimeError:

@@ -23,20 +23,17 @@ import sympy
 
 from . import __version__, canon, galois, groupmod, localarith, pencil, selmersim
 from .exact import RatPoly, factor_q
+from .pencil import rat_str
 
 SCHEMA_VERSION = "quadpencil-report-1"
 
 
-def _rat_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _poly_json(f: RatPoly) -> list[str]:
-    return [_rat_str(c) for c in f.coeffs]
+    return [rat_str(c) for c in f.coeffs]
 
 
 def _matrix_json(m) -> list[list[str]]:
-    return [[_rat_str(x) for x in row] for row in m]
+    return [[rat_str(x) for x in row] for row in m]
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -111,7 +108,7 @@ def run_analyze(args) -> int:
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=args.margin)
     # p = 2 is declared out of scope for solubility (always "unknown"), so the
     # default certificate sweep covers the small odd bad primes
-    small_bad = [p for p in s0.sorted() if 2 < p <= 13]
+    small_bad = [p for p in (3, 5, 7, 11, 13) if p in s0]
     for p in small_bad:
         certs.append(localarith.padic_soluble([pen.phi1, pen.phi2], p, effort=args.effort))
 
@@ -126,7 +123,7 @@ def run_analyze(args) -> int:
                 margin=args.margin,
             )
             witness = {
-                "b": _rat_str(wit.b),
+                "b": rat_str(wit.b),
                 "primes": list(wit.primes),
                 "valuations": list(wit.valuations),
             }
@@ -145,9 +142,9 @@ def run_analyze(args) -> int:
             "prime_bound": args.prime_bound,
         },
         "input_sha256": digest,
-        "chart": [_rat_str(x) for x in norm.chart],
+        "chart": [rat_str(x) for x in norm.chart],
         "P": _poly_json(norm.P),
-        "lead": _rat_str(norm.lead),
+        "lead": rat_str(norm.lead),
         "factors": [_poly_json(f) for f in inv.factors],
         "delta_reps": [_poly_json(d) for d in inv.delta_reps],
         "square_flags": list(inv.square_flags),
@@ -156,7 +153,7 @@ def run_analyze(args) -> int:
             "disc_is_square": profile.disc_is_square,
             "resolvent_root": None
             if profile.resolvent_root is None
-            else _rat_str(profile.resolvent_root),
+            else rat_str(profile.resolvent_root),
             "c5_bound": profile.c5_bound,
             "evidence": [[p, list(ct)] for p, ct in profile.evidence[:10]],
         },
@@ -229,9 +226,12 @@ def _quadric_str(g, names) -> str:
 
 
 def run_canon(args) -> int:
-    P = parse_poly(args.poly)
-    delta = parse_delta(args.delta, P)
-    model = canon.canonical_quadrics(P, delta)
+    try:
+        P = parse_poly(args.poly)
+        model = canon.canonical_quadrics(P, parse_delta(args.delta, P))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "canonical-model",
@@ -252,14 +252,17 @@ def run_canon(args) -> int:
 
 
 def run_kummer(args) -> int:
-    P = parse_poly(args.poly)
-    delta = parse_delta(args.delta, P)
-    km = canon.kummer_model(P, delta, Fraction(args.b))
+    try:
+        P = parse_poly(args.poly)
+        km = canon.kummer_model(P, parse_delta(args.delta, P), Fraction(args.b))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kummer-model",
         "seed": args.seed,
-        "b": _rat_str(km.b),
+        "b": rat_str(km.b),
         **_model_payload(km.base),
         "gram3": _matrix_json(km.gram3),
         "quadrics": [_matrix_json(q) for q in km.quadrics()],
@@ -279,9 +282,12 @@ def run_kummer(args) -> int:
 
 
 def run_search(args) -> int:
-    P = parse_poly(args.poly)
-    delta = parse_delta(args.delta, P)
-    dcomb = canon.normalize_delta(P, delta)
+    try:
+        P = parse_poly(args.poly)
+        dcomb = canon.normalize_delta(P, parse_delta(args.delta, P))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     delta_factors = [(f, dcomb % f) for f, _ in factor_q(P)]
     conditions = json.loads(args.conditions)
     try:
@@ -302,7 +308,7 @@ def run_search(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "bt-witness",
         "seed": args.seed,
-        "b": _rat_str(wit.b),
+        "b": rat_str(wit.b),
         "primes": list(wit.primes),
         "valuations": list(wit.valuations),
         "classes": [[list(pair) for pair in datum] for datum in wit.class_data],
@@ -326,7 +332,7 @@ def run_local(args) -> int:
         norm = pencil.normalize_pencil(pen)
         inv = pencil.delta_invariant(norm, certify=False)
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=2)
-        places = [p for p in s0.sorted() if 2 < p <= 13]
+        places = [p for p in (3, 5, 7, 11, 13) if p in s0]
     for p in places:
         certs.append(localarith.padic_soluble([pen.phi1, pen.phi2], p, effort=args.effort))
     payload = {

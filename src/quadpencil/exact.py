@@ -2,8 +2,8 @@
 
 Arbitrary-precision rationals (``fractions.Fraction``), univariate
 polynomials over Q and over F_p, factorization, discriminants, square
-tests, Hilbert symbols, and a certified square-root test in etale
-algebras Q[t]/(m).
+tests, Hilbert symbols, bad-prime sets with the walk over good primes,
+and a certified square-root test in etale algebras Q[t]/(m).
 
 Polynomials are coefficient tuples in low-to-high order with no trailing
 zeros; the zero polynomial has an empty tuple.  Factorization over Q and
@@ -597,6 +597,39 @@ def hilbert_support(a, b) -> list[LocalPlace]:
 
 
 # ---------------------------------------------------------------------------
+# Bad primes and the walk over good primes
+
+
+@dataclass(frozen=True)
+class BadSet:
+    """A finite set of bad primes: 2, every prime below `margin`, and every
+    prime dividing one of `integers`.
+
+    Membership is a division test, so the integers are never factored.
+    """
+
+    integers: tuple[int, ...]
+    margin: int
+
+    def __post_init__(self):
+        if 0 in self.integers:
+            raise ValueError("prime divisors of zero")
+
+    def __contains__(self, p: int) -> bool:
+        return p == 2 or p < self.margin or any(n % p == 0 for n in self.integers)
+
+
+def good_primes(bad: BadSet, start: int, stop: Optional[int] = None) -> Iterator[int]:
+    """Primes p >= start outside `bad`, increasing.  A bounded walk ends
+    after examining the first prime >= stop."""
+    p = start - 1
+    while stop is None or p < stop:
+        p = int(sympy.nextprime(p))
+        if p not in bad:
+            yield p
+
+
+# ---------------------------------------------------------------------------
 # Square roots in etale algebras
 
 def sqrt_mod_p(a: int, p: int) -> int:
@@ -651,16 +684,6 @@ class SqrtEtaleResult:
     @property
     def decided(self) -> bool:
         return self.status != "undecided"
-
-
-def _bad_prime_for(m: RatPoly, d: RatPoly, p: int, disc_m: Fraction) -> bool:
-    if p == 2:
-        return True
-    for c in m.coeffs + d.coeffs:
-        if c.denominator % p == 0:
-            return True
-    v, _ = val_unit(disc_m, p)
-    return v != 0
 
 
 def _lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
@@ -729,13 +752,12 @@ def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleR
         return SqrtEtaleResult("nonsquare", certificate=None)
 
     disc_m = discriminant(m)
+    bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
+    primes = good_primes(bad, 3)
     deg = m.degree
     split_seen = 0
-    p = 2
     while split_seen < prime_budget:
-        p = int(sympy.nextprime(p))
-        if _bad_prime_for(m, d, p, disc_m):
-            continue
+        p = next(primes)
         mp = FpPoly.from_ratpoly(m, p).coeffs
         xq = fp_powmod([0, 1], p, mp, p)
         g = fp_gcd(mp, fp_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(list(xq) + [0, 0])]), p)
@@ -807,13 +829,6 @@ def _interpolate_mod(xs: Sequence[int], ys: Sequence[int], mod: int) -> list[int
         for k, a in enumerate(num):
             coeffs[k] = (coeffs[k] + a * scale) % mod
     return coeffs
-
-
-def primes_iter(start: int = 2) -> Iterator[int]:
-    p = start - 1
-    while True:
-        p = int(sympy.nextprime(p))
-        yield p
 
 
 def squarefree_part(n: int) -> int:

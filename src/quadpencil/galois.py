@@ -9,6 +9,12 @@ type among sampled primes.  The resolvent is computed from high-precision
 root approximations and recognized as an exact integer polynomial at two
 increasing precisions; every rational root is then certified exactly.
 
+A prime is good for P when it is odd and divides neither disc(P) nor a
+denominator of P; this is a division test on those integers (a `BadSet`
+with no margin), nothing is factored.  The evidence primes and the
+subgroup sampling walk the good primes upward from 3 (`exact.good_primes`);
+the C5 hunt continues the walk where the evidence stopped.
+
 Frobenius data at good primes is a cycle type plus one quadratic-residue
 bit per local factor; the corresponding conjugacy class representative in
 (Z/2)^5 x| S5 drives the subgroup sampling.
@@ -26,6 +32,7 @@ import mpmath
 import sympy
 
 from .exact import (
+    BadSet,
     FpPoly,
     RatPoly,
     cycle_type,
@@ -34,6 +41,7 @@ from .exact import (
     factor_q,
     fp_powmod,
     fp_rem,
+    good_primes,
     is_square_q,
     resultant,
     val_unit,
@@ -215,18 +223,15 @@ def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
         work = nxt
 
 
-def sample_cycle_types(P: RatPoly, count: int, skip: Sequence[int] = ()) -> list[tuple[int, tuple[int, ...]]]:
+def _bad_primes(P: RatPoly, disc: Fraction) -> BadSet:
+    """2 and the primes dividing disc(P) or a denominator of P."""
+    return BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0)
+
+
+def sample_cycle_types(P: RatPoly, count: int) -> list[tuple[int, tuple[int, ...]]]:
     """Cycle types of P at the first `count` good odd primes."""
-    disc = discriminant(P)
-    lam = P.denominator_lcm()
-    out = []
-    p = 2
-    while len(out) < count:
-        p = int(sympy.nextprime(p))
-        if p in skip or lam % p == 0 or val_unit(disc, p)[0] != 0:
-            continue
-        out.append((p, cycle_type(P, p)))
-    return out
+    primes = good_primes(_bad_primes(P, discriminant(P)), 3)
+    return [(p, cycle_type(P, p)) for p in itertools.islice(primes, count)]
 
 
 def galois_group_quintic(
@@ -260,16 +265,11 @@ def galois_group_quintic(
         return GaloisProfile("F20", disc_sq, root, evidence, tschirnhausen_steps=steps)
 
     # C5 vs D10: hunt for a double transposition below the bound
-    lam = P.denominator_lcm()
-    seen: list[tuple[int, tuple[int, ...]]] = list(evidence)
-    for p, ct in seen:
+    for p, ct in evidence:
         if ct == (2, 2, 1):
             return GaloisProfile("D10", disc_sq, root, evidence, tschirnhausen_steps=steps)
-    p = seen[-1][0] if seen else 2
-    while p < c5_bound:
-        p = int(sympy.nextprime(p))
-        if lam % p == 0 or val_unit(disc, p)[0] != 0:
-            continue
+    start = evidence[-1][0] + 1 if evidence else 3
+    for p in good_primes(_bad_primes(P, disc), start, c5_bound):
         if cycle_type(P, p) == (2, 2, 1):
             return GaloisProfile("D10", disc_sq, root, evidence, tschirnhausen_steps=steps)
     return GaloisProfile("C5", disc_sq, root, evidence, c5_bound=c5_bound, tschirnhausen_steps=steps)
@@ -468,18 +468,14 @@ def kdelta_subgroup_sample(
     zero-sum whenever the delta data has square norm (the norm relation at
     the Frobenius level).
     """
-    disc = discriminant(P)
-    lam = P.denominator_lcm()
+    primes = good_primes(_bad_primes(P, discriminant(P)), 3)
     model = _model_subgroup(P)
     gens: list[WreathElement] = []
     history: list[tuple[int, int]] = []
     group: frozenset[WreathElement] = wreath_closure([])
-    p = 2
     used = 0
     while used < prime_budget:
-        p = int(sympy.nextprime(p))
-        if lam % p == 0 or val_unit(disc, p)[0] != 0:
-            continue
+        p = next(primes)
         try:
             fr = frobenius_class(P, delta_factors, p)
         except RamifiedPrimeError:

@@ -9,7 +9,14 @@ infinity) decide.  p-adic solubility is a tree search over residue
 candidates with a multivariate Hensel criterion; "unknown" is a first-class
 verdict and no verdict is ever guessed.
 
-The (b, T) search scans primes outside the bad set, matches signed
+The bad set S0 is 2, every prime below the margin, and the prime divisors
+of disc(P), the denominators of P and delta, the resultants Res(P_i, d_i)
+and the contents of the d_i.  `bad_set_s0` only collects those integers;
+"is p bad?" is a division test, so nothing on the analyze, local or search
+path factors an integer.  The parity ledger, which needs every place of
+S0, factors them itself.
+
+The (b, T) search walks the good primes above the margin, matches signed
 Frobenius classes, and builds b by lifting a simple root theta to b with
 val(b - theta) = 1 at every matched prime, glued by CRT and re-verified
 exactly before returning.
@@ -28,10 +35,12 @@ import sympy
 
 from .exact import (
     REAL_PLACE,
+    BadSet,
     LocalPlace,
     RatPoly,
     cycle_type,
     discriminant,
+    good_primes,
     hilbert_symbol,
     local_square,
     prime_place,
@@ -40,31 +49,10 @@ from .exact import (
 )
 from .galois import RamifiedPrimeError, frobenius_class
 from .groupmod import WreathElement, is_admissible
-from .pencil import Matrix, Pencil, char_poly_t, mat_combine, mat_det
+from .pencil import Matrix, Pencil, char_poly_t, mat_combine, mat_det, matrix_of
 
 # ---------------------------------------------------------------------------
 # Bad places
-
-
-@dataclass(frozen=True)
-class BadSet:
-    """The finite bad set: 2, primes of bad reduction for (P, delta), the
-    margin enlargement, and the real place."""
-
-    primes: frozenset[int]
-    margin: int
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-    def sorted(self) -> list[int]:
-        return sorted(self.primes)
-
-
-def _prime_divisors(n: int) -> set[int]:
-    if n == 0:
-        raise ValueError("prime divisors of zero")
-    return {int(q) for q in sympy.factorint(abs(n))}
 
 
 def bad_set_s0(
@@ -75,23 +63,17 @@ def bad_set_s0(
     """Primes where anything can go wrong: 2, divisors of disc(P),
     denominators of P, primes where delta ramifies, and every prime below
     the margin (the fixed enlargement guaranteeing enough points on special
-    fibres is modeled by a constant cutoff)."""
-    primes: set[int] = {2}
-    primes |= {p for p in sympy.primerange(2, margin)}
+    fibres is modeled by a constant cutoff).  Only the integers are
+    collected; membership is tested by division."""
     disc = discriminant(P)
-    primes |= _prime_divisors(disc.numerator) | _prime_divisors(disc.denominator)
-    primes |= _prime_divisors(P.denominator_lcm())
+    integers = [disc.numerator, disc.denominator, P.denominator_lcm()]
     for f, d in delta_factors:
-        primes |= _prime_divisors(d.denominator_lcm())
-        num = resultant(f, d)
-        primes |= _prime_divisors(num.numerator) | _prime_divisors(num.denominator)
-        nums = [c.numerator for c in d.coeffs if c != 0]
-        content = 0
-        for n in nums:
-            content = math.gcd(content, n)
+        res = resultant(f, d)
+        integers += [d.denominator_lcm(), res.numerator, res.denominator]
+        content = math.gcd(*(c.numerator for c in d.coeffs))
         if content > 1:
-            primes |= _prime_divisors(content)
-    return BadSet(frozenset(primes), margin)
+            integers.append(content)
+    return BadSet(tuple(integers), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +88,6 @@ class LocalCertificate:
     reason: str = ""
 
 
-def _charpoly(m: Matrix) -> RatPoly:
-    n = len(m)
-    xs = [Fraction(k) for k in range(n + 1)]
-    ys = []
-    for x in xs:
-        a = [[(x if i == j else Fraction(0)) - m[i][j] for j in range(n)] for i in range(n)]
-        ys.append(mat_det(a))
-    out = RatPoly(())
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = RatPoly.of([1])
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * RatPoly.of([-xj, 1])
-                den *= xi - xj
-        out = out + num * (yi / den)
-    return out
-
-
 def _descartes_variations(f: RatPoly) -> int:
     signs = [1 if c > 0 else -1 for c in f.coeffs if c != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -133,7 +96,9 @@ def _descartes_variations(f: RatPoly) -> int:
 def signature(m: Matrix) -> tuple[int, int]:
     """(positive, negative) inertia of a nonsingular symmetric matrix,
     via exact Descartes counts on the characteristic polynomial."""
-    chi = _charpoly(m)
+    n = len(m)
+    identity = matrix_of([[int(i == j) for j in range(n)] for i in range(n)])
+    chi = char_poly_t(m, identity) * (-1) ** n  # det(t I - m)
     if chi[0] == 0:
         raise ValueError("matrix is singular")
     pos = _descartes_variations(chi)
@@ -377,7 +342,7 @@ def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
     best = cap
     for cols in itertools.combinations(range(n), m):
         sub = [[rows[r][c] for c in cols] for r in range(m)]
-        d = _int_det(sub)
+        d = int(mat_det(sub))
         if d:
             v = 0
             while d % p == 0:
@@ -385,10 +350,6 @@ def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
                 v += 1
             best = min(best, v)
     return best
-
-
-def _int_det(a: list[list[int]]) -> int:
-    return int(mat_det([[Fraction(v) for v in row] for row in a]))
 
 
 def _solve_linear_mod_p(
@@ -612,6 +573,12 @@ class ParityLedger:
     unknown_places: tuple[str, ...]
 
 
+def _prime_divisors(n: int) -> set[int]:
+    if n == 0:
+        raise ValueError("prime divisors of zero")
+    return {int(q) for q in sympy.factorint(abs(n))}
+
+
 def parity_ledger(
     P: RatPoly,
     b,
@@ -633,7 +600,9 @@ def parity_ledger(
         raise ValueError("P(b) and a must be nonzero")
     d_b = P(b) ** 2 * discriminant(P)
     s0 = bad_set_s0(P, delta_factors, margin)
-    places = set(s0.primes)
+    places = {2} | set(sympy.primerange(2, margin))
+    for n in s0.integers:
+        places |= _prime_divisors(n)
     pb = P(b)
     places |= _prime_divisors(pb.numerator) | _prime_divisors(pb.denominator)
     places |= _prime_divisors(b.denominator) if b.denominator > 1 else set()
@@ -777,11 +746,9 @@ def find_bT(
     unmatched = list(range(len(data)))
     matched: dict[int, int] = {}
     targets = {tuple(sorted((l for l, _ in d), reverse=True)) for d in data}
-    p = max(2, margin - 1)
-    while unmatched and p < prime_bound:
-        p = int(sympy.nextprime(p))
-        if p in s0:
-            continue
+    for p in good_primes(s0, margin, prime_bound):
+        if not unmatched:
+            break
         if cycle_type(P, p) not in targets:
             continue
         try:

@@ -112,8 +112,9 @@ class Pencil:
 
 
 def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
-    """det(phi1 - t phi2), degree <= 5, by interpolation at 6 points."""
-    xs = [Fraction(k) for k in range(6)]
+    """det(phi1 - t phi2) for n x n matrices, degree <= n, by interpolation
+    at n + 1 points."""
+    xs = [Fraction(k) for k in range(len(phi1) + 1)]
     ys = [mat_det(mat_combine(phi1, phi2, Fraction(1), -x)) for x in xs]
     # Lagrange interpolation over Q
     out = RatPoly(())
@@ -464,27 +465,25 @@ def hasse_class(inv: DeltaInvariant, galois_profile) -> HasseClassification:
 # ---------------------------------------------------------------------------
 # JSON interchange: rationals as "num/den" strings, bit-exact round trip
 
-def _rat_str(x: Fraction) -> str:
+def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _rat_parse(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def pencil_to_json(pencil: Pencil) -> dict:
     return {
-        "phi1": [[_rat_str(x) for x in row] for row in pencil.phi1],
-        "phi2": [[_rat_str(x) for x in row] for row in pencil.phi2],
+        "phi1": [[rat_str(x) for x in row] for row in pencil.phi1],
+        "phi2": [[rat_str(x) for x in row] for row in pencil.phi2],
     }
 
 
 def pencil_from_json(data: dict) -> Pencil:
     try:
-        phi1 = matrix_of([[_rat_parse(x) for x in row] for row in data["phi1"]])
-        phi2 = matrix_of([[_rat_parse(x) for x in row] for row in data["phi2"]])
+        phi1 = matrix_of([[Fraction(x) for x in row] for row in data["phi1"]])
+        phi2 = matrix_of([[Fraction(x) for x in row] for row in data["phi2"]])
     except (KeyError, TypeError) as e:
         raise ValueError(f"pencil JSON must have 5x5 'phi1' and 'phi2': {e}") from e
+    except ZeroDivisionError as e:
+        raise ValueError(f"pencil entry with zero denominator: {e}") from e
     return Pencil(phi1, phi2)
 
 

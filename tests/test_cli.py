@@ -63,10 +63,20 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         jsonschema.validate(report, load_schema())
 
-    def test_malformed_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps({"phi1": [["1/0"] * 5] * 5, "phi2": [["1/1"] * 5] * 5}),
+        ],
+        ids=["not-json", "zero-denominator"],
+    )
+    def test_malformed_input(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         assert main(["analyze", str(bad)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_singular_pencil(self, tmp_path):
         m = [["1/1"] * 5 for _ in range(5)]
@@ -153,6 +163,21 @@ class TestCanonKummer:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [
+            ("canon", []),
+            ("kummer", ["--b", "1"]),
+            ("search", ["--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"]),
+        ],
+        ids=["canon", "kummer", "search"],
+    )
+    def test_delta_count_mismatch(self, verb, extra, capsys):
+        # three per-factor delta entries for the one factor of t^5 - 2
+        assert main([verb, "--poly", "t^5-2", "--delta", "2,0,1", *extra]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: 3 delta entries for 1 factors"]
 
 
 class TestSearch:

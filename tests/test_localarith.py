@@ -1,15 +1,19 @@
 """Tests for local solubility, residues, parity ledger, witness search."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from quadpencil.exact import (
     REAL_PLACE,
     RatPoly,
+    discriminant,
     hilbert_symbol,
     is_square_q,
     local_square,
@@ -19,6 +23,7 @@ from quadpencil.exact import (
     val_unit,
 )
 from quadpencil.canon import canonical_quadrics
+from quadpencil.cli import main, parse_poly
 from quadpencil.localarith import (
     DT_RES_NONZERO,
     DT_RES_ZERO,
@@ -35,7 +40,7 @@ from quadpencil.localarith import (
     real_soluble,
     signature,
 )
-from quadpencil.pencil import Pencil, mat_congruent, matrix_of, random_pencil
+from quadpencil.pencil import Pencil, mat_congruent, matrix_of, pencil_dumps, random_pencil
 
 
 def poly(*coeffs):
@@ -70,6 +75,56 @@ class TestBadSet:
             T5_MINUS_2, [(T5_MINUS_2, poly(Fraction(1, 7)))], margin=5
         )
         assert 7 in s0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-20, 20), min_size=5, max_size=5),
+        st.integers(1, 6),
+        st.one_of(
+            st.fractions(-50, 50, max_denominator=30).filter(bool).map(lambda c: [c]),
+            st.just(None),
+            st.lists(st.fractions(-9, 9, max_denominator=6), min_size=2, max_size=5),
+        ),
+        st.sampled_from([2, 14, 100]),
+    )
+    def test_matches_factoring_definition(self, low, lead, delta, margin):
+        """S0 by division equals S0 by factoring; delta is a nonzero
+        constant, the derivative (None) or a small polynomial."""
+        P = RatPoly.of(low + [lead])
+        d = P.derivative() if delta is None else RatPoly.of(delta)
+        assume(discriminant(P) != 0 and not d.is_zero and resultant(P, d) != 0)
+        s0 = bad_set_s0(P, [(P, d)], margin)
+
+        def divisors(x: Fraction) -> set[int]:
+            return set(sympy.factorint(abs(x.numerator))) | set(sympy.factorint(x.denominator))
+
+        ref = {2} | set(sympy.primerange(2, margin))
+        ref |= divisors(discriminant(P)) | divisors(resultant(P, d))
+        ref |= set(sympy.factorint(P.denominator_lcm())) | set(sympy.factorint(d.denominator_lcm()))
+        ref |= set(sympy.factorint(math.gcd(*(c.numerator for c in d.coeffs))))
+        for p in sympy.primerange(2, 500):
+            assert (p in s0) == (p in ref), p
+
+    @pytest.mark.parametrize(
+        "P, delta",
+        [
+            ("t*(t-1)*(t-2)*(t-3)*(t-4)", [5, 5, 1, 1, 1]),
+            ("t^5-2", [1]),
+        ],
+        ids=["split", "t5-2"],
+    )
+    def test_cli_never_factors(self, P, delta, tmp_path, monkeypatch, capsys):
+        model = canonical_quadrics(parse_poly(P), delta)
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(model.to_pencil()))
+
+        def no_factoring(*args, **kwargs):
+            raise AssertionError("factorint called")
+
+        monkeypatch.setattr(sympy, "factorint", no_factoring)
+        assert main(["--json", "analyze", str(path)]) in (0, 2)
+        assert main(["--json", "local", str(path)]) in (0, 2)
+        assert capsys.readouterr().err == ""
 
 
 class TestSignature:
