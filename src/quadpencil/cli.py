@@ -36,25 +36,44 @@ def _matrix_json(m) -> list[list[str]]:
     return [[rat_str(x) for x in row] for row in m]
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational such as '-3/4'; ValueError when it is not one."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_poly(text: str) -> RatPoly:
     """Accept comma-separated coefficients (low to high) or an expression
-    in t, e.g. 't^5 - 2'."""
+    in t, e.g. 't^5 - 2'; ValueError for anything else."""
     if "," in text:
-        return RatPoly.of([Fraction(part.strip()) for part in text.split(",")])
+        return RatPoly.of([parse_rational(part) for part in text.split(",")])
     t = sympy.Symbol("t")
-    expr = sympy.sympify(text.replace("^", "**"), locals={"t": t})
-    poly = sympy.Poly(expr, t)
-    return RatPoly.of(
-        [Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, reversed(poly.all_coeffs()))]
-    )
+    try:
+        expr = sympy.sympify(text.replace("^", "**"), locals={"t": t})
+        coeffs = [sympy.Rational(c) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
+    # SympifyError is a ValueError; sympify evaluates the text, so an
+    # attribute access can fail, and Rational rejects symbolic coefficients
+    except (AttributeError, TypeError, ValueError, sympy.PolynomialError) as e:
+        raise ValueError(f"not a polynomial in t with rational coefficients: {text!r}") from e
+    return RatPoly.of([Fraction(int(c.p), int(c.q)) for c in coeffs])
 
 
 def parse_delta(text: str, P: RatPoly):
     if ";" in text or ("," in text and "t" not in text):
         sep = ";" if ";" in text else ","
-        return [parse_poly(part) if "t" in part else RatPoly.const(Fraction(part.strip()))
+        return [parse_poly(part) if "t" in part else RatPoly.const(parse_rational(part))
                 for part in text.split(sep)]
     return parse_poly(text)
+
+
+def parse_conditions(text: str) -> list:
+    """JSON list of local conditions, each a list of [cycle length, sign bit]."""
+    try:
+        return [localarith.normalize_condition(c) for c in json.loads(text)]
+    except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise ValueError(f"malformed conditions {text!r}: {e}") from None
 
 
 def load_schema() -> dict:
@@ -85,6 +104,7 @@ def run_analyze(args) -> int:
             raw = fh.read()
         data = json.loads(raw)
         pen = pencil.pencil_from_json(data)
+        conditions = None if args.conditions is None else parse_conditions(args.conditions)
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -113,12 +133,12 @@ def run_analyze(args) -> int:
         certs.append(localarith.padic_soluble([pen.phi1, pen.phi2], p, effort=args.effort))
 
     witness = None
-    if args.conditions:
+    if conditions is not None:
         try:
             wit = localarith.find_bT(
                 norm.P,
                 inv.factor_reps(),
-                json.loads(args.conditions),
+                conditions,
                 prime_bound=args.prime_bound,
                 margin=args.margin,
             )
@@ -254,7 +274,7 @@ def run_canon(args) -> int:
 def run_kummer(args) -> int:
     try:
         P = parse_poly(args.poly)
-        km = canon.kummer_model(P, parse_delta(args.delta, P), Fraction(args.b))
+        km = canon.kummer_model(P, parse_delta(args.delta, P), parse_rational(args.b))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -285,11 +305,11 @@ def run_search(args) -> int:
     try:
         P = parse_poly(args.poly)
         dcomb = canon.normalize_delta(P, parse_delta(args.delta, P))
+        conditions = parse_conditions(args.conditions)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     delta_factors = [(f, dcomb % f) for f, _ in factor_q(P)]
-    conditions = json.loads(args.conditions)
     try:
         wit = localarith.find_bT(
             P,

@@ -5,9 +5,12 @@ subgroups of S5 is decided by (i) squareness of the discriminant,
 (ii) existence of a rational root of the degree-6 resolvent whose
 stabilizer is the metacyclic group of order 20, and (iii) for the
 C5/D10 split, a certificate search for a double-transposition cycle
-type among sampled primes.  The resolvent is computed from high-precision
-root approximations and recognized as an exact integer polynomial at two
-increasing precisions; every rational root is then certified exactly.
+type among sampled primes.  The resolvent is exact integer arithmetic: for
+the depressed quintic its coefficients are weighted-homogeneous integer
+polynomials in the quintic's coefficients (`_F20_TABLE`, derived and proved
+by scripts/f20_table.py; cf. Dummit, "Solving solvable quintics", Math.
+Comp. 57 (1991)), and an exact shift maps them back to P.  Its rational
+roots come from an exact factorization.
 
 A prime is good for P when it is odd and divides neither disc(P) nor a
 denominator of P; this is a division test on those integers (a `BadSet`
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import sympy
 
 from .exact import (
@@ -134,38 +136,141 @@ def _integer_quintic(P: RatPoly) -> tuple[list[int], int]:
     return coeffs, lam
 
 
+# Coefficients of the F20 resolvent of a depressed quintic
+# z^5 + b2 z^3 + b3 z^2 + b4 z + b5: row k lists (coefficient, e2, e3, e4, e5)
+# of c_k = sum coefficient * b2^e2 b3^e3 b4^e4 b5^e5, the coefficient of
+# y^(6-k) in prod_j (y - theta_j).  Derived and proved by scripts/f20_table.py.
+_F20_TABLE = (
+    (  # c1: weight 4, 1 of 2 monomials
+        (8, 0, 0, 1, 0),
+    ),
+    (  # c2: weight 8, 4 of 5 monomials
+        (-6, 2, 0, 1, 0),
+        (2, 1, 2, 0, 0),
+        (-50, 0, 1, 0, 1),
+        (40, 0, 0, 2, 0),
+    ),
+    (  # c3: weight 12, 7 of 10 monomials
+        (-15, 2, 1, 0, 1),
+        (-40, 2, 0, 2, 0),
+        (21, 1, 2, 1, 0),
+        (125, 1, 0, 0, 2),
+        (-2, 0, 4, 0, 0),
+        (-400, 0, 1, 1, 1),
+        (160, 0, 0, 3, 0),
+    ),
+    (  # c4: weight 16, 12 of 17 monomials
+        (9, 4, 0, 2, 0),
+        (-6, 3, 2, 1, 0),
+        (1, 2, 4, 0, 0),
+        (90, 2, 1, 1, 1),
+        (-136, 2, 0, 3, 0),
+        (-50, 1, 3, 0, 1),
+        (76, 1, 2, 2, 0),
+        (500, 1, 0, 1, 2),
+        (-8, 0, 4, 1, 0),
+        (625, 0, 2, 0, 2),
+        (-1400, 0, 1, 2, 1),
+        (400, 0, 0, 4, 0),
+    ),
+    (  # c5: weight 20, 21 of 28 monomials
+        (-108, 5, 0, 0, 2),
+        (117, 4, 1, 1, 1),
+        (32, 4, 0, 3, 0),
+        (-31, 3, 3, 0, 1),
+        (-51, 3, 2, 2, 0),
+        (525, 3, 0, 1, 2),
+        (19, 2, 4, 1, 0),
+        (-325, 2, 2, 0, 2),
+        (260, 2, 1, 2, 1),
+        (-256, 2, 0, 4, 0),
+        (-2, 1, 6, 0, 0),
+        (105, 1, 3, 1, 1),
+        (76, 1, 2, 3, 0),
+        (625, 1, 1, 0, 3),
+        (-500, 1, 0, 2, 2),
+        (-58, 0, 5, 0, 1),
+        (3, 0, 4, 2, 0),
+        (2750, 0, 2, 1, 2),
+        (-2400, 0, 1, 3, 1),
+        (512, 0, 0, 5, 0),
+        (-3125, 0, 0, 0, 4),
+    ),
+    (  # c6: weight 24, 31 of 42 monomials
+        (-27, 7, 0, 0, 2),
+        (18, 6, 1, 1, 1),
+        (-4, 6, 0, 3, 0),
+        (-4, 5, 3, 0, 1),
+        (1, 5, 2, 2, 0),
+        (-99, 5, 0, 1, 2),
+        (-150, 4, 2, 0, 2),
+        (196, 4, 1, 2, 1),
+        (48, 4, 0, 4, 0),
+        (12, 3, 3, 1, 1),
+        (-128, 3, 2, 3, 0),
+        (1200, 3, 0, 2, 2),
+        (-12, 2, 5, 0, 1),
+        (65, 2, 4, 2, 0),
+        (-725, 2, 2, 1, 2),
+        (-160, 2, 1, 3, 1),
+        (-192, 2, 0, 5, 0),
+        (3125, 2, 0, 0, 4),
+        (-13, 1, 6, 1, 0),
+        (-125, 1, 4, 0, 2),
+        (590, 1, 3, 2, 1),
+        (-16, 1, 2, 4, 0),
+        (-1250, 1, 1, 1, 3),
+        (-2000, 1, 0, 3, 2),
+        (1, 0, 8, 0, 0),
+        (-124, 0, 5, 1, 1),
+        (17, 0, 4, 3, 0),
+        (3250, 0, 2, 2, 2),
+        (-1600, 0, 1, 4, 1),
+        (256, 0, 0, 6, 0),
+        (-9375, 0, 0, 1, 4),
+    ),
+)
+
+
 def resolvent_sextic(P: RatPoly) -> list[int]:
-    """Exact integer coefficients of the degree-6 resolvent of a monic
-    integer quintic, via root approximation at two agreeing precisions."""
+    """Exact integer coefficients, high to low and monic, of the degree-6
+    resolvent prod_j (y - theta_j) of the monic integer quintic of P.
+
+    With x^5 + a1 x^4 + ... + a5 and z = 5x + a1 the quintic becomes the
+    depressed integer quintic with coefficients b; its resolvent comes from
+    `_F20_TABLE`, and each conjugate shifts as theta_z = 625 theta_x + corr.
+    """
     coeffs, _ = _integer_quintic(P)
-    height = max(abs(c) for c in coeffs)
-    base = 60 + int(24 * math.log10(height + 2))
-    results = []
-    for dps in (base, 2 * base):
-        with mpmath.workdps(dps):
-            poly = [mpmath.mpf(1)] + [mpmath.mpf(c) for c in reversed(coeffs[:-1])]
-            roots = mpmath.polyroots(poly, maxsteps=400, extraprec=2 * dps)
-            thetas = [_theta_value(roots, perm) for perm in _THETA_REPS]
-            sext = [mpmath.mpc(1)]
-            for th in thetas:
-                new = [mpmath.mpc(0)] * (len(sext) + 1)
-                for i, c in enumerate(sext):
-                    new[i] += c * (-th)
-                    new[i + 1] += c
-                sext = new
-            ints = []
-            ok = True
-            for c in reversed(sext):  # high-to-low
-                r = mpmath.nint(c.real)
-                if abs(c - r) > mpmath.mpf(10) ** (-10):
-                    ok = False
-                    break
-                ints.append(int(r))
-            if ok:
-                results.append(ints)
-    if len(results) == 2 and results[0] == results[1]:
-        return results[0]  # high-to-low, monic
-    raise ArithmeticError("resolvent coefficients did not stabilize")
+    a = coeffs[::-1]  # 1, a1, ..., a5
+    a1 = a[1]
+    # 5^5 P((z - a1)/5) = sum_i a_i 5^i (z - a1)^(5-i), high to low in z
+    b = [0] * 6
+    for i, ai in enumerate(a):
+        n = 5 - i
+        for j in range(n + 1):
+            b[i + j] += ai * 5**i * math.comb(n, j) * (-a1) ** j
+    b2, b3, b4, b5 = b[2:]
+    depressed = [1] + [
+        sum(c * b2**e2 * b3**e3 * b4**e4 * b5**e5 for c, e2, e3, e4, e5 in row)
+        for row in _F20_TABLE
+    ]
+    # theta(x + c) - theta(x) for the roots 5x_i (elementary symmetric E1..E3)
+    # shifted by c = a1
+    E1, E2, E3 = -5 * a1, 25 * a[2], -125 * a[3]
+    corr = (10 * a1**4 + 8 * a1**3 * E1 + 2 * a1**2 * E1**2 + a1**2 * E2
+            + a1 * E1 * E2 - a1 * E3)
+    # 625^6 R_x(y) = R_z(625 y + corr), by Horner in y
+    shifted = [depressed[0]]
+    for c in depressed[1:]:
+        shifted = [625 * u + corr * v for u, v in zip(shifted + [0], [0] + shifted)]
+        shifted[-1] += c
+    out = []
+    for c in shifted:
+        q, r = divmod(c, 625**6)
+        if r:
+            raise ArithmeticError("resolvent coefficient not divisible by 625^6")
+        out.append(q)
+    return out
 
 
 def _rational_roots_int_poly(coeffs_high_to_low: list[int]) -> list[Fraction]:

@@ -420,7 +420,8 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
     n = len(forms_int[0])
     if p**(n - 1) > 60_000_000:
         return LocalCertificate(place, "unknown", reason="residue space too large")
-    forms_np = np.array(forms_int, dtype=np.int64)
+    # reduced before the cast: unreduced entries can exceed int64
+    forms_np = np.array([[[v % p for v in row] for row in a] for a in forms_int], dtype=np.int64)
 
     singular: list[tuple[int, ...]] = []
     any_solution = False

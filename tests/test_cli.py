@@ -7,7 +7,7 @@ import pytest
 
 from quadpencil.cli import load_schema, main, parse_poly
 from quadpencil.canon import canonical_quadrics
-from quadpencil.exact import RatPoly
+from quadpencil.exact import RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
 
 
@@ -78,6 +78,20 @@ class TestAnalyze:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_int64_overflow_quintic(self, tmp_path):
+        # delta' = c P' with c the squarefree part of disc(P): the canonical
+        # pencil of this quintic has entries beyond int64
+        P = parse_poly("t^5+9*t^4-9*t^3+3*t+8")
+        model = canonical_quadrics(P, P.derivative() * squarefree_part(int(discriminant(P))))
+        pen = model.to_pencil()
+        assert max(abs(x) for m in (pen.phi1, pen.phi2) for row in m for x in row) > 2**63
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(pen))
+        out = tmp_path / "report.json"
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) == 0
+        report = json.loads(out.read_text())
+        assert [c["place"] for c in report["local_certificates"]][1:] == ["3", "5", "7", "11", "13"]
+
     def test_singular_pencil(self, tmp_path):
         m = [["1/1"] * 5 for _ in range(5)]
         path = tmp_path / "sing.json"
@@ -122,6 +136,42 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["witness"]["primes"] == [151]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kummer", "--poly", "t^5-2", "--b", "1/0"],
+        ["canon", "--poly", "t^5-1/0"],
+        ["canon", "--poly", "t^5+x"],
+        ["canon", "--poly", "t^5+1/t"],
+        ["canon", "--poly", "sin(t)"],
+        ["canon", "--poly", "t^5+"],
+        ["search", "--poly", "t^5-2", "--conditions", "[[1,0"],
+        ["search", "--poly", "t^5-2", "--conditions", "[[[1,0],[1,0]]]"],
+        ["analyze", "PENCIL", "--conditions", "[[1,0"],
+        ["analyze", "PENCIL", "--conditions", "[[[1,0],[1,0]]]"],
+    ],
+    ids=[
+        "kummer-b-zero-denominator",
+        "canon-zero-denominator",
+        "canon-second-variable",
+        "canon-negative-power",
+        "canon-function",
+        "canon-syntax",
+        "search-conditions-not-json",
+        "search-conditions-lengths",
+        "analyze-conditions-not-json",
+        "analyze-conditions-lengths",
+    ],
+)
+def test_malformed_argument(argv, t52_pencil_file, capsys):
+    argv = [str(t52_pencil_file) if a == "PENCIL" else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestCanonKummer:

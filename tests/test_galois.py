@@ -1,12 +1,19 @@
 """Tests for Galois profiles and Frobenius sampling."""
 
+import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
+from quadpencil.canon import canonical_quadrics
+from quadpencil.cli import main, parse_poly
 from quadpencil.exact import RatPoly, discriminant, is_square_q, resultant
 from quadpencil.galois import (
+    _THETA_REPS,
+    _theta_value,
     CLASS_SETS,
     GaloisProfile,
     RamifiedPrimeError,
@@ -18,6 +25,7 @@ from quadpencil.galois import (
     sample_cycle_types,
 )
 from quadpencil.groupmod import wreath_closure
+from quadpencil.pencil import pencil_dumps
 
 
 def poly(*coeffs):
@@ -118,6 +126,63 @@ class TestResolvent:
     def test_s5_no_root(self):
         prof = galois_group_quintic(S5_QUINTIC)
         assert prof.resolvent_root is None
+
+    @staticmethod
+    def _product_over_conjugates(roots):
+        """prod_j (y - theta_j), high to low, expanded exactly from the roots."""
+        out = [1]
+        for perm in _THETA_REPS:
+            th = _theta_value(roots, perm)
+            out = [a - th * b for a, b in zip(out + [0], [0] + out)]
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        roots=st.lists(st.integers(-60, 60), min_size=5, max_size=5),
+        num=st.integers(-9, 9).filter(bool),
+        den=st.integers(1, 9),
+    )
+    @example(roots=[-13, 17, 19, -23, 11], num=1, den=1)  # coefficients up to 1.06e6
+    @example(roots=[3, -5, 11, -17, 19], num=7, den=4)  # integer quintic up to 9.8e20
+    def test_matches_roots_oracle(self, roots, num, den):
+        # the table against prod (y - theta_j) on the roots of the integer
+        # quintic, for P and for P rescaled by x -> x / lam
+        P = RatPoly.from_roots(roots)
+        lam = Fraction(num, den)
+        Q = RatPoly.of([c * lam ** (5 - i) for i, c in enumerate(P.coeffs)])  # roots lam * r
+        for F, scaled in ((P, roots), (Q, [lam * r for r in roots])):
+            mu = F.denominator_lcm()  # the integer quintic has roots mu * r
+            assert resolvent_sextic(F) == self._product_over_conjugates([mu * r for r in scaled])
+
+
+class TestNoFloat:
+    @pytest.fixture(autouse=True)
+    def no_root_finding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.polyroots called")
+
+        monkeypatch.setattr(mpmath, "polyroots", refuse)
+
+    @pytest.mark.parametrize("P,label", KNOWN)
+    def test_labels(self, P, label):
+        assert galois_group_quintic(P).label == label
+
+    @pytest.mark.parametrize(
+        "P,delta,label,code",
+        [
+            ("t*(t-1)*(t-2)*(t-3)*(t-4)", [5, 5, 1, 1, 1], "REDUCIBLE", 2),  # 3-adic unknown
+            ("t^5-2", [1], "F20", 0),
+        ],
+        ids=["split", "t5-2"],
+    )
+    def test_analyze(self, P, delta, label, code, tmp_path, capsys):
+        model = canonical_quadrics(parse_poly(P), delta)
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(model.to_pencil()))
+        out = tmp_path / "report.json"
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) == code
+        assert json.loads(out.read_text())["galois"]["label"] == label
+        assert capsys.readouterr().err == ""
 
 
 class TestFrobenius:
