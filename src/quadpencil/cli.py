@@ -14,16 +14,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
 
-import sympy
-
-from . import __version__, canon, galois, groupmod, localarith, pencil, selmersim
-from .exact import RatPoly, factor_q
+from . import __version__, canon, exact, galois, groupmod, localarith, pencil, selmersim
+from .exact import MAX_DEGREE, RatPoly, factor_q, prime_place
 from .pencil import rat_str
+
+# The benchmark's self-test (perfbench/selftest.py) reads the program's
+# sympy module as cli.sympy; exact.py is the module that imports it.
+sympy = exact.sympy
 
 SCHEMA_VERSION = "quadpencil-report-1"
 
@@ -44,20 +47,98 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+# A number (integer or decimal), t, an operator or a parenthesis.
+_TOKEN = re.compile(r"\s*(\d+\.?\d*|\.\d+|\*\*|[-+*/^()t])", re.ASCII)
+
+# Coefficient size bound for parsed expressions, so that a tower of
+# constant powers such as ((9^16)^16)^16 is refused instead of computed.
+_MAX_BITS = 4096
+
+
 def parse_poly(text: str) -> RatPoly:
     """Accept comma-separated coefficients (low to high) or an expression
-    in t, e.g. 't^5 - 2'; ValueError for anything else."""
+    in t, e.g. 't^5 - 2'; ValueError for anything else.
+
+    Expressions are read exactly, by the grammar
+        sum     := product (('+' | '-') product)*
+        product := factor (('*' | '/') factor)*
+        factor  := ('+' | '-') factor | atom (('^' | '**') integer)?
+        atom    := number | 't' | '(' sum ')'
+    with division by nonzero constants only, exponents of at most
+    MAX_DEGREE and no intermediate result of higher degree.
+    """
     if "," in text:
         return RatPoly.of([parse_rational(part) for part in text.split(",")])
-    t = sympy.Symbol("t")
     try:
-        expr = sympy.sympify(text.replace("^", "**"), locals={"t": t})
-        coeffs = [sympy.Rational(c) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
-    # SympifyError is a ValueError; sympify evaluates the text, so an
-    # attribute access can fail, and Rational rejects symbolic coefficients
-    except (AttributeError, TypeError, ValueError, sympy.PolynomialError) as e:
-        raise ValueError(f"not a polynomial in t with rational coefficients: {text!r}") from e
-    return RatPoly.of([Fraction(int(c.p), int(c.q)) for c in coeffs])
+        toks = _tokens(text)
+        f = _sum(toks)
+        if toks:
+            raise ValueError(f"unexpected {toks[-1]!r}")
+        return f
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep
+        msg = f"not a polynomial in t with rational coefficients: {text!r} ({e})"
+        raise ValueError(msg) from None
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, last first, so that the parser pops them."""
+    toks = _TOKEN.findall(text)
+    if "".join(toks) != "".join(text.split()):
+        raise ValueError("unexpected character")
+    return toks[::-1]
+
+
+def _sum(toks: list[str]) -> RatPoly:
+    f = _product(toks)
+    while toks and toks[-1] in ("+", "-"):
+        f = f + _product(toks) if toks.pop() == "+" else f - _product(toks)
+    return f
+
+
+def _product(toks: list[str]) -> RatPoly:
+    f = _factor(toks)
+    while toks and toks[-1] in ("*", "/"):
+        op, g = toks.pop(), _factor(toks)
+        if op == "*":
+            f = _bounded(f * g)
+        elif g.degree != 0:
+            raise ValueError("division by zero or by a non-constant")
+        else:
+            f = f * (1 / g[0])
+    return f
+
+
+def _factor(toks: list[str]) -> RatPoly:
+    tok = toks.pop() if toks else "end of input"
+    if tok in ("+", "-"):
+        return -_factor(toks) if tok == "-" else _factor(toks)
+    if tok == "(":
+        f = _sum(toks)
+        if not toks or toks.pop() != ")":
+            raise ValueError("missing ')'")
+    elif tok == "t":
+        f = RatPoly.x()
+    elif tok[0].isdigit() or tok[0] == ".":
+        f = RatPoly.const(parse_rational(tok))
+    else:
+        raise ValueError(f"unexpected {tok!r}")
+    if toks and toks[-1] in ("^", "**"):
+        toks.pop()
+        e = toks.pop() if toks else ""
+        if not e.isdigit() or int(e) > MAX_DEGREE:
+            raise ValueError(f"exponent {e!r} is not an integer of at most {MAX_DEGREE}")
+        f, base = RatPoly.const(1), f
+        for _ in range(int(e)):
+            f = _bounded(f * base)
+    return f
+
+
+def _bounded(f: RatPoly) -> RatPoly:
+    if f.degree > MAX_DEGREE:
+        raise ValueError(f"degree above {MAX_DEGREE}")
+    if any(max(abs(c.numerator), c.denominator).bit_length() > _MAX_BITS for c in f.coeffs):
+        raise ValueError(f"a coefficient exceeds {_MAX_BITS} bits")
+    return f
 
 
 def parse_delta(text: str, P: RatPoly):
@@ -342,13 +423,12 @@ def run_local(args) -> int:
     try:
         with open(args.input) as fh:
             pen = pencil.pencil_from_json(json.load(fh))
+        places = args.places and [prime_place(int(p)).p for p in args.places.split(",")]
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     certs = [localarith.real_soluble(pen)]
-    if args.places:
-        places = [int(p) for p in args.places.split(",")]
-    else:
+    if not places:
         norm = pencil.normalize_pencil(pen)
         inv = pencil.delta_invariant(norm, certify=False)
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=2)
@@ -374,7 +454,13 @@ def run_local(args) -> int:
 
 
 def run_simulate(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
+    try:
+        dims = [int(x) for x in args.dims.split(",")]
+        if any(d < 0 or d % 2 for d in dims):
+            raise ValueError(f"local dimensions must be even and nonnegative: {args.dims!r}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     num_systems = args.systems
     duality_checks = duality_failures = 0
     twist_checks = twist_failures = 0

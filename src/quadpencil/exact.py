@@ -6,9 +6,11 @@ tests, Hilbert symbols, bad-prime sets with the walk over good primes,
 and a certified square-root test in etale algebras Q[t]/(m).
 
 Polynomials are coefficient tuples in low-to-high order with no trailing
-zeros; the zero polynomial has an empty tuple.  Factorization over Q and
-over F_p is delegated to sympy (exact, deterministic); everything the
-symbols and certificates depend on is re-verified here.
+zeros; the zero polynomial has an empty tuple.  This is the only module
+that calls sympy: factorization over Q and over F_p, resultants,
+primality, the primes below a bound and integer factorization are
+delegated to it (exact, deterministic); everything the symbols and
+certificates depend on is re-verified here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ import sympy
 _t = sympy.Symbol("t")
 
 Rat = Fraction
+
+# The largest polynomial degree factor_q accepts; command-line polynomials
+# are held to the same bound.
+MAX_DEGREE = 16
 
 
 def _as_rat(x) -> Fraction:
@@ -166,11 +172,8 @@ class RatPoly:
         return math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
 
     def to_sympy(self):
-        if self.is_zero:
-            return sympy.Poly(0, _t)
-        return sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in reversed(self.coeffs)], _t
-        )
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(self.coeffs)]
+        return sympy.Poly(coeffs, _t)
 
     @classmethod
     def from_sympy(cls, p) -> "RatPoly":
@@ -285,8 +288,8 @@ def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree > 16:
-        raise ValueError("degree > 16 not supported")
+    if f.degree > MAX_DEGREE:
+        raise ValueError(f"degree > {MAX_DEGREE} not supported")
     _, pairs = f.to_sympy().factor_list()
     out = []
     for p, mult in pairs:
@@ -583,17 +586,24 @@ def hilbert_symbol(a, b, v: LocalPlace) -> int:
     return s
 
 
+def prime_divisors(n: int) -> set[int]:
+    """The primes dividing the nonzero integer n."""
+    if n == 0:
+        raise ValueError("prime divisors of zero")
+    return {int(q) for q in sympy.factorint(abs(n))}
+
+
+def primes_below(stop: int) -> list[int]:
+    return [int(p) for p in sympy.primerange(2, stop)]
+
+
 def hilbert_support(a, b) -> list[LocalPlace]:
-    """Places where (a, b) can be nontrivial: real, 2, and odd p | num*den."""
-    places = [REAL_PLACE, prime_place(2)]
-    seen = {2}
+    """Places where (a, b) can be nontrivial: real, 2, and the odd p | num*den
+    in increasing order."""
+    primes = set()
     for x in (_as_rat(a), _as_rat(b)):
-        for n in (abs(x.numerator), x.denominator):
-            for q, _ in sympy.factorint(n).items():
-                if q not in seen and q != 1:
-                    seen.add(q)
-                    places.append(prime_place(int(q)))
-    return places
+        primes |= prime_divisors(x.numerator) | prime_divisors(x.denominator)
+    return [REAL_PLACE, prime_place(2)] + [prime_place(q) for q in sorted(primes - {2})]
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +696,7 @@ class SqrtEtaleResult:
         return self.status != "undecided"
 
 
-def _lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
+def lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
     """Hensel lift of a simple root of m from mod p to mod pk (pk a power of p)."""
     md = m.derivative()
     denom_lcm = m.denominator_lcm()
@@ -695,17 +705,10 @@ def _lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
     cur, mod = r, p
     while mod < pk:
         mod = min(mod * mod, pk)
-        fr = _int_eval(mi, cur, mod)
-        fdr = _int_eval(mdi, cur, mod)
+        fr = fp_eval(mi, cur, mod)
+        fdr = fp_eval(mdi, cur, mod)
         cur = (cur - fr * pow(fdr, -1, mod)) % mod
     return cur % pk
-
-
-def _int_eval(c: Sequence[int], x: int, mod: int) -> int:
-    acc = 0
-    for ci in reversed(c):
-        acc = (acc * x + ci) % mod
-    return acc
 
 
 def _lift_sqrt(a: int, s0: int, p: int, pk: int) -> int:
@@ -785,7 +788,7 @@ def _reconstruct_sqrt(d: RatPoly, m: RatPoly, p: int, root_vals) -> Optional[Rat
     deg = m.degree
     for k_digits in (45, 130, 400):
         pk = p ** max(2, int(k_digits / math.log10(p)) + 1)
-        roots_k = [_lift_root(m, r, p, pk) for r, _ in root_vals]
+        roots_k = [lift_root(m, r, p, pk) for r, _ in root_vals]
         sqrts_k = []
         for (r, u), rk in zip(root_vals, roots_k):
             a_k = _eval_rat_mod(d, rk, pk)

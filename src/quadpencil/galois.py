@@ -9,8 +9,11 @@ type among sampled primes.  The resolvent is exact integer arithmetic: for
 the depressed quintic its coefficients are weighted-homogeneous integer
 polynomials in the quintic's coefficients (`_F20_TABLE`, derived and proved
 by scripts/f20_table.py; cf. Dummit, "Solving solvable quintics", Math.
-Comp. 57 (1991)), and an exact shift maps them back to P.  Its rational
-roots come from an exact factorization.
+Comp. 57 (1991)), and an exact shift maps them back to P.  All polynomial
+algebra is over Q with `RatPoly`: separability is gcd(f, f') = 1, the
+rational roots come from `exact.factor_q`, and when the resolvent has a
+repeated root the Tschirnhausen transform r -> r^2 + c*r is the
+characteristic polynomial of that multiplication on Q[y]/(P).
 
 A prime is good for P when it is odd and divides neither disc(P) nor a
 denominator of P; this is a division test on those integers (a `BadSet`
@@ -27,11 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import sympy
 
 from .exact import (
     BadSet,
@@ -57,9 +58,7 @@ from .groupmod import (
     perm_cycle_type,
     wreath_closure,
 )
-
-_t = sympy.Symbol("t")
-_y = sympy.Symbol("y")
+from .pencil import char_poly
 
 LABELS = ("C5", "D10", "F20", "A5", "S5", "REDUCIBLE")
 
@@ -273,58 +272,46 @@ def resolvent_sextic(P: RatPoly) -> list[int]:
     return out
 
 
-def _rational_roots_int_poly(coeffs_high_to_low: list[int]) -> list[Fraction]:
-    p = sympy.Poly(coeffs_high_to_low, _y)
-    out = []
-    for fac, _ in p.factor_list()[1]:
-        fp = sympy.Poly(fac, _y)
-        if fp.degree() == 1:
-            a, b = fp.all_coeffs()
-            out.append(Fraction(int(-b), int(a)))
-    return sorted(out)
+def _is_separable(f: RatPoly) -> bool:
+    return f.gcd(f.derivative()).degree == 0
 
 
-def _is_separable_int(coeffs_high_to_low: list[int]) -> bool:
-    p = sympy.Poly(coeffs_high_to_low, _y)
-    return sympy.gcd(p, p.diff(_y)).is_ground
+def _rational_roots(f: RatPoly) -> list[Fraction]:
+    return sorted(-g[0] for g, _ in factor_q(f) if g.degree == 1)
 
 
-def _tschirnhausen(coeffs: list[int], c: int) -> Optional[list[int]]:
-    """Monic integer quintic whose roots are r^2 + c*r over the roots r."""
-    Py = sympy.Poly([1] + list(reversed(coeffs[:-1])), _y)
-    res = sympy.resultant(Py.as_expr(), _t - (_y**2 + c * _y), _y)
-    q = sympy.Poly(res, _t)
-    if q.degree() != 5:
-        return None
-    cs = [int(v) for v in q.all_coeffs()]
-    if cs[0] < 0:
-        cs = [-v for v in cs]
-    if cs[0] != 1:
-        return None
-    if not _is_separable_int(cs):
-        return None
-    return cs
+def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:
+    """Monic quintic whose roots are r^2 + c*r over the roots r of P: the
+    characteristic polynomial of multiplication by y^2 + c*y on the power
+    basis of Q[y]/(P); None when it is not separable."""
+    y = RatPoly.x()
+    col = RatPoly.of([0, c, 1]) % P
+    cols = []
+    for _ in range(P.degree):
+        cols.append(col)
+        col = (col * y) % P
+    q = char_poly(tuple(tuple(f[i] for f in cols) for i in range(P.degree)))
+    return q if _is_separable(q) else None
 
 
 def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
     """(a rational root of a separable metacyclic resolvent or None, #transforms)."""
-    coeffs, _ = _integer_quintic(P)
-    work = list(reversed(coeffs))  # high-to-low
+    work = RatPoly.of(_integer_quintic(P)[0])
     steps = 0
     while True:
-        sext = resolvent_sextic(RatPoly.of(list(reversed(work))))
-        if _is_separable_int(sext):
-            roots = _rational_roots_int_poly(sext)
+        sext = RatPoly.of(resolvent_sextic(work)[::-1])
+        if _is_separable(sext):
+            roots = _rational_roots(sext)
             return (roots[0] if roots else None), steps
         steps += 1
         if steps > 12:
             raise ArithmeticError("no separable resolvent found after 12 transforms")
-        nxt = _tschirnhausen(list(reversed(work)), steps)
+        nxt = _tschirnhausen(work, steps)
         while nxt is None:
             steps += 1
             if steps > 12:
                 raise ArithmeticError("no usable transformation found")
-            nxt = _tschirnhausen(list(reversed(work)), steps)
+            nxt = _tschirnhausen(work, steps)
         work = nxt
 
 

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
 from .exact import (
     REAL_PLACE,
@@ -40,16 +39,20 @@ from .exact import (
     RatPoly,
     cycle_type,
     discriminant,
+    fp_eval,
     good_primes,
     hilbert_symbol,
+    lift_root,
     local_square,
+    prime_divisors,
     prime_place,
+    primes_below,
     resultant,
     val_unit,
 )
 from .galois import RamifiedPrimeError, frobenius_class
 from .groupmod import WreathElement, is_admissible
-from .pencil import Matrix, Pencil, char_poly_t, mat_combine, mat_det, matrix_of
+from .pencil import Matrix, Pencil, char_poly, char_poly_t, mat_combine, mat_det
 
 # ---------------------------------------------------------------------------
 # Bad places
@@ -96,9 +99,7 @@ def _descartes_variations(f: RatPoly) -> int:
 def signature(m: Matrix) -> tuple[int, int]:
     """(positive, negative) inertia of a nonsingular symmetric matrix,
     via exact Descartes counts on the characteristic polynomial."""
-    n = len(m)
-    identity = matrix_of([[int(i == j) for j in range(n)] for i in range(n)])
-    chi = char_poly_t(m, identity) * (-1) ** n  # det(t I - m)
+    chi = char_poly(m)
     if chi[0] == 0:
         raise ValueError("matrix is singular")
     pos = _descartes_variations(chi)
@@ -299,25 +300,28 @@ def _eval_forms(forms: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
     return vals % p
 
 
+def _jacobian(forms_int, x: Sequence[int]) -> list[list[int]]:
+    """Rows of the Jacobian of the forms at x, as integers."""
+    n = len(x)
+    return [[2 * sum(a[i][j] * x[j] for j in range(n)) for i in range(n)] for a in forms_int]
+
+
+def _form_values(forms_int, x: Sequence[int]) -> list[int]:
+    n = len(x)
+    return [sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n)) for a in forms_int]
+
+
 def _jacobian_rank(forms_int, x: Sequence[int], p: int) -> int:
-    rows = []
-    for a in forms_int:
-        row = [2 * sum(a[i][j] * x[j] for j in range(len(x))) % p for i in range(len(x))]
-        rows.append(row)
-    return _fp_matrix_rank(rows, p)
+    return len(_reduce_mod_p(_jacobian(forms_int, x), len(x), p))
 
 
-def _fp_matrix_rank(rows: list[list[int]], p: int) -> int:
-    a = [r[:] for r in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    row = 0
+def _reduce_mod_p(a: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan elimination mod p of the rows of a, in place, over the
+    first ncols columns; returns the pivot columns (their count is the rank)."""
+    pivots = []
     for col in range(ncols):
-        piv = None
-        for r in range(row, len(a)):
-            if a[r][col] % p:
-                piv = r
-                break
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col] % p), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
@@ -327,18 +331,15 @@ def _fp_matrix_rank(rows: list[list[int]], p: int) -> int:
             if r != row and a[r][col] % p:
                 f = a[r][col]
                 a[r] = [(v - f * w) % p for v, w in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
     """Min p-valuation of a maximal minor of the Jacobian at x (cap = gave up)."""
     n = len(x)
     m = len(forms_int)
-    rows = [
-        [2 * sum(a[i][j] * x[j] for j in range(n)) for i in range(n)] for a in forms_int
-    ]
+    rows = _jacobian(forms_int, x)
     best = cap
     for cols in itertools.combinations(range(n), m):
         sub = [[rows[r][c] for c in cols] for r in range(m)]
@@ -355,39 +356,19 @@ def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
 def _solve_linear_mod_p(
     jrows: list[list[int]], target: list[int], p: int, cap: int
 ) -> tuple[list[list[int]], bool]:
-    """(solutions y of J y = target mod p up to cap, truncated?)."""
+    """(solutions y of J y = target mod p up to cap, truncated?); J may be
+    given by integer representatives."""
     m, n = len(jrows), len(jrows[0])
     a = [jrows[i][:] + [target[i] % p] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if a[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [v * inv % p for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] % p:
-                f = a[r][col]
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
+    pivots = _reduce_mod_p(a, n, p)
+    for r in range(len(pivots), m):
         if a[r][n] % p:
             return [], False  # inconsistent
     part = [0] * n
     for r, c in enumerate(pivots):
         part[c] = a[r][n]
     free = [c for c in range(n) if c not in pivots]
-    if p ** len(free) > cap:
-        truncated = True
-    else:
-        truncated = False
+    truncated = p ** len(free) > cap
     out = []
     for combo in itertools.product(range(p), repeat=len(free)):
         y = part[:]
@@ -461,22 +442,14 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
             nodes += 1
             if nodes > node_cap:
                 return LocalCertificate(place, "unknown", reason="node budget exhausted")
-            jrows = [
-                [2 * sum(a[i][j] * x[j] for j in range(n)) % p for i in range(n)]
-                for a in forms_int
-            ]
-            fvals = [sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n)) for a in forms_int]
+            fvals = _form_values(forms_int, x)
             assert all(v % mod == 0 for v in fvals)
             target = [(-v // mod) % p for v in fvals]
-            sols, truncated = _solve_linear_mod_p(jrows, target, p, cap=p**2 * 8)
+            sols, truncated = _solve_linear_mod_p(_jacobian(forms_int, x), target, p, cap=p**2 * 8)
             any_truncated = any_truncated or truncated
             for y in sols:
                 x2 = tuple((x[i] + mod * y[i]) % (mod * p) for i in range(n))
-                f2 = [
-                    sum(x2[i] * a[i][j] * x2[j] for i in range(n) for j in range(n))
-                    for a in forms_int
-                ]
-                if any(v % (mod * p) for v in f2):
+                if any(v % (mod * p) for v in _form_values(forms_int, x2)):
                     continue
                 e = _minor_valuation(forms_int, x2, p, cap=level)
                 if 2 * e < level:
@@ -574,12 +547,6 @@ class ParityLedger:
     unknown_places: tuple[str, ...]
 
 
-def _prime_divisors(n: int) -> set[int]:
-    if n == 0:
-        raise ValueError("prime divisors of zero")
-    return {int(q) for q in sympy.factorint(abs(n))}
-
-
 def parity_ledger(
     P: RatPoly,
     b,
@@ -601,12 +568,12 @@ def parity_ledger(
         raise ValueError("P(b) and a must be nonzero")
     d_b = P(b) ** 2 * discriminant(P)
     s0 = bad_set_s0(P, delta_factors, margin)
-    places = {2} | set(sympy.primerange(2, margin))
+    places = {2} | set(primes_below(margin))
     for n in s0.integers:
-        places |= _prime_divisors(n)
+        places |= prime_divisors(n)
     pb = P(b)
-    places |= _prime_divisors(pb.numerator) | _prime_divisors(pb.denominator)
-    places |= _prime_divisors(b.denominator) if b.denominator > 1 else set()
+    places |= prime_divisors(pb.numerator) | prime_divisors(pb.denominator)
+    places |= prime_divisors(b.denominator) if b.denominator > 1 else set()
 
     entries = []
     unknowns = []
@@ -789,18 +756,11 @@ def _local_b(P: RatPoly, p: int) -> int:
     of P mod p and take b = theta + p."""
     den = P.denominator_lcm()
     coeffs = [int(c * den) for c in P.coeffs]
-    root = None
-    for r in range(p):
-        if sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p == 0:
-            root = r
-            break
+    root = next((r for r in range(p) if fp_eval(coeffs, r, p) == 0), None)
     if root is None:
         raise ArithmeticError("matched prime has no root; class was inadmissible?")
-    mod = p * p
-    fr = sum(c * pow(root, i, mod) for i, c in enumerate(coeffs)) % mod
-    fdr = sum(i * c * pow(root, i - 1, mod) for i, c in enumerate(coeffs) if i) % mod
-    theta = (root - fr * pow(fdr, -1, mod)) % mod
-    return (theta + p) % mod
+    theta = lift_root(P, root, p, p * p)
+    return (theta + p) % (p * p)
 
 
 def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:

@@ -130,6 +130,13 @@ def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
     return out
 
 
+def char_poly(m: Matrix) -> RatPoly:
+    """det(t I - m), monic of degree n."""
+    n = len(m)
+    identity = matrix_of([[int(i == j) for j in range(n)] for i in range(n)])
+    return char_poly_t(m, identity) * (-1) ** n
+
+
 def binary_quintic(pencil: Pencil) -> RatPoly:
     """Coefficients c_i of det(mu phi1 - nu phi2) = sum c_i mu^(5-i) nu^i,
     returned as the polynomial sum c_i t^i (the mu = 1 chart has t = nu)."""

@@ -1,13 +1,16 @@
 """CLI tests: verbs, exit codes, schema validation, determinism."""
 
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from quadpencil.cli import load_schema, main, parse_poly
 from quadpencil.canon import canonical_quadrics
-from quadpencil.exact import RatPoly, discriminant, squarefree_part
+from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
 
 
@@ -31,12 +34,89 @@ def t52_pencil_file(tmp_path):
     return path
 
 
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def t_expressions(draw, max_degree=MAX_DEGREE):
+    """(text, degree bound) of a t-expression; every subexpression of
+    lower precedence than its context is parenthesized, so the parse tree
+    is the generation tree and the bound holds for every intermediate."""
+
+    def atom():
+        if draw(st.booleans()):
+            return "t", 1
+        c = abs(draw(rationals))
+        text = draw(st.sampled_from([str(c), f"{c.numerator}/{c.denominator}", f"{float(c):.3f}"]))
+        return (f"({text})" if "/" in text else text), 0
+
+    def gen(depth):
+        kinds = ["atom", "sum", "product", "power", "neg", "div"] if depth else ["atom"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            return atom()
+        if kind == "neg":
+            (a, da) = gen(depth - 1)
+            return f"-({a})", da
+        if kind == "div":
+            (a, da) = gen(depth - 1)
+            c = draw(rationals.filter(bool))
+            return f"({a})/({c})", da
+        if kind == "power":
+            (a, da) = gen(depth - 1)
+            e = draw(st.integers(0, 4))
+            return f"({a}){draw(st.sampled_from(['^', '**', ' ^ ']))}{e}", da * e
+        (a, da), (b, db) = gen(depth - 1), gen(depth - 1)
+        if kind == "sum":
+            return f"{a} {draw(st.sampled_from(['+', '-']))} ({b})", max(da, db)
+        return f"({a})*({b})", da + db
+
+    text, degree = gen(4)
+    assume(degree <= max_degree)
+    return text
+
+
+def sympify_reference(text: str) -> RatPoly:
+    """The expression read by sympy (decimals as exact rationals)."""
+    t = sympy.Symbol("t")
+    expr = sympy.sympify(text.replace("^", "**"), locals={"t": t}, rational=True)
+    coeffs = reversed(sympy.Poly(expr, t).all_coeffs())
+    return RatPoly.of([Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs)])
+
+
 class TestParsePoly:
     def test_expression(self):
         assert parse_poly("t^5 - 2") == poly(-2, 0, 0, 0, 0, 1)
 
     def test_coefficients(self):
         assert parse_poly("-2,0,0,0,0,1") == poly(-2, 0, 0, 0, 0, 1)
+
+    def test_precedence(self):
+        assert parse_poly("-t**2 + 2*t^3/4 - (1 - t)^2") == poly(-1, 2, -2, Fraction(1, 2))
+
+    def test_decimal_is_exact(self):
+        assert parse_poly("0.1*t + .5") == poly(Fraction(1, 2), Fraction(1, 10))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rationals, max_size=MAX_DEGREE + 1))
+    def test_round_trip(self, coeffs):
+        f = RatPoly.of(coeffs)
+        assert parse_poly(str(f)) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_expressions())
+    def test_matches_sympify(self, text):
+        assert parse_poly(text) == sympify_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["t^(2)", "2t", "t^2^2", "t^-1", "(t^9)^2", "t^16*t", "((9^16)^16)^16", "1e5", "(" * 5000],
+        ids=["paren-exponent", "implicit-product", "chained-power", "negative-exponent",
+             "power-degree", "product-degree", "constant-tower", "exponent-notation", "deep-nesting"],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_poly(text)
 
 
 class TestAnalyze:
@@ -151,6 +231,14 @@ class TestAnalyze:
         ["search", "--poly", "t^5-2", "--conditions", "[[[1,0],[1,0]]]"],
         ["analyze", "PENCIL", "--conditions", "[[1,0"],
         ["analyze", "PENCIL", "--conditions", "[[[1,0],[1,0]]]"],
+        ["canon", "--poly", "t^5-2", "--delta", "t^2+__import__('os').getpid()"],
+        ["canon", "--poly", "9**9**9**9"],
+        ["canon", "--poly", "t^17"],
+        ["canon", "--poly", "2t"],
+        ["local", "PENCIL", "--places", "a"],
+        ["local", "PENCIL", "--places", "4"],
+        ["simulate", "--dims", "a"],
+        ["simulate", "--dims", "3"],
     ],
     ids=[
         "kummer-b-zero-denominator",
@@ -163,6 +251,14 @@ class TestAnalyze:
         "search-conditions-lengths",
         "analyze-conditions-not-json",
         "analyze-conditions-lengths",
+        "canon-python-call",
+        "canon-power-tower",
+        "canon-exponent-above-bound",
+        "canon-implicit-product",
+        "local-places-not-integer",
+        "local-places-not-prime",
+        "simulate-dims-not-integer",
+        "simulate-dims-odd",
     ],
 )
 def test_malformed_argument(argv, t52_pencil_file, capsys):

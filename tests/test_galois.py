@@ -13,7 +13,9 @@ from quadpencil.cli import main, parse_poly
 from quadpencil.exact import RatPoly, discriminant, is_square_q, resultant
 from quadpencil.galois import (
     _THETA_REPS,
+    _rational_roots,
     _theta_value,
+    _tschirnhausen,
     CLASS_SETS,
     GaloisProfile,
     RamifiedPrimeError,
@@ -153,6 +155,54 @@ class TestResolvent:
         for F, scaled in ((P, roots), (Q, [lam * r for r in roots])):
             mu = F.denominator_lcm()  # the integer quintic has roots mu * r
             assert resolvent_sextic(F) == self._product_over_conjugates([mu * r for r in scaled])
+
+
+def sympy_rational_roots(coeffs_high_to_low: list[int]) -> list[Fraction]:
+    """Reference: the rational roots from sympy's factorization over Z."""
+    y = sympy.Symbol("y")
+    out = []
+    for fac, _ in sympy.Poly(coeffs_high_to_low, y).factor_list()[1]:
+        fp = sympy.Poly(fac, y)
+        if fp.degree() == 1:
+            a, b = fp.all_coeffs()
+            out.append(Fraction(int(-b), int(a)))
+    return sorted(out)
+
+
+def sympy_tschirnhausen(coeffs: list[int], c: int):
+    """Reference: Res_y(P(y), t - y^2 - c*y) with sympy, monic high to low,
+    or None when it is not separable."""
+    t, y = sympy.symbols("t y")
+    Py = sympy.Poly([1] + list(reversed(coeffs[:-1])), y)
+    q = sympy.Poly(sympy.resultant(Py.as_expr(), t - (y**2 + c * y), y), t)
+    cs = [int(v) for v in q.all_coeffs()]
+    if cs[0] < 0:
+        cs = [-v for v in cs]
+    if q.degree() != 5 or cs[0] != 1:
+        return None
+    return cs if sympy.gcd(sympy.Poly(cs, t), sympy.Poly(cs, t).diff(t)).is_ground else None
+
+
+class TestExactAgainstSympy:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+        c=st.integers(1, 3),
+    )
+    @example(coeffs=[0, 0, 0, 0, 0], c=1)  # t^5: every transform is inseparable
+    @example(coeffs=[0, 1, 0, 0, 0], c=1)  # t^5 + t: its resolvent needs a transform
+    def test_tschirnhausen(self, coeffs, c):
+        P = RatPoly.of(coeffs + [1])
+        q = _tschirnhausen(P, c)
+        exact = None if q is None else [int(v) for v in reversed(q.coeffs)]
+        assert exact == sympy_tschirnhausen(coeffs + [1], c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+    @example(coeffs=[-2, 0, 0, 0, 0])  # t^5 - 2: resolvent root 0
+    def test_resolvent_rational_roots(self, coeffs):
+        sext = resolvent_sextic(RatPoly.of(coeffs + [1]))
+        assert _rational_roots(RatPoly.of(sext[::-1])) == sympy_rational_roots(sext)
 
 
 class TestNoFloat:
