@@ -427,9 +427,13 @@ def run_local(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    certs = [localarith.real_soluble(pen)]
+    try:
+        certs = [localarith.real_soluble(pen)]
+        norm = None if places else pencil.normalize_pencil(pen)
+    except pencil.SingularPencilError as e:
+        print(f"error: singular base locus: {e}", file=sys.stderr)
+        return 1
     if not places:
-        norm = pencil.normalize_pencil(pen)
         inv = pencil.delta_invariant(norm, certify=False)
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=2)
         places = [p for p in (3, 5, 7, 11, 13) if p in s0]

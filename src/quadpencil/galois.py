@@ -543,9 +543,6 @@ class SubgroupSample:
     history: tuple[tuple[int, int], ...]  # (prime, group order after adding it)
     model_order: int = 0
 
-    def contains_sign_part_only(self) -> bool:
-        return all(g.perm == (0, 1, 2, 3, 4) for g in wreath_closure(self.generators))
-
 
 def kdelta_subgroup_sample(
     P: RatPoly,

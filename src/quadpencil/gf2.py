@@ -99,32 +99,6 @@ def null_space(rows: Sequence[int], n: int) -> List[int]:
     return out
 
 
-def solve(rows: Sequence[int], target: int) -> int | None:
-    """x (mask over row indices) with xor of selected rows == target, or None."""
-    basis: List[tuple[int, int]] = []
-    for i, v in enumerate(rows):
-        tag = 1 << i
-        for bv, bt in basis:
-            low = bv & -bv
-            if v & low:
-                v ^= bv
-                tag ^= bt
-        if v:
-            basis.append((v, tag))
-    tag = 0
-    for bv, bt in basis:
-        low = bv & -bv
-        if target & low:
-            target ^= bv
-            tag ^= bt
-    return tag if target == 0 else None
-
-
-def image_dim_in_quotient(vectors: Sequence[int], sub: Sequence[int]) -> int:
-    """dim of the image of span(vectors) in ambient/span(sub)."""
-    return rank(list(sub) + list(vectors)) - rank(sub)
-
-
 def same_space(a: Sequence[int], b: Sequence[int]) -> bool:
     return reduce_basis(a) == reduce_basis(b)
 

@@ -215,14 +215,6 @@ def g_coords(mask: int) -> int:
     return coords
 
 
-def g_from_coords(coords: int) -> int:
-    v = 0
-    for i in range(4):
-        if (coords >> i) & 1:
-            v ^= G_BASIS[i]
-    return v
-
-
 def perm_matrix_on_g(perm: Perm) -> tuple[int, ...]:
     """Columns (as 4-bit masks) of the action of perm on G in G_BASIS."""
     return tuple(g_coords(permute_mask(perm, G_BASIS[i])) for i in range(4))

@@ -3,11 +3,12 @@ witness search for admissible local conditions.
 
 Real solubility of a smooth pencil is decided exactly: the base locus has
 real points iff no member of the real pencil is definite, and definiteness
-is constant between consecutive real singular parameters, so exact
-signatures at one rational sample per interval (plus the member at
-infinity) decide.  p-adic solubility is a tree search over residue
-candidates with a multivariate Hensel criterion; "unknown" is a first-class
-verdict and no verdict is ever guessed.
+is constant between consecutive real singular parameters, so Sylvester's
+criterion (the signs of the integer leading principal minors) at one
+rational sample per interval, plus the member at infinity, decides.
+p-adic solubility is a tree search over residue candidates with a
+multivariate Hensel criterion; "unknown" is a first-class verdict and no
+verdict is ever guessed.
 
 The bad set S0 is 2, every prime below the margin, and the prime divisors
 of disc(P), the denominators of P and delta, the resultants Res(P_i, d_i)
@@ -52,7 +53,15 @@ from .exact import (
 )
 from .galois import RamifiedPrimeError, frobenius_class
 from .groupmod import WreathElement, is_admissible
-from .pencil import Matrix, Pencil, char_poly, char_poly_t, mat_combine, mat_det
+from .pencil import (
+    Matrix,
+    Pencil,
+    char_poly,
+    definite_sign,
+    int_det,
+    mat_combine,
+    smoothness_certificate,
+)
 
 # ---------------------------------------------------------------------------
 # Bad places
@@ -125,12 +134,6 @@ def _sturm_var(chain: list[RatPoly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(f: RatPoly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b]."""
-    chain = _sturm_chain(f)
-    return _sturm_var(chain, a) - _sturm_var(chain, b)
-
-
 def isolate_real_roots(f: RatPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint intervals (a, b], one distinct real root each, separated by
     nonempty gaps."""
@@ -174,9 +177,10 @@ def isolate_real_roots(f: RatPoly) -> list[tuple[Fraction, Fraction]]:
 
 def real_soluble(pencil: Pencil) -> LocalCertificate:
     """Insoluble iff some real member of the pencil is definite; decided by
-    exact signatures between consecutive real roots of the characteristic
-    polynomial, plus the member at infinity."""
-    q = char_poly_t(pencil.phi1, pencil.phi2)
+    Sylvester's criterion between consecutive real roots of the
+    characteristic polynomial, plus the member at infinity.  Raises
+    SingularPencilError unless the pencil is smooth."""
+    q = smoothness_certificate(pencil)
     intervals = isolate_real_roots(q)
     samples: list[Fraction] = []
     if intervals:
@@ -188,27 +192,20 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
             samples.append((b1 + a2) / 2)
     else:
         samples.append(Fraction(0))
-    scan = []
-    for t0 in samples:
-        m = mat_combine(pencil.phi1, pencil.phi2, Fraction(1), -t0)
-        pos, neg = signature(m)
-        scan.append({"t": str(t0), "signature": [pos, neg]})
-        if pos == 5 or neg == 5:
+    members = [
+        (str(t0), mat_combine(pencil.phi1, pencil.phi2, Fraction(1), -t0), "in the pencil")
+        for t0 in samples
+    ]
+    if q.degree == 5:  # the t^5 coefficient is -det(phi2)
+        members.append(("infinity", pencil.phi2, "at infinity"))
+    for at, m, where in members:
+        sign = definite_sign(m)
+        if sign:
             return LocalCertificate(
                 REAL_PLACE,
                 "insoluble",
-                witness={"definite_member_at": str(t0), "signature": [pos, neg]},
-                reason="definite member in the pencil",
-            )
-    if mat_det(pencil.phi2) != 0:
-        pos, neg = signature(pencil.phi2)
-        scan.append({"t": "infinity", "signature": [pos, neg]})
-        if pos == 5 or neg == 5:
-            return LocalCertificate(
-                REAL_PLACE,
-                "insoluble",
-                witness={"definite_member_at": "infinity", "signature": [pos, neg]},
-                reason="definite member at infinity",
+                witness={"definite_member_at": at, "signature": [5, 0] if sign > 0 else [0, 5]},
+                reason=f"definite member {where}",
             )
     witness = _approx_real_point(pencil)
     return LocalCertificate(
@@ -343,7 +340,7 @@ def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
     best = cap
     for cols in itertools.combinations(range(n), m):
         sub = [[rows[r][c] for c in cols] for r in range(m)]
-        d = int(mat_det(sub))
+        d = int_det(sub)
         if d:
             v = 0
             while d % p == 0:
@@ -488,10 +485,6 @@ class DeltaResidue:
     class_datum: tuple[tuple[int, int], ...]
     is_zero: bool
     representative_sign: int  # 5-bit mask, consecutive-position layout
-
-    @property
-    def is_nonzero(self) -> bool:
-        return not self.is_zero
 
 
 def delta_residue_at(

@@ -15,6 +15,7 @@ machine-checkable core.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -25,8 +26,8 @@ from typing import Optional, Sequence
 from . import gf2
 from .exact import (
     RatPoly,
-    Residue,
     factor_q,
+    inverse_mod,
     is_square_q,
     resultant,
     sqrt_in_etale,
@@ -49,26 +50,66 @@ def is_symmetric(m: Matrix) -> bool:
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
 
 
-def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Fraction-free Bareiss determinant."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
+def _bareiss(a: list[list[int]], exchange: bool = True) -> tuple[int, list[int]]:
+    """Bareiss elimination of the integer matrix a, in place; every division
+    is exact.  Returns the sign of the row exchanges and the pivots, which
+    stop at the first zero pivot; the last pivot times the sign is the
+    determinant.  Without row exchanges the pivots are the leading
+    principal minors."""
+    n = len(a)
+    sign, prev, pivots = 1, 1, []
+    for k in range(n):
+        if a[k][k] == 0 and exchange:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+        pivot = a[k][k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        row_k = a[k]
         for i in range(k + 1, n):
+            row_i, f = a[i], a[i][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return sign, pivots
+
+
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of an integer matrix; the rows of a are overwritten."""
+    sign, pivots = _bareiss(a)
+    return sign * pivots[-1] if pivots else 1
+
+
+def _cleared(*mats) -> tuple[int, list[list[list[int]]]]:
+    """The common denominator of the entries and the integer matrices
+    den * m."""
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m] for m in mats]
+
+
+def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a rational matrix: denominators are cleared once and
+    the integer matrix goes through Bareiss elimination."""
+    den, (a,) = _cleared(m)
+    return Fraction(int_det(a), den ** len(a))
+
+
+def definite_sign(m: Matrix) -> int:
+    """1 if the symmetric matrix m is positive definite, -1 if negative
+    definite, else 0, by Sylvester's criterion on the leading principal
+    minors (the Bareiss pivots taken without row exchanges)."""
+    _, (a,) = _cleared(m)
+    _, minors = _bareiss(a, exchange=False)
+    if 0 in minors:
+        return 0
+    if all(d > 0 for d in minors):
+        return 1
+    if all((d > 0) == (k % 2 == 1) for k, d in enumerate(minors)):
+        return -1
+    return 0
 
 
 def mat_combine(a: Matrix, b: Matrix, x: Fraction, y: Fraction) -> Matrix:
@@ -110,24 +151,34 @@ class Pencil:
     def member(self, mu: Fraction, nu: Fraction) -> Matrix:
         return mat_combine(self.phi1, self.phi2, Fraction(mu), Fraction(nu))
 
+    @functools.cached_property
+    def det_poly(self) -> RatPoly:
+        """det(phi1 - t phi2), computed once per pencil; the binary quintic
+        det(mu phi1 - nu phi2) has the same coefficients."""
+        return char_poly_t(self.phi1, self.phi2)
+
 
 def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
-    """det(phi1 - t phi2) for n x n matrices, degree <= n, by interpolation
-    at n + 1 points."""
-    xs = [Fraction(k) for k in range(len(phi1) + 1)]
-    ys = [mat_det(mat_combine(phi1, phi2, Fraction(1), -x)) for x in xs]
-    # Lagrange interpolation over Q
-    out = RatPoly(())
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = RatPoly.of([1])
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * RatPoly.of([-xj, 1])
-            den *= xi - xj
-        out = out + num * (yi / den)
-    return out
+    """det(phi1 - t phi2) for n x n matrices, degree <= n: integer
+    determinants at t = 0..n, interpolated by forward differences."""
+    n = len(phi1)
+    den, (a, b) = _cleared(phi1, phi2)
+    ys = [
+        int_det([[x - t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in range(n + 1)
+    ]
+    # Newton's forward form: sum_k (Delta^k y_0 / k!) t (t-1) ... (t-k+1);
+    # the divisions are exact because the determinant has integer coefficients
+    coeffs = [0] * (n + 1)
+    falling = [1]
+    for k in range(n + 1):
+        c = ys[0] // math.factorial(k)
+        for i, f in enumerate(falling):
+            coeffs[i] += c * f
+        ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
+        falling = [x - k * y for x, y in zip([0] + falling, falling + [0])]
+    scale = den**n
+    return RatPoly.of([Fraction(c, scale) for c in coeffs])
 
 
 def char_poly(m: Matrix) -> RatPoly:
@@ -140,8 +191,7 @@ def char_poly(m: Matrix) -> RatPoly:
 def binary_quintic(pencil: Pencil) -> RatPoly:
     """Coefficients c_i of det(mu phi1 - nu phi2) = sum c_i mu^(5-i) nu^i,
     returned as the polynomial sum c_i t^i (the mu = 1 chart has t = nu)."""
-    q = char_poly_t(pencil.phi1, pencil.phi2)
-    return RatPoly.of([q[i] for i in range(6)])
+    return pencil.det_poly
 
 
 def smoothness_certificate(pencil: Pencil) -> RatPoly:
@@ -150,7 +200,7 @@ def smoothness_certificate(pencil: Pencil) -> RatPoly:
     Squarefree means: the t-chart polynomial is squarefree and the root at
     infinity (present when det(phi2) = 0) is simple.
     """
-    q = char_poly_t(pencil.phi1, pencil.phi2)
+    q = pencil.det_poly
     if q.is_zero:
         raise SingularPencilError("every member of the pencil is singular")
     if q.degree < 4:
@@ -160,7 +210,7 @@ def smoothness_certificate(pencil: Pencil) -> RatPoly:
         raise SingularPencilError(
             f"repeated singular member: {g}", repeated_factor=g
         )
-    return binary_quintic(pencil)
+    return q
 
 
 Chart = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -212,6 +262,23 @@ class NormalizedPencil:
     lead: Fraction  # det(phi1' - t phi2') = lead * P(t)
 
 
+def chart_poly(pencil: Pencil, chart: Chart) -> RatPoly:
+    """det(phi1' - t phi2') for phi1' = a phi1 + b phi2, phi2' = c phi1 + d phi2,
+    by substitution into the binary quintic: F(a - c t, d t - b) where
+    F(mu, nu) = det(mu phi1 - nu phi2).  Its t^5 coefficient is
+    -det(phi2'), so it has degree 5 exactly when phi2' is nonsingular."""
+    a, b, c, d = chart
+    u, v = RatPoly.of([a, -c]), RatPoly.of([-b, d])
+    F = pencil.det_poly
+    # homogeneous Horner: sum_i F_i u^(5-i) v^i
+    acc, u_pow = RatPoly(()), RatPoly.of([1])
+    for i in range(5, -1, -1):
+        acc = acc * v + u_pow * F[i]
+        if i:
+            u_pow = u_pow * u
+    return acc
+
+
 def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
     """Move a rational point of the pencil line off the singular locus to
     infinity and return the monic separable degree-5 characteristic quintic.
@@ -225,28 +292,16 @@ def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
         a, b, c, d = chart
         if a * d - b * c == 0:
             continue
-        phi2n = mat_combine(pencil.phi1, pencil.phi2, c, d)
-        if mat_det(phi2n) == 0:
+        q = chart_poly(pencil, chart)
+        if q.degree != 5:
             continue
         if skipped < skip_charts:
             skipped += 1
             continue
         phi1n = mat_combine(pencil.phi1, pencil.phi2, a, b)
-        q = char_poly_t(phi1n, phi2n)
-        assert q.degree == 5
-        P = q.monic()
-        return NormalizedPencil(pencil, chart, phi1n, phi2n, P, q.lc)
+        phi2n = mat_combine(pencil.phi1, pencil.phi2, c, d)
+        return NormalizedPencil(pencil, chart, phi1n, phi2n, q.monic(), q.lc)
     raise SingularPencilError("no usable chart found")  # pragma: no cover
-
-
-def apply_chart_to_parameter(chart: Chart, t: Fraction) -> Optional[Fraction]:
-    """Original pencil parameter s with phi1 - s phi2 ~ phi1' - t phi2',
-    i.e. s = (d t - b) / (a - c t); None when the image is infinity."""
-    a, b, c, d = chart
-    den = a - c * t
-    if den == 0:
-        return None
-    return (d * t - b) / den
 
 
 @dataclass(frozen=True)
@@ -278,94 +333,43 @@ def _height(f: RatPoly) -> int:
     return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in f.coeffs)
 
 
-def _kernel_vector(M: list[list[Residue]], modulus: RatPoly) -> list[Residue]:
-    """Kernel of a rank-4 5x5 matrix over Q[t]/(modulus) (a field)."""
-    n = 5
-    zero = Residue.of(RatPoly(()), modulus)
-    one = Residue.of(RatPoly.of([1]), modulus)
-    a = [row[:] for row in M]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if not a[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and not a[r][col].is_zero:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ArithmeticError(
-            f"singular member has corank {len(free)}, contradicting smoothness"
-        )
-    fc = free[0]
-    vec = [zero] * n
-    vec[fc] = one
-    for r, pc in enumerate(pivots):
-        vec[pc] = -a[r][fc] if not a[r][fc].is_zero else zero
-    return vec
-
-
-def _det_residue(M: list[list[Residue]], modulus: RatPoly) -> Residue:
-    """Determinant over the field Q[t]/(modulus) by Gaussian elimination."""
-    n = len(M)
-    a = [row[:] for row in M]
-    det = Residue.of(RatPoly.of([1]), modulus)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            return Residue.of(RatPoly(()), modulus)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+def _cofactor(phi1n: Matrix, phi2n: Matrix, i: int, j: int, factor: RatPoly) -> RatPoly:
+    """Cofactor (i, j) of phi1n - theta phi2n, reduced mod factor(theta)."""
+    keep_r = [r for r in range(5) if r != i]
+    keep_c = [c for c in range(5) if c != j]
+    sub1 = [[phi1n[r][c] for c in keep_c] for r in keep_r]
+    sub2 = [[phi2n[r][c] for c in keep_c] for r in keep_r]
+    return char_poly_t(sub1, sub2) * (-1) ** (i + j) % factor
 
 
 def delta_component(phi1n: Matrix, phi2n: Matrix, factor: RatPoly) -> RatPoly:
-    """Gram determinant of the rank-4 singular member over Q[t]/(factor).
+    """Gram determinant of the rank-4 singular member M = phi1n - theta phi2n
+    over Q[t]/(factor), where factor divides det(phi1n - t phi2n).
 
     The 4-dimensional complement of the kernel is spanned by the coordinate
     vectors away from the kernel coordinate of smallest height (a fixed
     pivot rule; any complement changes the result by a square).
+
+    Everything is read from cofactors C_ij, each an integer determinant
+    polynomial of a 4x4 submatrix reduced mod the factor.  M is symmetric of
+    rank 4, so adj(M) = c v v^T for a kernel vector v:
+    - the nonzero diagonal cofactors C_ii = c v_i^2 give the support of v;
+    - column k of adj(M), for the last coordinate k in the support, divided
+      by C_kk is v scaled to v_k = 1, the kernel vector that row reduction
+      of M gives (k is its one free column);
+    - the Gram determinant on the coordinates other than i is C_ii.
     """
-    m = factor
-    theta = RatPoly.of([0, 1])
-    M = [
-        [
-            Residue.of(RatPoly.const(phi1n[i][j]) - theta * phi2n[i][j], m)
-            for j in range(5)
-        ]
-        for i in range(5)
-    ]
-    ker = _kernel_vector(M, m)
-    candidates = [(i, _height(ker[i].poly)) for i in range(5) if not ker[i].is_zero]
-    drop = min(candidates, key=lambda t: (t[1], t[0]))[0]
-    keep = [i for i in range(5) if i != drop]
-    sub = [[M[i][j] for j in keep] for i in keep]
-    d = _det_residue(sub, m)
-    if d.is_zero:
-        raise ArithmeticError("restricted Gram determinant vanished")
-    return strip_square_content(d.poly)
+    diag = [_cofactor(phi1n, phi2n, i, i, factor) for i in range(5)]
+    support = [i for i in range(5) if not diag[i].is_zero]
+    if not support:
+        raise ArithmeticError("singular member has corank > 1, contradicting smoothness")
+    k = support[-1]
+    inv = inverse_mod(diag[k], factor)
+    heights = {k: _height(RatPoly.of([1]))}
+    for i in support[:-1]:
+        heights[i] = _height(inv * _cofactor(phi1n, phi2n, i, k, factor) % factor)
+    drop = min(support, key=lambda i: (heights[i], i))
+    return strip_square_content(diag[drop])
 
 
 def delta_invariant(

@@ -99,10 +99,6 @@ class LocalSpace:
     def dim(self) -> int:
         return 2 * self.d
 
-    def pairing_matrix(self) -> list[int]:
-        """Rows of the alternating Gram matrix (block [[0, I], [I, 0]])."""
-        return [1 << (self.d + i) for i in range(self.d)] + [1 << i for i in range(self.d)]
-
 
 @dataclass(frozen=True)
 class SelmerSystem:

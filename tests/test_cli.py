@@ -178,6 +178,26 @@ class TestAnalyze:
         path.write_text(json.dumps({"phi1": m, "phi2": m}))
         assert main(["analyze", str(path)]) == 1
 
+    def test_pencil_determinant_computed_once(self, tmp_path, monkeypatch):
+        import random
+
+        import quadpencil.pencil as pencil_mod
+
+        pen = pencil_mod.random_pencil(random.Random(314))
+        path = tmp_path / "random.json"
+        path.write_text(pencil_dumps(pen))
+        calls = []
+        original = pencil_mod.char_poly_t
+
+        def counting(phi1, phi2):
+            if (phi1, phi2) == (pen.phi1, pen.phi2):
+                calls.append(1)
+            return original(phi1, phi2)
+
+        monkeypatch.setattr(pencil_mod, "char_poly_t", counting)
+        assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
+        assert len(calls) == 1
+
     def test_determinism(self, split_pencil_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["--json", "--out", str(out1), "analyze", str(split_pencil_file)])
@@ -378,6 +398,15 @@ class TestLocal:
         assert places[0] == "real"
         assert "3" in places and "7" in places
         assert code in (0, 2)
+
+    @pytest.mark.parametrize("places", [[], ["--places", "3"]], ids=["default", "places-3"])
+    def test_singular_pencil(self, places, tmp_path, capsys):
+        m = [["1/1"] * 5 for _ in range(5)]
+        path = tmp_path / "sing.json"
+        path.write_text(json.dumps({"phi1": m, "phi2": m}))
+        assert main(["local", str(path), *places]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: singular base locus: ") and err.count("\n") == 1
 
 
 class TestSimulate:

@@ -168,7 +168,10 @@ class TestRealSoluble:
         assert cert.verdict == "soluble"
 
     def test_indefinite_everywhere_soluble(self):
-        pencil = Pencil(diag5(1, 1, 1, -1, -1), diag5(1, -1, 2, 1, -2))
+        # the pairs (phi1_ii, phi2_ii) point in five distinct directions with
+        # no half-plane holding them all, so every member is indefinite (the
+        # pencil is smooth: the ratios 1, -1, 2, -3, 3 are distinct)
+        pencil = Pencil(diag5(1, 1, 1, -1, -1), diag5(1, -1, 2, 3, -3))
         cert = real_soluble(pencil)
         assert cert.verdict == "soluble"
 
