@@ -5,8 +5,9 @@ All randomness flows through the single --seed value recorded in report
 headers; JSON reports are deterministic functions of (input, seed, config)
 and wall-clock timings appear only in the human-readable output.
 
-Exit codes: 0 success, 2 for honest "undecided"/"unknown" outcomes, 1 for
-errors (bad input, singular pencils, exhausted searches).
+Exit codes: 0 success (and --help), 2 for honest "undecided"/"unknown"
+outcomes, 1 for errors (bad input or arguments, singular pencils,
+exhausted searches), each reported as one `error:` line.
 """
 
 from __future__ import annotations
@@ -196,7 +197,11 @@ def run_analyze(args) -> int:
         print(f"error: singular base locus: {e}", file=sys.stderr)
         return 1
     inv = pencil.delta_invariant(norm, prime_budget=args.prime_bound_small)
-    profile = galois.galois_group_quintic(norm.P)
+    try:
+        profile = galois.galois_group_quintic(norm.P)
+    except ArithmeticError as e:  # no usable resolvent
+        print(f"error: Galois group of P: {e}", file=sys.stderr)
+        return 1
     try:
         b_dim = pencil.b_delta_group(inv).dimension
     except pencil.InsufficientCertificatesError:
@@ -256,7 +261,7 @@ def run_analyze(args) -> int:
             if profile.resolvent_root is None
             else rat_str(profile.resolvent_root),
             "c5_bound": profile.c5_bound,
-            "evidence": [[p, list(ct)] for p, ct in profile.evidence[:10]],
+            "evidence": [[p, list(ct)] for p, ct in profile.evidence],
         },
         "brauer_dimension": b_dim,
         "classification": None
@@ -457,11 +462,20 @@ def run_local(args) -> int:
 # simulate / verify-lemmas
 
 
+# Largest local dimension `simulate` accepts: the simulator's cost grows
+# steeply with it (100 systems on three places of dimension 32 take about
+# six times as long as at 16).
+MAX_LOCAL_DIM = 16
+
+
 def run_simulate(args) -> int:
     try:
         dims = [int(x) for x in args.dims.split(",")]
-        if any(d < 0 or d % 2 for d in dims):
-            raise ValueError(f"local dimensions must be even and nonnegative: {args.dims!r}")
+        if any(d < 0 or d % 2 or d > MAX_LOCAL_DIM for d in dims):
+            raise ValueError(
+                f"local dimensions must be even, nonnegative and at most {MAX_LOCAL_DIM}: "
+                f"{args.dims!r}"
+            )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -572,8 +586,20 @@ def run_verify_lemmas(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing a usage block and exiting 2,
+    the code that means "undecided"; `main` reports it as one error line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quadpencil",
         description="arithmetic invariants of pencils of quadrics in P^4 over Q",
     )
@@ -624,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Selmer twisting simulator corpus")
     p.add_argument("--systems", type=int, default=100)
-    p.add_argument("--dims", default="4,4,4")
+    p.add_argument("--dims", default="4,4,4",
+                   help=f"even local dimensions per place, each at most {MAX_LOCAL_DIM}")
     p.add_argument("--mode", choices=["A", "B"], default=None)
     p.add_argument("--start-dim", type=int, default=5)
     p.add_argument("--descent-seeds", type=int, default=2000)
@@ -638,7 +665,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return args.func(args)
 
 

@@ -17,9 +17,11 @@ characteristic polynomial of that multiplication on Q[y]/(P).
 
 A prime is good for P when it is odd and divides neither disc(P) nor a
 denominator of P; this is a division test on those integers (a `BadSet`
-with no margin), nothing is factored.  The evidence primes and the
-subgroup sampling walk the good primes upward from 3 (`exact.good_primes`);
-the C5 hunt continues the walk where the evidence stopped.
+with no margin), nothing is factored.  `galois_group_quintic` walks the
+good primes upward from 3 once (`exact.good_primes`): the first 10 are the
+evidence primes the report prints, and only the C5 hunt continues the same
+walk, up to its bound.  The subgroup sampling walks the good primes again,
+from 3.
 
 Frobenius data at good primes is a cycle type plus one quadratic-residue
 bit per local factor; the corresponding conjugacy class representative in
@@ -320,21 +322,18 @@ def _bad_primes(P: RatPoly, disc: Fraction) -> BadSet:
     return BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0)
 
 
-def sample_cycle_types(P: RatPoly, count: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Cycle types of P at the first `count` good odd primes."""
-    primes = good_primes(_bad_primes(P, discriminant(P)), 3)
-    return [(p, cycle_type(P, p)) for p in itertools.islice(primes, count)]
+# Good primes whose cycle types the profile carries as evidence.
+EVIDENCE_PRIMES = 10
 
 
-def galois_group_quintic(
-    P: RatPoly,
-    evidence_primes: int = 40,
-    c5_bound: int = 10_000,
-) -> GaloisProfile:
+def galois_group_quintic(P: RatPoly, c5_bound: int = 10_000) -> GaloisProfile:
     """Classify Gal(P) for a monic separable quintic over Q.
 
-    The C5/D10 split searches primes below c5_bound for a (2,2,1) cycle
-    type; a D10 answer is certified, a C5 answer records the bound.
+    One walk over the good primes, bounded like `good_primes(bad, 3,
+    c5_bound)`, serves both uses of Frobenius: its first EVIDENCE_PRIMES
+    cycle types are the evidence, and only the C5/D10 split goes on along
+    it, looking for a (2,2,1) cycle type.  A D10 answer is certified, a C5
+    answer records the bound.
     """
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
@@ -347,7 +346,8 @@ def galois_group_quintic(
     if len(fac) > 1 or fac[0][1] > 1:
         return GaloisProfile("REDUCIBLE", disc_sq, None, ())
 
-    evidence = tuple(sample_cycle_types(P, evidence_primes))
+    walk = good_primes(_bad_primes(P, disc), 3, c5_bound)
+    evidence = tuple((p, cycle_type(P, p)) for p in itertools.islice(walk, EVIDENCE_PRIMES))
     root, steps = resolvent_has_rational_root(P)
 
     if root is None:
@@ -356,14 +356,11 @@ def galois_group_quintic(
     if not disc_sq:
         return GaloisProfile("F20", disc_sq, root, evidence, tschirnhausen_steps=steps)
 
-    # C5 vs D10: hunt for a double transposition below the bound
-    for p, ct in evidence:
-        if ct == (2, 2, 1):
-            return GaloisProfile("D10", disc_sq, root, evidence, tschirnhausen_steps=steps)
-    start = evidence[-1][0] + 1 if evidence else 3
-    for p in good_primes(_bad_primes(P, disc), start, c5_bound):
-        if cycle_type(P, p) == (2, 2, 1):
-            return GaloisProfile("D10", disc_sq, root, evidence, tschirnhausen_steps=steps)
+    # C5 vs D10: a double transposition in the evidence or further along the walk
+    if any(ct == (2, 2, 1) for _, ct in evidence) or any(
+        cycle_type(P, p) == (2, 2, 1) for p in walk
+    ):
+        return GaloisProfile("D10", disc_sq, root, evidence, tschirnhausen_steps=steps)
     return GaloisProfile("C5", disc_sq, root, evidence, c5_bound=c5_bound, tschirnhausen_steps=steps)
 
 

@@ -267,22 +267,32 @@ def _integral_forms(model: Sequence[Matrix], p: int) -> list[list[list[int]]]:
     return out
 
 
+# Chart chunk sizes: the scan starts small, so that a chart with a smooth
+# zero near its start is decided after a few hundred points, and doubles up
+# to a cap that bounds the memory of one chunk.
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 200_000
+
+
 def _chart_points(n: int, k: int, p: int):
-    """Projective chart: x_k = 1, x_j = 0 for j < k, x_j free for j > k."""
+    """Projective chart: x_k = 1, x_j = 0 for j < k, x_j free for j > k.
+
+    The points come in a fixed order (x_{k+1} fastest), in chunks of 64,
+    128, ... rows up to 200,000, so a caller that stops at its first hit
+    evaluates little more than the points before it."""
     free = n - 1 - k
-    if free == 0:
-        yield _unit_row(n, k).reshape(1, n)
-        return
-    chunk = 200_000
-    total = p**free
     base = _unit_row(n, k)
-    for start in range(0, total, chunk):
+    total = p**free
+    start, chunk = 0, _FIRST_CHUNK
+    while start < total:
         cnt = min(chunk, total - start)
         idx = np.arange(start, start + cnt, dtype=np.int64)
         pts = np.tile(base, (cnt, 1))
         for j in range(free):
             pts[:, k + 1 + j] = (idx // (p**j)) % p
         yield pts
+        start += cnt
+        chunk = min(2 * chunk, _MAX_CHUNK)
 
 
 def _unit_row(n: int, k: int) -> np.ndarray:
@@ -292,9 +302,10 @@ def _unit_row(n: int, k: int) -> np.ndarray:
 
 
 def _eval_forms(forms: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
-    # forms: (m, n, n); pts: (N, n) -> (m, N)
-    vals = np.einsum("ij,mjk,ik->mi", pts % p, forms % p, pts % p, optimize=True)
-    return vals % p
+    """Values mod p of the forms (m, n, n) at the points (N, n), as (m, N);
+    both are reduced mod p, so the int64 sums of at most n^2 products of
+    three residues cannot overflow."""
+    return ((pts @ forms) * pts).sum(axis=2) % p
 
 
 def _jacobian(forms_int, x: Sequence[int]) -> list[list[int]]:
@@ -383,12 +394,14 @@ def _solve_linear_mod_p(
 def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCertificate:
     """Search for a Q_p-point on the intersection of the model's quadrics.
 
-    Level 1 scans P^n(F_p); a smooth common zero Hensel-lifts (soluble), no
-    common zero at all is a proof of insolubility.  Singular zeros branch
-    into the linearized congruence mod p^2, p^3, ... up to `effort` levels;
-    a candidate with all values = 0 mod p^k and a Jacobian minor of
-    valuation e with 2e < k is again Hensel-liftable.  Budget exhaustion
-    returns "unknown", never a guessed verdict.
+    Level 1 scans P^n(F_p) chart by chart in a fixed order and stops at the
+    first smooth common zero, which Hensel-lifts (soluble) and is the
+    witness; only a scan without one visits every point.  No common zero at
+    all is a proof of insolubility.  Singular zeros, collected in scan
+    order, branch into the linearized congruence mod p^2, p^3, ... up to
+    `effort` levels; a candidate with all values = 0 mod p^k and a Jacobian
+    minor of valuation e with 2e < k is again Hensel-liftable.  Budget
+    exhaustion returns "unknown", never a guessed verdict.
     """
     place = prime_place(p)
     if effort <= 0:

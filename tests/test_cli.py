@@ -198,6 +198,19 @@ class TestAnalyze:
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
         assert len(calls) == 1
 
+    def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
+        import quadpencil.galois as galois_mod
+
+        def failing(P):
+            raise ArithmeticError("resolvent coefficient not divisible by 625^6")
+
+        monkeypatch.setattr(galois_mod, "resolvent_sextic", failing)
+        assert main(["--json", "analyze", str(t52_pencil_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "625^6" in lines[0]
+
     def test_determinism(self, split_pencil_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["--json", "--out", str(out1), "analyze", str(split_pencil_file)])
@@ -259,6 +272,12 @@ class TestAnalyze:
         ["local", "PENCIL", "--places", "4"],
         ["simulate", "--dims", "a"],
         ["simulate", "--dims", "3"],
+        ["simulate", "--dims", "1000000"],
+        ["simulate", "--dims", "4,18,4"],
+        ["--margin", "x", "analyze", "PENCIL"],
+        ["nosuchverb"],
+        ["analyze"],
+        ["canon"],
     ],
     ids=[
         "kummer-b-zero-denominator",
@@ -279,6 +298,12 @@ class TestAnalyze:
         "local-places-not-prime",
         "simulate-dims-not-integer",
         "simulate-dims-odd",
+        "simulate-dims-huge",
+        "simulate-dims-above-cap",
+        "usage-margin-not-integer",
+        "usage-unknown-verb",
+        "usage-analyze-no-input",
+        "usage-canon-no-poly",
     ],
 )
 def test_malformed_argument(argv, t52_pencil_file, capsys):
@@ -288,6 +313,14 @@ def test_malformed_argument(argv, t52_pencil_file, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]], ids=["main", "verb"])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 class TestCanonKummer:

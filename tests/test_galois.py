@@ -1,5 +1,6 @@
 """Tests for Galois profiles and Frobenius sampling."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,9 +9,20 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import quadpencil.exact as exact_mod
+import quadpencil.galois as galois_mod
+import quadpencil.localarith as localarith_mod
 from quadpencil.canon import canonical_quadrics
 from quadpencil.cli import main, parse_poly
-from quadpencil.exact import RatPoly, discriminant, is_square_q, resultant
+from quadpencil.exact import (
+    BadSet,
+    RatPoly,
+    cycle_type,
+    discriminant,
+    good_primes,
+    is_square_q,
+    resultant,
+)
 from quadpencil.galois import (
     _THETA_REPS,
     _rational_roots,
@@ -24,7 +36,6 @@ from quadpencil.galois import (
     galois_group_quintic,
     kdelta_subgroup_sample,
     resolvent_sextic,
-    sample_cycle_types,
 )
 from quadpencil.groupmod import wreath_closure
 from quadpencil.pencil import pencil_dumps
@@ -40,6 +51,19 @@ S5_QUINTIC = poly(-1, -1, 0, 0, 0, 1)
 D10_QUINTIC = poly(12, -5, 0, 0, 0, 1)
 A5_QUINTIC = poly(-16, 20, 0, 0, 0, 1)
 C5_QUINTIC = poly(1, 3, -3, -4, 1, 1)  # real subfield of the 11th cyclotomic field
+
+
+def galois_bad_set(P):
+    """2 and the primes dividing disc(P) or a denominator of P."""
+    disc = discriminant(P)
+    return BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0)
+
+
+def sample_cycle_types(P, count):
+    """Cycle types of P at its first `count` good odd primes."""
+    primes = itertools.islice(good_primes(galois_bad_set(P), 3), count)
+    return [(p, cycle_type(P, p)) for p in primes]
+
 
 KNOWN = [
     (S5_QUINTIC, "S5"),
@@ -116,6 +140,42 @@ class TestGaloisLabel:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             GaloisProfile("F20", True, Fraction(0), ())
+
+
+class TestEvidenceWalk:
+    @staticmethod
+    def _record_cycle_types(monkeypatch):
+        """Primes of every cycle_type call, from any module of the package."""
+        primes = []
+        original = exact_mod.cycle_type
+
+        def recording(f, p):
+            primes.append(p)
+            return original(f, p)
+
+        for module in (exact_mod, galois_mod, localarith_mod):
+            monkeypatch.setattr(module, "cycle_type", recording)
+        return primes
+
+    def test_analyze_of_s5_pencil_samples_ten_primes(self, tmp_path, monkeypatch):
+        pen = canonical_quadrics(S5_QUINTIC, poly(1)).to_pencil()
+        path = tmp_path / "s5.json"
+        path.write_text(pencil_dumps(pen))
+        out = tmp_path / "report.json"
+        primes = self._record_cycle_types(monkeypatch)
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
+        report = json.loads(out.read_text())
+        assert report["galois"]["label"] == "S5"
+        assert len(primes) == 10
+        assert [p for p, _ in report["galois"]["evidence"]] == primes
+
+    def test_c5_hunt_walks_the_bounded_good_primes_once(self, monkeypatch):
+        expected = list(good_primes(galois_bad_set(C5_QUINTIC), 3, 500))
+        primes = self._record_cycle_types(monkeypatch)
+        prof = galois_group_quintic(C5_QUINTIC, c5_bound=500)
+        assert prof.label == "C5"
+        assert primes == expected
+        assert [p for p, _ in prof.evidence] == expected[:10]
 
 
 class TestResolvent:

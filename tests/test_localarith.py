@@ -285,7 +285,64 @@ def oracle_padic_p4(model, p):
     return "singular-only"
 
 
+def chart_order_scan(model, p):
+    """(first smooth common zero or None, whether any common zero exists) of
+    integer forms over P^(n-1)(F_p), scanned chart by chart: x_k = 1, x_j = 0
+    for j < k, and the free coordinates counted with x_(k+1) fastest.  The
+    forms are divided by their p-content first."""
+    forms = []
+    for m in model:
+        f = [[int(x) for x in row] for row in m]
+        while all(v % p == 0 for row in f for v in row):
+            f = [[v // p for v in row] for row in f]
+        forms.append([[v % p for v in row] for row in f])
+    n = len(forms[0])
+    any_zero = False
+    for k in range(n):
+        free = n - 1 - k
+        for idx in range(p**free):
+            x = [0] * n
+            x[k] = 1
+            for j in range(free):
+                x[k + 1 + j] = idx // p**j % p
+            if any(sum(x[i] * f[i][j] * x[j] for i in range(n) for j in range(n)) % p
+                   for f in forms):
+                continue
+            any_zero = True
+            grads = [[2 * sum(f[i][j] * x[j] for j in range(n)) % p for i in range(n)]
+                     for f in forms]
+            # two gradients are independent mod p iff some 2x2 minor is a unit
+            if any((grads[0][a] * grads[1][b] - grads[0][b] * grads[1][a]) % p
+                   for a, b in itertools.combinations(range(n), 2)):
+                return x, True
+    return None, any_zero
+
+
 class TestPadicSoluble:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        entry_bound=st.sampled_from([1, 2, 9]),
+        n=st.sampled_from([3, 4, 5]),
+        p=st.sampled_from([3, 5, 7, 11, 13]),
+    )
+    def test_scan_matches_chart_order_reference(self, seed, entry_bound, n, p):
+        # level 1 decides exactly: the first smooth zero in chart order is
+        # the witness, and "insoluble" means no common zero at all; leading
+        # principal submatrices (n < 5) reach the insoluble case
+        pencil = random_pencil(random.Random(seed), entry_bound=entry_bound)
+        model = [[row[:n] for row in m[:n]] for m in (pencil.phi1, pencil.phi2)]
+        assume(all(any(any(row) for row in m) for m in model))
+        smooth, any_zero = chart_order_scan(model, p)
+        cert = padic_soluble(model, p, effort=1)
+        if smooth is not None:
+            assert cert.verdict == "soluble"
+            assert cert.witness["point_mod_p"] == smooth
+        elif any_zero:
+            assert cert.verdict == "unknown"
+        else:
+            assert cert.verdict == "insoluble"
+
     def test_effort_zero_unknown(self):
         model = [diag5(1, 1, 1, 1, 1), diag5(0, 1, 2, 3, 4)]
         assert padic_soluble(model, 3, effort=0).verdict == "unknown"
