@@ -3,9 +3,9 @@
 The two canonical Gram matrices are weighted trace forms on the basis
 1, theta, ..., theta^4 of Q[t]/(P): entries Tr(w(theta) delta' theta^(i+j))
 with weights 1/P'(theta) and theta/P'(theta).  The double-cover model adds
-x^2 = (trace form with weight P(b)/((b-theta) P'(theta))), and the branch
-locus form drops the P(b) factor.  All traces are traces of multiplication
-operators, computed from the power sums of P; no root approximations.
+x^2 = (trace form with weight P(b)/((b-theta) P'(theta))).  All traces are
+traces of multiplication operators, computed from the power sums of P; no
+root approximations.
 """
 
 from __future__ import annotations
@@ -176,39 +176,6 @@ def kummer_model(P: RatPoly, delta_prime: DeltaInput, b) -> KummerModel:
     w = inverse_mod((RatPoly.of([b, -1]) * P.derivative()) % P, P)
     g3 = trace_form(P, (w * P(b)) % P, base.delta)
     return KummerModel(base, b, g3)
-
-
-def branch_form(P: RatPoly, delta_prime: DeltaInput, b) -> Matrix:
-    """Branch locus form: weight 1 / ((b - theta) P'(theta))."""
-    b = Fraction(b)
-    if P(b) == 0:
-        raise ValueError("b is a root of P")
-    delta = normalize_delta(P, delta_prime)
-    w = inverse_mod((RatPoly.of([b, -1]) * P.derivative()) % P, P)
-    return trace_form(P, w, delta)
-
-
-@dataclass(frozen=True)
-class Genus2Model:
-    """Hyperelliptic curve y^2 = a (x - b) P(x) with its twist discriminant."""
-
-    b: Fraction
-    a: Fraction
-    sextic: RatPoly
-    d_b: Fraction
-
-
-def genus2_model(P: RatPoly, b, a=1) -> Genus2Model:
-    b, a = Fraction(b), Fraction(a)
-    if a == 0:
-        raise ValueError("twist parameter a must be nonzero")
-    if P(b) == 0:
-        raise ValueError("b is a root of P")
-    sextic = (RatPoly.of([-b, 1]) * P) * a
-    if sextic.gcd(sextic.derivative()).degree != 0:
-        raise ValueError("sextic not squarefree")
-    d_b = P(b) ** 2 * discriminant(P)
-    return Genus2Model(b, a, sextic, d_b)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ import re
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 from . import __version__, canon, exact, galois, groupmod, localarith, pencil, selmersim
-from .exact import MAX_DEGREE, RatPoly, factor_q, prime_place
+from .exact import MAX_DEGREE, RatPoly, discriminant, factor_q, prime_place
 from .pencil import rat_str
 
 # The benchmark's self-test (perfbench/selftest.py) reads the program's
@@ -158,11 +157,6 @@ def parse_conditions(text: str) -> list:
         raise ValueError(f"malformed conditions {text!r}: {e}") from None
 
 
-def load_schema() -> dict:
-    with resources.files("quadpencil.schema").joinpath("report.schema.json").open() as fh:
-        return json.load(fh)
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         text = json.dumps(payload, indent=1, sort_keys=True)
@@ -183,9 +177,7 @@ def run_analyze(args) -> int:
     t0 = time.time()
     try:
         with open(args.input) as fh:
-            raw = fh.read()
-        data = json.loads(raw)
-        pen = pencil.pencil_from_json(data)
+            pen = pencil.pencil_loads(fh.read())
         conditions = None if args.conditions is None else parse_conditions(args.conditions)
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -390,6 +382,8 @@ def run_kummer(args) -> int:
 def run_search(args) -> int:
     try:
         P = parse_poly(args.poly)
+        if P.degree != 5 or discriminant(P) == 0:
+            raise ValueError(f"not a separable quintic: {P}")
         dcomb = canon.normalize_delta(P, parse_delta(args.delta, P))
         conditions = parse_conditions(args.conditions)
     except ValueError as e:
@@ -427,7 +421,7 @@ def run_search(args) -> int:
 def run_local(args) -> int:
     try:
         with open(args.input) as fh:
-            pen = pencil.pencil_from_json(json.load(fh))
+            pen = pencil.pencil_loads(fh.read())
         places = args.places and [prime_place(int(p)).p for p in args.places.split(",")]
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -462,10 +456,13 @@ def run_local(args) -> int:
 # simulate / verify-lemmas
 
 
-# Largest local dimension `simulate` accepts: the simulator's cost grows
-# steeply with it (100 systems on three places of dimension 32 take about
-# six times as long as at 16).
+# Largest local dimension and number of places `simulate` accepts: the
+# simulator's cost grows steeply with both (100 systems on three places of
+# dimension 32 take about six times as long as at 16; on a 2-core Xeon
+# container one system on 16 places of dimension 16 takes about 4 s, on
+# 32 such places about 35 s).
 MAX_LOCAL_DIM = 16
+MAX_PLACES = 16
 
 
 def run_simulate(args) -> int:
@@ -476,6 +473,8 @@ def run_simulate(args) -> int:
                 f"local dimensions must be even, nonnegative and at most {MAX_LOCAL_DIM}: "
                 f"{args.dims!r}"
             )
+        if len(dims) > MAX_PLACES:
+            raise ValueError(f"at most {MAX_PLACES} places: {len(dims)} given")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -651,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Selmer twisting simulator corpus")
     p.add_argument("--systems", type=int, default=100)
     p.add_argument("--dims", default="4,4,4",
-                   help=f"even local dimensions per place, each at most {MAX_LOCAL_DIM}")
+                   help=f"even local dimensions per place, each at most {MAX_LOCAL_DIM}, "
+                        f"at most {MAX_PLACES} places")
     p.add_argument("--mode", choices=["A", "B"], default=None)
     p.add_argument("--start-dim", type=int, default=5)
     p.add_argument("--descent-seeds", type=int, default=2000)

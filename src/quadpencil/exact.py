@@ -2,15 +2,15 @@
 
 Arbitrary-precision rationals (``fractions.Fraction``), univariate
 polynomials over Q and over F_p, factorization, discriminants, square
-tests, Hilbert symbols, bad-prime sets with the walk over good primes,
-and a certified square-root test in etale algebras Q[t]/(m).
+tests, bad-prime sets with the walk over good primes, and a certified
+square-root test in etale algebras Q[t]/(m).
 
 Polynomials are coefficient tuples in low-to-high order with no trailing
 zeros; the zero polynomial has an empty tuple.  This is the only module
 that calls sympy: factorization over Q and over F_p, resultants,
-primality, the primes below a bound and integer factorization are
-delegated to it (exact, deterministic); everything the symbols and
-certificates depend on is re-verified here.
+primality, the next prime and integer factorization are delegated to it
+(exact, deterministic); everything the certificates depend on is
+re-verified here.
 """
 
 from __future__ import annotations
@@ -159,14 +159,6 @@ class RatPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def shift(self, c) -> "RatPoly":
-        """Compose with t -> t + c."""
-        out = RatPoly(())
-        xc = RatPoly.of([_as_rat(c), 1])
-        for coef in reversed(self.coeffs):
-            out = out * xc + RatPoly.const(coef)
-        return out
 
     def denominator_lcm(self) -> int:
         return math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
@@ -476,7 +468,7 @@ def _fp_div_exact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Local places and symbols
+# Local places and square tests
 
 @dataclass(frozen=True)
 class LocalPlace:
@@ -516,10 +508,6 @@ def val_unit(a: Fraction, p: int) -> tuple[int, Fraction]:
     return v, Fraction(num, den)
 
 
-def _unit_mod(u: Fraction, modulus: int) -> int:
-    return u.numerator * pow(u.denominator, -1, modulus) % modulus
-
-
 def legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -538,72 +526,6 @@ def is_square_q(a) -> bool:
         math.isqrt(a.numerator) ** 2 == a.numerator
         and math.isqrt(a.denominator) ** 2 == a.denominator
     )
-
-
-def local_square(a, v: LocalPlace) -> bool:
-    """True iff a is a square in the completion Q_v."""
-    a = _as_rat(a)
-    if a == 0:
-        raise ValueError("square test on zero")
-    if v.is_real:
-        return a > 0
-    w, u = val_unit(a, v.p)
-    if w % 2:
-        return False
-    if v.p == 2:
-        return _unit_mod(u, 8) == 1
-    return legendre(_unit_mod(u, v.p), v.p) == 1
-
-
-def hilbert_symbol(a, b, v: LocalPlace) -> int:
-    """Local Hilbert symbol (a, b)_{Q_v} in {+1, -1}.
-
-    At p = 2 the closed-form eps/omega formula is used; at odd p the
-    tame formula; at the real place the sign rule.
-    """
-    a, b = _as_rat(a), _as_rat(b)
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero entries")
-    if v.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    p = v.p
-    alpha, u = val_unit(a, p)
-    beta, w = val_unit(b, p)
-    if p == 2:
-        um, wm = _unit_mod(u, 8), _unit_mod(w, 8)
-        eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
-        omega_u, omega_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
-        return -1 if e % 2 else 1
-    lu, lw = legendre(_unit_mod(u, p), p), legendre(_unit_mod(w, p), p)
-    s = 1
-    if (alpha * beta) % 2 and (p - 1) // 2 % 2:
-        s = -s
-    if beta % 2 and lu == -1:
-        s = -s
-    if alpha % 2 and lw == -1:
-        s = -s
-    return s
-
-
-def prime_divisors(n: int) -> set[int]:
-    """The primes dividing the nonzero integer n."""
-    if n == 0:
-        raise ValueError("prime divisors of zero")
-    return {int(q) for q in sympy.factorint(abs(n))}
-
-
-def primes_below(stop: int) -> list[int]:
-    return [int(p) for p in sympy.primerange(2, stop)]
-
-
-def hilbert_support(a, b) -> list[LocalPlace]:
-    """Places where (a, b) can be nontrivial: real, 2, and the odd p | num*den
-    in increasing order."""
-    primes = set()
-    for x in (_as_rat(a), _as_rat(b)):
-        primes |= prime_divisors(x.numerator) | prime_divisors(x.denominator)
-    return [REAL_PLACE, prime_place(2)] + [prime_place(q) for q in sorted(primes - {2})]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Galois profiles of quintics and signed Frobenius sampling.
+"""Galois profiles of quintics and signed Frobenius classes.
 
 The label of a monic separable quintic among the five transitive
 subgroups of S5 is decided by (i) squareness of the discriminant,
@@ -20,12 +20,10 @@ denominator of P; this is a division test on those integers (a `BadSet`
 with no margin), nothing is factored.  `galois_group_quintic` walks the
 good primes upward from 3 once (`exact.good_primes`): the first 10 are the
 evidence primes the report prints, and only the C5 hunt continues the same
-walk, up to its bound.  The subgroup sampling walks the good primes again,
-from 3.
+walk, up to its bound.
 
 Frobenius data at good primes is a cycle type plus one quadratic-residue
-bit per local factor; the corresponding conjugacy class representative in
-(Z/2)^5 x| S5 drives the subgroup sampling.
+bit per local factor, which determines a conjugacy class of (Z/2)^5 x| S5.
 """
 
 from __future__ import annotations
@@ -51,15 +49,7 @@ from .exact import (
     resultant,
     val_unit,
 )
-from .groupmod import (
-    IDENTITY_PERM,
-    Perm,
-    TRANSITIVE_SUBGROUPS,
-    WreathElement,
-    perm_closure,
-    perm_cycle_type,
-    wreath_closure,
-)
+from .groupmod import Perm
 from .pencil import char_poly
 
 LABELS = ("C5", "D10", "F20", "A5", "S5", "REDUCIBLE")
@@ -393,31 +383,6 @@ class SignedFrobenius:
         """Conjugacy invariant in the wreath group: multiset of (length, bit)."""
         return tuple(sorted(((f.degree, b) for f, b in zip(self.local_factors, self.bits)), reverse=True))
 
-    def to_wreath(self, model_perms: Optional[frozenset[Perm]] = None) -> WreathElement:
-        """Concrete class representative in (Z/2)^5 x| S5.
-
-        With no model, positions are allocated consecutively per factor with
-        standard cycles.  With a model subgroup, the lexicographically
-        smallest model permutation of the sampled cycle type is used, so
-        representatives across primes stay inside one copy of Gal(P); sign
-        bits sit on the smallest position of their cycle either way.
-        """
-        if model_perms is None:
-            perm = [0] * 5
-            sign = 0
-            pos = 0
-            for f, b in zip(self.local_factors, self.bits):
-                d = f.degree
-                for k in range(d):
-                    perm[pos + k] = pos + (k + 1) % d
-                if b:
-                    sign |= 1 << pos
-                pos += d
-            if pos != 5:
-                raise ValueError("local degrees do not sum to 5")
-            return WreathElement(sign, tuple(perm))
-        return class_representative(self.class_datum(), model_perms)
-
 
 def frobenius_class(
     P: RatPoly,
@@ -467,111 +432,3 @@ def _matching_global_factor(delta_factors, m: FpPoly, p: int) -> int:
         if not fp_rem(list(red.coeffs), list(m.coeffs), p):
             return i
     raise ArithmeticError("local factor matches no global factor")
-
-
-def class_representative(
-    class_datum: tuple[tuple[int, int], ...], model_perms: frozenset[Perm]
-) -> WreathElement:
-    """Lex-min model permutation with the datum's cycle type, bits on the
-    smallest position of each cycle (same-length cycles matched in order)."""
-    target = tuple(sorted((l for l, _ in class_datum), reverse=True))
-    candidates = sorted(p for p in model_perms if perm_cycle_type(p) == target)
-    if not candidates:
-        raise ValueError(f"cycle type {target} not realized in the model subgroup")
-    perm = candidates[0]
-    cycles = sorted(_perm_cycles(perm), key=lambda c: (-len(c), min(c)))
-    entries = sorted(class_datum, key=lambda e: (-e[0], -e[1]))
-    sign = 0
-    for cyc, (length, bit) in zip(cycles, entries):
-        assert len(cyc) == length
-        if bit:
-            sign |= 1 << min(cyc)
-    return WreathElement(sign, perm)
-
-
-def _perm_cycles(perm: Perm) -> list[list[int]]:
-    seen, out = set(), []
-    for i in range(5):
-        if i in seen:
-            continue
-        c, j = [], i
-        while j not in seen:
-            seen.add(j)
-            c.append(j)
-            j = perm[j]
-        out.append(c)
-    return out
-
-
-def _model_subgroup(P: RatPoly) -> frozenset[Perm]:
-    """A copy of Gal(P) inside S5 consistent with all Frobenius cycle types.
-
-    Irreducible quintics use the standard copy of their label; reducible ones
-    use the product of symmetric groups on the blocks of the factorization.
-    """
-    fac = factor_q(P)
-    if len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree == 5:
-        label = galois_group_quintic(P).label
-        return perm_closure(TRANSITIVE_SUBGROUPS[label])
-    gens: list[Perm] = []
-    pos = 0
-    for f, mult in fac:
-        for _ in range(mult):
-            d = f.degree
-            if d >= 2:
-                base = list(IDENTITY_PERM)
-                base[pos], base[pos + 1] = pos + 1, pos
-                gens.append(tuple(base))
-                cyc = list(IDENTITY_PERM)
-                for k in range(d):
-                    cyc[pos + k] = pos + (k + 1) % d
-                gens.append(tuple(cyc))
-            pos += d
-    return perm_closure(gens)
-
-
-@dataclass(frozen=True)
-class SubgroupSample:
-    """Monotone lower bound for the image of Galois on the 10-point cover."""
-
-    generators: tuple[WreathElement, ...]
-    order: int
-    stable: bool
-    history: tuple[tuple[int, int], ...]  # (prime, group order after adding it)
-    model_order: int = 0
-
-
-def kdelta_subgroup_sample(
-    P: RatPoly,
-    delta_factors: Sequence[tuple[RatPoly, RatPoly]],
-    prime_budget: int = 60,
-) -> SubgroupSample:
-    """Subgroup of (Z/2)^5 x| S5 generated by sampled Frobenius representatives.
-
-    Representatives live in a fixed model copy of Gal(P), so the order always
-    divides 16 * |model|.  Monotone in the budget; reported stable when the
-    order did not grow over the last half of the budget.  Sign parts stay
-    zero-sum whenever the delta data has square norm (the norm relation at
-    the Frobenius level).
-    """
-    primes = good_primes(_bad_primes(P, discriminant(P)), 3)
-    model = _model_subgroup(P)
-    gens: list[WreathElement] = []
-    history: list[tuple[int, int]] = []
-    group: frozenset[WreathElement] = wreath_closure([])
-    used = 0
-    while used < prime_budget:
-        p = next(primes)
-        try:
-            fr = frobenius_class(P, delta_factors, p)
-        except RamifiedPrimeError:
-            continue
-        used += 1
-        g = fr.to_wreath(model)
-        if g not in group:
-            gens.append(g)
-            group = wreath_closure(gens)
-        history.append((p, len(group)))
-    half = len(history) // 2
-    stable = len(history) >= 2 and history[half][1] == history[-1][1]
-    return SubgroupSample(tuple(gens), len(group), stable, tuple(history), len(model))

@@ -40,21 +40,6 @@ def permute_mask(perm: Perm, mask: int) -> int:
     return out
 
 
-def perm_cycle_type(perm: Perm) -> tuple[int, ...]:
-    seen = [False] * 5
-    lens = []
-    for i in range(5):
-        if seen[i]:
-            continue
-        n, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            n += 1
-        lens.append(n)
-    return tuple(sorted(lens, reverse=True))
-
-
 @dataclass(frozen=True)
 class WreathElement:
     """Element (sign, perm) of (Z/2)^5 x| S5; sign is a 5-bit mask."""
@@ -71,10 +56,6 @@ class WreathElement:
     def inverse(self) -> "WreathElement":
         pinv = perm_inv(self.perm)
         return WreathElement(permute_mask(pinv, self.sign), pinv)
-
-    @property
-    def zero_sum(self) -> bool:
-        return gf2.parity(self.sign) == 0
 
     def fixed_points(self) -> list["DeltaPoint"]:
         return [x for x in all_delta_points() if act_on_delta(self, x) == x]
@@ -179,23 +160,6 @@ class NotTransitiveError(ValueError):
 # ---------------------------------------------------------------------------
 # The module G and F_2 representations
 
-@dataclass(frozen=True)
-class GVector:
-    """Zero-sum vector of F_2^5 (even-weight 5-bit mask)."""
-
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < 32 or gf2.parity(self.bits):
-            raise ValueError("coordinate sum over F_2 must vanish")
-
-    def __xor__(self, other: "GVector") -> "GVector":
-        return GVector(self.bits ^ other.bits)
-
-    def acted_by(self, perm: Perm) -> "GVector":
-        return GVector(permute_mask(perm, self.bits))
-
-
 # Basis of G (even-weight subspace of F_2^5).
 G_BASIS = (0b00011, 0b00110, 0b01100, 0b11000)
 
@@ -218,22 +182,6 @@ def g_coords(mask: int) -> int:
 def perm_matrix_on_g(perm: Perm) -> tuple[int, ...]:
     """Columns (as 4-bit masks) of the action of perm on G in G_BASIS."""
     return tuple(g_coords(permute_mask(perm, G_BASIS[i])) for i in range(4))
-
-
-def _mat_apply(cols: Sequence[int], x: int) -> int:
-    out = 0
-    for i in range(len(cols)):
-        if (x >> i) & 1:
-            out ^= cols[i]
-    return out
-
-
-def _mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(_mat_apply(a, col) for col in b)
-
-
-def _mat_is_identity(a: Sequence[int]) -> bool:
-    return all(a[i] == 1 << i for i in range(len(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,51 +274,8 @@ def end_ring_r(gens: Sequence[Perm]) -> int:
     return r
 
 
-def centralizer_field_generator(gens: Sequence[Perm]) -> Optional[tuple[int, ...]]:
-    """A matrix generating End_H(G) as a field, or None when r = 1."""
-    r = end_ring_r(gens)
-    if r == 1:
-        return None
-    sols = gf2.null_space(_centralizer_relations(gens), 16)
-    order_needed = (1 << r) - 1
-    for coeffs in range(1, 1 << len(sols)):
-        x = 0
-        for i in range(len(sols)):
-            if (coeffs >> i) & 1:
-                x ^= sols[i]
-        cols = tuple((x >> (4 * j)) & 0xF for j in range(4))
-        if _mat_is_identity(cols):
-            continue
-        k, acc = 1, cols
-        while not _mat_is_identity(acc):
-            acc = _mat_mul(cols, acc)
-            k += 1
-            if k > order_needed:
-                break
-        if k == order_needed:
-            return cols
-    return None
-
-
-def _centralizer_relations(gens: Sequence[Perm]) -> list[int]:
-    rows = []
-    for g in gens:
-        rho = perm_matrix_on_g(g)
-        for i in range(4):
-            for j in range(4):
-                rel = 0
-                for k in range(4):
-                    if (rho[j] >> k) & 1:
-                        rel ^= 1 << (4 * k + i)
-                    if (rho[k] >> i) & 1:
-                        rel ^= 1 << (4 * j + k)
-                if rel:
-                    rows.append(rel)
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# Admissibility, conjugation, independence
+# Admissibility
 
 def is_admissible(elements: Sequence[WreathElement], rng: Optional[random.Random] = None) -> list[bool]:
     """Per element: does it fix a point of the 10-point cover?
@@ -386,62 +291,6 @@ def is_admissible(elements: Sequence[WreathElement], rng: Optional[random.Random
         assert bool(conj.fixed_points()) == fixed, "fixed-point count not a class function"
         out.append(fixed)
     return out
-
-
-def conjugate_into_s5(gens: Sequence[WreathElement]) -> bool:
-    """Is <gens> conjugate to a subgroup of the S5 factor inside (Z/2)^5 x| S5?
-
-    The 32 sign-vector conjugators suffice: the stabilizer of a section of
-    the 10:5 cover is h S5 h^-1 with h in (Z/2)^5.
-    """
-    for h in range(32):
-        if all((h ^ g.sign ^ permute_mask(g.perm, h)) == 0 for g in gens):
-            return True
-    return False
-
-
-def fq_independent(vectors: Sequence[int], r: int, field_matrix: Optional[Sequence[int]] = None,
-                   dim: int = 4) -> bool:
-    """F_{2^r}-linear independence of vectors in (F_2^dim)^m blocks.
-
-    The F_{2^r}-structure is given by field_matrix acting blockwise on each
-    dim-bit block (identity when r = 1).  Independence over the field means
-    the F_2-span of {x^j v} has dimension r * len(vectors).
-    """
-    if r == 1:
-        field_matrix = tuple(1 << i for i in range(dim))
-    if field_matrix is None:
-        raise ValueError("field matrix required for r > 1")
-    # validate: x generates a field of degree r (x^(2^r - 1) = 1, proper order)
-    order = (1 << r) - 1
-    acc = tuple(field_matrix)
-    k = 1
-    while not _mat_is_identity(acc):
-        acc = _mat_mul(tuple(field_matrix), acc)
-        k += 1
-        if k > order:
-            raise ValueError("r inconsistent with the field action")
-    if k != order and r > 1:
-        raise ValueError("r inconsistent with the field action")
-    if not vectors:
-        return True
-    nblocks = max(v.bit_length() for v in vectors)
-    nblocks = (nblocks + dim - 1) // dim
-
-    def apply_blockwise(v: int) -> int:
-        out = 0
-        for b in range(nblocks):
-            block = (v >> (dim * b)) & ((1 << dim) - 1)
-            out |= _mat_apply(tuple(field_matrix), block) << (dim * b)
-        return out
-
-    spanset = []
-    for v in vectors:
-        w = v
-        for _ in range(r):
-            spanset.append(w)
-            w = apply_blockwise(w)
-    return gf2.rank(spanset) == r * len(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +318,3 @@ def lemma_table() -> list[tuple[str, int, int, int]]:
         order = len(perm_closure(gens))
         out.append((label, order, h1_dim(gens), end_ring_r(gens)))
     return out
-
-
-def g_is_simple(gens: Sequence[Perm]) -> bool:
-    """No proper nonzero H-stable subspace of G (exhaustive subset scan)."""
-    mats = [perm_matrix_on_g(g) for g in gens]
-    for indicator in range(1, 1 << 16):
-        subset = [v for v in range(16) if (indicator >> v) & 1]
-        if 0 not in subset or len(subset) in (1, 16):
-            continue
-        s = set(subset)
-        if any((a ^ b) not in s for a in s for b in s):
-            continue
-        if all(_mat_apply(m, v) in s for m in mats for v in s):
-            return False
-    return True

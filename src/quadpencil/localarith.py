@@ -1,4 +1,4 @@
-"""Local computations: solubility, residues, parity bookkeeping and the
+"""Local computations: the bad set, real and p-adic solubility, and the
 witness search for admissible local conditions.
 
 Real solubility of a smooth pencil is decided exactly: the base locus has
@@ -14,8 +14,7 @@ The bad set S0 is 2, every prime below the margin, and the prime divisors
 of disc(P), the denominators of P and delta, the resultants Res(P_i, d_i)
 and the contents of the d_i.  `bad_set_s0` only collects those integers;
 "is p bad?" is a division test, so nothing on the analyze, local or search
-path factors an integer.  The parity ledger, which needs every place of
-S0, factors them itself.
+path factors an integer.
 
 The (b, T) search walks the good primes above the margin, matches signed
 Frobenius classes, and builds b by lifting a simple root theta to b with
@@ -42,12 +41,8 @@ from .exact import (
     discriminant,
     fp_eval,
     good_primes,
-    hilbert_symbol,
     lift_root,
-    local_square,
-    prime_divisors,
     prime_place,
-    primes_below,
     resultant,
     val_unit,
 )
@@ -56,7 +51,6 @@ from .groupmod import WreathElement, is_admissible
 from .pencil import (
     Matrix,
     Pencil,
-    char_poly,
     definite_sign,
     int_det,
     mat_combine,
@@ -98,22 +92,6 @@ class LocalCertificate:
     verdict: str  # "soluble" | "insoluble" | "unknown"
     witness: Optional[dict] = None
     reason: str = ""
-
-
-def _descartes_variations(f: RatPoly) -> int:
-    signs = [1 if c > 0 else -1 for c in f.coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def signature(m: Matrix) -> tuple[int, int]:
-    """(positive, negative) inertia of a nonsingular symmetric matrix,
-    via exact Descartes counts on the characteristic polynomial."""
-    chi = char_poly(m)
-    if chi[0] == 0:
-        raise ValueError("matrix is singular")
-    pos = _descartes_variations(chi)
-    neg = _descartes_variations(RatPoly.of([c * (-1) ** i for i, c in enumerate(chi.coeffs)]))
-    return pos, neg
 
 
 def _sturm_chain(f: RatPoly) -> list[RatPoly]:
@@ -219,8 +197,11 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
 def _approx_real_point(pencil: Pencil, tries: int = 40, iters: int = 120) -> Optional[dict]:
     """Best-effort numeric point on the intersection (projected Newton on
     the sum of squares); the verdict never depends on it."""
-    a1 = np.array([[float(x) for x in row] for row in pencil.phi1])
-    a2 = np.array([[float(x) for x in row] for row in pencil.phi2])
+    try:
+        a1 = np.array([[float(x) for x in row] for row in pencil.phi1])
+        a2 = np.array([[float(x) for x in row] for row in pencil.phi2])
+    except OverflowError:  # an entry beyond the float range
+        return None
     rng = np.random.default_rng(12345)
     for _ in range(tries):
         x = rng.standard_normal(5)
@@ -486,142 +467,6 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
             )
         frontier = new_frontier
     return LocalCertificate(place, "unknown", reason="effort exhausted")
-
-
-# ---------------------------------------------------------------------------
-# Residues of delta and the Clifford invariant
-
-
-@dataclass(frozen=True)
-class DeltaResidue:
-    p: int
-    class_datum: tuple[tuple[int, int], ...]
-    is_zero: bool
-    representative_sign: int  # 5-bit mask, consecutive-position layout
-
-
-def delta_residue_at(
-    P: RatPoly, delta_factors: Sequence[tuple[RatPoly, RatPoly]], p: int
-) -> DeltaResidue:
-    """Residue of delta at a good odd prime, as a class in G/(Frob - 1).
-
-    The unramified class is zero iff every cycle's sign bit vanishes: the
-    cycle-sum map identifies G/(Frob - 1) with the sign bits per local
-    factor, cut by the zero-sum relation.
-    """
-    fr = frobenius_class(P, delta_factors, p)
-    rep = fr.to_wreath()
-    return DeltaResidue(p, fr.class_datum(), all(b == 0 for b in fr.bits), rep.sign)
-
-
-def clifford_invariant(diag_entries: Sequence, v: LocalPlace) -> int:
-    """(-1,-1)_v * prod_{i<j} (a_i, a_j)_v for a diagonal 5-variable form."""
-    a = [Fraction(x) for x in diag_entries]
-    if len(a) != 5 or any(x == 0 for x in a):
-        raise ValueError("five nonzero diagonal entries required")
-    s = hilbert_symbol(-1, -1, v)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            s *= hilbert_symbol(a[i], a[j], v)
-    return s
-
-
-# ---------------------------------------------------------------------------
-# Parity ledger
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    place: LocalPlace
-    hilbert_factor: int
-    norm_index_factor: Optional[int]
-    case: str
-
-    @property
-    def total(self) -> Optional[int]:
-        if self.norm_index_factor is None:
-            return None
-        return self.hilbert_factor * self.norm_index_factor
-
-
-@dataclass(frozen=True)
-class ParityLedger:
-    d_b: Fraction
-    a: Fraction
-    entries: tuple[LedgerEntry, ...]
-    resolved_product: int
-    unknown_places: tuple[str, ...]
-
-
-def parity_ledger(
-    P: RatPoly,
-    b,
-    a,
-    delta_factors: Sequence[tuple[RatPoly, RatPoly]] = (),
-    margin: int = 100,
-) -> ParityLedger:
-    """Per-place factors of the parity law for the quadratic twist by a.
-
-    The Hilbert factor (d_b, a)_v is exact at every place.  The norm-index
-    factor is resolved only in the cases the theory pins down: split places
-    (trivially +1), odd places of good reduction with unramified local
-    extension (+1), and semistable places with val(P(b)) = 1 inert in the
-    extension, where the total local term is -1.  Everything else is an
-    honest unknown.
-    """
-    b, a = Fraction(b), Fraction(a)
-    if P(b) == 0 or a == 0:
-        raise ValueError("P(b) and a must be nonzero")
-    d_b = P(b) ** 2 * discriminant(P)
-    s0 = bad_set_s0(P, delta_factors, margin)
-    places = {2} | set(primes_below(margin))
-    for n in s0.integers:
-        places |= prime_divisors(n)
-    pb = P(b)
-    places |= prime_divisors(pb.numerator) | prime_divisors(pb.denominator)
-    places |= prime_divisors(b.denominator) if b.denominator > 1 else set()
-
-    entries = []
-    unknowns = []
-    prod = 1
-
-    def classify(v: LocalPlace) -> LedgerEntry:
-        h = hilbert_symbol(d_b, a, v)
-        if local_square(a, v):
-            return LedgerEntry(v, h, 1, "split")
-        if not v.is_real:
-            p = v.p
-            av, _ = val_unit(a, p)
-            unram = p != 2 and av % 2 == 0
-            good = (
-                p != 2
-                and val_unit(d_b, p)[0] == 0
-                and b.denominator % p != 0
-                and P.denominator_lcm() % p != 0
-            )
-            if good and unram:
-                # good reduction, unramified extension: total local term +1
-                return LedgerEntry(v, h, h, "good-reduction")
-            semistable = (
-                p not in s0
-                and b.denominator % p != 0
-                and val_unit(pb, p)[0] == 1
-            )
-            if semistable and unram:
-                # single-node semistable place inert in the extension:
-                # total local term -1
-                return LedgerEntry(v, h, -h, "semistable-inert")
-        return LedgerEntry(v, h, None, "unknown")
-
-    all_places = [REAL_PLACE] + [prime_place(p) for p in sorted(places)]
-    for v in all_places:
-        e = classify(v)
-        entries.append(e)
-        if e.total is None:
-            unknowns.append(str(v))
-        else:
-            prod *= e.total
-    return ParityLedger(d_b, a, tuple(entries), prod, tuple(unknowns))
 
 
 # ---------------------------------------------------------------------------

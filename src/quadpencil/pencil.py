@@ -8,9 +8,8 @@ separable characteristic quintic P; the five singular members are rank-4
 quadrics whose restricted Gram determinants give the delta invariant, a
 tuple of square classes in the residue fields Q[t]/(P_i).
 
-The norm-square law (the product of the norms of the delta components is
-a rational square) and the norm-relation group computed from it are the
-machine-checkable core.
+The norm-relation group (the products of the norms of the nonsquare delta
+components that are rational squares) is the machine-checkable core.
 """
 
 from __future__ import annotations
@@ -119,15 +118,6 @@ def mat_combine(a: Matrix, b: Matrix, x: Fraction, y: Fraction) -> Matrix:
     )
 
 
-def mat_congruent(m: Matrix, u: Matrix) -> Matrix:
-    """u^T m u for a rational change of coordinates u."""
-    n = len(m)
-    mu = [[sum(m[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return tuple(
-        tuple(sum(u[k][i] * mu[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 class SingularPencilError(ValueError):
     """The binary quintic of the pencil has a repeated root."""
 
@@ -147,9 +137,6 @@ class Pencil:
         for m in (self.phi1, self.phi2):
             if len(m) != 5 or not is_symmetric(m):
                 raise ValueError("5x5 symmetric matrices required")
-
-    def member(self, mu: Fraction, nu: Fraction) -> Matrix:
-        return mat_combine(self.phi1, self.phi2, Fraction(mu), Fraction(nu))
 
     @functools.cached_property
     def det_poly(self) -> RatPoly:
@@ -391,16 +378,6 @@ def delta_invariant(
         else:
             flags.append("undecided")
     return DeltaInvariant(norm.chart, norm.P, tuple(factors), tuple(reps), tuple(flags))
-
-
-def verify_norm_square(inv: DeltaInvariant) -> bool:
-    """The norm-square law: prod_i Res(P_i, d_i) is a rational square."""
-    n = Fraction(1)
-    for f, d in inv.factor_reps():
-        n *= resultant(f, d)
-    if n == 0:
-        raise ArithmeticError("delta representative shares a root with its factor")
-    return is_square_q(n)
 
 
 class InsufficientCertificatesError(ValueError):

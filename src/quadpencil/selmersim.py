@@ -248,18 +248,6 @@ def relaxed_selmer(system: SelmerSystem, v: int) -> list[int]:
     return gf2.intersect(list(system.global_lagrangian), cond, system.total_dim)
 
 
-def exhaustive_selmer(system: SelmerSystem) -> set[int]:
-    """Oracle: enumerate the whole global subspace and filter (small systems)."""
-    return {x for x in gf2.span(system.global_lagrangian) if _in_product(system, x)}
-
-
-def _in_product(system: SelmerSystem, x: int) -> bool:
-    for i, pl in enumerate(system.places):
-        if not gf2.in_span(system.res(x, i), list(pl.condition)):
-            return False
-    return True
-
-
 def verify_pt_duality(system: SelmerSystem, v: int) -> bool:
     """Image of the relaxed group in H_v / C_v equals the annihilator of the
     image of the Selmer group inside C_v, exactly."""
@@ -473,65 +461,3 @@ def find_descent_instance(
                 if trace.terminated and trace.dims[0] == start_dim:
                     return seed, system, trace
     return None
-
-
-# ---------------------------------------------------------------------------
-# Cassels-Tate shadow
-
-
-def ct_kernel(pairing_rows: Sequence[int], dim: int) -> list[int]:
-    """Kernel of an alternating F_2-pairing given by Gram rows.
-
-    Rejects non-alternating input (nonzero diagonal or asymmetry).
-    """
-    rows = list(pairing_rows)
-    if len(rows) != dim:
-        raise ValueError("square Gram matrix required")
-    for i in range(dim):
-        if (rows[i] >> i) & 1:
-            raise ValueError("pairing is not alternating (nonzero diagonal)")
-        for j in range(dim):
-            if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
-                raise ValueError("pairing is not symmetric")
-    return gf2.null_space(rows, dim)
-
-
-def endgame_pairing(dim: int = 3) -> list[int]:
-    """The terminal three-dimensional configuration: the distinguished class
-    pairs to zero with everything, the other two pair to 1/2."""
-    if dim != 3:
-        raise ValueError("the endgame configuration is three-dimensional")
-    return [0b000, 0b100, 0b010]
-
-
-# ---------------------------------------------------------------------------
-# F_4 structure on F_2-spaces (for the dihedral-case bookkeeping)
-
-
-def f4_generator(dim: int) -> list[int]:
-    """Columns of a linear map x with x^2 + x + 1 = 0 on F_2^dim (dim even):
-    2x2 companion blocks."""
-    if dim % 2:
-        raise ValueError("even dimension required")
-    cols = []
-    for b in range(dim // 2):
-        cols.append(1 << (2 * b + 1))
-        cols.append((1 << (2 * b)) | (1 << (2 * b + 1)))
-    return cols
-
-
-def apply_cols(cols: Sequence[int], x: int) -> int:
-    out = 0
-    for i, c in enumerate(cols):
-        if (x >> i) & 1:
-            out ^= c
-    return out
-
-
-def f4_span(cols: Sequence[int], v: int) -> set[int]:
-    xv = apply_cols(cols, v)
-    return {0, v, xv, v ^ xv}
-
-
-def f4_span_meet(cols: Sequence[int], v: int, subspace: Sequence[int]) -> set[int]:
-    return {w for w in f4_span(cols, v) if gf2.in_span(w, list(subspace))}

@@ -17,8 +17,6 @@ from quadpencil.canon import canonical_quadrics, roundtrip_invariants, trace_for
 from quadpencil.exact import (
     RatPoly,
     discriminant,
-    hilbert_support,
-    hilbert_symbol,
     inverse_mod,
     is_square_q,
     squarefree_part,
@@ -30,7 +28,6 @@ from quadpencil.localarith import (
     DT_RES_ZERO,
     IDENTITY_CONDITION,
     bad_set_s0,
-    delta_residue_at,
     find_bT,
     padic_soluble,
     real_soluble,
@@ -41,17 +38,23 @@ from quadpencil.pencil import (
     delta_invariant,
     normalize_pencil,
     random_pencil,
-    verify_norm_square,
 )
 from quadpencil.selmersim import (
     SelmerSystem,
-    ct_kernel,
-    endgame_pairing,
     find_descent_instance,
     make_system,
     random_transverse_condition,
     twist_at,
     verify_pt_duality,
+)
+from reference import (
+    ct_kernel,
+    delta_residue_at,
+    endgame_pairing,
+    hilbert_support,
+    hilbert_symbol,
+    shift,
+    verify_norm_square,
 )
 
 
@@ -121,18 +124,18 @@ def _roundtrip_corpus():
         for pat in split_patterns[: 10 if P is split1 else 5]:
             pairs.append((P, pat))
     for P0 in (C5_QUINTIC, D10_QUINTIC, A5_QUINTIC):
-        for shift in (0, 1, 2):
-            P = P0.shift(shift)
+        for k in (0, 1, 2):
+            P = shift(P0, k)
             pairs.append((P, poly(1)))
             pairs.append((P, strip_square_content(P.derivative())))  # norm = disc, square
-    for shift in (0, 1, -1):
-        P = T5_MINUS_2.shift(shift)
+    for k in (0, 1, -1):
+        P = shift(T5_MINUS_2, k)
         c = squarefree_part(int(discriminant(P)))
         pairs.append((P, poly(1)))
         pairs.append((P, strip_square_content(P.derivative() * c)))
     pairs.append((T5_MINUS_2, poly(2, 0, 1)))  # theta^2 + 2, norm 36
-    for shift in (0, 1, -1):
-        P = S5_QUINTIC.shift(shift)
+    for k in (0, 1, -1):
+        P = shift(S5_QUINTIC, k)
         c = squarefree_part(int(discriminant(P)))
         pairs.append((P, poly(1)))
         pairs.append((P, strip_square_content(P.derivative() * c)))

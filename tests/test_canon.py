@@ -14,10 +14,7 @@ from quadpencil.exact import (
 )
 from quadpencil.canon import (
     CanonicalModel,
-    Genus2Model,
-    branch_form,
     canonical_quadrics,
-    genus2_model,
     kummer_model,
     normalize_delta,
     power_sums,
@@ -25,6 +22,7 @@ from quadpencil.canon import (
     trace_form,
 )
 from quadpencil.pencil import binary_quintic, mat_det
+from reference import branch_form
 
 
 def poly(*coeffs):
@@ -171,24 +169,6 @@ class TestKummer:
         qs = km.quadrics()
         assert len(qs) == 3 and all(len(q) == 6 for q in qs)
         assert qs[2][0][0] == 1
-
-
-class TestGenus2:
-    def test_t5_minus_2(self):
-        m = genus2_model(T5_MINUS_2, 1, 1)
-        assert m.sextic == RatPoly.of([-1, 1]) * T5_MINUS_2
-        # P(1) = -1, so d_b = disc(P)
-        assert m.d_b == discriminant(T5_MINUS_2)
-
-    def test_square_twist_same_d_b(self):
-        m1 = genus2_model(T5_MINUS_2, 1, 1)
-        m4 = genus2_model(T5_MINUS_2, 1, 4)
-        assert m4.sextic == m1.sextic * 4
-        assert m1.d_b == m4.d_b
-
-    def test_root_rejected(self):
-        with pytest.raises(ValueError):
-            genus2_model(SPLIT_QUINTIC, 2)
 
 
 class TestNormalizeDelta:

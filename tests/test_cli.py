@@ -8,10 +8,11 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from quadpencil.cli import load_schema, main, parse_poly
+from quadpencil.cli import main, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
+from reference import diag, load_schema
 
 
 def poly(*coeffs):
@@ -262,6 +263,9 @@ class TestAnalyze:
         ["canon", "--poly", "t^5+"],
         ["search", "--poly", "t^5-2", "--conditions", "[[1,0"],
         ["search", "--poly", "t^5-2", "--conditions", "[[[1,0],[1,0]]]"],
+        ["search", "--poly", "0", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
+        ["search", "--poly", "1", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
+        ["search", "--poly", "t^5", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
         ["analyze", "PENCIL", "--conditions", "[[1,0"],
         ["analyze", "PENCIL", "--conditions", "[[[1,0],[1,0]]]"],
         ["canon", "--poly", "t^5-2", "--delta", "t^2+__import__('os').getpid()"],
@@ -274,6 +278,7 @@ class TestAnalyze:
         ["simulate", "--dims", "3"],
         ["simulate", "--dims", "1000000"],
         ["simulate", "--dims", "4,18,4"],
+        ["simulate", "--dims", ",".join(["2"] * 400)],
         ["--margin", "x", "analyze", "PENCIL"],
         ["nosuchverb"],
         ["analyze"],
@@ -288,6 +293,9 @@ class TestAnalyze:
         "canon-syntax",
         "search-conditions-not-json",
         "search-conditions-lengths",
+        "search-poly-zero",
+        "search-poly-constant",
+        "search-poly-not-separable",
         "analyze-conditions-not-json",
         "analyze-conditions-lengths",
         "canon-python-call",
@@ -300,6 +308,7 @@ class TestAnalyze:
         "simulate-dims-odd",
         "simulate-dims-huge",
         "simulate-dims-above-cap",
+        "simulate-too-many-places",
         "usage-margin-not-integer",
         "usage-unknown-verb",
         "usage-analyze-no-input",
@@ -440,6 +449,17 @@ class TestLocal:
         assert main(["local", str(path), *places]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: singular base locus: ") and err.count("\n") == 1
+
+    def test_entry_beyond_float_range(self, tmp_path, capsys):
+        # the real verdict is exact; only the best-effort float point is
+        # skipped when an entry does not fit a float
+        path = tmp_path / "huge.json"
+        path.write_text(pencil_dumps(Pencil(diag(1, -1, 2, -3, 5), diag(10**400, 2, -3, 4, -5))))
+        out = tmp_path / "local.json"
+        assert main(["--json", "--out", str(out), "local", str(path), "--places", "3"]) == 0
+        real = json.loads(out.read_text())["certificates"][0]
+        assert (real["verdict"], real["witness"]) == ("soluble", None)
+        assert capsys.readouterr().err == ""
 
 
 class TestSimulate:

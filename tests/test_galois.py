@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import quadpencil.exact as exact_mod
 import quadpencil.galois as galois_mod
 import quadpencil.localarith as localarith_mod
+from quadpencil import gf2
 from quadpencil.canon import canonical_quadrics
 from quadpencil.cli import main, parse_poly
 from quadpencil.exact import (
@@ -34,11 +35,10 @@ from quadpencil.galois import (
     SignedFrobenius,
     frobenius_class,
     galois_group_quintic,
-    kdelta_subgroup_sample,
     resolvent_sextic,
 )
-from quadpencil.groupmod import wreath_closure
 from quadpencil.pencil import pencil_dumps
+from reference import shift, to_wreath
 
 
 def poly(*coeffs):
@@ -132,7 +132,7 @@ class TestGaloisLabel:
             lam = rng.choice([1, 2, 3, 5])
             # roots scaled by lam: Q(t) = lam^5 P(t / lam)
             scaled = RatPoly.of(
-                [coef * Fraction(lam) ** (5 - i) for i, coef in enumerate(P.shift(c).coeffs)]
+                [coef * Fraction(lam) ** (5 - i) for i, coef in enumerate(shift(P, c).coeffs)]
             )
             assert galois_group_quintic(scaled).label == label
             done += 1
@@ -330,8 +330,8 @@ class TestFrobenius:
 
     def test_to_wreath_representative(self):
         fr = frobenius_class(T5_MINUS_2, [(T5_MINUS_2, poly(1))], 11)
-        g = fr.to_wreath()
-        assert g.zero_sum
+        g = to_wreath(fr)
+        assert gf2.parity(g.sign) == 0
         assert sorted(
             len(c) for c in _cycles(g.perm)
         ) == sorted(fr.cycle_type)
@@ -349,33 +349,3 @@ def _cycles(perm):
             j = perm[j]
         out.append(c)
     return out
-
-
-class TestSubgroupSample:
-    def test_trivial_delta_lands_in_s5_factor(self):
-        sample = kdelta_subgroup_sample(T5_MINUS_2, [(T5_MINUS_2, poly(1))], prime_budget=25)
-        group = wreath_closure(sample.generators)
-        assert all(g.sign == 0 for g in group)
-        assert len(group) % 5 == 0  # contains a 5-cycle image
-
-    def test_split_nontrivial_delta_in_sign_part(self):
-        factors = [(poly(-r, 1), poly(d)) for r, d in zip([0, 1, 2, 3, 4], [5, 5, 5, 5, 1])]
-        sample = kdelta_subgroup_sample(SPLIT_QUINTIC, factors, prime_budget=25)
-        group = wreath_closure(sample.generators)
-        assert all(g.perm == (0, 1, 2, 3, 4) for g in group)
-        assert all(g.zero_sum for g in group)
-
-    def test_order_divides_wreath_bound(self):
-        # theta^2 + 2 has norm P(sqrt(-2)) P(-sqrt(-2)) = 36, a square, so it
-        # is a legitimate class and the sampled group stays zero-sum
-        delta = [(T5_MINUS_2, poly(2, 0, 1))]
-        assert is_square_q(resultant(T5_MINUS_2, poly(2, 0, 1)))
-        sample = kdelta_subgroup_sample(T5_MINUS_2, delta, prime_budget=30)
-        group = wreath_closure(sample.generators)
-        assert all(g.zero_sum for g in group)
-        assert (16 * 20) % sample.order == 0  # Gal(t^5 - 2) has order 20
-
-    def test_monotone_history(self):
-        sample = kdelta_subgroup_sample(T5_MINUS_2, [(T5_MINUS_2, poly(2, 0, 1))], prime_budget=30)
-        orders = [o for _, o in sample.history]
-        assert orders == sorted(orders)

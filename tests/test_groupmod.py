@@ -1,17 +1,9 @@
 """Tests for the finite group/module brute-force layer."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadpencil import gf2
 from quadpencil.groupmod import (
-    A5_GENS,
-    C5_GENS,
-    D10_GENS,
-    F20_GENS,
-    S5_GENS,
     TRANSITIVE_SUBGROUPS,
     DeltaPoint,
     NotTransitiveError,
@@ -19,11 +11,7 @@ from quadpencil.groupmod import (
     WREATH_IDENTITY,
     act_on_delta,
     all_delta_points,
-    centralizer_field_generator,
-    conjugate_into_s5,
     end_ring_r,
-    fq_independent,
-    g_is_simple,
     h1_dim,
     is_admissible,
     perm_closure,
@@ -122,18 +110,6 @@ class TestEndRing:
     def test_r_values(self, label, r):
         assert end_ring_r(TRANSITIVE_SUBGROUPS[label]) == r
 
-    def test_field_generator_orders(self):
-        x4 = centralizer_field_generator(C5_GENS)
-        x2 = centralizer_field_generator(D10_GENS)
-        assert x4 is not None and x2 is not None
-        assert centralizer_field_generator(S5_GENS) is None
-
-
-class TestSimplicity:
-    @pytest.mark.parametrize("label", ["C5", "D10", "F20", "A5", "S5"])
-    def test_g_simple(self, label):
-        assert g_is_simple(TRANSITIVE_SUBGROUPS[label])
-
 
 class TestAdmissible:
     def test_identity(self):
@@ -153,56 +129,3 @@ class TestAdmissible:
         for sign in range(32):
             g = WreathElement(sign, (1, 2, 3, 4, 0))
             assert is_admissible([g]) == [False]
-
-
-class TestConjugateIntoS5:
-    def test_trivial(self):
-        assert conjugate_into_s5([])
-
-    def test_pure_sign_group(self):
-        assert not conjugate_into_s5([WreathElement(0b00011, (0, 1, 2, 3, 4))])
-
-    def test_sign_with_transposition(self):
-        assert conjugate_into_s5([WreathElement(0b00011, (1, 0, 2, 3, 4))])
-
-
-class TestFqIndependence:
-    def test_empty(self):
-        assert fq_independent([], 1)
-
-    def test_f4_dependent_pair(self):
-        x = centralizer_field_generator(D10_GENS)
-        v = 0b0101
-        xv = 0
-        for i in range(4):
-            if (v >> i) & 1:
-                xv ^= x[i]
-        assert not fq_independent([v, xv], 2, x)
-
-    def test_f2_random_vs_span(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            vecs = [rng.randrange(1, 16) for _ in range(3)]
-            expected = len(gf2.span(vecs)) == 2 ** len(vecs)
-            assert fq_independent(vecs, 1) == expected
-
-    def test_inconsistent_r_rejected(self):
-        x4 = centralizer_field_generator(C5_GENS)
-        with pytest.raises(ValueError):
-            fq_independent([0b0001], 2, x4)  # x has order 15, not 3
-
-
-class TestGVector:
-    def test_zero_sum_enforced(self):
-        from quadpencil.groupmod import GVector
-
-        GVector(0b00011)
-        with pytest.raises(ValueError):
-            GVector(0b00001)
-
-    def test_action(self):
-        from quadpencil.groupmod import GVector
-
-        v = GVector(0b00011)
-        assert v.acted_by((1, 0, 2, 3, 4)) == v
-        assert (v ^ GVector(0b00110)).bits == 0b00101

@@ -1,4 +1,4 @@
-"""Tests for local solubility, residues, parity ledger, witness search."""
+"""Tests for local solubility, residues and the witness search."""
 
 import itertools
 import math
@@ -11,13 +11,9 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from quadpencil.exact import (
-    REAL_PLACE,
     RatPoly,
     discriminant,
-    hilbert_symbol,
     is_square_q,
-    local_square,
-    prime_place,
     resultant,
     strip_square_content,
     val_unit,
@@ -31,16 +27,13 @@ from quadpencil.localarith import (
     BTWitness,
     InadmissibleConditionError,
     bad_set_s0,
-    clifford_invariant,
-    delta_residue_at,
     find_bT,
     isolate_real_roots,
     padic_soluble,
-    parity_ledger,
     real_soluble,
-    signature,
 )
-from quadpencil.pencil import Pencil, mat_congruent, matrix_of, pencil_dumps, random_pencil
+from quadpencil.pencil import Pencil, matrix_of, pencil_dumps, random_pencil
+from reference import delta_residue_at, mat_congruent, signature
 
 
 def poly(*coeffs):
@@ -422,71 +415,6 @@ class TestDeltaResidue:
                 assert res.is_zero
                 found += 1
         assert found >= 2
-
-
-class TestClifford:
-    def test_all_ones_real(self):
-        assert clifford_invariant([1, 1, 1, 1, 1], REAL_PLACE) == -1
-
-    def test_square_scaling(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            d = [rng.choice([-5, -3, -2, -1, 1, 2, 3, 5, 7]) for _ in range(5)]
-            v = rng.choice([REAL_PLACE, prime_place(2), prime_place(3), prime_place(7)])
-            scaled = d[:]
-            scaled[rng.randrange(5)] *= 9
-            assert clifford_invariant(d, v) == clifford_invariant(scaled, v)
-
-    def test_product_formula(self):
-        from quadpencil.exact import hilbert_support
-
-        rng = random.Random(7)
-        for _ in range(30):
-            d = [rng.choice([-7, -5, -3, -2, -1, 1, 2, 3, 5, 7, 11]) for _ in range(5)]
-            places = {str(v): v for a in d for b in d for v in hilbert_support(a, b)}
-            prod = 1
-            for v in places.values():
-                prod *= clifford_invariant(d, v)
-            assert prod == 1
-
-
-class TestParityLedger:
-    def test_split_everywhere_positive(self):
-        led = parity_ledger(T5_MINUS_2, 1, 4, [(T5_MINUS_2, poly(1))])
-        # a = 4 is a square: every entry splits, total +1, no unknowns
-        assert led.resolved_product == 1
-        assert not led.unknown_places
-        assert all(e.case == "split" for e in led.entries)
-
-    def test_semistable_inert_contributes_minus_one(self):
-        # b with val_151(P(b)) = 1 from the witness construction
-        wit = find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [IDENTITY_CONDITION])
-        w = wit.primes[0]
-        # choose a inert at w: a quadratic non-residue unit
-        a = next(
-            n for n in range(2, 100) if not local_square(n, prime_place(w)) and n % w != 0
-        )
-        led = parity_ledger(T5_MINUS_2, wit.b, a, [(T5_MINUS_2, poly(1))])
-        entry = next(e for e in led.entries if not e.place.is_real and e.place.p == w)
-        assert entry.case == "semistable-inert"
-        assert entry.total == -1
-
-    def test_2_unknown_for_nonsquare(self):
-        led = parity_ledger(T5_MINUS_2, 1, 3, [(T5_MINUS_2, poly(1))])
-        entry = next(e for e in led.entries if not e.place.is_real and e.place.p == 2)
-        assert entry.norm_index_factor is None
-        assert "2" in led.unknown_places
-
-    def test_hilbert_factors_product_formula(self):
-        # with a and d_b supported inside the ledger places, the Hilbert
-        # factors multiply to +1 over the ledger
-        for a in (-1, 2, 5, -10, 3):
-            for b in (1, 3, Fraction(1, 2)):
-                led = parity_ledger(T5_MINUS_2, b, a, [(T5_MINUS_2, poly(1))])
-                prod = 1
-                for e in led.entries:
-                    prod *= e.hilbert_factor
-                assert prod == 1, (a, b)
 
 
 class TestFindBT:

@@ -17,7 +17,6 @@ from quadpencil.exact import (
     sqrt_in_etale,
     strip_square_content,
 )
-from quadpencil.localarith import signature
 from quadpencil.pencil import (
     BrauerQuotient,
     DeltaInvariant,
@@ -34,7 +33,6 @@ from quadpencil.pencil import (
     delta_invariant,
     hasse_class,
     mat_combine,
-    mat_congruent,
     mat_det,
     matrix_of,
     normalize_pencil,
@@ -43,8 +41,8 @@ from quadpencil.pencil import (
     pencil_dumps,
     random_pencil,
     smoothness_certificate,
-    verify_norm_square,
 )
+from reference import mat_congruent, signature, verify_norm_square
 
 
 def diag(*entries):
