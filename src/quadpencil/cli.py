@@ -28,7 +28,7 @@ from .pencil import rat_str
 # sympy module as cli.sympy; exact.py is the module that imports it.
 sympy = exact.sympy
 
-SCHEMA_VERSION = "quadpencil-report-1"
+SCHEMA_VERSION = "quadpencil-report-2"
 
 
 def _poly_json(f: RatPoly) -> list[str]:
@@ -190,7 +190,7 @@ def run_analyze(args) -> int:
         return 1
     inv = pencil.delta_invariant(norm, prime_budget=args.prime_bound_small)
     try:
-        profile = galois.galois_group_quintic(norm.P)
+        profile = galois.galois_group_quintic(norm.P, inv.factors)
     except ArithmeticError as e:  # no usable resolvent
         print(f"error: Galois group of P: {e}", file=sys.stderr)
         return 1

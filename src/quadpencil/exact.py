@@ -613,10 +613,6 @@ class SqrtEtaleResult:
     certificate: Optional[tuple[int, int]] = None  # (p, root of m mod p) with nonresidue value
     split_primes_tried: int = 0
 
-    @property
-    def decided(self) -> bool:
-        return self.status != "undecided"
-
 
 def lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
     """Hensel lift of a simple root of m from mod p to mod pk (pk a power of p)."""

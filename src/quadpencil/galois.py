@@ -316,8 +316,11 @@ def _bad_primes(P: RatPoly, disc: Fraction) -> BadSet:
 EVIDENCE_PRIMES = 10
 
 
-def galois_group_quintic(P: RatPoly, c5_bound: int = 10_000) -> GaloisProfile:
-    """Classify Gal(P) for a monic separable quintic over Q.
+def galois_group_quintic(
+    P: RatPoly, factors: Sequence[RatPoly], c5_bound: int = 10_000
+) -> GaloisProfile:
+    """Classify Gal(P) for a monic separable quintic over Q, given the
+    irreducible factors of P over Q (P is not factored again).
 
     One walk over the good primes, bounded like `good_primes(bad, 3,
     c5_bound)`, serves both uses of Frobenius: its first EVIDENCE_PRIMES
@@ -332,8 +335,7 @@ def galois_group_quintic(P: RatPoly, c5_bound: int = 10_000) -> GaloisProfile:
         raise ValueError("quintic is not separable")
     disc_sq = is_square_q(disc)
 
-    fac = factor_q(P)
-    if len(fac) > 1 or fac[0][1] > 1:
+    if len(factors) > 1:  # disc(P) != 0, so no factor repeats
         return GaloisProfile("REDUCIBLE", disc_sq, None, ())
 
     walk = good_primes(_bad_primes(P, disc), 3, c5_bound)

@@ -36,13 +36,6 @@ def in_span(v: int, basis: Sequence[int]) -> bool:
     return v == 0
 
 
-def span(vectors: Iterable[int]) -> frozenset[int]:
-    out = {0}
-    for v in vectors:
-        out |= {w ^ v for w in out}
-    return frozenset(out)
-
-
 def intersect(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     """Basis of span(a) & span(b); vectors live in n bits (Zassenhaus).
 

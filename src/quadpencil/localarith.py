@@ -5,7 +5,7 @@ Real solubility of a smooth pencil is decided exactly: the base locus has
 real points iff no member of the real pencil is definite, and definiteness
 is constant between consecutive real singular parameters, so Sylvester's
 criterion (the signs of the integer leading principal minors) at one
-rational sample per interval, plus the member at infinity, decides.
+rational sample per interval decides.
 p-adic solubility is a tree search over residue candidates with a
 multivariate Hensel criterion; "unknown" is a first-class verdict and no
 verdict is ever guessed.
@@ -54,6 +54,7 @@ from .pencil import (
     definite_sign,
     int_det,
     mat_combine,
+    rat_str,
     smoothness_certificate,
 )
 
@@ -155,76 +156,37 @@ def isolate_real_roots(f: RatPoly) -> list[tuple[Fraction, Fraction]]:
 
 def real_soluble(pencil: Pencil) -> LocalCertificate:
     """Insoluble iff some real member of the pencil is definite; decided by
-    Sylvester's criterion between consecutive real roots of the
-    characteristic polynomial, plus the member at infinity.  Raises
+    Sylvester's criterion at one member per arc between consecutive real
+    singular members.  The witness is that proof: the definite member, or
+    every sampled member in the order tested, each indefinite.  Raises
     SingularPencilError unless the pencil is smooth."""
     q = smoothness_certificate(pencil)
     intervals = isolate_real_roots(q)
-    samples: list[Fraction] = []
+    # With no real root, q has degree 4 and its one real singular member is
+    # at infinity, so t = 0 lies on the only arc.  Otherwise lo and hi share
+    # the arc through infinity.
+    samples = [Fraction(0)]
     if intervals:
-        lo = intervals[0][0] - 1
-        hi = intervals[-1][1] + 1
-        samples.append(lo)
-        samples.append(hi)
-        for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
-            samples.append((b1 + a2) / 2)
-    else:
-        samples.append(Fraction(0))
-    members = [
-        (str(t0), mat_combine(pencil.phi1, pencil.phi2, Fraction(1), -t0), "in the pencil")
-        for t0 in samples
-    ]
-    if q.degree == 5:  # the t^5 coefficient is -det(phi2)
-        members.append(("infinity", pencil.phi2, "at infinity"))
-    for at, m, where in members:
-        sign = definite_sign(m)
+        samples = [intervals[0][0] - 1, intervals[-1][1] + 1]
+        samples += [(b1 + a2) / 2 for (_, b1), (a2, _) in zip(intervals, intervals[1:])]
+    for t0 in samples:
+        sign = definite_sign(mat_combine(pencil.phi1, pencil.phi2, Fraction(1), -t0))
         if sign:
             return LocalCertificate(
                 REAL_PLACE,
                 "insoluble",
-                witness={"definite_member_at": at, "signature": [5, 0] if sign > 0 else [0, 5]},
-                reason=f"definite member {where}",
+                witness={
+                    "definite_member_at": rat_str(t0),
+                    "signature": [5, 0] if sign > 0 else [0, 5],
+                },
+                reason="definite member in the pencil",
             )
-    witness = _approx_real_point(pencil)
     return LocalCertificate(
         REAL_PLACE,
         "soluble",
-        witness=witness,
+        witness={"indefinite_members_at": [rat_str(t0) for t0 in samples]},
         reason="no definite member on the real pencil line",
     )
-
-
-def _approx_real_point(pencil: Pencil, tries: int = 40, iters: int = 120) -> Optional[dict]:
-    """Best-effort numeric point on the intersection (projected Newton on
-    the sum of squares); the verdict never depends on it."""
-    try:
-        a1 = np.array([[float(x) for x in row] for row in pencil.phi1])
-        a2 = np.array([[float(x) for x in row] for row in pencil.phi2])
-    except OverflowError:  # an entry beyond the float range
-        return None
-    rng = np.random.default_rng(12345)
-    for _ in range(tries):
-        x = rng.standard_normal(5)
-        x /= np.linalg.norm(x)
-        for _ in range(iters):
-            f = np.array([x @ a1 @ x, x @ a2 @ x])
-            j = np.vstack([2 * a1 @ x, 2 * a2 @ x])
-            try:
-                step = np.linalg.lstsq(j, -f, rcond=None)[0]
-            except np.linalg.LinAlgError:  # pragma: no cover
-                break
-            x = x + step
-            n = np.linalg.norm(x)
-            if n < 1e-9:
-                break
-            x /= n
-        f = np.array([x @ a1 @ x, x @ a2 @ x])
-        if np.max(np.abs(f)) < 1e-12:
-            return {
-                "point": [float(v) for v in x],
-                "residual_exponent": int(np.floor(np.log10(max(np.max(np.abs(f)), 1e-300)))),
-            }
-    return None
 
 
 # ---------------------------------------------------------------------------

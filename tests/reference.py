@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import sympy
 
@@ -23,6 +23,7 @@ from quadpencil.exact import (
     LocalPlace,
     RatPoly,
     _as_rat,
+    factor_q,
     inverse_mod,
     is_square_q,
     legendre,
@@ -30,7 +31,12 @@ from quadpencil.exact import (
     resultant,
     val_unit,
 )
-from quadpencil.galois import SignedFrobenius, frobenius_class
+from quadpencil.galois import (
+    GaloisProfile,
+    SignedFrobenius,
+    frobenius_class,
+    galois_group_quintic,
+)
 from quadpencil.groupmod import WreathElement
 from quadpencil.pencil import DeltaInvariant, Matrix, char_poly, matrix_of
 from quadpencil.selmersim import SelmerSystem
@@ -171,6 +177,16 @@ def hilbert_support(a, b) -> list[LocalPlace]:
 
 
 # ---------------------------------------------------------------------------
+# Galois profiles
+
+
+def galois_profile(P: RatPoly, **kwargs) -> GaloisProfile:
+    """`galois_group_quintic` given the irreducible factors of P, as
+    `analyze` passes them from the delta invariant."""
+    return galois_group_quintic(P, [f for f, _ in factor_q(P)], **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # Residues of delta at good primes
 
 
@@ -233,9 +249,17 @@ def branch_form(P: RatPoly, delta_prime: DeltaInput, b) -> Matrix:
 # Selmer systems
 
 
+def span(vectors: Iterable[int]) -> frozenset[int]:
+    """Every F_2 combination of the vectors (int bitmasks)."""
+    out = {0}
+    for v in vectors:
+        out |= {w ^ v for w in out}
+    return frozenset(out)
+
+
 def exhaustive_selmer(system: SelmerSystem) -> set[int]:
     """Oracle: enumerate the whole global subspace and filter (small systems)."""
-    return {x for x in gf2.span(system.global_lagrangian) if _in_product(system, x)}
+    return {x for x in span(system.global_lagrangian) if _in_product(system, x)}
 
 
 def _in_product(system: SelmerSystem, x: int) -> bool:

@@ -54,6 +54,7 @@ from reference import (
     hilbert_support,
     hilbert_symbol,
     shift,
+    span,
     verify_norm_square,
 )
 
@@ -286,7 +287,7 @@ def test_criterion_8_selmer_simulator():
     assert trace.dims == (5, 3, 1)
 
     kernel = ct_kernel(endgame_pairing(), 3)
-    assert gf2.span(kernel) == {0, 0b001}
+    assert span(kernel) == {0, 0b001}
     elapsed = time.time() - t0
     report(
         8,

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from quadpencil.cli import main, parse_poly
+from quadpencil.cli import _MAX_BITS, main, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
@@ -40,16 +40,25 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 
 @st.composite
 def t_expressions(draw, max_degree=MAX_DEGREE):
-    """(text, degree bound) of a t-expression; every subexpression of
-    lower precedence than its context is parenthesized, so the parse tree
-    is the generation tree and the bound holds for every intermediate."""
+    """A t-expression; every subexpression of lower precedence than its
+    context is parenthesized, so the parse tree is the generation tree.
+
+    Each node carries a degree bound and a bit bound b: the node is g / L
+    with integers g (its coefficients) and L > 0 of at most b bits each, so
+    no reduced coefficient exceeds b bits either.  Every node, not only the
+    root, stays within the parser's bounds (MAX_DEGREE, _MAX_BITS)."""
+
+    def node(text, degree, bits):
+        assume(degree <= max_degree and bits <= _MAX_BITS)
+        return text, degree, bits
 
     def atom():
         if draw(st.booleans()):
-            return "t", 1
+            return "t", 1, 1
         c = abs(draw(rationals))
         text = draw(st.sampled_from([str(c), f"{c.numerator}/{c.denominator}", f"{float(c):.3f}"]))
-        return (f"({text})" if "/" in text else text), 0
+        v = Fraction(text)
+        return (f"({text})" if "/" in text else text), 0, max(v.numerator, v.denominator).bit_length()
 
     def gen(depth):
         kinds = ["atom", "sum", "product", "power", "neg", "div"] if depth else ["atom"]
@@ -57,24 +66,28 @@ def t_expressions(draw, max_degree=MAX_DEGREE):
         if kind == "atom":
             return atom()
         if kind == "neg":
-            (a, da) = gen(depth - 1)
-            return f"-({a})", da
+            a, da, ba = gen(depth - 1)
+            return f"-({a})", da, ba
         if kind == "div":
-            (a, da) = gen(depth - 1)
+            # g / L divided by n / d is (g * d) / (L * n)
+            a, da, ba = gen(depth - 1)
             c = draw(rationals.filter(bool))
-            return f"({a})/({c})", da
+            return node(f"({a})/({c})", da, ba + max(abs(c.numerator), c.denominator).bit_length())
         if kind == "power":
-            (a, da) = gen(depth - 1)
+            # each coefficient of g^e is at most ((da + 1) * max|g_i|)^e
+            a, da, ba = gen(depth - 1)
             e = draw(st.integers(0, 4))
-            return f"({a}){draw(st.sampled_from(['^', '**', ' ^ ']))}{e}", da * e
-        (a, da), (b, db) = gen(depth - 1), gen(depth - 1)
+            op = draw(st.sampled_from(["^", "**", " ^ "]))
+            return node(f"({a}){op}{e}", da * e, e * (ba + (da + 1).bit_length()) if e else 1)
+        (a, da, ba), (b, db, bb) = gen(depth - 1), gen(depth - 1)
         if kind == "sum":
-            return f"{a} {draw(st.sampled_from(['+', '-']))} ({b})", max(da, db)
-        return f"({a})*({b})", da + db
+            # (g1 * L2 +- g2 * L1) / (L1 * L2)
+            op = draw(st.sampled_from(["+", "-"]))
+            return node(f"{a} {op} ({b})", max(da, db), ba + bb + 1)
+        # a coefficient of g1 * g2 sums at most min(da, db) + 1 products
+        return node(f"({a})*({b})", da + db, ba + bb + (min(da, db) + 1).bit_length())
 
-    text, degree = gen(4)
-    assume(degree <= max_degree)
-    return text
+    return gen(4)[0]
 
 
 def sympify_reference(text: str) -> RatPoly:
@@ -111,9 +124,11 @@ class TestParsePoly:
 
     @pytest.mark.parametrize(
         "text",
-        ["t^(2)", "2t", "t^2^2", "t^-1", "(t^9)^2", "t^16*t", "((9^16)^16)^16", "1e5", "(" * 5000],
+        ["t^(2)", "2t", "t^2^2", "t^-1", "(t^9)^2", "t^16*t", "((9^16)^16)^16",
+         "((((999999)^4)^4)^4)^4", "1e5", "(" * 5000],
         ids=["paren-exponent", "implicit-product", "chained-power", "negative-exponent",
-             "power-degree", "product-degree", "constant-tower", "exponent-notation", "deep-nesting"],
+             "power-degree", "product-degree", "constant-tower", "nested-constant-powers",
+             "exponent-notation", "deep-nesting"],
     )
     def test_rejected(self, text):
         with pytest.raises(ValueError):
@@ -143,6 +158,33 @@ class TestAnalyze:
         main(["--json", "--out", str(out), "analyze", str(split_pencil_file)])
         report = json.loads(out.read_text())
         jsonschema.validate(report, load_schema())
+
+    def test_real_witness_schema(self, split_pencil_file, tmp_path):
+        # the schema admits exactly the two exact real certificates
+        definite = tmp_path / "definite.json"
+        definite.write_text(pencil_dumps(Pencil(diag(1, 1, 1, 1, 1), diag(0, 1, 2, 3, 4))))
+        schema = load_schema()
+        reals = []
+        for path in (split_pencil_file, definite):
+            out = tmp_path / "report.json"
+            main(["--json", "--out", str(out), "analyze", str(path)])
+            report = json.loads(out.read_text())
+            jsonschema.validate(report, schema)
+            reals.append(report["local_certificates"][0])
+        soluble, insoluble = reals
+        assert soluble["verdict"] == "soluble" and "indefinite_members_at" in soluble["witness"]
+        assert insoluble["verdict"] == "insoluble"
+        assert insoluble["witness"]["signature"] == [5, 0]
+        t = Fraction(insoluble["witness"]["definite_member_at"])
+        assert all(1 - t * b > 0 for b in range(5))
+        item = schema["properties"]["local_certificates"]["items"]
+        for bad in (
+            {**soluble, "witness": insoluble["witness"]},
+            {**insoluble, "witness": None},
+            {**soluble, "witness": {"point": [0.5, 0.5, 0.5, 0.5, 0.0]}},
+        ):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, {**item, "definitions": schema["definitions"]})
 
     @pytest.mark.parametrize(
         "text",
@@ -451,14 +493,25 @@ class TestLocal:
         assert err.startswith("error: singular base locus: ") and err.count("\n") == 1
 
     def test_entry_beyond_float_range(self, tmp_path, capsys):
-        # the real verdict is exact; only the best-effort float point is
-        # skipped when an entry does not fit a float
+        # the real witness is exact at any height: one indefinite member on
+        # each arc between the singular members t = a_i / b_i, the first two
+        # on the arc through infinity, each written "n/d"
+        d1, d2 = (1, -1, 2, -3, 5), (10**400, 2, -3, 4, -5)
         path = tmp_path / "huge.json"
-        path.write_text(pencil_dumps(Pencil(diag(1, -1, 2, -3, 5), diag(10**400, 2, -3, 4, -5))))
+        path.write_text(pencil_dumps(Pencil(diag(*d1), diag(*d2))))
         out = tmp_path / "local.json"
         assert main(["--json", "--out", str(out), "local", str(path), "--places", "3"]) == 0
         real = json.loads(out.read_text())["certificates"][0]
-        assert (real["verdict"], real["witness"]) == ("soluble", None)
+        assert real["verdict"] == "soluble" and list(real["witness"]) == ["indefinite_members_at"]
+        texts = real["witness"]["indefinite_members_at"]
+        ts = [Fraction(x) for x in texts]
+        assert texts == [f"{t.numerator}/{t.denominator}" for t in ts]
+        roots = sorted(Fraction(a, b) for a, b in zip(d1, d2))
+        lo, hi, *mids = ts
+        assert lo < roots[0] and roots[-1] < hi and len(mids) == 4
+        assert all(r < m < s for r, m, s in zip(roots, mids, roots[1:]))
+        for t in ts:
+            assert {a - t * b > 0 for a, b in zip(d1, d2)} == {True, False}
         assert capsys.readouterr().err == ""
 
 

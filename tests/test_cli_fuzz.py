@@ -19,7 +19,13 @@ IDENTITY_CONDITION = "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"
 BASE = pencil_to_json(Pencil(diag(1, -1, 2, -3, 5), diag(1, 2, -3, 4, -5)))
 
 
+def refuse_float(text):
+    raise AssertionError(f"float {text} in a report")
+
+
 def run(argv):
+    """Run one --json command line; a report (exit 0 or 2) is JSON without a
+    single float in it, and an error (exit 1) is one line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -29,6 +35,8 @@ def run(argv):
     if code == 1:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+    else:
+        json.loads(out.getvalue(), parse_float=refuse_float)
 
 
 @pytest.fixture(scope="module")

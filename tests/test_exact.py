@@ -329,7 +329,7 @@ class TestSqrtEtale:
 
     def test_rational_square_times_nonsquare(self):
         res = sqrt_in_etale(poly(20), poly(1, 1, 0, 1, 1, 1))
-        assert res.decided
+        assert res.status != "undecided"
 
     def test_cubic_field(self):
         # 2 is a cube root situation: theta^2 is a square (trivially), theta

@@ -38,7 +38,7 @@ from quadpencil.galois import (
     resolvent_sextic,
 )
 from quadpencil.pencil import pencil_dumps
-from reference import shift, to_wreath
+from reference import galois_profile, shift, to_wreath
 
 
 def poly(*coeffs):
@@ -77,7 +77,7 @@ KNOWN = [
 class TestGaloisLabel:
     @pytest.mark.parametrize("P,label", KNOWN)
     def test_known_labels(self, P, label):
-        prof = galois_group_quintic(P)
+        prof = galois_profile(P)
         assert prof.label == label
 
     @pytest.mark.parametrize("P,label", KNOWN)
@@ -89,25 +89,25 @@ class TestGaloisLabel:
         expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(P.coeffs))
         name = galois_group(sympy.Poly(expr, t), by_name=True)[0].name
         translate = {"C5": "C5", "D5": "D10", "M20": "F20", "A5": "A5", "S5": "S5"}
-        assert translate[name] == galois_group_quintic(P).label
+        assert translate[name] == galois_profile(P).label
 
     def test_reducible(self):
-        assert galois_group_quintic(SPLIT_QUINTIC).label == "REDUCIBLE"
+        assert galois_profile(SPLIT_QUINTIC).label == "REDUCIBLE"
 
     def test_c5_records_bound(self):
-        prof = galois_group_quintic(C5_QUINTIC, c5_bound=500)
+        prof = galois_profile(C5_QUINTIC, c5_bound=500)
         assert prof.label == "C5"
         assert prof.c5_bound == 500
         assert prof.probabilistic
 
     def test_d10_not_probabilistic(self):
-        prof = galois_group_quintic(D10_QUINTIC)
+        prof = galois_profile(D10_QUINTIC)
         assert prof.c5_bound is None
 
     def test_evidence_class_sets(self):
         # consistency over 100 sampled primes per polynomial
         for P, label in KNOWN:
-            prof = galois_group_quintic(P)
+            prof = galois_profile(P)
             for _, ct in prof.evidence:
                 assert ct in CLASS_SETS[label], (label, ct)
             for _, ct in sample_cycle_types(P, 100):
@@ -134,7 +134,7 @@ class TestGaloisLabel:
             scaled = RatPoly.of(
                 [coef * Fraction(lam) ** (5 - i) for i, coef in enumerate(shift(P, c).coeffs)]
             )
-            assert galois_group_quintic(scaled).label == label
+            assert galois_profile(scaled).label == label
             done += 1
 
     def test_profile_validation(self):
@@ -171,11 +171,23 @@ class TestEvidenceWalk:
 
     def test_c5_hunt_walks_the_bounded_good_primes_once(self, monkeypatch):
         expected = list(good_primes(galois_bad_set(C5_QUINTIC), 3, 500))
+        factors = [f for f, _ in exact_mod.factor_q(C5_QUINTIC)]
         primes = self._record_cycle_types(monkeypatch)
-        prof = galois_group_quintic(C5_QUINTIC, c5_bound=500)
+        factored = []
+        original = exact_mod.factor_q
+
+        def recording(f):
+            factored.append(f)
+            return original(f)
+
+        for module in (exact_mod, galois_mod):
+            monkeypatch.setattr(module, "factor_q", recording)
+        prof = galois_group_quintic(C5_QUINTIC, factors, c5_bound=500)
         assert prof.label == "C5"
         assert primes == expected
         assert [p for p, _ in prof.evidence] == expected[:10]
+        # P arrives factored: the only polynomial factored is the resolvent sextic
+        assert [f.degree for f in factored] == [6]
 
 
 class TestResolvent:
@@ -186,7 +198,7 @@ class TestResolvent:
         assert sext[-1] == 0
 
     def test_s5_no_root(self):
-        prof = galois_group_quintic(S5_QUINTIC)
+        prof = galois_profile(S5_QUINTIC)
         assert prof.resolvent_root is None
 
     @staticmethod
@@ -275,7 +287,7 @@ class TestNoFloat:
 
     @pytest.mark.parametrize("P,label", KNOWN)
     def test_labels(self, P, label):
-        assert galois_group_quintic(P).label == label
+        assert galois_profile(P).label == label
 
     @pytest.mark.parametrize(
         "P,delta,label,code",

@@ -12,6 +12,10 @@ SRC = pathlib.Path(quadpencil.__file__).parent
 # The one module allowed to import each third-party package.
 OWNERS = {"sympy": "exact.py", "numpy": "localarith.py"}
 
+# The functions of localarith.py that may use numpy (as np): the p-adic
+# scan.  Real solubility and everything else there is exact.
+NUMPY_USERS = {"_chart_points", "_unit_row", "_eval_forms", "padic_soluble"}
+
 
 def test_third_party_owners_and_no_evaluation():
     for path in sorted(SRC.glob("*.py")):
@@ -29,25 +33,54 @@ def test_third_party_owners_and_no_evaluation():
                 name = getattr(f, "id", None) or getattr(f, "attr", None)
                 assert name not in ("eval", "exec", "sympify"), f"{path.name} calls {name}"
 
+    for node in ast.parse((SRC / "localarith.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy", "localarith.py imports from numpy"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "numpy":
+                    assert (a.name, a.asname) == ("numpy", "np"), f"localarith.py imports {a.name}"
+        elif any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node)):
+            name = getattr(node, "name", "module-level code")
+            assert name in NUMPY_USERS, f"localarith.py uses numpy in {name}"
+
 
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _used_names(tree, literals=False) -> set[str]:
-    """Identifiers a syntax tree uses: names, attributes and imported names;
-    with literals, also each part of a string constant that is a dotted
-    identifier, such as perfbench's "RatPoly.__mul__"."""
+def _used_names(tree, bare=True) -> set[str]:
+    """Identifiers a syntax tree uses: attributes, imported names and, when
+    bare, plain names."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.update(node.name.split("."))
-        elif literals and isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
-            out.update(node.value.split("."))
+    return out
+
+
+def _benchmark_targets(tree) -> set[str]:
+    """The parts of each attribute path that perfbench names in a tuple such
+    as ("exact.RatPoly.mul", "quadpencil.exact", "RatPoly.__mul__", COUNTER),
+    when the path resolves in that module by getattr.  Any other string is
+    text: a metric name or a record kind names no definition."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Tuple):
+            continue
+        texts = [e.value if isinstance(e, ast.Constant) and isinstance(e.value, str) else ""
+                 for e in node.elts]
+        for module, path in zip(texts, texts[1:]):
+            if not re.fullmatch(r"quadpencil\.\w+", module) or not path:
+                continue
+            obj = importlib.import_module(module)
+            for part in path.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                out.update(path.split("."))
     return out
 
 
@@ -90,14 +123,17 @@ def _overrides_outside(qual: str) -> bool:
 def test_every_function_has_a_caller():
     # every function, method and class of the package is reachable by name
     # from the verbs (cli.main), module-level code, the scripts or the
-    # benchmark; perfbench names the targets it wraps as strings.  Dunder
-    # methods are reached with their class.
+    # benchmark.  The benchmark reaches a definition only through an
+    # attribute, an import or a target tuple naming it as a string; its own
+    # variables share names with the package by chance.  Dunder methods are
+    # reached with their class.
     root = SRC.parent.parent
     defs, live = _definitions()
     for path in (root / "scripts").glob("*.py"):
         live |= _used_names(ast.parse(path.read_text()))
     for path in (root / "perfbench").glob("*.py"):
-        live |= _used_names(ast.parse(path.read_text()), literals=True)
+        tree = ast.parse(path.read_text())
+        live |= _used_names(tree, bare=False) | _benchmark_targets(tree)
     reached = {"cli.main"}
     live |= next(body for qual, _, body in defs if qual == "cli.main")
     grew = True

@@ -42,7 +42,7 @@ from quadpencil.pencil import (
     random_pencil,
     smoothness_certificate,
 )
-from reference import mat_congruent, signature, verify_norm_square
+from reference import galois_profile, mat_congruent, signature, verify_norm_square
 
 
 def diag(*entries):
@@ -447,8 +447,6 @@ class TestBrauerQuotient:
 
 class TestHasseClass:
     def test_irreducible(self):
-        from quadpencil.galois import galois_group_quintic
-
         P = poly(-2, 0, 0, 0, 0, 1)
         inv = DeltaInvariant(
             (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
@@ -457,14 +455,12 @@ class TestHasseClass:
             (poly(1),),
             ("square",),
         )
-        prof = galois_group_quintic(P)
+        prof = galois_profile(P)
         assert hasse_class(inv, prof).kind == "IRREDUCIBLE"
 
     def test_split_cases(self):
-        from quadpencil.galois import galois_group_quintic
-
         split = RatPoly.from_roots([0, 1, 2, 3, 4])
-        prof = galois_group_quintic(split)
+        prof = galois_profile(split)
         assert hasse_class(_split_invariant([5, 5, 5, 5, 1]), prof).kind == "SPLIT_NONTRIVIAL_BRAUER"
         assert hasse_class(_split_invariant([1, 1, 1, 1, 1]), prof).kind == "SPLIT_TRIVIAL_BRAUER"
         assert hasse_class(_split_invariant([5, 5, 1, 1, 1]), prof).kind == "SPLIT_TRIVIAL_BRAUER"

@@ -25,7 +25,7 @@ from quadpencil.selmersim import (
     twist_at,
     verify_pt_duality,
 )
-from reference import ct_kernel, endgame_pairing, exhaustive_selmer
+from reference import ct_kernel, endgame_pairing, exhaustive_selmer, span
 
 
 class TestLocalSpace:
@@ -85,7 +85,7 @@ class TestSelmer:
         for seed in range(40):
             system = make_system(seed, 3, [2, 4, 2])
             basis = selmer(system)
-            assert gf2.span(basis) == exhaustive_selmer(system)
+            assert span(basis) == exhaustive_selmer(system)
 
     def test_conditions_equal_projections_full(self):
         # global subspace = product of conditions gives Selmer = everything
@@ -98,9 +98,9 @@ class TestSelmer:
     def test_relaxed_contains_selmer(self):
         for seed in range(20):
             system = make_system(seed, 3, 4)
-            sel = gf2.span(selmer(system))
+            sel = span(selmer(system))
             for v in range(3):
-                rel = gf2.span(relaxed_selmer(system, v))
+                rel = span(relaxed_selmer(system, v))
                 assert sel <= rel
 
     def test_relaxed_codimension_bound(self):
@@ -254,7 +254,7 @@ class TestDescent:
 class TestCtKernel:
     def test_endgame_kernel_is_delta(self):
         kernel = ct_kernel(endgame_pairing(), 3)
-        assert gf2.span(kernel) == {0, 0b001}
+        assert span(kernel) == {0, 0b001}
 
     def test_zero_pairing(self):
         assert len(ct_kernel([0, 0, 0], 3)) == 3
