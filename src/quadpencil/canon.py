@@ -30,7 +30,6 @@ from .pencil import (
     Matrix,
     NormalizedPencil,
     Pencil,
-    binary_quintic,
     delta_invariant,
     matrix_of,
     normalize_pencil,
@@ -52,8 +51,6 @@ def power_sums(P: RatPoly, upto: int) -> list[Fraction]:
             acc += c[n - i] * s[k - i]
         if k <= n:
             acc += k * c[n - k]
-        else:
-            acc += 0
         s.append(-acc)
     return s
 
@@ -66,28 +63,29 @@ def trace_of(g: RatPoly, P: RatPoly, sums: Optional[list[Fraction]] = None) -> F
     return sum((g[j] * sums[j] for j in range(P.degree)), Fraction(0))
 
 
-def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> RatPoly:
-    """Accept a single class mod P or a per-factor list; return one class.
+def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple[RatPoly, ...]]:
+    """Accept a single class mod P or a per-factor list; return one class
+    and the monic irreducible factors of P, in the order of factor_q(P).
 
-    Per-factor lists follow the factor order of factor_q(P) and are glued by
-    CRT.  The class must be invertible modulo every factor.
+    Per-factor lists follow that factor order and are glued by CRT.  The
+    class must be invertible modulo every factor.
     """
+    factors = tuple(f for f, _ in factor_q(P))
     if isinstance(delta_prime, RatPoly):
         d = delta_prime % P
     else:
         entries = [
             e if isinstance(e, RatPoly) else RatPoly.const(e) for e in delta_prime
         ]
-        factors = [f for f, _ in factor_q(P)]
         if len(entries) != len(factors):
             raise ValueError(
                 f"{len(entries)} delta entries for {len(factors)} factors"
             )
         d = crt_poly([e % f for e, f in zip(entries, factors)], factors)
-    for f, _ in factor_q(P):
+    for f in factors:
         if (d % f).is_zero:
             raise ValueError(f"delta' not invertible modulo {f}")
-    return d
+    return d, factors
 
 
 def trace_form(P: RatPoly, weight: RatPoly, delta: RatPoly) -> Matrix:
@@ -112,6 +110,7 @@ class CanonicalModel:
 
     P: RatPoly
     delta: RatPoly  # one residue class mod P
+    factors: tuple[RatPoly, ...]  # the monic irreducible factors of P
     gram1: Matrix  # weight 1/P'
     gram2: Matrix  # weight theta/P'
 
@@ -119,7 +118,7 @@ class CanonicalModel:
         return Pencil(self.gram1, self.gram2)
 
     def delta_factors(self) -> list[tuple[RatPoly, RatPoly]]:
-        return [(f, self.delta % f) for f, _ in factor_q(self.P)]
+        return [(f, self.delta % f) for f in self.factors]
 
     def norm(self) -> Fraction:
         n = Fraction(1)
@@ -134,11 +133,11 @@ def canonical_quadrics(P: RatPoly, delta_prime: DeltaInput) -> CanonicalModel:
         raise ValueError("monic quintic required")
     if discriminant(P) == 0:
         raise ValueError("P must be separable")
-    delta = normalize_delta(P, delta_prime)
+    delta, factors = normalize_delta(P, delta_prime)
     w1 = inverse_mod(P.derivative(), P)
     g1 = trace_form(P, w1, delta)
     g2 = trace_form(P, (w1 * RatPoly.of([0, 1])) % P, delta)
-    return CanonicalModel(P, delta, g1, g2)
+    return CanonicalModel(P, delta, factors, g1, g2)
 
 
 @dataclass(frozen=True)
@@ -246,8 +245,9 @@ def roundtrip_invariants(
     model = canonical_quadrics(P, delta_prime)
     pencil = model.to_pencil()
     n = model.norm()
+    delta_factors = model.delta_factors()
 
-    bq = binary_quintic(pencil)  # coefficients of sum c_i mu^(5-i) nu^i
+    bq = pencil.det_poly  # coefficients of sum c_i mu^(5-i) nu^i
     det_ok = all(bq[i] == n * P[5 - i] for i in range(6))
 
     recovered = normalize_pencil(pencil)
@@ -258,7 +258,7 @@ def roundtrip_invariants(
     used = set()
     for rf, rd in inv.factor_reps():
         target = None
-        for j, (pf, pd) in enumerate(model.delta_factors()):
+        for j, (pf, pd) in enumerate(delta_factors):
             if j in used or pf.degree != rf.degree:
                 continue
             if (_mobius_pullback(pf, a, b, c, d) % rf).is_zero:

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, canon, exact, galois, groupmod, localarith, pencil, selmersim
-from .exact import MAX_DEGREE, RatPoly, discriminant, factor_q, prime_place
+from .exact import MAX_DEGREE, RatPoly, discriminant, prime_place
 from .pencil import rat_str
 
 # The benchmark's self-test (perfbench/selftest.py) reads the program's
@@ -384,12 +384,12 @@ def run_search(args) -> int:
         P = parse_poly(args.poly)
         if P.degree != 5 or discriminant(P) == 0:
             raise ValueError(f"not a separable quintic: {P}")
-        dcomb = canon.normalize_delta(P, parse_delta(args.delta, P))
+        dcomb, factors = canon.normalize_delta(P, parse_delta(args.delta, P))
         conditions = parse_conditions(args.conditions)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    delta_factors = [(f, dcomb % f) for f, _ in factor_q(P)]
+    delta_factors = [(f, dcomb % f) for f in factors]
     try:
         wit = localarith.find_bT(
             P,

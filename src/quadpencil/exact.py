@@ -6,11 +6,16 @@ tests, bad-prime sets with the walk over good primes, and a certified
 square-root test in etale algebras Q[t]/(m).
 
 Polynomials are coefficient tuples in low-to-high order with no trailing
-zeros; the zero polynomial has an empty tuple.  This is the only module
-that calls sympy: factorization over Q and over F_p, resultants,
-primality, the next prime and integer factorization are delegated to it
-(exact, deterministic); everything the certificates depend on is
-re-verified here.
+zeros; the zero polynomial has an empty tuple.  A polynomial over Z/N is
+the int list of its coefficients in [0, N), and `fp_reduce` is the one way
+a rational polynomial gets there.  Determinants of integer matrices are
+fraction-free Bareiss elimination, and a resultant is the determinant of
+an integer Sylvester matrix.
+
+This is the only module that calls sympy, for factorization and primes:
+factorization over Q and over F_p, primality, the next prime and integer
+factorization are delegated to it (exact, deterministic); everything the
+certificates depend on is re-verified here.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from typing import Iterator, Optional, Sequence
 import sympy
 
 _t = sympy.Symbol("t")
-
-Rat = Fraction
 
 # The largest polynomial degree factor_q accepts; command-line polynomials
 # are held to the same bound.
@@ -192,10 +195,53 @@ class RatPoly:
         return s.replace("+ -", "- ")
 
 
+def _bareiss(a: list[list[int]], exchange: bool = True) -> tuple[int, list[int]]:
+    """Bareiss elimination of the integer matrix a, in place; every division
+    is exact.  Returns the sign of the row exchanges and the pivots, which
+    stop at the first zero pivot; the last pivot times the sign is the
+    determinant.  Without row exchanges the pivots are the leading
+    principal minors."""
+    n = len(a)
+    sign, prev, pivots = 1, 1, []
+    for k in range(n):
+        if a[k][k] == 0 and exchange:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+        pivot = a[k][k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return sign, pivots
+
+
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of an integer matrix; the rows of a are overwritten."""
+    sign, pivots = _bareiss(a)
+    return sign * pivots[-1] if pivots else 1
+
+
 def resultant(f: RatPoly, g: RatPoly) -> Fraction:
+    """Res(f, g) = lc(f)^deg g lc(g)^deg f prod (alpha_i - beta_j) over the
+    roots alpha of f and beta of g: with f = F/a and g = G/b for integer
+    F and G, the determinant of the Sylvester matrix of F and G divided by
+    a^deg g b^deg f."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of zero polynomial")
-    return _as_rat(sympy.resultant(f.to_sympy(), g.to_sympy()))
+    m, n = f.degree, g.degree
+    a, b = f.denominator_lcm(), g.denominator_lcm()
+    F = [c.numerator * (a // c.denominator) for c in reversed(f.coeffs)]
+    G = [c.numerator * (b // c.denominator) for c in reversed(g.coeffs)]
+    rows = [[0] * i + F + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + G + [0] * (m - 1 - i) for i in range(m)]
+    return Fraction(int_det(rows), a**n * b**m)
 
 
 def crt_poly(residues: Sequence[RatPoly], moduli: Sequence[RatPoly]) -> RatPoly:
@@ -290,11 +336,6 @@ def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
     return out
 
 
-def is_irreducible_q(f: RatPoly) -> bool:
-    fac = factor_q(f)
-    return len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree == f.degree
-
-
 def discriminant(f: RatPoly) -> Fraction:
     """Resultant-based discriminant, (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
     n = f.degree
@@ -306,47 +347,6 @@ def discriminant(f: RatPoly) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Polynomials over F_p (dense int lists, low-to-high)
-
-@dataclass(frozen=True)
-class FpPoly:
-    """Polynomial over F_p; 0 <= coefficient < p, no trailing zeros."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def of(cls, p: int, coeffs) -> "FpPoly":
-        if p < 2 or not sympy.isprime(p):
-            raise ValueError(f"{p} is not prime")
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(p, tuple(cs))
-
-    @classmethod
-    def from_ratpoly(cls, f: RatPoly, p: int) -> "FpPoly":
-        cs = []
-        for c in f.coeffs:
-            if c.denominator % p == 0:
-                raise ValueError(f"denominator divisible by {p}")
-            cs.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return cls.of(p, cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(
-            f"{c}*t^{i}" if i else str(c) for i, c in enumerate(self.coeffs) if c
-        )
-
 
 def fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -409,21 +409,35 @@ def fp_eval(a: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
-def factor_fp(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Monic irreducible factors of f over F_p with multiplicities."""
-    if f.is_zero:
+def fp_reduce(f: RatPoly, mod: int) -> list[int]:
+    """The coefficients of f in Z/mod; every denominator of f must be a unit
+    there."""
+    return fp_trim([c.numerator * pow(c.denominator, -1, mod) % mod for c in f.coeffs])
+
+
+def factor_fp(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors over F_p, with multiplicities, of the
+    polynomial with these coefficients (low to high)."""
+    cs = fp_trim([c % p for c in coeffs])
+    if not cs:
         raise ValueError("cannot factor the zero polynomial")
-    p = f.p
-    poly = sympy.Poly(list(reversed(f.coeffs)), _t, modulus=p, symmetric=False)
+    poly = sympy.Poly(cs[::-1], _t, modulus=p, symmetric=False)
     _, pairs = poly.factor_list()
     out = []
     for g, mult in pairs:
         cs = [int(c) % p for c in reversed(sympy.Poly(g, _t, modulus=p, symmetric=False).all_coeffs())]
         inv = pow(cs[-1], -1, p)
-        cs = [c * inv % p for c in cs]
-        out.append((FpPoly.of(p, cs), int(mult)))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        out.append((tuple(c * inv % p for c in cs), int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def _fixed_part(m: Sequence[int], xq: Sequence[int], p: int) -> list[int]:
+    """gcd(m, xq - x) over F_p for xq = x^(p^d) mod m: the product of the
+    distinct monic irreducible factors of m whose degree divides d."""
+    diff = list(xq) + [0] * (2 - len(xq))
+    diff[1] = (diff[1] - 1) % p
+    return fp_gcd(m, fp_trim(diff), p)
 
 
 def cycle_type(f: RatPoly, p: int) -> tuple[int, ...]:
@@ -431,10 +445,10 @@ def cycle_type(f: RatPoly, p: int) -> tuple[int, ...]:
 
     Requires f monic with p-integral coefficients and separable mod p.
     """
-    m = FpPoly.from_ratpoly(f, p).coeffs
+    m = fp_reduce(f, p)
     if len(m) - 1 != f.degree:
         raise ValueError("leading coefficient vanishes mod p")
-    rem = list(m)
+    rem = m
     degrees: list[int] = []
     xq = [0, 1]
     d = 0
@@ -445,8 +459,7 @@ def cycle_type(f: RatPoly, p: int) -> tuple[int, ...]:
             degrees.append(len(rem) - 1)
             break
         xq = fp_powmod(xq, p, rem, p)
-        diff = fp_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(list(xq) + [0, 0])])
-        g = fp_gcd(rem, diff, p)
+        g = _fixed_part(rem, xq, p)
         if len(g) - 1 > 0:
             degrees.extend([d] * ((len(g) - 1) // d))
             rem = _fp_div_exact(rem, g, p)
@@ -616,50 +629,30 @@ class SqrtEtaleResult:
 
 def lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
     """Hensel lift of a simple root of m from mod p to mod pk (pk a power of p)."""
-    md = m.derivative()
-    denom_lcm = m.denominator_lcm()
-    mi = [int(c * denom_lcm) for c in m.coeffs]
-    mdi = [int(c * denom_lcm) for c in md.coeffs]
+    mk, mdk = fp_reduce(m, pk), fp_reduce(m.derivative(), pk)
     cur, mod = r, p
     while mod < pk:
         mod = min(mod * mod, pk)
-        fr = fp_eval(mi, cur, mod)
-        fdr = fp_eval(mdi, cur, mod)
+        fr = fp_eval(mk, cur, mod)
+        fdr = fp_eval(mdk, cur, mod)
         cur = (cur - fr * pow(fdr, -1, mod)) % mod
     return cur % pk
 
 
-def _lift_sqrt(a: int, s0: int, p: int, pk: int) -> int:
-    """Lift s0 with s0^2 = a mod p to a square root of a mod pk."""
-    cur, mod = s0, p
-    while mod < pk:
-        mod = min(mod * mod, pk)
-        cur = (cur + a * pow(cur, -1, mod)) * pow(2, -1, mod) % mod
-    return cur % pk
-
-
-def _eval_rat_mod(f: RatPoly, x: int, mod: int) -> int:
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c.numerator * pow(c.denominator, -1, mod)) % mod
-    return acc
-
-
 def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleResult:
-    """Decide whether d is a square in the field Q[t]/(m).
+    """Decide whether d is a square in the etale algebra Q[t]/(m).
 
-    m must be monic irreducible, d nonzero mod m.  A positive answer
-    carries a verified root y with y^2 = d mod m (found by Hensel lifting
-    modulo a totally split prime and rational reconstruction).  A negative
-    answer carries a certificate (p, r): p an odd prime, unramified for m,
-    at which d is a unit, with m(r) = 0 mod p and d(r) a nonresidue mod p.
-    If neither is found within prime_budget split primes, returns
-    "undecided" rather than guessing.
+    m must be a monic squarefree modulus and d a unit mod m.  A positive
+    answer carries a verified root y with y^2 = d mod m (found by Hensel
+    lifting modulo a totally split prime and rational reconstruction).  A
+    negative answer carries a certificate (p, r): p an odd prime, unramified
+    for m, at which d is a unit, with m(r) = 0 mod p and d(r) a nonresidue
+    mod p; the Hensel lift of r maps the algebra to Z_p, where d has no
+    square root.  If neither is found within prime_budget split primes,
+    returns "undecided" rather than guessing.
     """
     if m.is_zero or m.lc != 1:
         raise ValueError("modulus must be monic")
-    if not is_irreducible_q(m):
-        raise ValueError("modulus must be irreducible")
     d = d % m
     if d.is_zero:
         raise ValueError("d is zero modulo m")
@@ -673,22 +666,26 @@ def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleR
         return SqrtEtaleResult("nonsquare", certificate=None)
 
     disc_m = discriminant(m)
+    if disc_m == 0:
+        raise ValueError("modulus must be squarefree")
+    if resultant(m, d) == 0:
+        raise ValueError("d is not a unit modulo m")
     bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
     primes = good_primes(bad, 3)
     deg = m.degree
     split_seen = 0
     while split_seen < prime_budget:
         p = next(primes)
-        mp = FpPoly.from_ratpoly(m, p).coeffs
-        xq = fp_powmod([0, 1], p, mp, p)
-        g = fp_gcd(mp, fp_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(list(xq) + [0, 0])]), p)
+        mp = fp_reduce(m, p)
+        g = _fixed_part(mp, fp_powmod([0, 1], p, mp, p), p)
         nroots = len(g) - 1
         if nroots <= 0:
             continue
         roots = [r for r in range(p) if fp_eval(g, r, p) == 0]
+        dp = fp_reduce(d, p)
         usable = []
         for r in roots:
-            u = _eval_rat_mod(d, r, p)
+            u = fp_eval(dp, r, p)
             if u == 0:
                 continue
             if legendre(u, p) == -1:
@@ -707,11 +704,12 @@ def _reconstruct_sqrt(d: RatPoly, m: RatPoly, p: int, root_vals) -> Optional[Rat
     for k_digits in (45, 130, 400):
         pk = p ** max(2, int(k_digits / math.log10(p)) + 1)
         roots_k = [lift_root(m, r, p, pk) for r, _ in root_vals]
+        dk = fp_reduce(d, pk)
         sqrts_k = []
         for (r, u), rk in zip(root_vals, roots_k):
-            a_k = _eval_rat_mod(d, rk, pk)
-            s0 = sqrt_mod_p(u, p)
-            sqrts_k.append(_lift_sqrt(a_k, s0, p, pk))
+            # the square root of d(rk) mod pk lifting the one of u mod p
+            y2 = RatPoly.of([-fp_eval(dk, rk, pk), 0, 1])
+            sqrts_k.append(lift_root(y2, sqrt_mod_p(u, p), p, pk))
         # Lagrange basis mod pk (roots distinct mod p, so differences invertible)
         for signs in range(1 << (deg - 1)):
             vals = [sqrts_k[0]]

@@ -36,13 +36,13 @@ from typing import Optional, Sequence
 
 from .exact import (
     BadSet,
-    FpPoly,
     RatPoly,
     cycle_type,
     discriminant,
     factor_fp,
     factor_q,
     fp_powmod,
+    fp_reduce,
     fp_rem,
     good_primes,
     is_square_q,
@@ -118,13 +118,12 @@ def _theta_value(roots, perm: Perm):
     return acc
 
 
-def _integer_quintic(P: RatPoly) -> tuple[list[int], int]:
+def _integer_quintic(P: RatPoly) -> list[int]:
     """Monic integer quintic with the same splitting field: x -> x/lam scaling."""
     lam = P.denominator_lcm()
     scaled = RatPoly.of([c * Fraction(lam) ** (5 - i) for i, c in enumerate(P.coeffs)])
-    coeffs = [int(c) for c in scaled.coeffs]
     assert scaled.lc == 1
-    return coeffs, lam
+    return [int(c) for c in scaled.coeffs]
 
 
 # Coefficients of the F20 resolvent of a depressed quintic
@@ -231,8 +230,7 @@ def resolvent_sextic(P: RatPoly) -> list[int]:
     depressed integer quintic with coefficients b; its resolvent comes from
     `_F20_TABLE`, and each conjugate shifts as theta_z = 625 theta_x + corr.
     """
-    coeffs, _ = _integer_quintic(P)
-    a = coeffs[::-1]  # 1, a1, ..., a5
+    a = _integer_quintic(P)[::-1]  # 1, a1, ..., a5
     a1 = a[1]
     # 5^5 P((z - a1)/5) = sum_i a_i 5^i (z - a1)^(5-i), high to low in z
     b = [0] * 6
@@ -288,7 +286,7 @@ def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:
 
 def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
     """(a rational root of a separable metacyclic resolvent or None, #transforms)."""
-    work = RatPoly.of(_integer_quintic(P)[0])
+    work = RatPoly.of(_integer_quintic(P))
     steps = 0
     while True:
         sext = RatPoly.of(resolvent_sextic(work)[::-1])
@@ -367,23 +365,24 @@ class RamifiedPrimeError(ValueError):
 class SignedFrobenius:
     """Frobenius class datum at a good odd prime.
 
-    Local factors are in the canonical order (degree, lifted coefficients);
-    bits[j] is the quadratic-residue bit of the relevant delta representative
-    evaluated at a root of the j-th local factor in F_{p^deg}.
+    Local factors are monic coefficient tuples over F_p (low to high), in
+    the canonical order (degree, coefficients); bits[j] is the
+    quadratic-residue bit of the relevant delta representative evaluated at
+    a root of the j-th local factor in F_{p^deg}.
     """
 
     p: int
-    local_factors: tuple[FpPoly, ...]
+    local_factors: tuple[tuple[int, ...], ...]
     bits: tuple[int, ...]
     global_index: tuple[int, ...]  # which (P_i, d_i) pair each local factor reduces
 
     @property
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((f.degree for f in self.local_factors), reverse=True))
+        return tuple(sorted((len(f) - 1 for f in self.local_factors), reverse=True))
 
     def class_datum(self) -> tuple[tuple[int, int], ...]:
         """Conjugacy invariant in the wreath group: multiset of (length, bit)."""
-        return tuple(sorted(((f.degree, b) for f, b in zip(self.local_factors, self.bits)), reverse=True))
+        return tuple(sorted(((len(f) - 1, b) for f, b in zip(self.local_factors, self.bits)), reverse=True))
 
 
 def frobenius_class(
@@ -407,18 +406,16 @@ def frobenius_class(
         if di.denominator_lcm() % p == 0 or val_unit(resultant(Pi, di), p)[0] != 0:
             raise RamifiedPrimeError(f"delta ramifies at {p}")
 
-    factors = [f for f, _ in factor_fp(FpPoly.from_ratpoly(P, p))]
+    factors = [f for f, _ in factor_fp(fp_reduce(P, p), p)]
     bits = []
     gidx = []
     for m in factors:
         i = _matching_global_factor(delta_factors, m, p)
         gidx.append(i)
-        d_red = FpPoly.from_ratpoly(delta_factors[i][1], p)
-        e = fp_rem(list(d_red.coeffs), list(m.coeffs), p)
+        e = fp_rem(fp_reduce(delta_factors[i][1], p), m, p)
         if not e:
             raise RamifiedPrimeError(f"delta vanishes mod ({p}, factor)")
-        f = m.degree
-        s = fp_powmod(e, (p**f - 1) // 2, list(m.coeffs), p)
+        s = fp_powmod(e, (p ** (len(m) - 1) - 1) // 2, m, p)
         if s == [1]:
             bits.append(0)
         elif s == [p - 1]:
@@ -428,9 +425,8 @@ def frobenius_class(
     return SignedFrobenius(p, tuple(factors), tuple(bits), tuple(gidx))
 
 
-def _matching_global_factor(delta_factors, m: FpPoly, p: int) -> int:
+def _matching_global_factor(delta_factors, m: Sequence[int], p: int) -> int:
     for i, (Pi, _) in enumerate(delta_factors):
-        red = FpPoly.from_ratpoly(Pi, p)
-        if not fp_rem(list(red.coeffs), list(m.coeffs), p):
+        if not fp_rem(fp_reduce(Pi, p), m, p):
             return i
     raise ArithmeticError("local factor matches no global factor")

@@ -40,7 +40,9 @@ from .exact import (
     cycle_type,
     discriminant,
     fp_eval,
+    fp_reduce,
     good_primes,
+    int_det,
     lift_root,
     prime_place,
     resultant,
@@ -52,7 +54,6 @@ from .pencil import (
     Matrix,
     Pencil,
     definite_sign,
-    int_det,
     mat_combine,
     rat_str,
     smoothness_certificate,
@@ -567,9 +568,8 @@ def find_bT(
 def _local_b(P: RatPoly, p: int) -> int:
     """b mod p^2 with val_p(P(b)) = 1: lift the smallest simple root theta
     of P mod p and take b = theta + p."""
-    den = P.denominator_lcm()
-    coeffs = [int(c * den) for c in P.coeffs]
-    root = next((r for r in range(p) if fp_eval(coeffs, r, p) == 0), None)
+    Pp = fp_reduce(P, p)
+    root = next((r for r in range(p) if fp_eval(Pp, r, p) == 0), None)
     if root is None:
         raise ArithmeticError("matched prime has no root; class was inadmissible?")
     theta = lift_root(P, root, p, p * p)

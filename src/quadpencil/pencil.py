@@ -25,7 +25,9 @@ from typing import Optional, Sequence
 from . import gf2
 from .exact import (
     RatPoly,
+    _bareiss,
     factor_q,
+    int_det,
     inverse_mod,
     is_square_q,
     resultant,
@@ -47,39 +49,6 @@ def matrix_of(rows) -> Matrix:
 def is_symmetric(m: Matrix) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-
-
-def _bareiss(a: list[list[int]], exchange: bool = True) -> tuple[int, list[int]]:
-    """Bareiss elimination of the integer matrix a, in place; every division
-    is exact.  Returns the sign of the row exchanges and the pivots, which
-    stop at the first zero pivot; the last pivot times the sign is the
-    determinant.  Without row exchanges the pivots are the leading
-    principal minors."""
-    n = len(a)
-    sign, prev, pivots = 1, 1, []
-    for k in range(n):
-        if a[k][k] == 0 and exchange:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-        pivot = a[k][k]
-        pivots.append(pivot)
-        if pivot == 0:
-            break
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-        prev = pivot
-    return sign, pivots
-
-
-def int_det(a: list[list[int]]) -> int:
-    """Determinant of an integer matrix; the rows of a are overwritten."""
-    sign, pivots = _bareiss(a)
-    return sign * pivots[-1] if pivots else 1
 
 
 def _cleared(*mats) -> tuple[int, list[list[list[int]]]]:
@@ -173,12 +142,6 @@ def char_poly(m: Matrix) -> RatPoly:
     n = len(m)
     identity = matrix_of([[int(i == j) for j in range(n)] for i in range(n)])
     return char_poly_t(m, identity) * (-1) ** n
-
-
-def binary_quintic(pencil: Pencil) -> RatPoly:
-    """Coefficients c_i of det(mu phi1 - nu phi2) = sum c_i mu^(5-i) nu^i,
-    returned as the polynomial sum c_i t^i (the mu = 1 chart has t = nu)."""
-    return pencil.det_poly
 
 
 def smoothness_certificate(pencil: Pencil) -> RatPoly:

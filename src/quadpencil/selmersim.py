@@ -22,6 +22,7 @@ deterministic "random" systems.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -105,7 +106,7 @@ class SelmerSystem:
     places: tuple[LocalSpace, ...]
     global_lagrangian: tuple[int, ...]
 
-    @property
+    @functools.cached_property
     def offsets(self) -> list[int]:
         out = [0]
         for pl in self.places:
@@ -193,36 +194,17 @@ def _global_word(
     total_d: int,
     words: Optional[int] = None,
 ) -> list[int]:
-    offsets = [0]
-    for pl in places:
-        offsets.append(offsets[-1] + pl.dim)
     # start from the product of the conditions, itself maximal isotropic
-    basis = []
-    for pl, off in zip(places, offsets):
-        basis.extend(v << off for v in pl.condition)
-    total_dim = offsets[-1]
-    if total_dim == 0:
+    system = SelmerSystem(tuple(places), ())
+    basis = system.conditions_product()
+    if system.total_dim == 0:
         return []
-
-    def q_tot(x):
-        acc = 0
-        for pl, off in zip(places, offsets):
-            acc ^= q_split((x >> off) & ((1 << pl.dim) - 1), pl.d)
-        return acc
-
-    def pair_tot(x, y):
-        acc = 0
-        for pl, off in zip(places, offsets):
-            m = (1 << pl.dim) - 1
-            acc ^= pair_split((x >> off) & m, (y >> off) & m, pl.d)
-        return acc
-
     count = words if words is not None else 4 * total_d + 4 + rng.randrange(2)
     for _ in range(count):
         u = 0
-        while q_tot(u) != 1:
-            u = rng.randrange(1, 1 << total_dim)
-        basis = [x ^ u if pair_tot(x, u) else x for x in basis]
+        while system.q_total(u) != 1:
+            u = rng.randrange(1, 1 << system.total_dim)
+        basis = [x ^ u if system.pair_total(x, u) else x for x in basis]
     return gf2.reduce_basis(basis)
 
 

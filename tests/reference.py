@@ -1,14 +1,15 @@
 """Reference implementations the tests check the program against.
 
 None of these is run by a command: each is an independent oracle, a
-closed-form law the acceptance criteria assert, or a builder of test
-inputs.  They are written with the program's own types, so a test can
+closed-form law the acceptance criteria assert, a builder of test inputs
+or a call counter.  They are written with the program's own types, so a test can
 compare the two directly.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -198,7 +199,7 @@ def to_wreath(fr: SignedFrobenius) -> WreathElement:
     sign = 0
     pos = 0
     for f, b in zip(fr.local_factors, fr.bits):
-        d = f.degree
+        d = len(f) - 1
         for k in range(d):
             perm[pos + k] = pos + (k + 1) % d
         if b:
@@ -240,7 +241,7 @@ def branch_form(P: RatPoly, delta_prime: DeltaInput, b) -> Matrix:
     b = Fraction(b)
     if P(b) == 0:
         raise ValueError("b is a root of P")
-    delta = normalize_delta(P, delta_prime)
+    delta, _ = normalize_delta(P, delta_prime)
     w = inverse_mod((RatPoly.of([b, -1]) * P.derivative()) % P, P)
     return trace_form(P, w, delta)
 
@@ -292,3 +293,25 @@ def endgame_pairing(dim: int = 3) -> list[int]:
     if dim != 3:
         raise ValueError("the endgame configuration is three-dimensional")
     return [0b000, 0b100, 0b010]
+
+
+# ---------------------------------------------------------------------------
+# Call counting
+
+
+def count_factor_q(monkeypatch) -> list:
+    """The polynomials exact.factor_q is called on from now on, through any
+    module of the program that imported it."""
+    import quadpencil.exact as exact_mod
+
+    calls = []
+    original = exact_mod.factor_q
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quadpencil") and getattr(mod, "factor_q", None) is original:
+            monkeypatch.setattr(mod, "factor_q", counting)
+    return calls

@@ -34,7 +34,6 @@ from quadpencil.localarith import (
 )
 from quadpencil.pencil import (
     Pencil,
-    binary_quintic,
     delta_invariant,
     normalize_pencil,
     random_pencil,
@@ -176,7 +175,7 @@ def test_criterion_4_euler_traces_and_pencil_identity():
         if done % 10 == 0:
             model = canonical_quadrics(P, poly(1))
             n = model.norm()
-            bq = binary_quintic(model.to_pencil())
+            bq = model.to_pencil().det_poly
             assert all(bq[i] == n * P[5 - i] for i in range(6))
             assert is_square_q(n)
     elapsed = time.time() - t0

@@ -21,8 +21,8 @@ from quadpencil.canon import (
     roundtrip_invariants,
     trace_form,
 )
-from quadpencil.pencil import binary_quintic, mat_det
-from reference import branch_form
+from quadpencil.pencil import mat_det
+from reference import branch_form, count_factor_q
 
 
 def poly(*coeffs):
@@ -103,7 +103,7 @@ class TestCanonicalQuadrics:
             P = random_quintic(rng)
             model = canonical_quadrics(P, poly(1))
             n = model.norm()
-            bq = binary_quintic(model.to_pencil())
+            bq = model.to_pencil().det_poly
             assert all(bq[i] == n * P[5 - i] for i in range(6))
             assert is_square_q(n)
 
@@ -176,7 +176,7 @@ class TestNormalizeDelta:
         from quadpencil.exact import factor_q
 
         entries = [5, 5, 1, 1, 1]
-        d = normalize_delta(SPLIT_QUINTIC, entries)
+        d, _ = normalize_delta(SPLIT_QUINTIC, entries)
         # entries follow factor_q order (sorted by coefficient tuple)
         for (f, _), v in zip(factor_q(SPLIT_QUINTIC), entries):
             root = -f[0]
@@ -214,6 +214,11 @@ class TestRoundTrip:
         rep = roundtrip_invariants(SPLIT_QUINTIC, [2, 3, 6, 1, 1])
         assert rep.ok
         assert len({str(m.input_factor) for m in rep.matches}) == 5
+
+    def test_each_quintic_factored_once(self, monkeypatch):
+        calls = count_factor_q(monkeypatch)
+        rep = roundtrip_invariants(SPLIT_QUINTIC, [5, 5, 1, 1, 1])
+        assert calls == [SPLIT_QUINTIC, rep.recovered.P]
 
     def test_nonsquare_norm_detected(self):
         # a tuple with nonsquare norm is not a legitimate class: the pencil's

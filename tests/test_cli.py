@@ -12,7 +12,7 @@ from quadpencil.cli import _MAX_BITS, main, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
-from reference import diag, load_schema
+from reference import count_factor_q, diag, load_schema
 
 
 def poly(*coeffs):
@@ -241,6 +241,22 @@ class TestAnalyze:
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
         assert len(calls) == 1
 
+    def test_factor_q_on_p_and_resolvent_only(self, tmp_path, monkeypatch):
+        import random
+
+        from quadpencil.galois import resolvent_sextic
+        from quadpencil.pencil import random_pencil
+
+        path = tmp_path / "random.json"
+        path.write_text(pencil_dumps(random_pencil(random.Random(314))))
+        calls = count_factor_q(monkeypatch)
+        out = tmp_path / "r.json"
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
+        report = json.loads(out.read_text())
+        assert report["galois"]["label"] != "REDUCIBLE"
+        P = RatPoly.of(report["P"])
+        assert calls == [P, RatPoly.of(resolvent_sextic(P)[::-1])]
+
     def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
         import quadpencil.galois as galois_mod
 
@@ -428,6 +444,22 @@ class TestCanonKummer:
         assert main([verb, "--poly", "t^5-2", "--delta", "2,0,1", *extra]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: 3 delta entries for 1 factors"]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canon", "--delta", "5;5;1;1;1"],
+            ["kummer", "--delta", "5;5;1;1;1", "--b", "7"],
+            ["search", "--delta", "5;5;1;1;1", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
+        ],
+        ids=["canon", "kummer", "search"],
+    )
+    def test_quintic_factored_once(self, argv, monkeypatch, capsys):
+        P = "t*(t-1)*(t-2)*(t-3)*(t-4)"
+        calls = count_factor_q(monkeypatch)
+        assert main(["--json", argv[0], "--poly", P, *argv[1:]]) == 0
+        assert calls == [parse_poly(P)]
 
 
 class TestSearch:

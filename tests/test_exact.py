@@ -4,11 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadpencil.exact import (
     REAL_PLACE,
-    FpPoly,
     RatPoly,
     Residue,
     crt_poly,
@@ -16,8 +15,10 @@ from quadpencil.exact import (
     discriminant,
     factor_fp,
     factor_q,
+    fp_reduce,
     inverse_mod,
     is_square_q,
+    legendre,
     prime_place,
     rational_reconstruct,
     resultant,
@@ -114,29 +115,29 @@ class TestFactorQ:
 
 class TestFactorFp:
     def test_t5_minus_1_mod_11(self):
-        fac = factor_fp(FpPoly.of(11, [-1, 0, 0, 0, 0, 1]))
-        roots = sorted((11 - g.coeffs[0]) % 11 for g, _ in fac)
+        fac = factor_fp([-1, 0, 0, 0, 0, 1], 11)
+        roots = sorted((11 - g[0]) % 11 for g, _ in fac)
         assert roots == [1, 3, 4, 5, 9]
         for r in roots:
             assert (pow(r, 5, 11) - 1) % 11 == 0
 
     def test_t5_t_1_mod_2(self):
-        fac = factor_fp(FpPoly.of(2, [1, 1, 0, 0, 0, 1]))
-        assert [(g.coeffs, m) for g, m in fac] == [((1, 1, 1), 1), ((1, 0, 1, 1), 1)]
+        fac = factor_fp([1, 1, 0, 0, 0, 1], 2)
+        assert [(g, m) for g, m in fac] == [((1, 1, 1), 1), ((1, 0, 1, 1), 1)]
         # multiply back mod 2
         prod = [1]
         for g, m in fac:
             for _ in range(m):
-                new = [0] * (len(prod) + len(g.coeffs) - 1)
+                new = [0] * (len(prod) + len(g) - 1)
                 for i, a in enumerate(prod):
-                    for j, b in enumerate(g.coeffs):
+                    for j, b in enumerate(g):
                         new[i + j] = (new[i + j] + a * b) % 2
                 prod = new
         assert prod == [1, 1, 0, 0, 0, 1]
 
     def test_t2_plus_1_mod_3_irreducible(self):
-        fac = factor_fp(FpPoly.of(3, [1, 0, 1]))
-        assert len(fac) == 1 and fac[0][0].degree == 2
+        fac = factor_fp([1, 0, 1], 3)
+        assert len(fac) == 1 and len(fac[0][0]) - 1 == 2
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -144,19 +145,19 @@ class TestFactorFp:
         st.lists(st.integers(0, 10), min_size=1, max_size=8),
     )
     def test_refold_fp(self, p, coeffs):
-        f = FpPoly.of(p, coeffs)
-        if f.is_zero:
+        f = tuple(fp_reduce(RatPoly.of(coeffs), p))
+        if not f:
             return
-        fac = factor_fp(f)
-        prod = [f.coeffs[-1] % p]
+        fac = factor_fp(f, p)
+        prod = [f[-1] % p]
         for g, m in fac:
             for _ in range(m):
-                new = [0] * (len(prod) + len(g.coeffs) - 1)
+                new = [0] * (len(prod) + len(g) - 1)
                 for i, a in enumerate(prod):
-                    for j, b in enumerate(g.coeffs):
+                    for j, b in enumerate(g):
                         new[i + j] = (new[i + j] + a * b) % p
                 prod = new
-        assert tuple(prod) == f.coeffs
+        assert tuple(prod) == f
 
 
 class TestCycleType:
@@ -173,7 +174,7 @@ class TestCycleType:
                 if val_unit(disc, p)[0] != 0 if disc != 0 else True:
                     continue
                 expected = tuple(
-                    sorted((g.degree for g, m in factor_fp(FpPoly.from_ratpoly(f, p)) for _ in range(m)), reverse=True)
+                    sorted((len(g) - 1 for g, m in factor_fp(fp_reduce(f, p), p) for _ in range(m)), reverse=True)
                 )
                 assert cycle_type(f, p) == expected
 
@@ -193,6 +194,34 @@ class TestDiscriminant:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             discriminant(poly(3, 1))
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+
+
+class TestResultant:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(small_rationals, max_size=5),
+        st.lists(small_rationals, max_size=5),
+        nonzero_rationals,
+        nonzero_rationals,
+    )
+    @example([2], [0, 1, -1], 1, 1)  # deg f < deg g, both odd
+    @example([1, 2, 3], [0, 4, 5, 6, 7], -2, Fraction(1, 3))
+    @example([], [1, 2], 3, 1)  # constants
+    @example([1, 2], [], 1, 3)
+    @example([], [], 3, Fraction(1, 2))
+    def test_against_roots(self, alphas, betas, a, b):
+        # independent oracle: Res = a^deg g b^deg f prod (alpha_i - beta_j)
+        f = RatPoly.from_roots(alphas) * a
+        g = RatPoly.from_roots(betas) * b
+        expected = a ** len(betas) * b ** len(alphas)
+        for x in alphas:
+            for y in betas:
+                expected *= x - y
+        assert resultant(f, g) == expected
 
 
 class TestSquares:
@@ -353,6 +382,36 @@ class TestSqrtEtale:
         res = sqrt_in_etale(poly(2), m)  # 2 = (2 theta)^2 there
         assert res.status == "square"
         assert ((res.root * res.root - poly(2)) % m).is_zero
+
+
+    def test_reducible_modulus_square(self):
+        # (t^2 - 2)(t - 3): d a square in both components
+        m = poly(-2, 0, 1) * poly(-3, 1)
+        y = poly(1, 1, 1)
+        d = (y * y) % m
+        res = sqrt_in_etale(d, m)
+        assert res.status == "square"
+        assert ((res.root * res.root - d) % m).is_zero
+
+    def test_reducible_modulus_nonsquare_component(self):
+        # 2 is a square in Q(sqrt 2) but not in the component Q at t = 3
+        m = poly(-2, 0, 1) * poly(-3, 1)
+        res = sqrt_in_etale(poly(2), m)
+        assert res.status == "nonsquare"
+        p, r = res.certificate
+        # re-verify the certificate by hand: d(r) = 2 is a nonresidue
+        assert m(r) % p == 0
+        assert legendre(2, p) == -1
+
+    def test_repeated_factor_rejected(self):
+        m = poly(-1, 1) * poly(-1, 1) * poly(1, 1)  # (t - 1)^2 (t + 1)
+        with pytest.raises(ValueError, match="squarefree"):
+            sqrt_in_etale(poly(0, 1), m)
+
+    def test_zero_divisor_rejected(self):
+        m = poly(-2, 0, 1) * poly(-3, 1)
+        with pytest.raises(ValueError, match="not a unit"):
+            sqrt_in_etale(poly(-3, 1), m)
 
 
 class TestStripSquareContent:

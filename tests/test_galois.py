@@ -320,7 +320,7 @@ class TestFrobenius:
         fr = frobenius_class(SPLIT_QUINTIC, factors, 7)
         assert fr.cycle_type == (1, 1, 1, 1, 1)
         # 5 is a non-residue mod 7
-        by_root = dict(zip([(7 - f.coeffs[0]) % 7 for f in fr.local_factors], fr.bits))
+        by_root = dict(zip([(7 - f[0]) % 7 for f in fr.local_factors], fr.bits))
         assert by_root == {0: 1, 1: 1, 2: 0, 3: 0, 4: 0}
 
     def test_ramified_rejected(self):

@@ -12,6 +12,10 @@ SRC = pathlib.Path(quadpencil.__file__).parent
 # The one module allowed to import each third-party package.
 OWNERS = {"sympy": "exact.py", "numpy": "localarith.py"}
 
+# The sympy names exact.py may use: factorization and primes.  Everything
+# else, resultants included, is the repo's own exact arithmetic.
+SYMPY_NAMES = {"Symbol", "Rational", "Poly", "isprime", "nextprime", "factorint"}
+
 # The functions of localarith.py that may use numpy (as np): the p-adic
 # scan.  Real solubility and everything else there is exact.
 NUMPY_USERS = {"_chart_points", "_unit_row", "_eval_forms", "padic_soluble"}
@@ -43,6 +47,20 @@ def test_third_party_owners_and_no_evaluation():
         elif any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node)):
             name = getattr(node, "name", "module-level code")
             assert name in NUMPY_USERS, f"localarith.py uses numpy in {name}"
+
+
+def test_exact_sympy_names():
+    tree = ast.parse((SRC / "exact.py").read_text())
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "sympy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            used |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            used.add(node.attr)
+    assert used <= SYMPY_NAMES, f"exact.py uses sympy.{sorted(used - SYMPY_NAMES)}"
 
 
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
