@@ -20,6 +20,7 @@ certificates depend on is re-verified here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -639,6 +640,62 @@ def lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
     return cur % pk
 
 
+def unramified_prime(f: RatPoly) -> Optional[int]:
+    """The least odd prime that does not divide disc(f), for a monic f in
+    Z[t], or None when disc(f) = 0.
+
+    p does not divide disc(f) iff f mod p is squarefree, so the first 10
+    odd primes are tried mod p; the integer discriminant is computed only
+    when every one of them divides it."""
+    for p in itertools.islice(good_primes(BadSet((), 0), 3), 10):
+        fp = fp_reduce(f, p)
+        if len(fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:]), p)) == 1:
+            return p
+    disc = discriminant(f)
+    return None if disc == 0 else next(good_primes(BadSet((disc.numerator,), 0), 3))
+
+
+def integer_roots(f: RatPoly) -> list[int]:
+    """The integer roots of a monic f in Z[t], sorted; they are all of its
+    rational roots.
+
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): at the least odd prime
+    p not dividing disc(f) every root of f is a simple root mod p, so each
+    integer root is the symmetric residue of the Hensel lift of a root mod p
+    to a p^k above twice Fujiwara's bound 2 max |c_i|^(1/(n - i)) on the
+    roots.  A lift is kept only if it is a root of f exactly.  A repeated
+    root is a root of the squarefree part f // gcd(f, f'), which is then
+    lifted instead."""
+    if f.is_zero or f.lc != 1 or any(c.denominator != 1 for c in f.coeffs):
+        raise ValueError("monic integer polynomial required")
+    if f.degree < 2:
+        return [int(-f[0])] if f.degree == 1 else []
+    p = unramified_prime(f)
+    if p is None:
+        return integer_roots(f // f.gcd(f.derivative()))
+    fp = fp_reduce(f, p)
+    g = _fixed_part(fp, fp_powmod([0, 1], p, fp, p), p)
+    if len(g) < 2:
+        return []
+    n = f.degree
+    bound = 2 << max(-(-c.numerator.bit_length() // (n - i)) for i, c in enumerate(f.coeffs[:-1]))
+    pk = p
+    while pk <= 2 * bound:
+        pk *= pk
+    roots = []
+    for r in range(p):
+        if fp_eval(g, r, p) == 0:
+            x = lift_root(f, r, p, pk)
+            if x > pk // 2:
+                x -= pk
+            v = 0
+            for c in reversed(f.coeffs):
+                v = v * x + c.numerator
+            if v == 0:
+                roots.append(x)
+    return sorted(roots)
+
+
 def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleResult:
     """Decide whether d is a square in the etale algebra Q[t]/(m).
 
@@ -761,12 +818,18 @@ def squarefree_part(n: int) -> int:
     return out
 
 
+def _square_or_prime(n: int) -> bool:
+    return math.isqrt(n) ** 2 == n or sympy.isprime(n)
+
+
 def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
     """Multiply d by the square of a rational so heights shrink.
 
     Clears denominators, then removes the even part of every prime <= bound
-    from the integer content by trial division.  The square class of d in
-    Q[t]/(m) is unchanged.
+    from the integer content by trial division, and a cofactor left over
+    that is a square.  Trial division stops early once the cofactor is a
+    square or a prime: it would remove all of a square and none of a prime.
+    The square class of d in Q[t]/(m) is unchanged.
     """
     if d.is_zero:
         return d
@@ -780,13 +843,15 @@ def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
         sq = 1
         q = 2
         rem = g
-        while q * q <= rem and q <= bound:
+        settled = _square_or_prime(rem)
+        while not settled and q * q <= rem and q <= bound:
             if rem % q == 0:
                 exp = 0
                 while rem % q == 0:
                     rem //= q
                     exp += 1
                 sq *= q ** (2 * (exp // 2))
+                settled = _square_or_prime(rem)
             q += 1 if q == 2 else 2
         root = math.isqrt(rem)
         if root * root == rem:

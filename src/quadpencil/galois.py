@@ -9,11 +9,15 @@ type among sampled primes.  The resolvent is exact integer arithmetic: for
 the depressed quintic its coefficients are weighted-homogeneous integer
 polynomials in the quintic's coefficients (`_F20_TABLE`, derived and proved
 by scripts/f20_table.py; cf. Dummit, "Solving solvable quintics", Math.
-Comp. 57 (1991)), and an exact shift maps them back to P.  All polynomial
-algebra is over Q with `RatPoly`: separability is gcd(f, f') = 1, the
-rational roots come from `exact.factor_q`, and when the resolvent has a
-repeated root the Tschirnhausen transform r -> r^2 + c*r is the
-characteristic polynomial of that multiplication on Q[y]/(P).
+Comp. 57 (1991)), and an exact shift maps them back to P.  The tests on
+the resolvent are integer arithmetic too: a monic integer polynomial is
+separable when it is squarefree mod a small prime, or else when its
+discriminant (an integer Sylvester determinant) is nonzero
+(`exact.unramified_prime`), and the rational roots of the sextic are its
+integer roots, found by a p-adic lift (`exact.integer_roots`) without
+factoring it.  When the resolvent has a repeated root the Tschirnhausen
+transform r -> r^2 + c*r is the characteristic polynomial of that
+multiplication on Q[y]/(P).
 
 A prime is good for P when it is odd and divides neither disc(P) nor a
 denominator of P; this is a division test on those integers (a `BadSet`
@@ -40,13 +44,14 @@ from .exact import (
     cycle_type,
     discriminant,
     factor_fp,
-    factor_q,
     fp_powmod,
     fp_reduce,
     fp_rem,
     good_primes,
+    integer_roots,
     is_square_q,
     resultant,
+    unramified_prime,
     val_unit,
 )
 from .groupmod import Perm
@@ -263,11 +268,13 @@ def resolvent_sextic(P: RatPoly) -> list[int]:
 
 
 def _is_separable(f: RatPoly) -> bool:
-    return f.gcd(f.derivative()).degree == 0
+    """disc(f) != 0, for a monic f in Z[t]."""
+    return unramified_prime(f) is not None
 
 
 def _rational_roots(f: RatPoly) -> list[Fraction]:
-    return sorted(-g[0] for g, _ in factor_q(f) if g.degree == 1)
+    """The rational roots of a monic integer polynomial, sorted."""
+    return [Fraction(r) for r in integer_roots(f)]
 
 
 def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:

@@ -96,19 +96,51 @@ class LocalCertificate:
     reason: str = ""
 
 
-def _sturm_chain(f: RatPoly) -> list[RatPoly]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _sturm_chain(f: RatPoly) -> list[list[int]]:
+    """The Sturm chain f, f', -(f mod f'), ... as primitive integer
+    coefficient lists (low to high), each a positive multiple of the
+    rational one, so it has the same signs everywhere.
+
+    A primitive remainder sequence (Collins, JACM 14, 1967): the next
+    element is the pseudo-remainder lc(b)^e a - q b, e = deg a - deg b + 1,
+    of the last two, negated when lc(b)^e > 0 and divided by its content."""
+    den = f.denominator_lcm()
+    a = _primitive([int(c * den) for c in f.coeffs])
+    chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r, lb = a[:], b[-1]
+        for _ in range(len(a) - len(b) + 1):
+            c = r.pop()
+            k = len(r) - len(b) + 1
+            r = [lb * x for x in r]
+            for i, bi in enumerate(b[:-1]):
+                r[k + i] -= c * bi
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        if lb > 0 or (len(a) - len(b)) % 2:
+            r = [-x for x in r]
+        chain.append(_primitive(r))
     return chain
 
 
-def _sturm_var(chain: list[RatPoly], x: Fraction) -> int:
+def _sturm_var(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes of the chain at x = n/d, d > 0: the sign of g(x) is the
+    sign of the integer sum of g_i n^i d^(deg g - i)."""
+    n, d = x.numerator, x.denominator
     signs = []
     for g in chain:
-        v = g(x)
+        v, dk = g[-1], d
+        for c in reversed(g[:-1]):
+            v = v * n + c * dk
+            dk *= d
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

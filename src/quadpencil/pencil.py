@@ -26,6 +26,7 @@ from . import gf2
 from .exact import (
     RatPoly,
     _bareiss,
+    discriminant,
     factor_q,
     int_det,
     inverse_mod,
@@ -148,19 +149,20 @@ def smoothness_certificate(pencil: Pencil) -> RatPoly:
     """The squarefree binary quintic, or raise SingularPencilError.
 
     Squarefree means: the t-chart polynomial is squarefree and the root at
-    infinity (present when det(phi2) = 0) is simple.
+    infinity (present when det(phi2) = 0) is simple.  The chart polynomial
+    is squarefree iff its discriminant, an integer Sylvester determinant, is
+    nonzero; only a singular pencil pays for the gcd with the derivative,
+    which names the repeated factor.
     """
     q = pencil.det_poly
     if q.is_zero:
         raise SingularPencilError("every member of the pencil is singular")
     if q.degree < 4:
         raise SingularPencilError("repeated singular member at infinity")
+    if discriminant(q) != 0:
+        return q
     g = q.gcd(q.derivative())
-    if g.degree > 0:
-        raise SingularPencilError(
-            f"repeated singular member: {g}", repeated_factor=g
-        )
-    return q
+    raise SingularPencilError(f"repeated singular member: {g}", repeated_factor=g)
 
 
 Chart = tuple[Fraction, Fraction, Fraction, Fraction]

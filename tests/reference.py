@@ -9,6 +9,7 @@ compare the two directly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,6 +182,18 @@ def hilbert_support(a, b) -> list[LocalPlace]:
 # Galois profiles
 
 
+def sympy_rational_roots(coeffs_high_to_low: list[int]) -> list[Fraction]:
+    """Reference: the rational roots from sympy's factorization over Z."""
+    y = sympy.Symbol("y")
+    out = []
+    for fac, _ in sympy.Poly(coeffs_high_to_low, y).factor_list()[1]:
+        fp = sympy.Poly(fac, y)
+        if fp.degree() == 1:
+            a, b = fp.all_coeffs()
+            out.append(Fraction(int(-b), int(a)))
+    return sorted(out)
+
+
 def galois_profile(P: RatPoly, **kwargs) -> GaloisProfile:
     """`galois_group_quintic` given the irreducible factors of P, as
     `analyze` passes them from the delta invariant."""
@@ -293,6 +306,59 @@ def endgame_pairing(dim: int = 3) -> list[int]:
     if dim != 3:
         raise ValueError("the endgame configuration is three-dimensional")
     return [0b000, 0b100, 0b010]
+
+
+# ---------------------------------------------------------------------------
+# Rational and trial-division kernels the program replaced
+
+
+def fraction_sturm_chain(f: RatPoly) -> list[RatPoly]:
+    """The Sturm chain f, f', -(f mod f'), ... by Euclid over Q."""
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain
+
+
+def fraction_sturm_var(chain: list[RatPoly], x: Fraction) -> int:
+    """Sign changes of a rational Sturm chain at x."""
+    signs = []
+    for g in chain:
+        v = g(x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def strip_square_content_by_trial_division(d: RatPoly, bound: int = 10**6) -> RatPoly:
+    """d times the square of a rational: denominators cleared, the even part
+    of every prime <= bound divided out of the integer content, and the
+    cofactor left after trial division too when it is a square."""
+    if d.is_zero:
+        return d
+    den = d.denominator_lcm()
+    e = d * den * den
+    g = 0
+    for c in e.coeffs:
+        g = math.gcd(g, c.numerator)
+    if g > 1:
+        sq, q, rem = 1, 2, g
+        while q * q <= rem and q <= bound:
+            if rem % q == 0:
+                exp = 0
+                while rem % q == 0:
+                    rem //= q
+                    exp += 1
+                sq *= q ** (2 * (exp // 2))
+            q += 1 if q == 2 else 2
+        root = math.isqrt(rem)
+        if root * root == rem:
+            sq *= rem
+        if sq > 1:
+            e = e * Fraction(1, sq)
+    return e
 
 
 # ---------------------------------------------------------------------------

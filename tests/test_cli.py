@@ -241,10 +241,9 @@ class TestAnalyze:
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
         assert len(calls) == 1
 
-    def test_factor_q_on_p_and_resolvent_only(self, tmp_path, monkeypatch):
+    def test_factor_q_on_p_only(self, tmp_path, monkeypatch):
         import random
 
-        from quadpencil.galois import resolvent_sextic
         from quadpencil.pencil import random_pencil
 
         path = tmp_path / "random.json"
@@ -255,7 +254,25 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["galois"]["label"] != "REDUCIBLE"
         P = RatPoly.of(report["P"])
-        assert calls == [P, RatPoly.of(resolvent_sextic(P)[::-1])]
+        assert calls == [P]
+
+    def test_smooth_pencil_takes_no_rational_gcd(self, tmp_path, monkeypatch):
+        import random
+
+        from quadpencil.pencil import random_pencil
+
+        path = tmp_path / "random.json"
+        path.write_text(pencil_dumps(random_pencil(random.Random(314))))
+        calls = []
+        original = RatPoly.gcd
+
+        def counting(f, g):
+            calls.append((f, g))
+            return original(f, g)
+
+        monkeypatch.setattr(RatPoly, "gcd", counting)
+        assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
+        assert calls == []
 
     def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
         import quadpencil.galois as galois_mod

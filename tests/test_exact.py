@@ -16,6 +16,7 @@ from quadpencil.exact import (
     factor_fp,
     factor_q,
     fp_reduce,
+    integer_roots,
     inverse_mod,
     is_square_q,
     legendre,
@@ -27,7 +28,14 @@ from quadpencil.exact import (
     strip_square_content,
     val_unit,
 )
-from reference import hilbert_support, hilbert_symbol, local_square, shift
+from reference import (
+    hilbert_support,
+    hilbert_symbol,
+    local_square,
+    shift,
+    strip_square_content_by_trial_division,
+    sympy_rational_roots,
+)
 
 
 def poly(*coeffs):
@@ -425,6 +433,48 @@ class TestStripSquareContent:
         e = strip_square_content(d)
         ratio_num = d.coeffs[0] / e.coeffs[0]
         assert is_square_q(ratio_num)
+
+    # contents with small primes, primes above the trial-division bound,
+    # squares and fourth powers
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small=st.lists(st.sampled_from([2, 3, 5, 7, 19, 997]), max_size=4),
+        large=st.lists(st.sampled_from([1000003, 1000033, 4538519, 999999937]), max_size=2),
+        powers=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+        base=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+        den=st.integers(1, 12),
+    )
+    @example(small=[19], large=[4538519], powers=[4, 4, 1, 1, 1, 1], base=[1, 1], den=1)
+    @example(small=[], large=[1000003, 1000033], powers=[1, 1, 1, 1, 1, 1], base=[3], den=5)
+    def test_against_trial_division(self, small, large, powers, base, den):
+        content = 1
+        for q, e in zip(small + large, powers):
+            content *= q**e
+        d = RatPoly.of([Fraction(content * c, den) for c in base])
+        assert strip_square_content(d) == strip_square_content_by_trial_division(d)
+
+
+class TestIntegerRoots:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        roots=st.lists(st.integers(-20, 20) | st.integers(-10**12, 10**12), max_size=5),
+        cofactor=st.lists(st.integers(-10**12, 10**12) | st.integers(-9, 9), max_size=4),
+    )
+    @example(roots=[], cofactor=[0, 0, 0, 0])  # t^4: one repeated root 0
+    @example(roots=[3, 3, -5, 0], cofactor=[2])  # a double root, a zero constant term
+    @example(roots=[10**12, -10**12 + 1], cofactor=[10**12, -10**12, 1])
+    # 3 * 5 * ... * 31 divides disc: the prime comes from the discriminant
+    @example(roots=[0, 1, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31], cofactor=[])
+    def test_against_sympy(self, roots, cofactor):
+        f = RatPoly.from_roots(roots) * RatPoly.of(cofactor + [1])
+        expected = sympy_rational_roots([int(c) for c in reversed(f.coeffs)])
+        assert integer_roots(f) == sorted(set(expected))
+
+    def test_monic_integer_input_only(self):
+        with pytest.raises(ValueError, match="monic integer"):
+            integer_roots(poly(1, 2))
+        with pytest.raises(ValueError, match="monic integer"):
+            integer_roots(poly(Fraction(1, 2), 0, 1))
 
 
 class TestResidue:

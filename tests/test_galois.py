@@ -38,7 +38,7 @@ from quadpencil.galois import (
     resolvent_sextic,
 )
 from quadpencil.pencil import pencil_dumps
-from reference import galois_profile, shift, to_wreath
+from reference import count_factor_q, galois_profile, shift, sympy_rational_roots, to_wreath
 
 
 def poly(*coeffs):
@@ -173,21 +173,13 @@ class TestEvidenceWalk:
         expected = list(good_primes(galois_bad_set(C5_QUINTIC), 3, 500))
         factors = [f for f, _ in exact_mod.factor_q(C5_QUINTIC)]
         primes = self._record_cycle_types(monkeypatch)
-        factored = []
-        original = exact_mod.factor_q
-
-        def recording(f):
-            factored.append(f)
-            return original(f)
-
-        for module in (exact_mod, galois_mod):
-            monkeypatch.setattr(module, "factor_q", recording)
+        factored = count_factor_q(monkeypatch)
         prof = galois_group_quintic(C5_QUINTIC, factors, c5_bound=500)
         assert prof.label == "C5"
         assert primes == expected
         assert [p for p, _ in prof.evidence] == expected[:10]
-        # P arrives factored: the only polynomial factored is the resolvent sextic
-        assert [f.degree for f in factored] == [6]
+        # P arrives factored, and the resolvent's rational roots are lifted
+        assert factored == []
 
 
 class TestResolvent:
@@ -227,18 +219,6 @@ class TestResolvent:
         for F, scaled in ((P, roots), (Q, [lam * r for r in roots])):
             mu = F.denominator_lcm()  # the integer quintic has roots mu * r
             assert resolvent_sextic(F) == self._product_over_conjugates([mu * r for r in scaled])
-
-
-def sympy_rational_roots(coeffs_high_to_low: list[int]) -> list[Fraction]:
-    """Reference: the rational roots from sympy's factorization over Z."""
-    y = sympy.Symbol("y")
-    out = []
-    for fac, _ in sympy.Poly(coeffs_high_to_low, y).factor_list()[1]:
-        fp = sympy.Poly(fac, y)
-        if fp.degree() == 1:
-            a, b = fp.all_coeffs()
-            out.append(Fraction(int(-b), int(a)))
-    return sorted(out)
 
 
 def sympy_tschirnhausen(coeffs: list[int], c: int):

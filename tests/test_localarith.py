@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadpencil.exact import (
     RatPoly,
@@ -33,7 +33,14 @@ from quadpencil.localarith import (
     real_soluble,
 )
 from quadpencil.pencil import Pencil, matrix_of, pencil_dumps, random_pencil
-from reference import delta_residue_at, mat_congruent, signature
+import quadpencil.localarith as localarith_mod
+from reference import (
+    delta_residue_at,
+    fraction_sturm_chain,
+    fraction_sturm_var,
+    mat_congruent,
+    signature,
+)
 
 
 def poly(*coeffs):
@@ -147,6 +154,52 @@ class TestIsolateRoots:
         ivs = isolate_real_roots(SPLIT_QUINTIC)
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             assert b1 < a2
+
+
+    # non-monic, rational coefficients, repeated roots, roots near 10^100
+    @settings(max_examples=30, deadline=None)
+    @given(
+        roots=st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=6), min_size=1, max_size=4
+        ),
+        repeat=st.integers(0, 2),
+        square=st.sampled_from([None, 2, 3, 7]),
+        far=st.sampled_from([None, 10**12]),
+        cofactor=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=2),
+        lc=st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool),
+    )
+    @example(
+        roots=[Fraction(0), Fraction(1)], repeat=1, square=2, far=10**100, cofactor=[],
+        lc=Fraction(-3, 2),
+    )
+    @example(
+        roots=[Fraction(-7, 2), Fraction(5)], repeat=0, square=None, far=10**100,
+        cofactor=[Fraction(1, 3), 0], lc=Fraction(2, 5),
+    )
+    def test_against_rational_chain(self, roots, repeat, square, far, cofactor, lc):
+        if far is not None:
+            roots = roots + [far + roots[0]]
+        f = RatPoly.from_roots(roots + roots[:repeat]) * RatPoly.of(cofactor + [1]) * lc
+        chain = localarith_mod._sturm_chain(f)
+        reference_chain = fraction_sturm_chain(f)
+        assert len(chain) == len(reference_chain)
+        for g, h in zip(chain, reference_chain):
+            ratio = h.lc / g[-1]
+            assert ratio > 0 and RatPoly.of(g) * ratio == h
+        for x in roots + [r + Fraction(1, 7) for r in roots] + [Fraction(0)]:
+            assert localarith_mod._sturm_var(chain, x) == fraction_sturm_var(reference_chain, x)
+
+        # A rational multiple root on a bisection point stalls the bisection
+        # with either chain, so the isolation runs on the squarefree part,
+        # times the square of an irreducible quadratic for repeated roots.
+        f = f // f.gcd(f.derivative())
+        if square is not None:
+            f = f * RatPoly.of([-square, 0, 1]) * RatPoly.of([-square, 0, 1])
+        intervals = isolate_real_roots(f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localarith_mod, "_sturm_chain", fraction_sturm_chain)
+            mp.setattr(localarith_mod, "_sturm_var", fraction_sturm_var)
+            assert intervals == isolate_real_roots(f)
 
 
 class TestRealSoluble:
