@@ -13,6 +13,7 @@ exhausted searches), each reported as one `error:` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -28,7 +29,7 @@ from .pencil import rat_str
 # sympy module as cli.sympy; exact.py is the module that imports it.
 sympy = exact.sympy
 
-SCHEMA_VERSION = "quadpencil-report-2"
+SCHEMA_VERSION = "quadpencil-report-3"
 
 
 def _poly_json(f: RatPoly) -> list[str]:
@@ -252,8 +253,7 @@ def run_analyze(args) -> int:
             "resolvent_root": None
             if profile.resolvent_root is None
             else rat_str(profile.resolvent_root),
-            "c5_bound": profile.c5_bound,
-            "evidence": [[p, list(ct)] for p, ct in profile.evidence],
+            "certificate": _poly_json(c) if isinstance(c := profile.certificate, RatPoly) else c,
         },
         "brauer_dimension": b_dim,
         "classification": None
@@ -280,8 +280,7 @@ def run_analyze(args) -> int:
         f"chart: {payload['chart']}   P = {norm.P}",
         f"factors: {[str(f) for f in inv.factors]}",
         f"delta flags: {list(inv.square_flags)}",
-        f"galois: {profile.label}"
-        + (f" (probabilistic, bound {profile.c5_bound})" if profile.probabilistic else ""),
+        f"galois: {profile.label}",
         f"B-dimension: {b_dim}",
         f"classification: {cls.kind if cls else 'undecided'}",
         "local: " + ", ".join(f"{c.place}:{c.verdict}" for c in certs),
@@ -597,7 +596,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; each parse_args returns a fresh
+    namespace."""
     ap = _Parser(
         prog="quadpencil",
         description="arithmetic invariants of pencils of quadrics in P^4 over Q",

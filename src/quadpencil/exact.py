@@ -767,23 +767,27 @@ def _reconstruct_sqrt(d: RatPoly, m: RatPoly, p: int, root_vals) -> Optional[Rat
             # the square root of d(rk) mod pk lifting the one of u mod p
             y2 = RatPoly.of([-fp_eval(dk, rk, pk), 0, 1])
             sqrts_k.append(lift_root(y2, sqrt_mod_p(u, p), p, pk))
-        # Lagrange basis mod pk (roots distinct mod p, so differences invertible)
         for signs in range(1 << (deg - 1)):
             vals = [sqrts_k[0]]
             for i in range(1, deg):
                 vals.append(sqrts_k[i] if not (signs >> (i - 1)) & 1 else (-sqrts_k[i]) % pk)
-            coeffs_mod = _interpolate_mod(roots_k, vals, pk)
-            coeffs = []
-            for c in coeffs_mod:
-                rec = rational_reconstruct(c, pk)
-                if rec is None:
-                    break
-                coeffs.append(rec)
-            else:
-                y = RatPoly.of(coeffs)
-                if ((y * y - d) % m).is_zero:
-                    return y
+            y = interpolate_rational(roots_k, vals, pk)
+            if y is not None and ((y * y - d) % m).is_zero:
+                return y
     return None
+
+
+def interpolate_rational(xs: Sequence[int], ys: Sequence[int], pk: int) -> Optional[RatPoly]:
+    """The polynomial over Q of degree < len(xs) that takes the values ys at
+    xs mod pk, each coefficient read back by rational reconstruction, or
+    None when one has no reconstruction.  The xs must be distinct mod p, so
+    that their differences are units; the caller checks the result exactly."""
+    coeffs = []
+    for c in _interpolate_mod(xs, ys, pk):
+        if (rec := rational_reconstruct(c, pk)) is None:
+            return None
+        coeffs.append(rec)
+    return RatPoly.of(coeffs)
 
 
 def _interpolate_mod(xs: Sequence[int], ys: Sequence[int], mod: int) -> list[int]:

@@ -4,8 +4,8 @@ The label of a monic separable quintic among the five transitive
 subgroups of S5 is decided by (i) squareness of the discriminant,
 (ii) existence of a rational root of the degree-6 resolvent whose
 stabilizer is the metacyclic group of order 20, and (iii) for the
-C5/D10 split, a certificate search for a double-transposition cycle
-type among sampled primes.  The resolvent is exact integer arithmetic: for
+C5/D10 split, a certificate found on a walk over the good primes.  The
+resolvent is exact integer arithmetic: for
 the depressed quintic its coefficients are weighted-homogeneous integer
 polynomials in the quintic's coefficients (`_F20_TABLE`, derived and proved
 by scripts/f20_table.py; cf. Dummit, "Solving solvable quintics", Math.
@@ -21,10 +21,15 @@ multiplication on Q[y]/(P).
 
 A prime is good for P when it is odd and divides neither disc(P) nor a
 denominator of P; this is a division test on those integers (a `BadSet`
-with no margin), nothing is factored.  `galois_group_quintic` walks the
-good primes upward from 3 once (`exact.good_primes`): the first 10 are the
-evidence primes the report prints, and only the C5 hunt continues the same
-walk, up to its bound.
+with no margin), nothing is factored.  Every label is proved.  REDUCIBLE,
+F20, A5 and S5 are proved by the discriminant and the resolvent.  D10 is
+proved by a good prime where P has cycle type (2,2,1), which no element of
+C5 has.  C5 is proved by a nontrivial automorphism t -> g(t) of Q[t]/(P),
+checked exactly as P(g) = 0 mod P; g is found at a good prime where P
+splits completely, by interpolating g(r_i) = r_sigma(i) on the p-adic
+roots for the five-cycles sigma and reconstructing its rational
+coefficients (Stauduhar, "The determination of Galois groups", Math.
+Comp. 27 (1973)).  One walk over the good primes looks for both.
 
 Frobenius data at good primes is a cycle type plus one quadratic-residue
 bit per local factor, which determines a conjugacy class of (Z/2)^5 x| S5.
@@ -36,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .exact import (
     BadSet,
@@ -44,12 +49,15 @@ from .exact import (
     cycle_type,
     discriminant,
     factor_fp,
+    fp_eval,
     fp_powmod,
     fp_reduce,
     fp_rem,
     good_primes,
     integer_roots,
+    interpolate_rational,
     is_square_q,
+    lift_root,
     resultant,
     unramified_prime,
     val_unit,
@@ -59,25 +67,16 @@ from .pencil import char_poly
 
 LABELS = ("C5", "D10", "F20", "A5", "S5", "REDUCIBLE")
 
-# Cycle types realized by each transitive subgroup of S5.
-CLASS_SETS = {
-    "C5": {(1, 1, 1, 1, 1), (5,)},
-    "D10": {(1, 1, 1, 1, 1), (5,), (2, 2, 1)},
-    "F20": {(1, 1, 1, 1, 1), (5,), (2, 2, 1), (4, 1)},
-    "A5": {(1, 1, 1, 1, 1), (5,), (2, 2, 1), (3, 1, 1)},
-    "S5": {(1, 1, 1, 1, 1), (5,), (2, 2, 1), (3, 1, 1), (2, 1, 1, 1), (3, 2), (4, 1)},
-}
-
-
 @dataclass(frozen=True)
 class GaloisProfile:
-    """Classification of a quintic with its supporting evidence."""
+    """Classification of a quintic with the certificate of its label."""
 
     label: str
     disc_is_square: bool
     resolvent_root: Optional[Fraction]
-    evidence: tuple[tuple[int, tuple[int, ...]], ...]
-    c5_bound: Optional[int] = None  # set when C5 was concluded by certificate absence
+    # D10: a good prime where P has cycle type (2,2,1); C5: g with t -> g(t)
+    # a nontrivial automorphism of Q[t]/(P); None for the other labels
+    certificate: Union[int, RatPoly, None] = None
     tschirnhausen_steps: int = 0
 
     def __post_init__(self):
@@ -91,10 +90,8 @@ class GaloisProfile:
             raise ValueError("resolvent root expected for " + self.label)
         if self.label in ("A5", "S5") and self.resolvent_root is not None:
             raise ValueError("no resolvent root expected for " + self.label)
-
-    @property
-    def probabilistic(self) -> bool:
-        return self.c5_bound is not None
+        if (self.certificate is None) != (self.label not in ("C5", "D10")):
+            raise ValueError("a certificate is expected for C5 and D10 only")
 
 
 def _coset_theta_patterns() -> list[Perm]:
@@ -312,26 +309,12 @@ def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
         work = nxt
 
 
-def _bad_primes(P: RatPoly, disc: Fraction) -> BadSet:
-    """2 and the primes dividing disc(P) or a denominator of P."""
-    return BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0)
-
-
-# Good primes whose cycle types the profile carries as evidence.
-EVIDENCE_PRIMES = 10
-
-
-def galois_group_quintic(
-    P: RatPoly, factors: Sequence[RatPoly], c5_bound: int = 10_000
-) -> GaloisProfile:
+def galois_group_quintic(P: RatPoly, factors: Sequence[RatPoly]) -> GaloisProfile:
     """Classify Gal(P) for a monic separable quintic over Q, given the
     irreducible factors of P over Q (P is not factored again).
 
-    One walk over the good primes, bounded like `good_primes(bad, 3,
-    c5_bound)`, serves both uses of Frobenius: its first EVIDENCE_PRIMES
-    cycle types are the evidence, and only the C5/D10 split goes on along
-    it, looking for a (2,2,1) cycle type.  A D10 answer is certified, a C5
-    answer records the bound.
+    Raises ArithmeticError when the resolvent needs more than 12
+    Tschirnhausen transforms.
     """
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
@@ -341,24 +324,72 @@ def galois_group_quintic(
     disc_sq = is_square_q(disc)
 
     if len(factors) > 1:  # disc(P) != 0, so no factor repeats
-        return GaloisProfile("REDUCIBLE", disc_sq, None, ())
+        return GaloisProfile("REDUCIBLE", disc_sq, None)
 
-    walk = good_primes(_bad_primes(P, disc), 3, c5_bound)
-    evidence = tuple((p, cycle_type(P, p)) for p in itertools.islice(walk, EVIDENCE_PRIMES))
     root, steps = resolvent_has_rational_root(P)
-
     if root is None:
-        label = "A5" if disc_sq else "S5"
-        return GaloisProfile(label, disc_sq, None, evidence, tschirnhausen_steps=steps)
+        return GaloisProfile("A5" if disc_sq else "S5", disc_sq, None, tschirnhausen_steps=steps)
     if not disc_sq:
-        return GaloisProfile("F20", disc_sq, root, evidence, tschirnhausen_steps=steps)
+        return GaloisProfile("F20", disc_sq, root, tschirnhausen_steps=steps)
+    cert = _c5_or_d10_certificate(P, disc)
+    label = "D10" if isinstance(cert, int) else "C5"
+    return GaloisProfile(label, disc_sq, root, cert, tschirnhausen_steps=steps)
 
-    # C5 vs D10: a double transposition in the evidence or further along the walk
-    if any(ct == (2, 2, 1) for _, ct in evidence) or any(
-        cycle_type(P, p) == (2, 2, 1) for p in walk
-    ):
-        return GaloisProfile("D10", disc_sq, root, evidence, tschirnhausen_steps=steps)
-    return GaloisProfile("C5", disc_sq, root, evidence, c5_bound=c5_bound, tschirnhausen_steps=steps)
+
+def _c5_or_d10_certificate(P: RatPoly, disc: Fraction) -> Union[int, RatPoly]:
+    """For an irreducible P with group C5 or D10: g with P(g) = 0 mod P and
+    g != t, looked for once, at the first good prime where P splits
+    completely, or else the first good prime where P has cycle type (2,2,1),
+    which exists for D10 by Chebotarev's density theorem."""
+    searched = False
+    # 2 and the primes dividing disc(P) or a denominator of P are bad
+    for p in good_primes(BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0), 3):
+        ct = cycle_type(P, p)
+        if ct == (2, 2, 1):
+            return p
+        if ct == (1, 1, 1, 1, 1) and not searched:
+            searched, g = True, _automorphism(P, disc, p)
+            if g is not None:
+                return g
+
+
+def _automorphism(P: RatPoly, disc: Fraction, p: int) -> Optional[RatPoly]:
+    """g != t with P(g) = 0 mod P, found at a good prime p where P splits
+    completely, or None, which proves that Gal(P) is not C5.
+
+    The roots r_0 < ... < r_4 of P mod p are lifted to p^k.  An automorphism
+    permutes them by a five-cycle, and each of the six cyclic groups of
+    order 5 holds one cycle sending r_0 to r_1, so six interpolations of
+    g(r_i) = r_sigma(i) cover every automorphism when Gal(P) = C5.  The
+    precision doubles up to a p^k at which each one is sure to reconstruct.
+    With D the denominator lcm of P, g(t) = h(D t) / D for an automorphism
+    h of Q[t]/(Q), Q = D^5 P(t/D) a monic integer polynomial.  Let 2^e >= |r|
+    for every complex root r of Q (Fujiwara's bound).  By Cramer's rule on
+    the Vandermonde system of the roots of Q, h_j = m_j / s with m_j an
+    integer, |m_j| <= 5^(5/2) 2^(11e) (Hadamard's bound), and s =
+    sqrt(disc Q) a product of ten root differences, so s <= 2^(10e + 10).
+    Every coefficient of g is then n/d with |n|, d <= 2^(11e + 10) D^3, and
+    d divides s D = D^11 sqrt(disc P), which rules out most false
+    reconstructions before the exact check.
+    """
+    D = P.denominator_lcm()
+    sD = D**11 * math.isqrt(disc.numerator) // math.isqrt(disc.denominator)
+    e = 1 + max(-(-abs(c).bit_length() // (5 - i)) for i, c in enumerate(_integer_quintic(P)[:5]))
+    cap = 22 * e + 6 * D.bit_length() + 22  # |n|, d <= sqrt(p^k / 2)
+    Pp = fp_reduce(P, p)
+    for bits in sorted({min(64 << j, cap) for j in range(cap.bit_length())}):
+        pk = p ** -(-bits // (p.bit_length() - 1))
+        roots = [lift_root(P, r, p, pk) for r in range(p) if fp_eval(Pp, r, p) == 0]
+        for rest in itertools.permutations(roots[2:]):
+            cyc = roots[:2] + list(rest)  # sigma: cyc[i] -> cyc[i + 1 mod 5]
+            g = interpolate_rational(cyc, cyc[1:] + cyc[:1], pk)
+            if g is not None and g != RatPoly.x() and sD % g.denominator_lcm() == 0:
+                acc = RatPoly(())
+                for c in reversed(P.coeffs):  # P(g) mod P by Horner
+                    acc = (acc * g + RatPoly.const(c)) % P
+                if acc.is_zero:
+                    return g
+    return None
 
 
 # ---------------------------------------------------------------------------

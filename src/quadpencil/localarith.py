@@ -56,7 +56,6 @@ from .pencil import (
     definite_sign,
     mat_combine,
     rat_str,
-    smoothness_certificate,
 )
 
 # ---------------------------------------------------------------------------
@@ -146,13 +145,21 @@ def _sturm_var(chain: list[list[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _squarefree_chain(f: RatPoly) -> tuple[RatPoly, list[list[int]]]:
+    """The squarefree part of f and its Sturm chain.  The last element of the
+    chain of f is gcd(f, f'); a multiple root on a bisection point would
+    stall the bisection, so when it is not constant f is divided by it."""
+    chain = _sturm_chain(f)
+    return (f, chain) if len(chain[-1]) == 1 else _squarefree_chain(f // RatPoly.of(chain[-1]))
+
+
 def isolate_real_roots(f: RatPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint intervals (a, b], one distinct real root each, separated by
-    nonempty gaps."""
+    nonempty gaps; f may have multiple roots."""
     if f.degree < 1:
         return []
+    f, chain = _squarefree_chain(f)
     bound = Fraction(1) + max(abs(c / f.lc) for c in f.coeffs)
-    chain = _sturm_chain(f)
 
     def count(a, b):
         return _sturm_var(chain, a) - _sturm_var(chain, b)
@@ -193,7 +200,7 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
     singular members.  The witness is that proof: the definite member, or
     every sampled member in the order tested, each indefinite.  Raises
     SingularPencilError unless the pencil is smooth."""
-    q = smoothness_certificate(pencil)
+    q = pencil.smoothness_certificate
     intervals = isolate_real_roots(q)
     # With no real root, q has degree 4 and its one real singular member is
     # at infinity, so t = 0 lies on the only arc.  Otherwise lo and hi share

@@ -114,6 +114,27 @@ class Pencil:
         det(mu phi1 - nu phi2) has the same coefficients."""
         return char_poly_t(self.phi1, self.phi2)
 
+    @functools.cached_property
+    def smoothness_certificate(self) -> RatPoly:
+        """The squarefree binary quintic, or raise SingularPencilError;
+        certified once per pencil.
+
+        Squarefree means: the t-chart polynomial is squarefree and the root
+        at infinity (present when det(phi2) = 0) is simple.  The chart
+        polynomial is squarefree iff its discriminant, an integer Sylvester
+        determinant, is nonzero; only a singular pencil pays for the gcd
+        with the derivative, which names the repeated factor.
+        """
+        q = self.det_poly
+        if q.is_zero:
+            raise SingularPencilError("every member of the pencil is singular")
+        if q.degree < 4:
+            raise SingularPencilError("repeated singular member at infinity")
+        if discriminant(q) != 0:
+            return q
+        g = q.gcd(q.derivative())
+        raise SingularPencilError(f"repeated singular member: {g}", repeated_factor=g)
+
 
 def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
     """det(phi1 - t phi2) for n x n matrices, degree <= n: integer
@@ -143,26 +164,6 @@ def char_poly(m: Matrix) -> RatPoly:
     n = len(m)
     identity = matrix_of([[int(i == j) for j in range(n)] for i in range(n)])
     return char_poly_t(m, identity) * (-1) ** n
-
-
-def smoothness_certificate(pencil: Pencil) -> RatPoly:
-    """The squarefree binary quintic, or raise SingularPencilError.
-
-    Squarefree means: the t-chart polynomial is squarefree and the root at
-    infinity (present when det(phi2) = 0) is simple.  The chart polynomial
-    is squarefree iff its discriminant, an integer Sylvester determinant, is
-    nonzero; only a singular pencil pays for the gcd with the derivative,
-    which names the repeated factor.
-    """
-    q = pencil.det_poly
-    if q.is_zero:
-        raise SingularPencilError("every member of the pencil is singular")
-    if q.degree < 4:
-        raise SingularPencilError("repeated singular member at infinity")
-    if discriminant(q) != 0:
-        return q
-    g = q.gcd(q.derivative())
-    raise SingularPencilError(f"repeated singular member: {g}", repeated_factor=g)
 
 
 Chart = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -238,7 +239,7 @@ def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
     skip_charts > 0 forces a later candidate (used to test chart
     independence).
     """
-    smoothness_certificate(pencil)
+    pencil.smoothness_certificate  # raises SingularPencilError unless the pencil is smooth
     skipped = 0
     for chart in _chart_candidates():
         a, b, c, d = chart
@@ -460,7 +461,7 @@ def random_pencil(rng: random.Random, entry_bound: int = 9, max_tries: int = 200
             mats.append(matrix_of(m))
         pencil = Pencil(mats[0], mats[1])
         try:
-            smoothness_certificate(pencil)
+            pencil.smoothness_certificate
         except SingularPencilError:
             continue
         return pencil

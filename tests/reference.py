@@ -1,15 +1,17 @@
 """Reference implementations the tests check the program against.
 
 None of these is run by a command: each is an independent oracle, a
-closed-form law the acceptance criteria assert, a builder of test inputs
-or a call counter.  They are written with the program's own types, so a test can
+closed-form law the acceptance criteria assert, a builder of test inputs,
+a call counter or a time limit.  They are written with the program's own types, so a test can
 compare the two directly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import signal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,10 +196,20 @@ def sympy_rational_roots(coeffs_high_to_low: list[int]) -> list[Fraction]:
     return sorted(out)
 
 
-def galois_profile(P: RatPoly, **kwargs) -> GaloisProfile:
+# Cycle types realized by each transitive subgroup of S5.
+CLASS_SETS = {
+    "C5": {(1, 1, 1, 1, 1), (5,)},
+    "D10": {(1, 1, 1, 1, 1), (5,), (2, 2, 1)},
+    "F20": {(1, 1, 1, 1, 1), (5,), (2, 2, 1), (4, 1)},
+    "A5": {(1, 1, 1, 1, 1), (5,), (2, 2, 1), (3, 1, 1)},
+    "S5": {(1, 1, 1, 1, 1), (5,), (2, 2, 1), (3, 1, 1), (2, 1, 1, 1), (3, 2), (4, 1)},
+}
+
+
+def galois_profile(P: RatPoly) -> GaloisProfile:
     """`galois_group_quintic` given the irreducible factors of P, as
     `analyze` passes them from the delta invariant."""
-    return galois_group_quintic(P, [f for f, _ in factor_q(P)], **kwargs)
+    return galois_group_quintic(P, [f for f, _ in factor_q(P)])
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +374,45 @@ def strip_square_content_by_trial_division(d: RatPoly, bound: int = 10**6) -> Ra
 
 
 # ---------------------------------------------------------------------------
-# Call counting
+# Call counting and time limits
 
 
-def count_factor_q(monkeypatch) -> list:
-    """The polynomials exact.factor_q is called on from now on, through any
-    module of the program that imported it."""
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the enclosed block with TimeoutError after `seconds` (SIGALRM,
+    so on the main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """The arguments of every call of the function `name` of quadpencil.exact
+    from now on, through any module of the program that imported it."""
     import quadpencil.exact as exact_mod
 
     calls = []
-    original = exact_mod.factor_q
+    original = getattr(exact_mod, name)
 
-    def counting(f):
-        calls.append(f)
-        return original(f)
+    def counting(*args):
+        calls.append(args[0] if len(args) == 1 else args)
+        return original(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("quadpencil") and getattr(mod, "factor_q", None) is original:
-            monkeypatch.setattr(mod, "factor_q", counting)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("quadpencil") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def count_factor_q(monkeypatch) -> list:
+    """The polynomials exact.factor_q is called on from now on."""
+    return count_calls(monkeypatch, "factor_q")

@@ -12,7 +12,7 @@ from quadpencil.cli import _MAX_BITS, main, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
-from reference import count_factor_q, diag, load_schema
+from reference import count_calls, count_factor_q, diag, load_schema
 
 
 def poly(*coeffs):
@@ -273,6 +273,21 @@ class TestAnalyze:
         monkeypatch.setattr(RatPoly, "gcd", counting)
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
         assert calls == []
+
+    def test_s5_analyze_takes_four_discriminants(self, tmp_path, monkeypatch):
+        # disc(q) once for smoothness, disc(P) for Galois, the bad set and
+        # the square test of its one delta component
+        import random
+
+        from quadpencil.pencil import random_pencil
+
+        path = tmp_path / "random.json"
+        path.write_text(pencil_dumps(random_pencil(random.Random(314))))
+        calls = count_calls(monkeypatch, "discriminant")
+        out = tmp_path / "r.json"
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
+        assert json.loads(out.read_text())["galois"]["label"] == "S5"
+        assert len(calls) == 4
 
     def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
         import quadpencil.galois as galois_mod
@@ -638,3 +653,24 @@ class TestVerifyLemmas:
         assert data["all_ok"]
         got = {r["subgroup"]: (r["h1_dim"], r["end_degree"]) for r in data["rows"]}
         assert got == {"C5": (0, 4), "D10": (0, 2), "F20": (0, 1), "A5": (0, 1), "S5": (0, 1)}
+
+
+class TestParserReuse:
+    def test_consecutive_calls_share_no_arguments(self, tmp_path, capsys):
+        from quadpencil.cli import build_parser
+
+        assert build_parser() is build_parser()
+        out = tmp_path / "canon.json"
+        argv = ["--json", "--seed", "7", "--out", str(out), "canon", "--poly", "t^5-2", "--delta", "3"]
+        assert main(argv) == 0
+        first = json.loads(out.read_text())
+        assert first["seed"] == 7 and first["delta"] == ["3/1"]
+        # no --json, --out, --seed or --delta carried over
+        assert main(["canon", "--poly", "t^5-2"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["P = t^5 - 2", "delta' = 1"]
+        assert main(["--json", "simulate", "--systems", "2", "--dims", "2", "--mode", "A",
+                     "--descent-seeds", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["mode"] == "A"
+        assert main(["--json", "simulate", "--systems", "2", "--dims", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 0 and report["config"]["mode"] is None

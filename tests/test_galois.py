@@ -14,7 +14,7 @@ import quadpencil.galois as galois_mod
 import quadpencil.localarith as localarith_mod
 from quadpencil import gf2
 from quadpencil.canon import canonical_quadrics
-from quadpencil.cli import main, parse_poly
+from quadpencil.cli import _MAX_BITS, main, parse_poly
 from quadpencil.exact import (
     BadSet,
     RatPoly,
@@ -29,7 +29,6 @@ from quadpencil.galois import (
     _rational_roots,
     _theta_value,
     _tschirnhausen,
-    CLASS_SETS,
     GaloisProfile,
     RamifiedPrimeError,
     SignedFrobenius,
@@ -38,7 +37,14 @@ from quadpencil.galois import (
     resolvent_sextic,
 )
 from quadpencil.pencil import pencil_dumps
-from reference import count_factor_q, galois_profile, shift, sympy_rational_roots, to_wreath
+from reference import (
+    CLASS_SETS,
+    count_factor_q,
+    galois_profile,
+    shift,
+    sympy_rational_roots,
+    to_wreath,
+)
 
 
 def poly(*coeffs):
@@ -94,22 +100,26 @@ class TestGaloisLabel:
     def test_reducible(self):
         assert galois_profile(SPLIT_QUINTIC).label == "REDUCIBLE"
 
-    def test_c5_records_bound(self):
-        prof = galois_profile(C5_QUINTIC, c5_bound=500)
+    def test_c5_records_automorphism(self):
+        prof = galois_profile(C5_QUINTIC)
         assert prof.label == "C5"
-        assert prof.c5_bound == 500
-        assert prof.probabilistic
+        assert prof.certificate == poly(0, -3, 0, 1)  # t^3 - 3t
+        assert is_automorphism(C5_QUINTIC, prof.certificate)
 
     def test_d10_not_probabilistic(self):
+        # every label is proved: D10 by a good prime of cycle type (2,2,1),
+        # the labels other than C5 and D10 without a certificate
         prof = galois_profile(D10_QUINTIC)
-        assert prof.c5_bound is None
+        p = prof.certificate
+        assert p not in galois_bad_set(D10_QUINTIC) and cycle_type(D10_QUINTIC, p) == (2, 2, 1)
+        for P, label in KNOWN + [(SPLIT_QUINTIC, "REDUCIBLE")]:
+            prof = galois_profile(P)
+            assert not hasattr(prof, "probabilistic") and not hasattr(prof, "c5_bound")
+            assert (prof.certificate is None) == (label not in ("C5", "D10"))
 
     def test_evidence_class_sets(self):
         # consistency over 100 sampled primes per polynomial
         for P, label in KNOWN:
-            prof = galois_profile(P)
-            for _, ct in prof.evidence:
-                assert ct in CLASS_SETS[label], (label, ct)
             for _, ct in sample_cycle_types(P, 100):
                 assert ct in CLASS_SETS[label], (label, ct)
 
@@ -139,10 +149,97 @@ class TestGaloisLabel:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            GaloisProfile("F20", True, Fraction(0), ())
+            GaloisProfile("F20", True, Fraction(0))
+        with pytest.raises(ValueError):
+            GaloisProfile("C5", True, Fraction(0))  # no automorphism
+        with pytest.raises(ValueError):
+            GaloisProfile("S5", False, None, 7)
 
 
-class TestEvidenceWalk:
+def lehmer(n: int) -> RatPoly:
+    """Emma Lehmer's quintic for n, cyclic of degree 5 for every integer n."""
+    return poly(1, n**3 + 4 * n**2 + 10 * n + 10, n**4 + 5 * n**3 + 11 * n**2 + 15 * n + 5,
+                -(2 * n**3 + 6 * n**2 + 10 * n + 10), n**2, 1)
+
+
+def shift_and_scale(P: RatPoly, c: int, lam: Fraction) -> RatPoly:
+    """The monic quintic whose roots are lam * (r - c) for the roots r of P."""
+    Q = shift(P, c)
+    return RatPoly.of([coef * lam ** (5 - i) for i, coef in enumerate(Q.coeffs)])
+
+
+def is_automorphism(P: RatPoly, g: RatPoly) -> bool:
+    """g != t and P(g) = 0 mod P, by sympy."""
+    Ps, gs = P.to_sympy(), g.to_sympy()
+    return g != RatPoly.x() and g.degree < 5 and Ps.compose(gs).rem(Ps).is_zero
+
+
+class TestCertificates:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(-30, 60), st.sampled_from([10**3, 10**4])),
+        c=st.one_of(st.integers(-40, 40), st.sampled_from([10**6, -(10**12)])),
+        lam=st.fractions(-9, 9, max_denominator=9).filter(bool),
+    )
+    @example(n=1, c=10**12, lam=Fraction(1))
+    @example(n=-1, c=0, lam=Fraction(1, 7))
+    def test_lehmer_quintics_are_c5(self, n, c, lam):
+        P = shift_and_scale(lehmer(n), c, lam)
+        prof = galois_profile(P)
+        assert prof.label == "C5"
+        assert is_automorphism(P, prof.certificate)
+
+    @pytest.mark.parametrize("n", [-3, 17, 1000])
+    def test_lehmer_against_sympy(self, n):
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        assert galois_group(lehmer(n).to_sympy(), by_name=True)[0].name == "C5"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        control=st.sampled_from([(P, label) for P, label in KNOWN if label != "C5"]),
+        c=st.integers(-10**6, 10**6),
+        lam=st.fractions(-9, 9, max_denominator=9).filter(bool),
+    )
+    def test_controls_keep_their_labels(self, control, c, lam):
+        P, label = control
+        Q = shift_and_scale(P, c, lam)
+        prof = galois_profile(Q)
+        assert prof.label == label
+        if label == "D10":
+            p = prof.certificate
+            assert p not in galois_bad_set(Q) and cycle_type(Q, p) == (2, 2, 1)
+
+    def test_c5_at_the_coefficient_limit(self):
+        # a shift by 10^245 puts P's coefficients just under the 4096 bits
+        # the CLI parses, and g's constant term near 10^735
+        P = shift(C5_QUINTIC, 10**245)
+        assert 4000 < max(abs(c.numerator).bit_length() for c in P.coeffs) <= _MAX_BITS
+        prof = galois_profile(P)
+        assert prof.label == "C5"
+        assert is_automorphism(P, prof.certificate)
+        assert max(abs(c.numerator) for c in prof.certificate.coeffs) > 10**700
+
+    def test_d10_past_split_primes(self):
+        # scaling the roots by the (2,2,1) primes below the sixth totally
+        # split prime of D10_QUINTIC makes them bad, so the walk meets six
+        # split primes before its certificate
+        types = sample_cycle_types(D10_QUINTIC, 80)
+        split = [p for p, ct in types if ct == (1, 1, 1, 1, 1)]
+        lam = 1
+        for p, ct in types:
+            if p < split[5] and ct == (2, 2, 1):
+                lam *= p
+        Q = shift_and_scale(D10_QUINTIC, 0, Fraction(lam))
+        prof = galois_profile(Q)
+        assert prof.label == "D10"
+        p = prof.certificate
+        assert p not in galois_bad_set(Q) and cycle_type(Q, p) == (2, 2, 1)
+        walked = [q for q in good_primes(galois_bad_set(Q), 3, p) if q < p]
+        assert sum(cycle_type(Q, q) == (1, 1, 1, 1, 1) for q in walked) >= 6
+
+
+class TestPrimeWalk:
     @staticmethod
     def _record_cycle_types(monkeypatch):
         """Primes of every cycle_type call, from any module of the package."""
@@ -157,27 +254,28 @@ class TestEvidenceWalk:
             monkeypatch.setattr(module, "cycle_type", recording)
         return primes
 
-    def test_analyze_of_s5_pencil_samples_ten_primes(self, tmp_path, monkeypatch):
+    def test_analyze_of_s5_pencil_samples_no_primes(self, tmp_path, monkeypatch):
         pen = canonical_quadrics(S5_QUINTIC, poly(1)).to_pencil()
         path = tmp_path / "s5.json"
         path.write_text(pencil_dumps(pen))
         out = tmp_path / "report.json"
         primes = self._record_cycle_types(monkeypatch)
         assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
-        report = json.loads(out.read_text())
-        assert report["galois"]["label"] == "S5"
-        assert len(primes) == 10
-        assert [p for p, _ in report["galois"]["evidence"]] == primes
+        galois = json.loads(out.read_text())["galois"]
+        assert galois["label"] == "S5" and galois["certificate"] is None
+        assert primes == []
 
-    def test_c5_hunt_walks_the_bounded_good_primes_once(self, monkeypatch):
-        expected = list(good_primes(galois_bad_set(C5_QUINTIC), 3, 500))
+    def test_c5_walk_stops_at_first_split_prime(self, monkeypatch):
+        walk = good_primes(galois_bad_set(C5_QUINTIC), 3)
+        expected = list(itertools.takewhile(lambda p: p <= 23, walk))
+        assert cycle_type(C5_QUINTIC, 23) == (1, 1, 1, 1, 1)
         factors = [f for f, _ in exact_mod.factor_q(C5_QUINTIC)]
         primes = self._record_cycle_types(monkeypatch)
         factored = count_factor_q(monkeypatch)
-        prof = galois_group_quintic(C5_QUINTIC, factors, c5_bound=500)
+        prof = galois_group_quintic(C5_QUINTIC, factors)
         assert prof.label == "C5"
         assert primes == expected
-        assert [p for p, _ in prof.evidence] == expected[:10]
+        assert all(cycle_type(C5_QUINTIC, p) == (5,) for p in expected[:-1])
         # P arrives factored, and the resolvent's rational roots are lifted
         assert factored == []
 

@@ -40,6 +40,7 @@ from reference import (
     fraction_sturm_var,
     mat_congruent,
     signature,
+    time_limit,
 )
 
 
@@ -189,17 +190,36 @@ class TestIsolateRoots:
         for x in roots + [r + Fraction(1, 7) for r in roots] + [Fraction(0)]:
             assert localarith_mod._sturm_var(chain, x) == fraction_sturm_var(reference_chain, x)
 
-        # A rational multiple root on a bisection point stalls the bisection
-        # with either chain, so the isolation runs on the squarefree part,
-        # times the square of an irreducible quadratic for repeated roots.
-        f = f // f.gcd(f.derivative())
+        # The isolation runs on the squarefree part, taken from the integer
+        # chain or, in the reference, by the rational gcd; the square of an
+        # irreducible quadratic adds repeated irrational roots.
         if square is not None:
             f = f * RatPoly.of([-square, 0, 1]) * RatPoly.of([-square, 0, 1])
         intervals = isolate_real_roots(f)
+
+        def reference_squarefree_chain(g):
+            g = g // g.gcd(g.derivative())
+            return g, fraction_sturm_chain(g)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localarith_mod, "_sturm_chain", fraction_sturm_chain)
+            mp.setattr(localarith_mod, "_squarefree_chain", reference_squarefree_chain)
             mp.setattr(localarith_mod, "_sturm_var", fraction_sturm_var)
             assert intervals == isolate_real_roots(f)
+
+
+    def test_multiple_roots_on_bisection_points(self):
+        # the first two have a multiple root at 0, the first midpoint of the
+        # symmetric start interval; each multiple root is isolated once
+        cases = [
+            (poly(0, 0, -1, 1), [0, 1]),
+            (poly(0, 0, 0, 1, -2, 1) * poly(3, 1), [-3, 0, 1]),
+            (RatPoly.from_roots([Fraction(1, 2)] * 3 + [2, 2, -5]) * Fraction(-7, 3), [-5, Fraction(1, 2), 2]),
+        ]
+        with time_limit(10):
+            for f, roots in cases:
+                intervals = isolate_real_roots(f)
+                assert len(intervals) == len(roots)
+                assert all(a < r <= b for (a, b), r in zip(intervals, roots))
 
 
 class TestRealSoluble:
@@ -242,13 +262,13 @@ class TestRealSoluble:
                 [0, 0, 0, 0, 0],
             ]
         )
-        from quadpencil.pencil import char_poly_t, smoothness_certificate
+        from quadpencil.pencil import char_poly_t
 
         q = char_poly_t(phi1, phi2)
         assert q.degree == 4
         assert not isolate_real_roots(q)
         pencil = Pencil(phi1, phi2)
-        smoothness_certificate(pencil)
+        pencil.smoothness_certificate
         assert real_soluble(pencil).verdict == "soluble"
 
     def test_congruence_invariance(self):

@@ -40,7 +40,6 @@ from quadpencil.pencil import (
     pencil_loads,
     pencil_dumps,
     random_pencil,
-    smoothness_certificate,
 )
 from reference import galois_profile, mat_congruent, signature, verify_norm_square
 
@@ -76,13 +75,13 @@ class TestNormalization:
     def test_singular_pencil_rejected(self):
         # phi2 = phi1 gives det(mu phi1 - nu phi1) with a quintuple root
         with pytest.raises(SingularPencilError):
-            smoothness_certificate(Pencil(diag(1, 1, 1, 1, 1), diag(1, 1, 1, 1, 1)))
+            Pencil(diag(1, 1, 1, 1, 1), diag(1, 1, 1, 1, 1)).smoothness_certificate
 
     def test_repeated_factor_reported(self):
         # members at t = 0 and t = 0 again: phi1 singular of corank 2
         p = Pencil(diag(0, 0, 1, 1, 1), diag(1, 1, 1, 2, 3))
         with pytest.raises(SingularPencilError):
-            smoothness_certificate(p)
+            p.smoothness_certificate
 
     def test_deep_chart_enumeration(self):
         # singular members at infinity, 0, 1, -1 and 2 knock out the first
