@@ -34,10 +34,9 @@ def main():
     first = {}
     for p in good_primes(s0, 101, args.scan):
         try:
-            fr = frobenius_class(P, factors, p)
+            d = frobenius_class(P, factors, p)
         except RamifiedPrimeError:
             continue
-        d = fr.class_datum()
         counts[d] += 1
         first.setdefault(d, p)
 

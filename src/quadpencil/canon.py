@@ -30,6 +30,7 @@ from .pencil import (
     Matrix,
     NormalizedPencil,
     Pencil,
+    chart_poly,
     delta_invariant,
     matrix_of,
     normalize_pencil,
@@ -216,22 +217,6 @@ class RoundTripReport:
         return out
 
 
-def _mobius_pullback(f: RatPoly, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> RatPoly:
-    """(d t - b)^deg f * f((a - c t)/(d t - b)), expanded exactly."""
-    num = RatPoly.of([a, -c])
-    den = RatPoly.of([-b, d])
-    deg = f.degree
-    out = RatPoly(())
-    num_pow = RatPoly.of([1])
-    den_pows = [RatPoly.of([1])]
-    for _ in range(deg):
-        den_pows.append(den_pows[-1] * den)
-    for k in range(deg + 1):
-        out = out + RatPoly.const(f[k]) * num_pow * den_pows[deg - k]
-        num_pow = num_pow * num
-    return out
-
-
 def roundtrip_invariants(
     P: RatPoly, delta_prime: DeltaInput, prime_budget: int = 200
 ) -> RoundTripReport:
@@ -252,7 +237,7 @@ def roundtrip_invariants(
 
     recovered = normalize_pencil(pencil)
     inv = delta_invariant(recovered, certify=False)
-    a, b, c, d = recovered.chart
+    a, b, c, d = chart = recovered.chart
 
     matches = []
     used = set()
@@ -261,7 +246,8 @@ def roundtrip_invariants(
         for j, (pf, pd) in enumerate(delta_factors):
             if j in used or pf.degree != rf.degree:
                 continue
-            if (_mobius_pullback(pf, a, b, c, d) % rf).is_zero:
+            # (d t - b)^deg pf((a - c t)/(d t - b)) vanishes mod rf
+            if (chart_poly(RatPoly.of(pf.coeffs[::-1]), pf.degree, chart) % rf).is_zero:
                 target = (j, pf, pd)
                 break
         if target is None:

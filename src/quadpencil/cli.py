@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -672,7 +673,16 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: output closed early: {e}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -12,10 +12,13 @@ a rational polynomial gets there.  Determinants of integer matrices are
 fraction-free Bareiss elimination, and a resultant is the determinant of
 an integer Sylvester matrix.
 
-This is the only module that calls sympy, for factorization and primes:
-factorization over Q and over F_p, primality, the next prime and integer
-factorization are delegated to it (exact, deterministic); everything the
-certificates depend on is re-verified here.
+This is the only module that calls sympy, and sympy factors over Q only:
+factorization of polynomials over Q, primality, the next prime and
+integer factorization are delegated to it (exact, deterministic);
+everything the certificates depend on is re-verified here.  Arithmetic
+over F_p is the repo's own: a distinct-degree split (`_ddf`) gives cycle
+types and signed Frobenius classes, and its degree-one step (`fp_roots`)
+the roots mod p.
 """
 
 from __future__ import annotations
@@ -416,29 +419,36 @@ def fp_reduce(f: RatPoly, mod: int) -> list[int]:
     return fp_trim([c.numerator * pow(c.denominator, -1, mod) % mod for c in f.coeffs])
 
 
-def factor_fp(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Monic irreducible factors over F_p, with multiplicities, of the
-    polynomial with these coefficients (low to high)."""
-    cs = fp_trim([c % p for c in coeffs])
-    if not cs:
-        raise ValueError("cannot factor the zero polynomial")
-    poly = sympy.Poly(cs[::-1], _t, modulus=p, symmetric=False)
-    _, pairs = poly.factor_list()
-    out = []
-    for g, mult in pairs:
-        cs = [int(c) % p for c in reversed(sympy.Poly(g, _t, modulus=p, symmetric=False).all_coeffs())]
-        inv = pow(cs[-1], -1, p)
-        out.append((tuple(c * inv % p for c in cs), int(mult)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
-
-
 def _fixed_part(m: Sequence[int], xq: Sequence[int], p: int) -> list[int]:
     """gcd(m, xq - x) over F_p for xq = x^(p^d) mod m: the product of the
     distinct monic irreducible factors of m whose degree divides d."""
     diff = list(xq) + [0] * (2 - len(xq))
     diff[1] = (diff[1] - 1) % p
     return fp_gcd(m, fp_trim(diff), p)
+
+
+def _ddf(m: Sequence[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree split of a monic m, squarefree over F_p: the pairs
+    (d, product of the monic irreducible factors of m of degree d), d
+    increasing, for each degree that occurs.  This is the first step of
+    Cantor and Zassenhaus (Math. Comp. 36, 1981); the factors themselves
+    are never separated."""
+    out: list[tuple[int, list[int]]] = []
+    rem, xq, d = list(m), [0, 1], 0
+    while len(rem) > 1:
+        d += 1
+        if 2 * d > len(rem) - 1:
+            # whatever is left is a single irreducible factor
+            out.append((len(rem) - 1, rem))
+            break
+        xq = fp_powmod(xq, p, rem, p)
+        g = _fixed_part(rem, xq, p)
+        if len(g) > 1:
+            out.append((d, g))
+            rem = _fp_div_exact(rem, g, p)
+            if len(rem) > 1:
+                xq = fp_rem(xq, rem, p)
+    return out
 
 
 def cycle_type(f: RatPoly, p: int) -> tuple[int, ...]:
@@ -449,24 +459,29 @@ def cycle_type(f: RatPoly, p: int) -> tuple[int, ...]:
     m = fp_reduce(f, p)
     if len(m) - 1 != f.degree:
         raise ValueError("leading coefficient vanishes mod p")
-    rem = m
-    degrees: list[int] = []
-    xq = [0, 1]
-    d = 0
-    while len(rem) - 1 > 0:
-        d += 1
-        if 2 * d > len(rem) - 1:
-            # whatever is left is a single irreducible factor
-            degrees.append(len(rem) - 1)
-            break
-        xq = fp_powmod(xq, p, rem, p)
-        g = _fixed_part(rem, xq, p)
-        if len(g) - 1 > 0:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            rem = _fp_div_exact(rem, g, p)
-            if len(rem) - 1 > 0:
-                xq = fp_rem(xq, rem, p)
-    return tuple(sorted(degrees, reverse=True))
+    return tuple(sorted((d for d, g in _ddf(m, p) for _ in range((len(g) - 1) // d)), reverse=True))
+
+
+def fp_roots(m: Sequence[int], p: int) -> list[int]:
+    """The distinct roots of m in F_p, increasing: the roots of the monic
+    g = gcd(m, x^p - x), found by a scan that divides out each root it meets
+    and reads the last one off the linear cofactor."""
+    g = _fixed_part(m, fp_powmod([0, 1], p, m, p), p)
+    roots: list[int] = []
+    r = 0
+    while len(g) > 2:
+        if fp_eval(g, r, p) == 0:
+            roots.append(r)
+            g = _fp_div_exact(g, [-r % p, 1], p)
+        r += 1
+    if len(g) == 2:
+        roots.append(-g[0] % p)
+    return roots
+
+
+def fp_is_squarefree(m: Sequence[int], p: int) -> bool:
+    """gcd(m, m') = 1 over F_p."""
+    return len(fp_gcd(m, fp_trim([i * c % p for i, c in enumerate(m)][1:]), p)) == 1
 
 
 def _fp_div_exact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -628,16 +643,19 @@ class SqrtEtaleResult:
     split_primes_tried: int = 0
 
 
-def lift_root(m: RatPoly, r: int, p: int, pk: int) -> int:
-    """Hensel lift of a simple root of m from mod p to mod pk (pk a power of p)."""
-    mk, mdk = fp_reduce(m, pk), fp_reduce(m.derivative(), pk)
-    cur, mod = r, p
-    while mod < pk:
-        mod = min(mod * mod, pk)
-        fr = fp_eval(mk, cur, mod)
-        fdr = fp_eval(mdk, cur, mod)
-        cur = (cur - fr * pow(fdr, -1, mod)) % mod
-    return cur % pk
+def lift_roots(m: RatPoly, roots: Sequence[int], p: int, pk: int) -> list[int]:
+    """Hensel lifts of simple roots of m from mod p to mod pk (pk a power of
+    p); m is reduced mod pk once for all of them."""
+    mk = fp_reduce(m, pk)
+    mdk = fp_trim([i * c % pk for i, c in enumerate(mk)][1:])
+    out = []
+    for cur in roots:
+        mod = p
+        while mod < pk:
+            mod = min(mod * mod, pk)
+            cur = (cur - fp_eval(mk, cur, mod) * pow(fp_eval(mdk, cur, mod), -1, mod)) % mod
+        out.append(cur % pk)
+    return out
 
 
 def unramified_prime(f: RatPoly) -> Optional[int]:
@@ -648,8 +666,7 @@ def unramified_prime(f: RatPoly) -> Optional[int]:
     odd primes are tried mod p; the integer discriminant is computed only
     when every one of them divides it."""
     for p in itertools.islice(good_primes(BadSet((), 0), 3), 10):
-        fp = fp_reduce(f, p)
-        if len(fp_gcd(fp, fp_trim([i * c % p for i, c in enumerate(fp)][1:]), p)) == 1:
+        if fp_is_squarefree(fp_reduce(f, p), p):
             return p
     disc = discriminant(f)
     return None if disc == 0 else next(good_primes(BadSet((disc.numerator,), 0), 3))
@@ -673,9 +690,8 @@ def integer_roots(f: RatPoly) -> list[int]:
     p = unramified_prime(f)
     if p is None:
         return integer_roots(f // f.gcd(f.derivative()))
-    fp = fp_reduce(f, p)
-    g = _fixed_part(fp, fp_powmod([0, 1], p, fp, p), p)
-    if len(g) < 2:
+    roots_p = fp_roots(fp_reduce(f, p), p)
+    if not roots_p:
         return []
     n = f.degree
     bound = 2 << max(-(-c.numerator.bit_length() // (n - i)) for i, c in enumerate(f.coeffs[:-1]))
@@ -683,16 +699,14 @@ def integer_roots(f: RatPoly) -> list[int]:
     while pk <= 2 * bound:
         pk *= pk
     roots = []
-    for r in range(p):
-        if fp_eval(g, r, p) == 0:
-            x = lift_root(f, r, p, pk)
-            if x > pk // 2:
-                x -= pk
-            v = 0
-            for c in reversed(f.coeffs):
-                v = v * x + c.numerator
-            if v == 0:
-                roots.append(x)
+    for x in lift_roots(f, roots_p, p, pk):
+        if x > pk // 2:
+            x -= pk
+        v = 0
+        for c in reversed(f.coeffs):
+            v = v * x + c.numerator
+        if v == 0:
+            roots.append(x)
     return sorted(roots)
 
 
@@ -733,12 +747,9 @@ def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleR
     split_seen = 0
     while split_seen < prime_budget:
         p = next(primes)
-        mp = fp_reduce(m, p)
-        g = _fixed_part(mp, fp_powmod([0, 1], p, mp, p), p)
-        nroots = len(g) - 1
-        if nroots <= 0:
+        roots = fp_roots(fp_reduce(m, p), p)
+        if not roots:
             continue
-        roots = [r for r in range(p) if fp_eval(g, r, p) == 0]
         dp = fp_reduce(d, p)
         usable = []
         for r in roots:
@@ -748,7 +759,7 @@ def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleR
             if legendre(u, p) == -1:
                 return SqrtEtaleResult("nonsquare", certificate=(p, r), split_primes_tried=split_seen)
             usable.append((r, u))
-        if nroots == deg and len(usable) == deg:
+        if len(roots) == deg and len(usable) == deg:
             split_seen += 1
             y = _reconstruct_sqrt(d, m, p, usable)
             if y is not None:
@@ -760,55 +771,57 @@ def _reconstruct_sqrt(d: RatPoly, m: RatPoly, p: int, root_vals) -> Optional[Rat
     deg = m.degree
     for k_digits in (45, 130, 400):
         pk = p ** max(2, int(k_digits / math.log10(p)) + 1)
-        roots_k = [lift_root(m, r, p, pk) for r, _ in root_vals]
+        roots_k = lift_roots(m, [r for r, _ in root_vals], p, pk)
+        basis = lagrange_basis(roots_k, pk)
         dk = fp_reduce(d, pk)
         sqrts_k = []
         for (r, u), rk in zip(root_vals, roots_k):
             # the square root of d(rk) mod pk lifting the one of u mod p
             y2 = RatPoly.of([-fp_eval(dk, rk, pk), 0, 1])
-            sqrts_k.append(lift_root(y2, sqrt_mod_p(u, p), p, pk))
+            sqrts_k += lift_roots(y2, [sqrt_mod_p(u, p)], p, pk)
         for signs in range(1 << (deg - 1)):
             vals = [sqrts_k[0]]
             for i in range(1, deg):
                 vals.append(sqrts_k[i] if not (signs >> (i - 1)) & 1 else (-sqrts_k[i]) % pk)
-            y = interpolate_rational(roots_k, vals, pk)
+            y = interpolate_rational(basis, vals, pk)
             if y is not None and ((y * y - d) % m).is_zero:
                 return y
     return None
 
 
-def interpolate_rational(xs: Sequence[int], ys: Sequence[int], pk: int) -> Optional[RatPoly]:
-    """The polynomial over Q of degree < len(xs) that takes the values ys at
-    xs mod pk, each coefficient read back by rational reconstruction, or
-    None when one has no reconstruction.  The xs must be distinct mod p, so
-    that their differences are units; the caller checks the result exactly."""
-    coeffs = []
-    for c in _interpolate_mod(xs, ys, pk):
-        if (rec := rational_reconstruct(c, pk)) is None:
-            return None
-        coeffs.append(rec)
-    return RatPoly.of(coeffs)
-
-
-def _interpolate_mod(xs: Sequence[int], ys: Sequence[int], mod: int) -> list[int]:
-    n = len(xs)
-    coeffs = [0] * n
-    for i in range(n):
-        num = [1]
-        denom = 1
-        for j in range(n):
+def lagrange_basis(xs: Sequence[int], mod: int) -> list[list[int]]:
+    """The Lagrange basis of the points xs mod `mod`: L_j, coefficients low
+    to high, with L_j(x_i) = 1 if i = j else 0.  The differences of the xs
+    must be units; each product of them is inverted once, so every
+    interpolation on these points is a combination sum_j y_j L_j."""
+    basis = []
+    for i, xi in enumerate(xs):
+        num, denom = [1], 1
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
             new = [0] * (len(num) + 1)
             for k, a in enumerate(num):
-                new[k] = (new[k] - a * xs[j]) % mod
+                new[k] = (new[k] - a * xj) % mod
                 new[k + 1] = (new[k + 1] + a) % mod
             num = new
-            denom = denom * (xs[i] - xs[j]) % mod
-        scale = ys[i] * pow(denom, -1, mod) % mod
-        for k, a in enumerate(num):
-            coeffs[k] = (coeffs[k] + a * scale) % mod
-    return coeffs
+            denom = denom * (xi - xj) % mod
+        scale = pow(denom, -1, mod)
+        basis.append([a * scale % mod for a in num])
+    return basis
+
+
+def interpolate_rational(basis: Sequence[Sequence[int]], ys: Sequence[int], pk: int) -> Optional[RatPoly]:
+    """The polynomial over Q of degree < len(ys) that takes the values ys at
+    the points of a `lagrange_basis` mod pk, each coefficient read back by
+    rational reconstruction, or None when one has no reconstruction.  The
+    caller checks the result exactly."""
+    coeffs = []
+    for k in range(len(basis)):
+        if (rec := rational_reconstruct(sum(y * b[k] for y, b in zip(ys, basis)) % pk, pk)) is None:
+            return None
+        coeffs.append(rec)
+    return RatPoly.of(coeffs)
 
 
 def squarefree_part(n: int) -> int:

@@ -31,8 +31,13 @@ roots for the five-cycles sigma and reconstructing its rational
 coefficients (Stauduhar, "The determination of Galois groups", Math.
 Comp. 27 (1973)).  One walk over the good primes looks for both.
 
-Frobenius data at good primes is a cycle type plus one quadratic-residue
-bit per local factor, which determines a conjugacy class of (Z/2)^5 x| S5.
+The signed Frobenius class of (P, delta) at a good prime is a cycle type
+plus one quadratic-residue bit per local factor, which determines a
+conjugacy class of (Z/2)^5 x| S5.  It is read from the distinct-degree
+split of each factor of P mod p (`exact._ddf`) by Euler's criterion on
+each part, so P is never factored mod p and no discriminant or resultant
+is computed: a prime is ramified exactly when P mod p is not squarefree or
+some delta representative vanishes on a local factor.
 """
 
 from __future__ import annotations
@@ -46,21 +51,22 @@ from typing import Optional, Sequence, Union
 from .exact import (
     BadSet,
     RatPoly,
+    _ddf,
     cycle_type,
     discriminant,
-    factor_fp,
-    fp_eval,
+    fp_gcd,
+    fp_is_squarefree,
     fp_powmod,
     fp_reduce,
-    fp_rem,
+    fp_roots,
+    fp_trim,
     good_primes,
     integer_roots,
     interpolate_rational,
     is_square_q,
-    lift_root,
-    resultant,
+    lagrange_basis,
+    lift_roots,
     unramified_prime,
-    val_unit,
 )
 from .groupmod import Perm
 from .pencil import char_poly
@@ -376,13 +382,17 @@ def _automorphism(P: RatPoly, disc: Fraction, p: int) -> Optional[RatPoly]:
     sD = D**11 * math.isqrt(disc.numerator) // math.isqrt(disc.denominator)
     e = 1 + max(-(-abs(c).bit_length() // (5 - i)) for i, c in enumerate(_integer_quintic(P)[:5]))
     cap = 22 * e + 6 * D.bit_length() + 22  # |n|, d <= sqrt(p^k / 2)
-    Pp = fp_reduce(P, p)
+    roots_p = fp_roots(fp_reduce(P, p), p)
     for bits in sorted({min(64 << j, cap) for j in range(cap.bit_length())}):
         pk = p ** -(-bits // (p.bit_length() - 1))
-        roots = [lift_root(P, r, p, pk) for r in range(p) if fp_eval(Pp, r, p) == 0]
-        for rest in itertools.permutations(roots[2:]):
-            cyc = roots[:2] + list(rest)  # sigma: cyc[i] -> cyc[i + 1 mod 5]
-            g = interpolate_rational(cyc, cyc[1:] + cyc[:1], pk)
+        roots = lift_roots(P, roots_p, p, pk)
+        basis = lagrange_basis(roots, pk)
+        for rest in itertools.permutations(range(2, 5)):
+            cyc = (0, 1, *rest)  # sigma: roots[cyc[i]] -> roots[cyc[i + 1 mod 5]]
+            image = [0] * 5
+            for i, j in enumerate(cyc):
+                image[j] = roots[cyc[(i + 1) % 5]]
+            g = interpolate_rational(basis, image, pk)
             if g is not None and g != RatPoly.x() and sD % g.denominator_lcm() == 0:
                 acc = RatPoly(())
                 for c in reversed(P.coeffs):  # P(g) mod P by Horner
@@ -399,72 +409,46 @@ class RamifiedPrimeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SignedFrobenius:
-    """Frobenius class datum at a good odd prime.
-
-    Local factors are monic coefficient tuples over F_p (low to high), in
-    the canonical order (degree, coefficients); bits[j] is the
-    quadratic-residue bit of the relevant delta representative evaluated at
-    a root of the j-th local factor in F_{p^deg}.
-    """
-
-    p: int
-    local_factors: tuple[tuple[int, ...], ...]
-    bits: tuple[int, ...]
-    global_index: tuple[int, ...]  # which (P_i, d_i) pair each local factor reduces
-
-    @property
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(f) - 1 for f in self.local_factors), reverse=True))
-
-    def class_datum(self) -> tuple[tuple[int, int], ...]:
-        """Conjugacy invariant in the wreath group: multiset of (length, bit)."""
-        return tuple(sorted(((len(f) - 1, b) for f, b in zip(self.local_factors, self.bits)), reverse=True))
-
-
 def frobenius_class(
     P: RatPoly,
     delta_factors: Sequence[tuple[RatPoly, RatPoly]],
     p: int,
-) -> SignedFrobenius:
-    """Cycle type of P mod p with per-factor residue bits of delta.
+) -> tuple[tuple[int, int], ...]:
+    """The signed Frobenius class of (P, delta) at p: the multiset of
+    (degree, bit) over the irreducible factors h of P mod p, in decreasing
+    order, with bit 0 when the delta representative of the factor of P that
+    h divides is a square in F_p[t]/(h) and 1 when it is not.
 
-    delta_factors pairs each irreducible factor of P with its delta
-    representative.  p must be odd, unramified for P and for delta.
+    delta_factors pairs each irreducible factor P_i of P with its delta
+    representative d_i.  For each part g of P_i mod p whose factors all
+    have degree d, s = d_i^((p^d - 1)/2) mod g is 1 or -1 modulo each of
+    them (Euler's criterion in F_{p^d}), so deg gcd(s - 1, g)/d of them have
+    bit 0 and deg gcd(s + 1, g)/d bit 1.  Raises RamifiedPrimeError when
+    p = 2, p divides a denominator of P or of a d_i, P mod p loses degree
+    or is not squarefree, or some d_i vanishes mod a factor of P_i, which
+    leaves the two counts short of deg g/d.
     """
     if p == 2:
         raise RamifiedPrimeError("p = 2 rejected")
-    disc = discriminant(P)
-    if P.denominator_lcm() % p == 0 or val_unit(disc, p)[0] != 0:
-        raise RamifiedPrimeError(f"{p} divides disc(P) or a denominator")
+    if P.denominator_lcm() % p == 0:
+        raise RamifiedPrimeError(f"{p} divides a denominator of P")
+    Pp = fp_reduce(P, p)
+    if len(Pp) - 1 != P.degree or not fp_is_squarefree(Pp, p):
+        raise RamifiedPrimeError(f"{p} divides disc(P)")
+    datum = []
     for Pi, di in delta_factors:
         if di.is_zero:
             raise ValueError("zero delta representative")
-        if di.denominator_lcm() % p == 0 or val_unit(resultant(Pi, di), p)[0] != 0:
+        if di.denominator_lcm() % p == 0:
             raise RamifiedPrimeError(f"delta ramifies at {p}")
-
-    factors = [f for f, _ in factor_fp(fp_reduce(P, p), p)]
-    bits = []
-    gidx = []
-    for m in factors:
-        i = _matching_global_factor(delta_factors, m, p)
-        gidx.append(i)
-        e = fp_rem(fp_reduce(delta_factors[i][1], p), m, p)
-        if not e:
-            raise RamifiedPrimeError(f"delta vanishes mod ({p}, factor)")
-        s = fp_powmod(e, (p ** (len(m) - 1) - 1) // 2, m, p)
-        if s == [1]:
-            bits.append(0)
-        elif s == [p - 1]:
-            bits.append(1)
-        else:
-            raise ArithmeticError("residue power not +-1; modulus not irreducible?")
-    return SignedFrobenius(p, tuple(factors), tuple(bits), tuple(gidx))
-
-
-def _matching_global_factor(delta_factors, m: Sequence[int], p: int) -> int:
-    for i, (Pi, _) in enumerate(delta_factors):
-        if not fp_rem(fp_reduce(Pi, p), m, p):
-            return i
-    raise ArithmeticError("local factor matches no global factor")
+        dp = fp_reduce(di, p)
+        for d, g in _ddf(fp_reduce(Pi, p), p):
+            s = fp_powmod(dp, (p**d - 1) // 2, g, p) or [0]
+            counts = []
+            for c in (-1, 1):
+                sc = [(s[0] + c) % p, *s[1:]]
+                counts.append((len(fp_gcd(g, fp_trim(sc), p)) - 1) // d)
+            if sum(counts) * d != len(g) - 1:
+                raise RamifiedPrimeError(f"delta ramifies at {p}")
+            datum += [(d, 0)] * counts[0] + [(d, 1)] * counts[1]
+    return tuple(sorted(datum, reverse=True))

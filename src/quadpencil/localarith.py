@@ -39,11 +39,11 @@ from .exact import (
     RatPoly,
     cycle_type,
     discriminant,
-    fp_eval,
     fp_reduce,
+    fp_roots,
     good_primes,
     int_det,
-    lift_root,
+    lift_roots,
     prime_place,
     resultant,
     val_unit,
@@ -537,7 +537,7 @@ class BTWitness:
                 return False
             if val_unit(P(self.b), p)[0] != 1:
                 return False
-            if frobenius_class(P, delta_factors, p).class_datum() != datum:
+            if frobenius_class(P, delta_factors, p) != datum:
                 return False
         return True
 
@@ -573,10 +573,9 @@ def find_bT(
         if cycle_type(P, p) not in targets:
             continue
         try:
-            fr = frobenius_class(P, delta_factors, p)
+            datum = frobenius_class(P, delta_factors, p)
         except RamifiedPrimeError:  # pragma: no cover
             continue
-        datum = fr.class_datum()
         for i in list(unmatched):
             if data[i] == datum:
                 matched[i] = p
@@ -607,11 +606,10 @@ def find_bT(
 def _local_b(P: RatPoly, p: int) -> int:
     """b mod p^2 with val_p(P(b)) = 1: lift the smallest simple root theta
     of P mod p and take b = theta + p."""
-    Pp = fp_reduce(P, p)
-    root = next((r for r in range(p) if fp_eval(Pp, r, p) == 0), None)
-    if root is None:
+    roots = fp_roots(fp_reduce(P, p), p)
+    if not roots:
         raise ArithmeticError("matched prime has no root; class was inadmissible?")
-    theta = lift_root(P, root, p, p * p)
+    theta = lift_roots(P, roots[:1], p, p * p)[0]
     return (theta + p) % (p * p)
 
 

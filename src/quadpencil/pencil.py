@@ -215,18 +215,19 @@ class NormalizedPencil:
     lead: Fraction  # det(phi1' - t phi2') = lead * P(t)
 
 
-def chart_poly(pencil: Pencil, chart: Chart) -> RatPoly:
-    """det(phi1' - t phi2') for phi1' = a phi1 + b phi2, phi2' = c phi1 + d phi2,
-    by substitution into the binary quintic: F(a - c t, d t - b) where
-    F(mu, nu) = det(mu phi1 - nu phi2).  Its t^5 coefficient is
-    -det(phi2'), so it has degree 5 exactly when phi2' is nonsingular."""
+def chart_poly(form: RatPoly, degree: int, chart: Chart) -> RatPoly:
+    """F(a - c t, d t - b) for the binary form F(mu, nu) of this degree whose
+    coefficient of mu^(degree - i) nu^i is form[i].  With F(mu, nu) =
+    det(mu phi1 - nu phi2), the coefficients of `Pencil.det_poly`, this is
+    det(phi1' - t phi2') for phi1' = a phi1 + b phi2, phi2' = c phi1 + d phi2;
+    its t^5 coefficient is -det(phi2'), so it has degree 5 exactly when
+    phi2' is nonsingular."""
     a, b, c, d = chart
     u, v = RatPoly.of([a, -c]), RatPoly.of([-b, d])
-    F = pencil.det_poly
-    # homogeneous Horner: sum_i F_i u^(5-i) v^i
+    # homogeneous Horner: sum_i form[i] u^(degree - i) v^i
     acc, u_pow = RatPoly(()), RatPoly.of([1])
-    for i in range(5, -1, -1):
-        acc = acc * v + u_pow * F[i]
+    for i in range(degree, -1, -1):
+        acc = acc * v + u_pow * form[i]
         if i:
             u_pow = u_pow * u
     return acc
@@ -245,7 +246,7 @@ def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
         a, b, c, d = chart
         if a * d - b * c == 0:
             continue
-        q = chart_poly(pencil, chart)
+        q = chart_poly(pencil.det_poly, 5, chart)
         if q.degree != 5:
             continue
         if skipped < skip_charts:

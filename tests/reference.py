@@ -27,7 +27,12 @@ from quadpencil.exact import (
     LocalPlace,
     RatPoly,
     _as_rat,
+    discriminant,
     factor_q,
+    fp_powmod,
+    fp_reduce,
+    fp_rem,
+    fp_trim,
     inverse_mod,
     is_square_q,
     legendre,
@@ -37,11 +42,10 @@ from quadpencil.exact import (
 )
 from quadpencil.galois import (
     GaloisProfile,
-    SignedFrobenius,
     frobenius_class,
     galois_group_quintic,
 )
-from quadpencil.groupmod import WreathElement
+from quadpencil.localarith import condition_representative
 from quadpencil.pencil import DeltaInvariant, Matrix, char_poly, matrix_of
 from quadpencil.selmersim import SelmerSystem
 
@@ -216,23 +220,47 @@ def galois_profile(P: RatPoly) -> GaloisProfile:
 # Residues of delta at good primes
 
 
-def to_wreath(fr: SignedFrobenius) -> WreathElement:
-    """Class representative of a signed Frobenius in (Z/2)^5 x| S5:
-    positions allocated consecutively per local factor with standard
-    cycles, each sign bit on the smallest position of its cycle."""
-    perm = [0] * 5
-    sign = 0
-    pos = 0
-    for f, b in zip(fr.local_factors, fr.bits):
-        d = len(f) - 1
-        for k in range(d):
-            perm[pos + k] = pos + (k + 1) % d
-        if b:
-            sign |= 1 << pos
-        pos += d
-    if pos != 5:
-        raise ValueError("local degrees do not sum to 5")
-    return WreathElement(sign, tuple(perm))
+def factor_fp(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors over F_p, with multiplicities, of the
+    polynomial with these coefficients (low to high), by sympy; sorted by
+    (degree, coefficients)."""
+    t = sympy.Symbol("t")
+    cs = fp_trim([c % p for c in coeffs])
+    if not cs:
+        raise ValueError("cannot factor the zero polynomial")
+    out = []
+    for g, mult in sympy.Poly(cs[::-1], t, modulus=p, symmetric=False).factor_list()[1]:
+        cs = [int(c) % p for c in reversed(sympy.Poly(g, t, modulus=p, symmetric=False).all_coeffs())]
+        inv = pow(cs[-1], -1, p)
+        out.append((tuple(c * inv % p for c in cs), int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
+def frobenius_ramified(P: RatPoly, delta_factors: Sequence[tuple[RatPoly, RatPoly]], p: int) -> bool:
+    """p = 2, or p divides a denominator of P or of a d_i, disc(P) or some
+    Res(P_i, d_i) (a zero resultant counts as divisible)."""
+    if p == 2 or P.denominator_lcm() % p == 0 or val_unit(discriminant(P), p)[0] != 0:
+        return True
+    for Pi, di in delta_factors:
+        res = resultant(Pi, di)
+        if di.denominator_lcm() % p == 0 or res == 0 or val_unit(res, p)[0] != 0:
+            return True
+    return False
+
+
+def frobenius_datum(P: RatPoly, delta_factors: Sequence[tuple[RatPoly, RatPoly]], p: int):
+    """The signed Frobenius class at a good prime from the full factorization
+    of P mod p: for each local factor m, the factor P_i it divides and the
+    Euler-criterion bit of d_i in F_p[t]/(m)."""
+    out = []
+    for m, _ in factor_fp(fp_reduce(P, p), p):
+        i = next(i for i, (Pi, _) in enumerate(delta_factors) if not fp_rem(fp_reduce(Pi, p), m, p))
+        s = fp_powmod(fp_reduce(delta_factors[i][1], p), (p ** (len(m) - 1) - 1) // 2, m, p)
+        if s not in ([1], [p - 1]):
+            raise ArithmeticError("residue power not +-1")
+        out.append((len(m) - 1, int(s != [1])))
+    return tuple(sorted(out, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -252,9 +280,9 @@ def delta_residue_at(
     cycle-sum map identifies G/(Frob - 1) with the sign bits per local
     factor, cut by the zero-sum relation.
     """
-    fr = frobenius_class(P, delta_factors, p)
-    rep = to_wreath(fr)
-    return DeltaResidue(p, fr.class_datum(), all(b == 0 for b in fr.bits), rep.sign)
+    datum = frobenius_class(P, delta_factors, p)
+    rep = condition_representative(datum)
+    return DeltaResidue(p, datum, all(b == 0 for _, b in datum), rep.sign)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """CLI tests: verbs, exit codes, schema validation, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -8,11 +12,14 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import quadpencil
 from quadpencil.cli import _MAX_BITS, main, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
 from reference import count_calls, count_factor_q, diag, load_schema
+
+SRC = pathlib.Path(quadpencil.__file__).resolve().parent.parent
 
 
 def poly(*coeffs):
@@ -434,6 +441,22 @@ class TestCanonKummer:
         assert main(["canon", "--poly", "t^5-2"]) == 0
         text = capsys.readouterr().out
         assert "Q1:" in text and "Q2:" in text
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_closed_stdout_is_one_error_line(self, json_flag):
+        # a reader that closes the pipe early, as `| head -1` does
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadpencil.cli", *json_flag, "canon", "--poly", "t^5-2", "--delta", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_kummer(self, tmp_path):
         out = tmp_path / "kummer.json"

@@ -13,9 +13,9 @@ from quadpencil.exact import (
     crt_poly,
     cycle_type,
     discriminant,
-    factor_fp,
     factor_q,
     fp_reduce,
+    fp_roots,
     integer_roots,
     inverse_mod,
     is_square_q,
@@ -29,6 +29,7 @@ from quadpencil.exact import (
     val_unit,
 )
 from reference import (
+    factor_fp,
     hilbert_support,
     hilbert_symbol,
     local_square,
@@ -122,6 +123,8 @@ class TestFactorQ:
 
 
 class TestFactorFp:
+    """The sympy oracle the F_p kernel is checked against."""
+
     def test_t5_minus_1_mod_11(self):
         fac = factor_fp([-1, 0, 0, 0, 0, 1], 11)
         roots = sorted((11 - g[0]) % 11 for g, _ in fac)
@@ -181,10 +184,10 @@ class TestCycleType:
                     continue
                 if val_unit(disc, p)[0] != 0 if disc != 0 else True:
                     continue
-                expected = tuple(
-                    sorted((len(g) - 1 for g, m in factor_fp(fp_reduce(f, p), p) for _ in range(m)), reverse=True)
-                )
+                fac = factor_fp(fp_reduce(f, p), p)
+                expected = tuple(sorted((len(g) - 1 for g, m in fac for _ in range(m)), reverse=True))
                 assert cycle_type(f, p) == expected
+                assert fp_roots(fp_reduce(f, p), p) == sorted(-g[0] % p for g, _ in fac if len(g) == 2)
 
 
 class TestDiscriminant:

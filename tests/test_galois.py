@@ -20,6 +20,7 @@ from quadpencil.exact import (
     RatPoly,
     cycle_type,
     discriminant,
+    factor_q,
     good_primes,
     is_square_q,
     resultant,
@@ -31,19 +32,21 @@ from quadpencil.galois import (
     _tschirnhausen,
     GaloisProfile,
     RamifiedPrimeError,
-    SignedFrobenius,
     frobenius_class,
     galois_group_quintic,
     resolvent_sextic,
 )
+from quadpencil.localarith import condition_representative
 from quadpencil.pencil import pencil_dumps
 from reference import (
     CLASS_SETS,
+    count_calls,
     count_factor_q,
+    frobenius_datum,
+    frobenius_ramified,
     galois_profile,
     shift,
     sympy_rational_roots,
-    to_wreath,
 )
 
 
@@ -385,46 +388,92 @@ class TestNoFloat:
         assert capsys.readouterr().err == ""
 
 
+ODD_PRIMES = list(sympy.primerange(3, 2000))
+SHAPES = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+small_rationals = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 1, 1, 3, 5, 7])
+)
+
+
+@st.composite
+def quintic_with_delta(draw):
+    """A monic quintic, the product of random monic factors of a random
+    shape (so irreducible, reducible or split), with a random nonzero delta
+    representative per irreducible factor over Q."""
+    P = RatPoly.of([1])
+    for d in draw(st.sampled_from(SHAPES)):
+        P = P * RatPoly.of(draw(st.lists(small_rationals, min_size=d, max_size=d)) + [1])
+    factors = []
+    for f, _ in factor_q(P):
+        d = RatPoly.of(draw(st.lists(small_rationals, min_size=f.degree, max_size=f.degree)))
+        factors.append((f, d if not d.is_zero else poly(1)))
+    return P, factors
+
+
 class TestFrobenius:
     def test_t5_minus_2_trivial_delta(self):
-        fr = frobenius_class(T5_MINUS_2, [(T5_MINUS_2, poly(1))], 11)
-        assert all(b == 0 for b in fr.bits)
         # 2 is not a 5th power mod 11 while mu_5 lies in F_11, so t^5 - 2
-        # stays irreducible mod 11
-        assert fr.cycle_type == (5,)
+        # stays irreducible mod 11, and the bit of a square delta is 0
+        assert frobenius_class(T5_MINUS_2, [(T5_MINUS_2, poly(1))], 11) == ((5, 0),)
 
     def test_split_delta_55111_at_7(self):
-        factors = [(poly(-r, 1), poly(d)) for r, d in zip([0, 1, 2, 3, 4], [5, 5, 1, 1, 1])]
-        fr = frobenius_class(SPLIT_QUINTIC, factors, 7)
-        assert fr.cycle_type == (1, 1, 1, 1, 1)
-        # 5 is a non-residue mod 7
-        by_root = dict(zip([(7 - f[0]) % 7 for f in fr.local_factors], fr.bits))
-        assert by_root == {0: 1, 1: 1, 2: 0, 3: 0, 4: 0}
+        roots, deltas = [0, 1, 2, 3, 4], [5, 5, 1, 1, 1]
+        factors = [(poly(-r, 1), poly(d)) for r, d in zip(roots, deltas)]
+        assert frobenius_class(SPLIT_QUINTIC, factors, 7) == ((1, 1), (1, 1), (1, 0), (1, 0), (1, 0))
+        # 5 is a non-residue mod 7: the bit at each root, one pair at a time
+        for pair, bit in zip(factors, [1, 1, 0, 0, 0]):
+            assert frobenius_class(pair[0], [pair], 7) == ((1, bit),)
 
     def test_ramified_rejected(self):
         with pytest.raises(RamifiedPrimeError):
             frobenius_class(T5_MINUS_2, [(T5_MINUS_2, poly(1))], 5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(quintic_with_delta(), st.one_of(st.sampled_from(ODD_PRIMES), st.sampled_from(ODD_PRIMES[:8])))
+    @example((SPLIT_QUINTIC, [(poly(-r, 1), poly(d)) for r, d in zip(range(5), [5, 5, 1, 1, 1])]), 7)
+    @example((T5_MINUS_2, [(T5_MINUS_2, poly(0, 1))]), 2)
+    @example((T5_MINUS_2, [(T5_MINUS_2, poly(Fraction(1, 3)))]), 3)
+    @example((T5_MINUS_2, [(T5_MINUS_2, poly(-3, 1))]), 241)  # 241 | Res = 3^5 - 2
+    def test_against_full_factorization(self, P_factors, p):
+        # the class from the distinct-degree split equals the one from the
+        # full factorization of P mod p with one Euler bit per local factor,
+        # and it is refused exactly at the primes dividing 2, a denominator,
+        # disc(P) or some Res(P_i, d_i)
+        P, factors = P_factors
+        if discriminant(P) == 0:
+            return
+        if frobenius_ramified(P, factors, p):
+            with pytest.raises(RamifiedPrimeError):
+                frobenius_class(P, factors, p)
+        else:
+            assert frobenius_class(P, factors, p) == frobenius_datum(P, factors, p)
+
+    def test_takes_no_discriminant_or_resultant(self, monkeypatch):
+        calls = count_calls(monkeypatch, "discriminant") + count_calls(monkeypatch, "resultant")
+        factors = [(poly(-r, 1), poly(d)) for r, d in zip(range(5), [5, 5, 1, 1, 1])]
+        for P, fs in ((T5_MINUS_2, [(T5_MINUS_2, poly(0, 1))]), (SPLIT_QUINTIC, factors)):
+            for p in (3, 5, 7, 11, 13, 241):
+                try:
+                    frobenius_class(P, fs, p)
+                except RamifiedPrimeError:
+                    pass
+        assert calls == []
+
     def test_zero_sum_relation(self):
         # sum of bits == residue bit of the rational norm at p, here 0 for
         # norm-square delta
-        import random
-
-        rng = random.Random(3)
         factors = [(T5_MINUS_2, (poly(0, 1) * poly(0, 1)) % T5_MINUS_2)]
         for p in (7, 11, 13, 17, 19, 23):
-            fr = frobenius_class(T5_MINUS_2, factors, p)
+            datum = frobenius_class(T5_MINUS_2, factors, p)
             n = resultant(T5_MINUS_2, factors[0][1])
             assert is_square_q(n)
-            assert sum(fr.bits) % 2 == 0
+            assert sum(b for _, b in datum) % 2 == 0
 
-    def test_to_wreath_representative(self):
-        fr = frobenius_class(T5_MINUS_2, [(T5_MINUS_2, poly(1))], 11)
-        g = to_wreath(fr)
+    def test_condition_representative(self):
+        datum = frobenius_class(T5_MINUS_2, [(T5_MINUS_2, poly(1))], 11)
+        g = condition_representative(datum)
         assert gf2.parity(g.sign) == 0
-        assert sorted(
-            len(c) for c in _cycles(g.perm)
-        ) == sorted(fr.cycle_type)
+        assert sorted(len(c) for c in _cycles(g.perm)) == sorted(length for length, _ in datum)
 
 
 def _cycles(perm):

@@ -66,6 +66,17 @@ def test_exact_sympy_names():
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def test_exact_does_no_arithmetic_mod_p_in_sympy():
+    # sympy factors over Q only: a call of a name exact.py does not define
+    # itself (a sympy constructor or method) never passes modulus=
+    tree = ast.parse((SRC / "exact.py").read_text())
+    own = {node.name for node in ast.walk(tree) if isinstance(node, DEFS)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(k.arg == "modulus" for k in node.keywords):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            assert name in own, f"exact.py line {node.lineno} calls {name} with modulus="
+
+
 def _used_names(tree, bare=True) -> set[str]:
     """Identifiers a syntax tree uses: attributes, imported names and, when
     bare, plain names."""

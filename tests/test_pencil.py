@@ -317,7 +317,7 @@ class TestChartPoly:
                 a, b, c, d = chart
                 phi1n = mat_combine(pencil.phi1, pencil.phi2, a, b)
                 phi2n = mat_combine(pencil.phi1, pencil.phi2, c, d)
-                assert chart_poly(pencil, chart) == char_poly_t(phi1n, phi2n)
+                assert chart_poly(pencil.det_poly, 5, chart) == char_poly_t(phi1n, phi2n)
 
 
 def reference_kernel_vector(M, modulus):
