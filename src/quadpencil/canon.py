@@ -217,9 +217,7 @@ class RoundTripReport:
         return out
 
 
-def roundtrip_invariants(
-    P: RatPoly, delta_prime: DeltaInput, prime_budget: int = 200
-) -> RoundTripReport:
+def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport:
     """Build the canonical quadrics, re-extract the pencil invariants, and
     certify that P and the delta square classes come back unchanged.
 
@@ -261,7 +259,7 @@ def roundtrip_invariants(
         mapped = _eval_poly_at_residue(pd, theta)
         ratio = Residue.of(rd, rf) * mapped.inverse()
         reduced = strip_square_content(ratio.poly)
-        status = sqrt_in_etale(reduced, rf, prime_budget=prime_budget).status
+        status = sqrt_in_etale(reduced, rf).status
         matches.append(FactorMatch(pf, rf, status))
     return RoundTripReport(P, n, det_ok, is_square_q(n), recovered, tuple(matches))
 

@@ -5,9 +5,9 @@ All randomness flows through the single --seed value recorded in report
 headers; JSON reports are deterministic functions of (input, seed, config)
 and wall-clock timings appear only in the human-readable output.
 
-Exit codes: 0 success (and --help), 2 for honest "undecided"/"unknown"
-outcomes, 1 for errors (bad input or arguments, singular pencils,
-exhausted searches), each reported as one `error:` line.
+Exit codes: 0 success (and --help), 2 for honest "unknown" outcomes, 1
+for errors (bad input or arguments, singular pencils, exhausted
+searches), each reported as one `error:` line.
 """
 
 from __future__ import annotations
@@ -190,19 +190,14 @@ def run_analyze(args) -> int:
     except pencil.SingularPencilError as e:
         print(f"error: singular base locus: {e}", file=sys.stderr)
         return 1
-    inv = pencil.delta_invariant(norm, prime_budget=args.prime_bound_small)
+    inv = pencil.delta_invariant(norm)
     try:
         profile = galois.galois_group_quintic(norm.P, inv.factors)
     except ArithmeticError as e:  # no usable resolvent
         print(f"error: Galois group of P: {e}", file=sys.stderr)
         return 1
-    try:
-        b_dim = pencil.b_delta_group(inv).dimension
-    except pencil.InsufficientCertificatesError:
-        b_dim = None
-    cls = None
-    if "undecided" not in inv.square_flags or inv.is_irreducible or not inv.is_split:
-        cls = pencil.hasse_class(inv, profile)
+    b_dim = pencil.b_delta_group(inv).dimension
+    cls = pencil.hasse_class(inv, profile)
 
     certs = [localarith.real_soluble(pen)]
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=args.margin)
@@ -257,9 +252,7 @@ def run_analyze(args) -> int:
             "certificate": _poly_json(c) if isinstance(c := profile.certificate, RatPoly) else c,
         },
         "brauer_dimension": b_dim,
-        "classification": None
-        if cls is None
-        else {
+        "classification": {
             "kind": cls.kind,
             "factor_degrees": list(cls.factor_degrees),
             "b_dimension": cls.b_dimension,
@@ -283,17 +276,12 @@ def run_analyze(args) -> int:
         f"delta flags: {list(inv.square_flags)}",
         f"galois: {profile.label}",
         f"B-dimension: {b_dim}",
-        f"classification: {cls.kind if cls else 'undecided'}",
+        f"classification: {cls.kind}",
         "local: " + ", ".join(f"{c.place}:{c.verdict}" for c in certs),
         f"elapsed: {elapsed:.2f}s",
     ]
     _emit(args, payload, "\n".join(lines))
-    undecided = (
-        "undecided" in inv.square_flags
-        or any(c.verdict == "unknown" for c in certs)
-        or cls is None
-    )
-    return 2 if undecided else 0
+    return 2 if any(c.verdict == "unknown" for c in certs) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +579,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of printing a usage block and exiting 2,
-    the code that means "undecided"; `main` reports it as one error line."""
+    the code that means "unknown"; `main` reports it as one error line."""
 
     def error(self, message):
         raise UsageError(message)
@@ -607,8 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prime-bound", type=int, default=100_000)
-    ap.add_argument("--prime-bound-small", type=int, default=200,
-                    help="split-prime budget for square certificates")
     ap.add_argument("--effort", type=int, default=3)
     ap.add_argument("--margin", type=int, default=100)
     ap.add_argument("--json", action="store_true", help="emit machine-readable JSON")

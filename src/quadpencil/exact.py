@@ -2,8 +2,18 @@
 
 Arbitrary-precision rationals (``fractions.Fraction``), univariate
 polynomials over Q and over F_p, factorization, discriminants, square
-tests, bad-prime sets with the walk over good primes, and a certified
-square-root test in etale algebras Q[t]/(m).
+tests, bad-prime sets with the walk over good primes, and a square-root
+test in etale algebras Q[t]/(m) that always decides.
+
+A polynomial over Q that is known by its values at the p-adic roots of a
+modulus split completely mod p is read back by `split_interpolations`:
+Hensel lifts continued from one precision to the next, one Lagrange basis
+per precision and rational reconstruction of each coefficient, up to a
+precision at which a polynomial of bounded height is sure to come back
+(Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).  The bounds rest on
+Fujiwara's root bound (`root_bound_bits`); the square roots of
+`sqrt_in_etale` and the automorphisms of `galois._automorphism` are
+found this way, so a failure at that precision is a proof.
 
 Polynomials are coefficient tuples in low-to-high order with no trailing
 zeros; the zero polynomial has an empty tuple.  A polynomial over Z/N is
@@ -635,27 +645,61 @@ def rational_reconstruct(u: int, modulus: int) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class SqrtEtaleResult:
-    """Outcome of a square test in Q[t]/(m): square / nonsquare / undecided."""
+    """Outcome of a square test in Q[t]/(m): square or nonsquare."""
 
     status: str
     root: Optional[RatPoly] = None
     certificate: Optional[tuple[int, int]] = None  # (p, root of m mod p) with nonresidue value
-    split_primes_tried: int = 0
 
 
-def lift_roots(m: RatPoly, roots: Sequence[int], p: int, pk: int) -> list[int]:
-    """Hensel lifts of simple roots of m from mod p to mod pk (pk a power of
-    p); m is reduced mod pk once for all of them."""
+def root_bound_bits(f: Sequence[int]) -> int:
+    """e with 2^e >= |r| for every complex root r of the monic integer
+    polynomial with coefficients f, low to high: Fujiwara's bound
+    2 max |f_i|^(1/(n - i)), in bit lengths."""
+    n = len(f) - 1
+    return 1 + max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(f[:-1]))
+
+
+def lift_roots(m: RatPoly, roots: Sequence[int], mod: int, pk: int) -> list[int]:
+    """Hensel lifts of simple roots of m from mod `mod` to mod pk (both
+    powers of one prime); m is reduced mod pk once for all of them.  The
+    inverse of m'(r) is inverted once, mod `mod`, and then lifted alongside
+    r by its own Newton step v -> v (2 - m'(r) v)."""
     mk = fp_reduce(m, pk)
     mdk = fp_trim([i * c % pk for i, c in enumerate(mk)][1:])
     out = []
     for cur in roots:
-        mod = p
-        while mod < pk:
-            mod = min(mod * mod, pk)
-            cur = (cur - fp_eval(mk, cur, mod) * pow(fp_eval(mdk, cur, mod), -1, mod)) % mod
+        q = mod
+        inv = pow(fp_eval(mdk, cur, q), -1, q)
+        while q < pk:
+            q = min(q * q, pk)
+            cur = (cur - fp_eval(mk, cur, q) * inv) % q
+            inv = inv * (2 - fp_eval(mdk, cur, q) * inv) % q
         out.append(cur % pk)
     return out
+
+
+def split_interpolations(
+    m: RatPoly, p: int, roots: Sequence[int], cap: int, candidates
+) -> Iterator[Optional[RatPoly]]:
+    """Interpolations on the p-adic roots of m, at a prime p where m splits
+    into the simple roots `roots` mod p.
+
+    For bits = 64, 128, ... up to cap, the roots are lifted from the
+    previous precision to p^k >= 2^bits, their `lagrange_basis` is built,
+    and for each value vector ys in candidates(roots mod p^k, previous
+    precision, p^k) the polynomial of degree < deg m taking the values ys
+    at them is yielded as `interpolate_rational` reads it back (None where
+    a coefficient has no reconstruction).  A polynomial over Q whose
+    coefficients are n/d with |n|, d <= sqrt(p^k / 2) comes back exactly."""
+    prev = p
+    for bits in sorted({min(64 << j, cap) for j in range(cap.bit_length())}):
+        pk = p ** -(-bits // (p.bit_length() - 1))
+        roots = lift_roots(m, roots, prev, pk)
+        basis = lagrange_basis(roots, pk)
+        for ys in candidates(roots, prev, pk):
+            yield interpolate_rational(basis, ys, pk)
+        prev = pk
 
 
 def unramified_prime(f: RatPoly) -> Optional[int]:
@@ -679,10 +723,10 @@ def integer_roots(f: RatPoly) -> list[int]:
     p-adic lifting (Loos, SIAM J. Comput. 12, 1983): at the least odd prime
     p not dividing disc(f) every root of f is a simple root mod p, so each
     integer root is the symmetric residue of the Hensel lift of a root mod p
-    to a p^k above twice Fujiwara's bound 2 max |c_i|^(1/(n - i)) on the
-    roots.  A lift is kept only if it is a root of f exactly.  A repeated
-    root is a root of the squarefree part f // gcd(f, f'), which is then
-    lifted instead."""
+    to a p^k above twice Fujiwara's bound on the roots (`root_bound_bits`).
+    A lift is kept only if it is a root of f exactly.  A repeated root is a
+    root of the squarefree part f // gcd(f, f'), which is then lifted
+    instead."""
     if f.is_zero or f.lc != 1 or any(c.denominator != 1 for c in f.coeffs):
         raise ValueError("monic integer polynomial required")
     if f.degree < 2:
@@ -693,8 +737,7 @@ def integer_roots(f: RatPoly) -> list[int]:
     roots_p = fp_roots(fp_reduce(f, p), p)
     if not roots_p:
         return []
-    n = f.degree
-    bound = 2 << max(-(-c.numerator.bit_length() // (n - i)) for i, c in enumerate(f.coeffs[:-1]))
+    bound = 1 << root_bound_bits([c.numerator for c in f.coeffs])
     pk = p
     while pk <= 2 * bound:
         pk *= pk
@@ -710,17 +753,22 @@ def integer_roots(f: RatPoly) -> list[int]:
     return sorted(roots)
 
 
-def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleResult:
+def sqrt_in_etale(d: RatPoly, m: RatPoly) -> SqrtEtaleResult:
     """Decide whether d is a square in the etale algebra Q[t]/(m).
 
-    m must be a monic squarefree modulus and d a unit mod m.  A positive
-    answer carries a verified root y with y^2 = d mod m (found by Hensel
-    lifting modulo a totally split prime and rational reconstruction).  A
-    negative answer carries a certificate (p, r): p an odd prime, unramified
-    for m, at which d is a unit, with m(r) = 0 mod p and d(r) a nonresidue
-    mod p; the Hensel lift of r maps the algebra to Z_p, where d has no
-    square root.  If neither is found within prime_budget split primes,
-    returns "undecided" rather than guessing.
+    m must be a monic squarefree modulus and d a unit mod m.  The good
+    primes (odd, dividing no denominator of m or d and not disc(m)) are
+    walked in order.  At a prime p where some d(r), m(r) = 0 mod p, is a
+    nonresidue mod p the answer is "nonsquare" with the certificate (p, r):
+    the Hensel lift of r maps the algebra to Z_p, where d has no square
+    root.  The walk ends at the first good prime where m splits completely
+    and d is a unit at every root.  There each root y of d is, in the
+    embedding at the lifted roots, one of the 2^(n-1) sign patterns of the
+    lifted square roots of the d(r) (up to -y), and its coefficients are
+    bounded by `_sqrt_cap`; each pattern is interpolated and reconstructed
+    up to that precision (`split_interpolations`).  A reconstruction y with
+    y^2 = d mod m, checked exactly, is returned as "square"; when none
+    passes, d is proved a nonsquare (certificate None, as for a linear m).
     """
     if m.is_zero or m.lc != 1:
         raise ValueError("modulus must be monic")
@@ -742,51 +790,56 @@ def sqrt_in_etale(d: RatPoly, m: RatPoly, prime_budget: int = 200) -> SqrtEtaleR
     if resultant(m, d) == 0:
         raise ValueError("d is not a unit modulo m")
     bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
-    primes = good_primes(bad, 3)
-    deg = m.degree
-    split_seen = 0
-    while split_seen < prime_budget:
-        p = next(primes)
+    n = m.degree
+    for p in good_primes(bad, 3):
         roots = fp_roots(fp_reduce(m, p), p)
         if not roots:
             continue
         dp = fp_reduce(d, p)
-        usable = []
-        for r in roots:
-            u = fp_eval(dp, r, p)
-            if u == 0:
-                continue
-            if legendre(u, p) == -1:
-                return SqrtEtaleResult("nonsquare", certificate=(p, r), split_primes_tried=split_seen)
-            usable.append((r, u))
-        if len(roots) == deg and len(usable) == deg:
-            split_seen += 1
-            y = _reconstruct_sqrt(d, m, p, usable)
-            if y is not None:
-                return SqrtEtaleResult("square", root=y, split_primes_tried=split_seen)
-    return SqrtEtaleResult("undecided", split_primes_tried=split_seen)
+        units = [fp_eval(dp, r, p) for r in roots]
+        for r, u in zip(roots, units):
+            if u and legendre(u, p) == -1:
+                return SqrtEtaleResult("nonsquare", certificate=(p, r))
+        if len(roots) < n or not all(units):
+            continue
+        sqrts = [sqrt_mod_p(u, p) for u in units]
 
+        def sign_patterns(roots_k, prev, pk):
+            # the square roots of the d(r) mod pk, lifted from mod prev
+            dk = fp_reduce(d, pk)
+            for i, (r, s) in enumerate(zip(roots_k, sqrts)):
+                sqrts[i] = lift_roots(RatPoly.of([-fp_eval(dk, r, pk), 0, 1]), [s], prev, pk)[0]
+            for signs in range(1 << (n - 1)):
+                yield [s if i == 0 or not (signs >> (i - 1)) & 1 else -s % pk for i, s in enumerate(sqrts)]
 
-def _reconstruct_sqrt(d: RatPoly, m: RatPoly, p: int, root_vals) -> Optional[RatPoly]:
-    deg = m.degree
-    for k_digits in (45, 130, 400):
-        pk = p ** max(2, int(k_digits / math.log10(p)) + 1)
-        roots_k = lift_roots(m, [r for r, _ in root_vals], p, pk)
-        basis = lagrange_basis(roots_k, pk)
-        dk = fp_reduce(d, pk)
-        sqrts_k = []
-        for (r, u), rk in zip(root_vals, roots_k):
-            # the square root of d(rk) mod pk lifting the one of u mod p
-            y2 = RatPoly.of([-fp_eval(dk, rk, pk), 0, 1])
-            sqrts_k += lift_roots(y2, [sqrt_mod_p(u, p)], p, pk)
-        for signs in range(1 << (deg - 1)):
-            vals = [sqrts_k[0]]
-            for i in range(1, deg):
-                vals.append(sqrts_k[i] if not (signs >> (i - 1)) & 1 else (-sqrts_k[i]) % pk)
-            y = interpolate_rational(basis, vals, pk)
+        for y in split_interpolations(m, p, roots, _sqrt_cap(d, m, disc_m), sign_patterns):
             if y is not None and ((y * y - d) % m).is_zero:
-                return y
-    return None
+                return SqrtEtaleResult("square", root=y)
+        return SqrtEtaleResult("nonsquare", certificate=None)
+
+
+def _sqrt_cap(d: RatPoly, m: RatPoly, disc_m: Fraction) -> int:
+    """Bits b with 2^b >= 2 max(|num|, den)^2 over the coefficients of every
+    y in Q[t]/(m) with y^2 = d, for d reduced mod the monic m of degree n.
+
+    With D the denominator lcm of m, M(x) = D^n m(x/D) is monic in Z[x] and
+    its roots rho satisfy |rho| <= 2^e (`root_bound_bits`).  With c =
+    den(d) D^deg d, E(x) = c d(x/D) is in Z[x], and w = c y(x/D) takes at
+    each rho an algebraic integer with |w(rho)|^2 = c |E(rho)| <= W2 = c
+    sum |E_j| 2^(e j).  By Cramer's rule on the Vandermonde system of the
+    rho, w_j Delta, Delta = disc M = D^(n(n-1)) disc m, is an integer of
+    absolute value at most H sqrt|Delta|, with H^2 <= R2^n by Hadamard's
+    bound on rows of squared norm at most R2 = sum_{k<n} 4^(e k) + W2.  So
+    y_j = w_j D^j / c has |num|^2 <= R2^n |Delta| D^(2(n-1)) and den <=
+    c |Delta|."""
+    n = m.degree
+    D = m.denominator_lcm()
+    e = root_bound_bits([int(c * D ** (n - j)) for j, c in enumerate(m.coeffs)])
+    c = d.denominator_lcm() * D**d.degree
+    w2 = c * sum(abs(int(dj * c / D**j)) << (e * j) for j, dj in enumerate(d.coeffs))
+    r2 = sum(1 << (2 * e * k) for k in range(n)) + w2
+    delta = abs(int(D ** (n * (n - 1)) * disc_m))
+    return (2 * max(r2**n * delta * D ** (2 * n - 2), (c * delta) ** 2)).bit_length()
 
 
 def lagrange_basis(xs: Sequence[int], mod: int) -> list[list[int]]:
@@ -835,10 +888,6 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-def _square_or_prime(n: int) -> bool:
-    return math.isqrt(n) ** 2 == n or sympy.isprime(n)
-
-
 def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
     """Multiply d by the square of a rational so heights shrink.
 
@@ -846,6 +895,13 @@ def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
     from the integer content by trial division, and a cofactor left over
     that is a square.  Trial division stops early once the cofactor is a
     square or a prime: it would remove all of a square and none of a prime.
+    The cofactor is tested for squareness after each division, and for
+    primality first at q = 2 and then, once a division has changed it, when
+    q has passed that division by b^2/64, b its bit length: a primality
+    test of a b-bit cofactor costs about as much as b^2/128 trial
+    divisions, so the tests cost about as much as the divisions between
+    them, and a prime cofactor costs at most about one test's worth of
+    divisions more than an immediate test would.
     The square class of d in Q[t]/(m) is unchanged.
     """
     if d.is_zero:
@@ -860,7 +916,8 @@ def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
         sq = 1
         q = 2
         rem = g
-        settled = _square_or_prime(rem)
+        settled = math.isqrt(rem) ** 2 == rem
+        retest = q  # q at which rem is next tested for primality, or None
         while not settled and q * q <= rem and q <= bound:
             if rem % q == 0:
                 exp = 0
@@ -868,7 +925,11 @@ def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
                     rem //= q
                     exp += 1
                 sq *= q ** (2 * (exp // 2))
-                settled = _square_or_prime(rem)
+                settled = math.isqrt(rem) ** 2 == rem
+                if retest is None:
+                    retest = q + rem.bit_length() ** 2 // 64
+            if retest is not None and q >= retest and not settled:
+                settled, retest = sympy.isprime(rem), None
             q += 1 if q == 2 else 2
         root = math.isqrt(rem)
         if root * root == rem:

@@ -62,10 +62,9 @@ from .exact import (
     fp_trim,
     good_primes,
     integer_roots,
-    interpolate_rational,
     is_square_q,
-    lagrange_basis,
-    lift_roots,
+    root_bound_bits,
+    split_interpolations,
     unramified_prime,
 )
 from .groupmod import Perm
@@ -363,42 +362,42 @@ def _automorphism(P: RatPoly, disc: Fraction, p: int) -> Optional[RatPoly]:
     """g != t with P(g) = 0 mod P, found at a good prime p where P splits
     completely, or None, which proves that Gal(P) is not C5.
 
-    The roots r_0 < ... < r_4 of P mod p are lifted to p^k.  An automorphism
-    permutes them by a five-cycle, and each of the six cyclic groups of
-    order 5 holds one cycle sending r_0 to r_1, so six interpolations of
-    g(r_i) = r_sigma(i) cover every automorphism when Gal(P) = C5.  The
-    precision doubles up to a p^k at which each one is sure to reconstruct.
-    With D the denominator lcm of P, g(t) = h(D t) / D for an automorphism
-    h of Q[t]/(Q), Q = D^5 P(t/D) a monic integer polynomial.  Let 2^e >= |r|
-    for every complex root r of Q (Fujiwara's bound).  By Cramer's rule on
-    the Vandermonde system of the roots of Q, h_j = m_j / s with m_j an
-    integer, |m_j| <= 5^(5/2) 2^(11e) (Hadamard's bound), and s =
-    sqrt(disc Q) a product of ten root differences, so s <= 2^(10e + 10).
+    An automorphism permutes the p-adic roots r_0 < ... < r_4 (increasing
+    mod p) of P by a five-cycle, and each of the six cyclic groups of order
+    5 holds one cycle sending r_0 to r_1, so six interpolations of g(r_i) =
+    r_sigma(i) cover every automorphism when Gal(P) = C5; they are run by
+    `exact.split_interpolations`, which lifts the roots from one precision
+    to the next and stops at a p^k at which each one is sure to
+    reconstruct.  With D the denominator lcm of P, g(t) = h(D t) / D for an
+    automorphism h of Q[t]/(Q), Q = D^5 P(t/D) a monic integer polynomial.
+    Let 2^e >= |r| for every complex root r of Q (`root_bound_bits`).  By
+    Cramer's rule on the Vandermonde system of the roots of Q, h_j = m_j / s
+    with m_j an integer, |m_j| <= 5^(5/2) 2^(11e) (Hadamard's bound), and s
+    = sqrt(disc Q) a product of ten root differences, so s <= 2^(10e + 10).
     Every coefficient of g is then n/d with |n|, d <= 2^(11e + 10) D^3, and
     d divides s D = D^11 sqrt(disc P), which rules out most false
     reconstructions before the exact check.
     """
     D = P.denominator_lcm()
     sD = D**11 * math.isqrt(disc.numerator) // math.isqrt(disc.denominator)
-    e = 1 + max(-(-abs(c).bit_length() // (5 - i)) for i, c in enumerate(_integer_quintic(P)[:5]))
+    e = root_bound_bits(_integer_quintic(P))
     cap = 22 * e + 6 * D.bit_length() + 22  # |n|, d <= sqrt(p^k / 2)
-    roots_p = fp_roots(fp_reduce(P, p), p)
-    for bits in sorted({min(64 << j, cap) for j in range(cap.bit_length())}):
-        pk = p ** -(-bits // (p.bit_length() - 1))
-        roots = lift_roots(P, roots_p, p, pk)
-        basis = lagrange_basis(roots, pk)
+
+    def five_cycles(roots, prev, pk):
         for rest in itertools.permutations(range(2, 5)):
             cyc = (0, 1, *rest)  # sigma: roots[cyc[i]] -> roots[cyc[i + 1 mod 5]]
             image = [0] * 5
             for i, j in enumerate(cyc):
                 image[j] = roots[cyc[(i + 1) % 5]]
-            g = interpolate_rational(basis, image, pk)
-            if g is not None and g != RatPoly.x() and sD % g.denominator_lcm() == 0:
-                acc = RatPoly(())
-                for c in reversed(P.coeffs):  # P(g) mod P by Horner
-                    acc = (acc * g + RatPoly.const(c)) % P
-                if acc.is_zero:
-                    return g
+            yield image
+
+    for g in split_interpolations(P, p, fp_roots(fp_reduce(P, p), p), cap, five_cycles):
+        if g is not None and g != RatPoly.x() and sD % g.denominator_lcm() == 0:
+            acc = RatPoly(())
+            for c in reversed(P.coeffs):  # P(g) mod P by Horner
+                acc = (acc * g + RatPoly.const(c)) % P
+            if acc.is_zero:
+                return g
     return None
 
 

@@ -326,9 +326,7 @@ def delta_component(phi1n: Matrix, phi2n: Matrix, factor: RatPoly) -> RatPoly:
     return strip_square_content(diag[drop])
 
 
-def delta_invariant(
-    norm: NormalizedPencil, certify: bool = True, prime_budget: int = 200
-) -> DeltaInvariant:
+def delta_invariant(norm: NormalizedPencil, certify: bool = True) -> DeltaInvariant:
     """Factor P and compute the delta square classes of the singular members.
 
     certify=False leaves every square flag "undecided" (cheap mode for laws
@@ -341,7 +339,7 @@ def delta_invariant(
         d = delta_component(norm.phi1n, norm.phi2n, f)
         reps.append(d)
         if certify:
-            flags.append(sqrt_in_etale(d, f, prime_budget=prime_budget).status)
+            flags.append(sqrt_in_etale(d, f).status)
         else:
             flags.append("undecided")
     return DeltaInvariant(norm.chart, norm.P, tuple(factors), tuple(reps), tuple(flags))

@@ -24,20 +24,29 @@ from quadpencil import gf2
 from quadpencil.canon import DeltaInput, normalize_delta, trace_form
 from quadpencil.exact import (
     REAL_PLACE,
+    BadSet,
     LocalPlace,
     RatPoly,
+    SqrtEtaleResult,
     _as_rat,
     discriminant,
     factor_q,
+    fp_eval,
     fp_powmod,
     fp_reduce,
     fp_rem,
+    fp_roots,
     fp_trim,
+    good_primes,
+    interpolate_rational,
     inverse_mod,
     is_square_q,
+    lagrange_basis,
     legendre,
+    lift_roots,
     prime_place,
     resultant,
+    sqrt_mod_p,
     val_unit,
 )
 from quadpencil.galois import (
@@ -399,6 +408,54 @@ def strip_square_content_by_trial_division(d: RatPoly, bound: int = 10**6) -> Ra
         if sq > 1:
             e = e * Fraction(1, sq)
     return e
+
+
+def sqrt_in_etale_walk(
+    d: RatPoly, m: RatPoly, prime_budget: int = 200, digit_ladder: Sequence[int] = (45, 130, 400)
+) -> SqrtEtaleResult:
+    """The square test in Q[t]/(m) as a walk with a budget: "nonsquare" at
+    the first good prime with a root r of m where d(r) is a nonresidue,
+    "square" once a root reconstructed at a totally split prime, through a
+    ladder of precisions of about `digit_ladder` decimal digits, squares to
+    d mod m, and "undecided" after prime_budget totally split primes where
+    no reconstruction did.  m is monic of degree >= 2 and squarefree, and d
+    a unit mod m."""
+    d = d % m
+    disc_m = discriminant(m)
+    bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
+    primes = good_primes(bad, 3)
+    n = m.degree
+    split_seen = 0
+    while split_seen < prime_budget:
+        p = next(primes)
+        roots = fp_roots(fp_reduce(m, p), p)
+        dp = fp_reduce(d, p)
+        usable = []
+        for r in roots:
+            u = fp_eval(dp, r, p)
+            if u == 0:
+                continue
+            if legendre(u, p) == -1:
+                return SqrtEtaleResult("nonsquare", certificate=(p, r))
+            usable.append((r, u))
+        if len(roots) < n or len(usable) < n:
+            continue
+        split_seen += 1
+        for digits in digit_ladder:
+            pk = p ** max(2, int(digits / math.log10(p)) + 1)
+            roots_k = lift_roots(m, roots, p, pk)
+            basis = lagrange_basis(roots_k, pk)
+            dk = fp_reduce(d, pk)
+            sqrts = [
+                lift_roots(RatPoly.of([-fp_eval(dk, rk, pk), 0, 1]), [sqrt_mod_p(u, p)], p, pk)[0]
+                for (_, u), rk in zip(usable, roots_k)
+            ]
+            for signs in range(1 << (n - 1)):
+                vals = [s if i == 0 or not (signs >> (i - 1)) & 1 else -s % pk for i, s in enumerate(sqrts)]
+                y = interpolate_rational(basis, vals, pk)
+                if y is not None and ((y * y - d) % m).is_zero:
+                    return SqrtEtaleResult("square", root=y)
+    return SqrtEtaleResult("undecided")
 
 
 # ---------------------------------------------------------------------------

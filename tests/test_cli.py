@@ -160,6 +160,18 @@ class TestAnalyze:
         assert report["classification"]["kind"] == "IRREDUCIBLE"
         assert report["galois"]["label"] == "F20"
 
+    def test_huge_square_root_decided(self, tmp_path):
+        # delta' = (10^300 t + 7)^2: the square class of the component is
+        # decided by a root with coefficients of thousands of digits
+        model = canonical_quadrics(poly(-2, 0, 0, 0, 0, 1), poly(7, 10**300) * poly(7, 10**300))
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(model.to_pencil()))
+        out = tmp_path / "report.json"
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) == 0
+        report = json.loads(out.read_text())
+        assert report["square_flags"] == ["square"]
+        assert report["classification"]["kind"] == "IRREDUCIBLE"
+
     def test_schema(self, split_pencil_file, tmp_path):
         out = tmp_path / "report.json"
         main(["--json", "--out", str(out), "analyze", str(split_pencil_file)])
@@ -377,6 +389,7 @@ class TestAnalyze:
         ["simulate", "--dims", "4,18,4"],
         ["simulate", "--dims", ",".join(["2"] * 400)],
         ["--margin", "x", "analyze", "PENCIL"],
+        ["--prime-bound-small", "5", "analyze", "PENCIL"],
         ["nosuchverb"],
         ["analyze"],
         ["canon"],
@@ -407,6 +420,7 @@ class TestAnalyze:
         "simulate-dims-above-cap",
         "simulate-too-many-places",
         "usage-margin-not-integer",
+        "usage-no-split-prime-budget",
         "usage-unknown-verb",
         "usage-analyze-no-input",
         "usage-canon-no-poly",
@@ -697,3 +711,19 @@ class TestParserReuse:
         assert main(["--json", "simulate", "--systems", "2", "--dims", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 0 and report["config"]["mode"] is None
+
+
+def test_every_option_is_read():
+    """Each option of the parser, subcommands included, is read by cli.py
+    as args.<dest>: an option that nothing reads is a dead knob."""
+    from quadpencil.cli import build_parser
+
+    text = (SRC / "quadpencil" / "cli.py").read_text()
+    parsers, dests = [build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            dests.add(action.dest)
+            if action.choices and isinstance(action.choices, dict):
+                parsers.extend(action.choices.values())
+    unread = sorted(d for d in dests - {"help", "command", "func"} if f"args.{d}" not in text)
+    assert unread == []

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadpencil.exact import (
     REAL_PLACE,
@@ -33,7 +33,9 @@ from reference import (
     hilbert_support,
     hilbert_symbol,
     local_square,
+    count_calls,
     shift,
+    sqrt_in_etale_walk,
     strip_square_content_by_trial_division,
     sympy_rational_roots,
 )
@@ -423,6 +425,76 @@ class TestSqrtEtale:
         m = poly(-2, 0, 1) * poly(-3, 1)
         with pytest.raises(ValueError, match="not a unit"):
             sqrt_in_etale(poly(-3, 1), m)
+
+
+    # y = 10^450 + 7 + 3t + t^4: the root's coefficients have about 900
+    # digits, beyond every precision of a fixed digit ladder
+    @pytest.mark.parametrize("m, y", [
+        (T5_MINUS_2, poly(10**450 + 7, 3, 0, 0, 1)),
+        (poly(-2, 0, 1), poly(10**450 + 7, 3)),
+    ], ids=["t5-2", "t2-2"])
+    def test_huge_root_is_found(self, m, y):
+        d = (y * y) % m
+        assert sqrt_in_etale_walk(d, m, prime_budget=2).status == "undecided"
+        res = sqrt_in_etale(d, m)
+        assert res.status == "square"
+        assert ((res.root * res.root - d) % m).is_zero
+
+    def test_nonsquare_proved_at_first_split_prime(self, monkeypatch):
+        # t^2 - 2 has no root mod 3 or 5 and the roots 3, 4 mod 7, where
+        # 11 = 4 is a residue at both; 11 is not a square in Q(sqrt 2)
+        m = poly(-2, 0, 1)
+        assert sqrt_in_etale_walk(poly(11), m).certificate[0] == 17
+        calls = count_calls(monkeypatch, "fp_roots")
+        res = sqrt_in_etale(poly(11), m)
+        assert res.status == "nonsquare" and res.certificate is None
+        assert [p for _, p in calls] == [3, 5, 7]
+
+
+@st.composite
+def etale_cases(draw):
+    """(d, m): m monic squarefree of degree 2 to 5, irreducible, reducible
+    or with rational coefficients; d a square y^2 mod m, a rational
+    multiple c y^2 of one, or random, and a unit mod m."""
+    n = draw(st.integers(2, 5))
+    small = st.integers(-9, 9)
+    kind = draw(st.sampled_from(["irreducible", "reducible", "rational"]))
+    if kind == "reducible":
+        k = draw(st.integers(1, n - 1))
+        m = RatPoly.of(draw(st.lists(small, min_size=k, max_size=k)) + [1])
+        m = m * RatPoly.of(draw(st.lists(small, min_size=n - k, max_size=n - k)) + [1])
+    elif kind == "rational":
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        m = RatPoly.of(draw(st.lists(coeff, min_size=n, max_size=n)) + [1])
+    else:
+        m = RatPoly.of(draw(st.lists(small, min_size=n, max_size=n)) + [1])
+        assume(len(factor_q(m)) == 1)
+    assume(discriminant(m) != 0)
+    height = draw(st.sampled_from([9, 10**6]))
+    y = RatPoly.of(draw(st.lists(st.integers(-height, height), min_size=1, max_size=n)))
+    form = draw(st.sampled_from(["square", "multiple", "random"]))
+    if form == "square":
+        d = (y * y) % m
+    elif form == "multiple":
+        d = (y * y * draw(st.fractions(min_value=-50, max_value=50, max_denominator=7))) % m
+    else:
+        d = y % m
+    assume(not d.is_zero and resultant(m, d) != 0)
+    return d, m
+
+
+class TestSqrtAgainstWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(etale_cases())
+    def test_same_status_where_the_walk_decides(self, case):
+        d, m = case
+        res = sqrt_in_etale(d, m)
+        assert res.status in ("square", "nonsquare")
+        if res.status == "square":
+            assert ((res.root * res.root - d) % m).is_zero
+        ref = sqrt_in_etale_walk(d, m)
+        if ref.status != "undecided":
+            assert res.status == ref.status
 
 
 class TestStripSquareContent:
