@@ -45,7 +45,7 @@ def main():
     for d, c in sorted(counts.items()):
         print(f"  {d}: {c} primes, first at {first[d]}")
 
-    wit = find_bT(P, factors, [DT_RES_NONZERO, DT_RES_ZERO], prime_bound=args.prime_bound)
+    wit = find_bT(P, factors, [DT_RES_NONZERO, DT_RES_ZERO], s0, prime_bound=args.prime_bound)
     print(f"\nwitness: b = {wit.b}, T = {list(wit.primes)}")
     print(f"valuations of P(b) at T: {list(wit.valuations)}")
 

@@ -245,7 +245,7 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
             if j in used or pf.degree != rf.degree:
                 continue
             # (d t - b)^deg pf((a - c t)/(d t - b)) vanishes mod rf
-            if (chart_poly(RatPoly.of(pf.coeffs[::-1]), pf.degree, chart) % rf).is_zero:
+            if (RatPoly.of(chart_poly(pf.coeffs[::-1], pf.degree, chart)) % rf).is_zero:
                 target = (j, pf, pd)
                 break
         if target is None:

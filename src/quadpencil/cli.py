@@ -192,7 +192,7 @@ def run_analyze(args) -> int:
         return 1
     inv = pencil.delta_invariant(norm)
     try:
-        profile = galois.galois_group_quintic(norm.P, inv.factors)
+        profile = galois.galois_group_quintic(norm.P, inv.factors, inv.disc)
     except ArithmeticError as e:  # no usable resolvent
         print(f"error: Galois group of P: {e}", file=sys.stderr)
         return 1
@@ -200,12 +200,12 @@ def run_analyze(args) -> int:
     cls = pencil.hasse_class(inv, profile)
 
     certs = [localarith.real_soluble(pen)]
-    s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=args.margin)
+    s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
     # p = 2 is declared out of scope for solubility (always "unknown"), so the
     # default certificate sweep covers the small odd bad primes
     small_bad = [p for p in (3, 5, 7, 11, 13) if p in s0]
     for p in small_bad:
-        certs.append(localarith.padic_soluble([pen.phi1, pen.phi2], p, effort=args.effort))
+        certs.append(localarith.padic_soluble(pen.cleared[1:], p, effort=args.effort))
 
     witness = None
     if conditions is not None:
@@ -214,8 +214,8 @@ def run_analyze(args) -> int:
                 norm.P,
                 inv.factor_reps(),
                 conditions,
+                s0,
                 prime_bound=args.prime_bound,
-                margin=args.margin,
             )
             witness = {
                 "b": rat_str(wit.b),
@@ -378,14 +378,9 @@ def run_search(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     delta_factors = [(f, dcomb % f) for f in factors]
+    s0 = localarith.bad_set_s0(P, delta_factors, args.margin)
     try:
-        wit = localarith.find_bT(
-            P,
-            delta_factors,
-            conditions,
-            prime_bound=args.prime_bound,
-            margin=args.margin,
-        )
+        wit = localarith.find_bT(P, delta_factors, conditions, s0, prime_bound=args.prime_bound)
     except localarith.InadmissibleConditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -422,10 +417,10 @@ def run_local(args) -> int:
         return 1
     if not places:
         inv = pencil.delta_invariant(norm, certify=False)
-        s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), margin=2)
+        s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
         places = [p for p in (3, 5, 7, 11, 13) if p in s0]
     for p in places:
-        certs.append(localarith.padic_soluble([pen.phi1, pen.phi2], p, effort=args.effort))
+        certs.append(localarith.padic_soluble(pen.cleared[1:], p, effort=args.effort))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "local-certificates",

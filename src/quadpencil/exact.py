@@ -22,6 +22,14 @@ a rational polynomial gets there.  Determinants of integer matrices are
 fraction-free Bareiss elimination, and a resultant is the determinant of
 an integer Sylvester matrix.
 
+A polynomial over Z is an int list as well.  `pseudo_remainder` reduces it
+modulo another without a division (Collins, J. ACM 14, 1967), and
+`int_inverse_mod` inverts it modulo f by Cramer's rule on the fraction-free
+multiplication matrix (Bareiss, Math. Comp. 22, 1968).  The delta
+invariant (`pencil.delta_component`) works this way: it reduces a cofactor
+table, interpolated once per pencil, by pseudo-remainders and takes one
+inverse per factor of P, and it builds rationals only for its result.
+
 This is the only module that calls sympy, and sympy factors over Q only:
 factorization of polynomials over Q, primality, the next prime and
 integer factorization are delegated to it (exact, deterministic);
@@ -240,6 +248,61 @@ def int_det(a: list[list[int]]) -> int:
     """Determinant of an integer matrix; the rows of a are overwritten."""
     sign, pivots = _bareiss(a)
     return sign * pivots[-1] if pivots else 1
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over Z (int lists, low-to-high)
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two coefficient lists (ints or Fractions), low to high."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
+    """(r, e) with r = lc(b)^e (a mod b) in Z[t], e = max(0, deg a - deg b + 1):
+    the pseudo-remainder (Collins, J. ACM 14, 1967), division-free, so the
+    remainder over Q is r / lc(b)^e.  deg a is its formal degree len(a) - 1
+    (so a list padded with zeros raises e), and b has no trailing zeros."""
+    r, lb = list(a), b[-1]
+    e = max(0, len(a) - len(b) + 1)
+    for _ in range(e):
+        c = r.pop()
+        k = len(r) - len(b) + 1
+        r = [lb * x for x in r]
+        for i, bi in enumerate(b[:-1]):
+            r[k + i] -= c * bi
+    return fp_trim(r), e
+
+
+def int_inverse_mod(c: Sequence[int], f: Sequence[int]) -> tuple[list[int], int]:
+    """(w, s) with c w = s mod f over Q, s a nonzero integer and w in Z[t] of
+    degree < n = deg f, for c in Z[t] of degree < n coprime to f.
+
+    Cramer's rule on the multiplication matrix, fraction-free: column j is
+    L^j (t^j c mod f), L = lc(f), each column the previous one times t with
+    one division-free reduction step.  With N that integer matrix, w_j =
+    L^j (-1)^j times the (0, j) minor of N and s = det N, both by Bareiss
+    elimination (Bareiss, Math. Comp. 22, 1968)."""
+    n, lf = len(f) - 1, f[-1]
+    col = list(c) + [0] * (n - len(c))
+    cols = [col]
+    for _ in range(n - 1):
+        top = col[-1]
+        col = [lf * x - top * fi for x, fi in zip([0] + col[:-1], f)]
+        cols.append(col)
+    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
+    minors = [int_det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(n)]
+    s = sum((-1) ** j * rows[0][j] * m for j, m in enumerate(minors))
+    if s == 0:
+        raise ValueError("not invertible: c and f share a root")
+    return fp_trim([(-1) ** j * lf**j * m for j, m in enumerate(minors)]), s
 
 
 def resultant(f: RatPoly, g: RatPoly) -> Fraction:
@@ -753,12 +816,15 @@ def integer_roots(f: RatPoly) -> list[int]:
     return sorted(roots)
 
 
-def sqrt_in_etale(d: RatPoly, m: RatPoly) -> SqrtEtaleResult:
+def sqrt_in_etale(
+    d: RatPoly, m: RatPoly, disc_m: Optional[Fraction] = None, norm: Optional[Fraction] = None
+) -> SqrtEtaleResult:
     """Decide whether d is a square in the etale algebra Q[t]/(m).
 
-    m must be a monic squarefree modulus and d a unit mod m.  The good
-    primes (odd, dividing no denominator of m or d and not disc(m)) are
-    walked in order.  At a prime p where some d(r), m(r) = 0 mod p, is a
+    m must be a monic squarefree modulus and d a unit mod m; a caller that
+    has disc(m) or the norm Res(m, d) passes it, and it is not computed
+    again.  The good primes (odd, dividing no denominator of m or d and not
+    disc(m)) are walked in order.  At a prime p where some d(r), m(r) = 0 mod p, is a
     nonresidue mod p the answer is "nonsquare" with the certificate (p, r):
     the Hensel lift of r maps the algebra to Z_p, where d has no square
     root.  The walk ends at the first good prime where m splits completely
@@ -784,10 +850,11 @@ def sqrt_in_etale(d: RatPoly, m: RatPoly) -> SqrtEtaleResult:
             return SqrtEtaleResult("square", RatPoly.const(Fraction(num, den)))
         return SqrtEtaleResult("nonsquare", certificate=None)
 
-    disc_m = discriminant(m)
+    if disc_m is None:
+        disc_m = discriminant(m)
     if disc_m == 0:
         raise ValueError("modulus must be squarefree")
-    if resultant(m, d) == 0:
+    if (resultant(m, d) if norm is None else norm) == 0:
         raise ValueError("d is not a unit modulo m")
     bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
     n = m.degree

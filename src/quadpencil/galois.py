@@ -46,14 +46,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 from .exact import (
     BadSet,
     RatPoly,
     _ddf,
     cycle_type,
-    discriminant,
     fp_gcd,
     fp_is_squarefree,
     fp_powmod,
@@ -314,16 +313,16 @@ def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
         work = nxt
 
 
-def galois_group_quintic(P: RatPoly, factors: Sequence[RatPoly]) -> GaloisProfile:
+def galois_group_quintic(P: RatPoly, factors: Sequence[RatPoly], disc: Fraction) -> GaloisProfile:
     """Classify Gal(P) for a monic separable quintic over Q, given the
-    irreducible factors of P over Q (P is not factored again).
+    irreducible factors of P over Q and disc(P) (neither is computed
+    again).
 
     Raises ArithmeticError when the resolvent needs more than 12
     Tschirnhausen transforms.
     """
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
-    disc = discriminant(P)
     if disc == 0:
         raise ValueError("quintic is not separable")
     disc_sq = is_square_q(disc)
@@ -412,7 +411,8 @@ def frobenius_class(
     P: RatPoly,
     delta_factors: Sequence[tuple[RatPoly, RatPoly]],
     p: int,
-) -> tuple[tuple[int, int], ...]:
+    cycle_types: Optional[Collection[tuple[int, ...]]] = None,
+) -> Optional[tuple[tuple[int, int], ...]]:
     """The signed Frobenius class of (P, delta) at p: the multiset of
     (degree, bit) over the irreducible factors h of P mod p, in decreasing
     order, with bit 0 when the delta representative of the factor of P that
@@ -426,6 +426,10 @@ def frobenius_class(
     p = 2, p divides a denominator of P or of a d_i, P mod p loses degree
     or is not squarefree, or some d_i vanishes mod a factor of P_i, which
     leaves the two counts short of deg g/d.
+
+    With `cycle_types`, the class is None, and no Euler power is taken,
+    unless the cycle type of P mod p (the degrees of the same split) is one
+    of them.
     """
     if p == 2:
         raise RamifiedPrimeError("p = 2 rejected")
@@ -434,14 +438,20 @@ def frobenius_class(
     Pp = fp_reduce(P, p)
     if len(Pp) - 1 != P.degree or not fp_is_squarefree(Pp, p):
         raise RamifiedPrimeError(f"{p} divides disc(P)")
-    datum = []
+    splits = []
     for Pi, di in delta_factors:
         if di.is_zero:
             raise ValueError("zero delta representative")
         if di.denominator_lcm() % p == 0:
             raise RamifiedPrimeError(f"delta ramifies at {p}")
-        dp = fp_reduce(di, p)
-        for d, g in _ddf(fp_reduce(Pi, p), p):
+        splits.append((fp_reduce(di, p), _ddf(fp_reduce(Pi, p), p)))
+    if cycle_types is not None:
+        degrees = [d for _, split in splits for d, g in split for _ in range((len(g) - 1) // d)]
+        if tuple(sorted(degrees, reverse=True)) not in cycle_types:
+            return None
+    datum = []
+    for dp, split in splits:
+        for d, g in split:
             s = fp_powmod(dp, (p**d - 1) // 2, g, p) or [0]
             counts = []
             for c in (-1, 1):

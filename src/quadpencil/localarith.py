@@ -4,8 +4,9 @@ witness search for admissible local conditions.
 Real solubility of a smooth pencil is decided exactly: the base locus has
 real points iff no member of the real pencil is definite, and definiteness
 is constant between consecutive real singular parameters, so Sylvester's
-criterion (the signs of the integer leading principal minors) at one
-rational sample per interval decides.
+criterion at one rational sample t0 = n/d per interval decides; it reads
+the signs of the leading principal minors of the integer member
+d A - n B, for the pencil's cleared pair (A, B) = den (phi1, phi2).
 p-adic solubility is a tree search over residue candidates with a
 multivariate Hensel criterion; "unknown" is a first-class verdict and no
 verdict is ever guessed.
@@ -37,7 +38,6 @@ from .exact import (
     BadSet,
     LocalPlace,
     RatPoly,
-    cycle_type,
     discriminant,
     fp_reduce,
     fp_roots,
@@ -45,6 +45,7 @@ from .exact import (
     int_det,
     lift_roots,
     prime_place,
+    pseudo_remainder,
     resultant,
     val_unit,
 )
@@ -53,8 +54,8 @@ from .groupmod import WreathElement, is_admissible
 from .pencil import (
     Matrix,
     Pencil,
+    clear_denominators,
     definite_sign,
-    mat_combine,
     rat_str,
 )
 
@@ -66,16 +67,22 @@ def bad_set_s0(
     P: RatPoly,
     delta_factors: Sequence[tuple[RatPoly, RatPoly]] = (),
     margin: int = 100,
+    disc: Optional[Fraction] = None,
+    norms: Optional[Sequence[Fraction]] = None,
 ) -> BadSet:
     """Primes where anything can go wrong: 2, divisors of disc(P),
     denominators of P, primes where delta ramifies, and every prime below
     the margin (the fixed enlargement guaranteeing enough points on special
     fibres is modeled by a constant cutoff).  Only the integers are
-    collected; membership is tested by division."""
-    disc = discriminant(P)
+    collected; membership is tested by division.  A caller that has disc(P)
+    and the resultants Res(P_i, d_i) (`pencil.DeltaInvariant`) passes them,
+    and they are not computed again."""
+    if disc is None:
+        disc = discriminant(P)
+    if norms is None:
+        norms = [resultant(f, d) for f, d in delta_factors]
     integers = [disc.numerator, disc.denominator, P.denominator_lcm()]
-    for f, d in delta_factors:
-        res = resultant(f, d)
+    for (f, d), res in zip(delta_factors, norms):
         integers += [d.denominator_lcm(), res.numerator, res.denominator]
         content = math.gcd(*(c.numerator for c in d.coeffs))
         if content > 1:
@@ -107,24 +114,17 @@ def _sturm_chain(f: RatPoly) -> list[list[int]]:
 
     A primitive remainder sequence (Collins, JACM 14, 1967): the next
     element is the pseudo-remainder lc(b)^e a - q b, e = deg a - deg b + 1,
-    of the last two, negated when lc(b)^e > 0 and divided by its content."""
+    of the last two (`pseudo_remainder`), negated when lc(b)^e > 0 and
+    divided by its content."""
     den = f.denominator_lcm()
     a = _primitive([int(c * den) for c in f.coeffs])
     chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        r, lb = a[:], b[-1]
-        for _ in range(len(a) - len(b) + 1):
-            c = r.pop()
-            k = len(r) - len(b) + 1
-            r = [lb * x for x in r]
-            for i, bi in enumerate(b[:-1]):
-                r[k + i] -= c * bi
-        while r and r[-1] == 0:
-            r.pop()
+        r, _ = pseudo_remainder(a, b)
         if not r:
             break
-        if lb > 0 or (len(a) - len(b)) % 2:
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
             r = [-x for x in r]
         chain.append(_primitive(r))
     return chain
@@ -209,8 +209,11 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
     if intervals:
         samples = [intervals[0][0] - 1, intervals[-1][1] + 1]
         samples += [(b1 + a2) / 2 for (_, b1), (a2, _) in zip(intervals, intervals[1:])]
+    _, a, b = pencil.cleared
     for t0 in samples:
-        sign = definite_sign(mat_combine(pencil.phi1, pencil.phi2, Fraction(1), -t0))
+        # den (phi1 - t0 phi2) times the denominator of t0, an integer matrix
+        n, d = t0.numerator, t0.denominator
+        sign = definite_sign([[d * x - n * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
         if sign:
             return LocalCertificate(
                 REAL_PLACE,
@@ -234,15 +237,14 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
 
 
 def _integral_forms(model: Sequence[Matrix], p: int) -> list[list[list[int]]]:
+    """Each form of the model as an integer matrix with no common factor p.
+    The entries are ints or Fractions; an integer form (such as a pencil's
+    `Pencil.cleared` pair) is read as it is.  Scaling a form by a p-unit
+    changes no verdict and no witness."""
     out = []
     for m in model:
-        den = math.lcm(*(x.denominator for row in m for x in row))
-        ints = [[int(x * den) for x in row] for row in m]
-        content = 0
-        for row in ints:
-            for v in row:
-                content = math.gcd(content, v)
-        if content == 0:
+        _, (ints,) = clear_denominators(m)
+        if not any(map(any, ints)):
             raise ValueError("zero form in the model")
         while all(v % p == 0 for row in ints for v in row):
             ints = [[v // p for v in row] for row in ints]
@@ -546,15 +548,19 @@ def find_bT(
     P: RatPoly,
     delta_factors: Sequence[tuple[RatPoly, RatPoly]],
     conditions: Sequence,
+    s0: BadSet,
     prime_bound: int = 100_000,
-    margin: int = 100,
 ) -> BTWitness:
     """Search primes outside the bad set realizing the requested classes and
     assemble b by CRT so that val_{v_i}(P(b)) = 1 at each matched prime.
 
     Conditions are multisets of (cycle length, sign bit); inadmissible
     conditions (no fixed point on the 10-point cover) are rejected before
-    scanning.  The returned witness is re-verified exactly.
+    scanning.  s0 is `bad_set_s0(P, delta_factors, margin)`, and the walk
+    starts at its margin.  At each prime one distinct-degree split per factor
+    gives the cycle type, and the Euler powers of the signed class are
+    taken only when it is a requested one.  The returned witness is
+    re-verified exactly.
     """
     data = [normalize_condition(c) for c in conditions]
     reps = [condition_representative(d) for d in data]
@@ -562,19 +568,18 @@ def find_bT(
     for d, ok in zip(data, adm):
         if not ok:
             raise InadmissibleConditionError(f"condition {d} has no fixed point")
-    s0 = bad_set_s0(P, delta_factors, margin)
 
     unmatched = list(range(len(data)))
     matched: dict[int, int] = {}
     targets = {tuple(sorted((l for l, _ in d), reverse=True)) for d in data}
-    for p in good_primes(s0, margin, prime_bound):
+    for p in good_primes(s0, s0.margin, prime_bound):
         if not unmatched:
             break
-        if cycle_type(P, p) not in targets:
-            continue
         try:
-            datum = frobenius_class(P, delta_factors, p)
+            datum = frobenius_class(P, delta_factors, p, targets)
         except RamifiedPrimeError:  # pragma: no cover
+            continue
+        if datum is None:
             continue
         for i in list(unmatched):
             if data[i] == datum:

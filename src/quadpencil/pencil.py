@@ -8,6 +8,12 @@ separable characteristic quintic P; the five singular members are rank-4
 quadrics whose restricted Gram determinants give the delta invariant, a
 tuple of square classes in the residue fields Q[t]/(P_i).
 
+The rational entries are cleared of denominators once per pencil
+(`Pencil.cleared`); the chart members, their characteristic polynomial,
+the cofactors behind the delta invariant and the real members tested for
+definiteness are integer combinations of that pair, and rationals are
+built only for what a report states.
+
 The norm-relation group (the products of the norms of the nonsquare delta
 components that are rational squares) is the machine-checkable core.
 """
@@ -18,7 +24,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,14 +35,17 @@ from .exact import (
     discriminant,
     factor_q,
     int_det,
-    inverse_mod,
+    int_inverse_mod,
     is_square_q,
+    poly_mul,
+    pseudo_remainder,
     resultant,
     sqrt_in_etale,
     strip_square_content,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def matrix_of(rows) -> Matrix:
@@ -52,7 +61,7 @@ def is_symmetric(m: Matrix) -> bool:
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
 
 
-def _cleared(*mats) -> tuple[int, list[list[list[int]]]]:
+def clear_denominators(*mats) -> tuple[int, list[list[list[int]]]]:
     """The common denominator of the entries and the integer matrices
     den * m."""
     den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
@@ -62,15 +71,15 @@ def _cleared(*mats) -> tuple[int, list[list[list[int]]]]:
 def mat_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a rational matrix: denominators are cleared once and
     the integer matrix goes through Bareiss elimination."""
-    den, (a,) = _cleared(m)
+    den, (a,) = clear_denominators(m)
     return Fraction(int_det(a), den ** len(a))
 
 
-def definite_sign(m: Matrix) -> int:
-    """1 if the symmetric matrix m is positive definite, -1 if negative
-    definite, else 0, by Sylvester's criterion on the leading principal
-    minors (the Bareiss pivots taken without row exchanges)."""
-    _, (a,) = _cleared(m)
+def definite_sign(a: list[list[int]]) -> int:
+    """1 if the symmetric integer matrix a is positive definite, -1 if
+    negative definite, else 0, by Sylvester's criterion on the leading
+    principal minors (the Bareiss pivots taken without row exchanges).  The
+    rows of a are overwritten."""
     _, minors = _bareiss(a, exchange=False)
     if 0 in minors:
         return 0
@@ -79,13 +88,6 @@ def definite_sign(m: Matrix) -> int:
     if all((d > 0) == (k % 2 == 1) for k, d in enumerate(minors)):
         return -1
     return 0
-
-
-def mat_combine(a: Matrix, b: Matrix, x: Fraction, y: Fraction) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(x * a[i][j] + y * b[i][j] for j in range(n)) for i in range(n)
-    )
 
 
 class SingularPencilError(ValueError):
@@ -107,6 +109,14 @@ class Pencil:
         for m in (self.phi1, self.phi2):
             if len(m) != 5 or not is_symmetric(m):
                 raise ValueError("5x5 symmetric matrices required")
+
+    @functools.cached_property
+    def cleared(self) -> tuple[int, IntMatrix, IntMatrix]:
+        """(den, den phi1, den phi2): den is the least common denominator of
+        the entries, so both matrices are integral; computed once per
+        pencil."""
+        den, (a, b) = clear_denominators(self.phi1, self.phi2)
+        return den, tuple(map(tuple, a)), tuple(map(tuple, b))
 
     @functools.cached_property
     def det_poly(self) -> RatPoly:
@@ -137,10 +147,16 @@ class Pencil:
 
 
 def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
-    """det(phi1 - t phi2) for n x n matrices, degree <= n: integer
-    determinants at t = 0..n, interpolated by forward differences."""
-    n = len(phi1)
-    den, (a, b) = _cleared(phi1, phi2)
+    """det(phi1 - t phi2) for n x n rational matrices, degree <= n."""
+    den, (a, b) = clear_denominators(phi1, phi2)
+    return RatPoly.of([Fraction(c, den ** len(a)) for c in _int_char_poly(a, b)])
+
+
+def _int_char_poly(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[int]:
+    """The integer coefficients, low to high, of det(a - t b) for n x n
+    integer matrices: determinants at t = 0..n, interpolated by forward
+    differences."""
+    n = len(a)
     ys = [
         int_det([[x - t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
         for t in range(n + 1)
@@ -155,8 +171,7 @@ def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
             coeffs[i] += c * f
         ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
         falling = [x - k * y for x, y in zip([0] + falling, falling + [0])]
-    scale = den**n
-    return RatPoly.of([Fraction(c, scale) for c in coeffs])
+    return coeffs
 
 
 def char_poly(m: Matrix) -> RatPoly:
@@ -166,7 +181,7 @@ def char_poly(m: Matrix) -> RatPoly:
     return char_poly_t(m, identity) * (-1) ** n
 
 
-Chart = tuple[Fraction, Fraction, Fraction, Fraction]
+Chart = tuple[int, int, int, int]
 
 
 def _chart_candidates():
@@ -179,8 +194,7 @@ def _chart_candidates():
         (0, 1, 1, 0),
         (1, 0, 1, -1),
     ]
-    for ch in fixed:
-        yield tuple(Fraction(x) for x in ch)
+    yield from fixed
     seen = {(0, 1), (1, 0), (1, -1)}
     for h in range(1, 30):
         for c in range(-h, h + 1):
@@ -193,7 +207,7 @@ def _chart_candidates():
                 seen.add(key)
                 g, x, y = _ext_gcd(c, d)
                 # a d - b c = 1 with (a, b) = (y, -x)
-                yield tuple(Fraction(v) for v in (y, -x, c, d))
+                yield (y, -x, c, d)
 
 
 def _ext_gcd(a: int, b: int):
@@ -205,31 +219,53 @@ def _ext_gcd(a: int, b: int):
 
 @dataclass(frozen=True)
 class NormalizedPencil:
-    """Pencil in a chart whose point at infinity avoids the singular locus."""
+    """Pencil in a chart whose point at infinity avoids the singular locus,
+    with the chart members cleared of denominators: m1 = den phi1' and
+    m2 = den phi2' are integer matrices."""
 
     pencil: Pencil
     chart: Chart  # (a, b, c, d): phi1' = a phi1 + b phi2, phi2' = c phi1 + d phi2
-    phi1n: Matrix
-    phi2n: Matrix
+    den: int
+    m1: IntMatrix
+    m2: IntMatrix
     P: RatPoly
     lead: Fraction  # det(phi1' - t phi2') = lead * P(t)
+    _cofactors: dict[tuple[int, int], list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def cofactor(self, i: int, j: int) -> list[int]:
+        """Cofactor (i, j) of m1 - t m2 as its five integer coefficients, low
+        to high (formal degree 4): integer determinants of its 4x4 minor at
+        t = 0..4, interpolated on first use and then shared by every factor
+        of P (the matrix is symmetric, so C_ij = C_ji)."""
+        key = (min(i, j), max(i, j))
+        if key not in self._cofactors:
+            rows = [r for r in range(5) if r != key[0]]
+            cols = [c for c in range(5) if c != key[1]]
+            sub1 = [[self.m1[r][c] for c in cols] for r in rows]
+            sub2 = [[self.m2[r][c] for c in cols] for r in rows]
+            self._cofactors[key] = [(-1) ** (i + j) * c for c in _int_char_poly(sub1, sub2)]
+        return self._cofactors[key]
 
 
-def chart_poly(form: RatPoly, degree: int, chart: Chart) -> RatPoly:
-    """F(a - c t, d t - b) for the binary form F(mu, nu) of this degree whose
-    coefficient of mu^(degree - i) nu^i is form[i].  With F(mu, nu) =
-    det(mu phi1 - nu phi2), the coefficients of `Pencil.det_poly`, this is
-    det(phi1' - t phi2') for phi1' = a phi1 + b phi2, phi2' = c phi1 + d phi2;
-    its t^5 coefficient is -det(phi2'), so it has degree 5 exactly when
-    phi2' is nonsingular."""
+def chart_poly(form: Sequence, degree: int, chart: Chart) -> list:
+    """F(a - c t, d t - b), coefficients low to high, for the binary form
+    F(mu, nu) of this degree whose coefficient of mu^(degree - i) nu^i is
+    form[i] (ints or Fractions); the list has degree + 1 entries, and the
+    top ones may vanish.  With F(mu, nu) = det(mu phi1 - nu phi2), the
+    coefficients of `Pencil.det_poly`, this is det(phi1' - t phi2') for
+    phi1' = a phi1 + b phi2, phi2' = c phi1 + d phi2; its t^5 coefficient is
+    -det(phi2'), so it has degree 5 exactly when phi2' is nonsingular."""
     a, b, c, d = chart
-    u, v = RatPoly.of([a, -c]), RatPoly.of([-b, d])
-    # homogeneous Horner: sum_i form[i] u^(degree - i) v^i
-    acc, u_pow = RatPoly(()), RatPoly.of([1])
+    # homogeneous Horner: sum_i form[i] u^(degree - i) v^i, u = a - c t, v = d t - b
+    acc, u_pow = [], [1]
     for i in range(degree, -1, -1):
-        acc = acc * v + u_pow * form[i]
+        acc = poly_mul(acc, [-b, d]) or [0]
+        for k, x in enumerate(u_pow):
+            acc[k] += form[i] * x
         if i:
-            u_pow = u_pow * u
+            u_pow = poly_mul(u_pow, [a, -c])
     return acc
 
 
@@ -240,21 +276,32 @@ def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
     skip_charts > 0 forces a later candidate (used to test chart
     independence).
     """
-    pencil.smoothness_certificate  # raises SingularPencilError unless the pencil is smooth
+    q = pencil.smoothness_certificate  # raises SingularPencilError unless the pencil is smooth
+    den, m1, m2 = pencil.cleared
+    scale = den**5
+    # the coefficients of det(m1 - t m2) = den^5 det(phi1 - t phi2)
+    form = [x.numerator * (scale // x.denominator) for x in q.coeffs] + [0] * (5 - q.degree)
     skipped = 0
     for chart in _chart_candidates():
         a, b, c, d = chart
         if a * d - b * c == 0:
             continue
-        q = chart_poly(pencil.det_poly, 5, chart)
-        if q.degree != 5:
+        chart_q = chart_poly(form, 5, chart)
+        if chart_q[5] == 0:
             continue
         if skipped < skip_charts:
             skipped += 1
             continue
-        phi1n = mat_combine(pencil.phi1, pencil.phi2, a, b)
-        phi2n = mat_combine(pencil.phi1, pencil.phi2, c, d)
-        return NormalizedPencil(pencil, chart, phi1n, phi2n, q.monic(), q.lc)
+        lc = chart_q[5]
+        return NormalizedPencil(
+            pencil,
+            chart,
+            den,
+            tuple(tuple(a * x + b * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)),
+            tuple(tuple(c * x + d * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)),
+            RatPoly.of([Fraction(x, lc) for x in chart_q]),
+            Fraction(lc, scale),
+        )
     raise SingularPencilError("no usable chart found")  # pragma: no cover
 
 
@@ -267,6 +314,8 @@ class DeltaInvariant:
     factors: tuple[RatPoly, ...]
     delta_reps: tuple[RatPoly, ...]
     square_flags: tuple[str, ...]  # "square" | "nonsquare" | "undecided"
+    disc: Fraction  # disc(P)
+    norms: tuple[Fraction, ...]  # Res(P_i, delta_i) = N(delta_i), per factor
 
     def factor_reps(self) -> list[tuple[RatPoly, RatPoly]]:
         return list(zip(self.factors, self.delta_reps))
@@ -287,62 +336,69 @@ def _height(f: RatPoly) -> int:
     return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in f.coeffs)
 
 
-def _cofactor(phi1n: Matrix, phi2n: Matrix, i: int, j: int, factor: RatPoly) -> RatPoly:
-    """Cofactor (i, j) of phi1n - theta phi2n, reduced mod factor(theta)."""
-    keep_r = [r for r in range(5) if r != i]
-    keep_c = [c for c in range(5) if c != j]
-    sub1 = [[phi1n[r][c] for c in keep_c] for r in keep_r]
-    sub2 = [[phi2n[r][c] for c in keep_c] for r in keep_r]
-    return char_poly_t(sub1, sub2) * (-1) ** (i + j) % factor
-
-
-def delta_component(phi1n: Matrix, phi2n: Matrix, factor: RatPoly) -> RatPoly:
-    """Gram determinant of the rank-4 singular member M = phi1n - theta phi2n
-    over Q[t]/(factor), where factor divides det(phi1n - t phi2n).
+def delta_component(norm: NormalizedPencil, factor: RatPoly) -> RatPoly:
+    """Gram determinant of the rank-4 singular member M = phi1' - theta phi2'
+    over Q[t]/(factor), where factor divides det(phi1' - t phi2').
 
     The 4-dimensional complement of the kernel is spanned by the coordinate
     vectors away from the kernel coordinate of smallest height (a fixed
     pivot rule; any complement changes the result by a square).
 
-    Everything is read from cofactors C_ij, each an integer determinant
-    polynomial of a 4x4 submatrix reduced mod the factor.  M is symmetric of
-    rank 4, so adj(M) = c v v^T for a kernel vector v:
+    Everything is read from the cofactors C_ij of the integer member
+    m1 - t m2 = den M, interpolated once per pencil (`NormalizedPencil.
+    cofactor`) and reduced mod the primitive integer multiple f of the
+    factor by pseudo-remainders: C_ij mod factor is r_ij / lc(f)^e, with
+    integers r_ij and one exponent e, as every cofactor has formal degree 4.
+    M is symmetric of rank 4, so adj(M) = c v v^T for a kernel vector v:
     - the nonzero diagonal cofactors C_ii = c v_i^2 give the support of v;
     - column k of adj(M), for the last coordinate k in the support, divided
       by C_kk is v scaled to v_k = 1, the kernel vector that row reduction
-      of M gives (k is its one free column);
-    - the Gram determinant on the coordinates other than i is C_ii.
+      of M gives (k is its one free column).  r_kk is inverted once, by
+      `int_inverse_mod`, and each v_i = r_ik / r_kk is an integer product
+      reduced by one more pseudo-remainder;
+    - the Gram determinant on the coordinates other than i is C_ii / den^4.
+    Rationals are built only for the heights of the v_i and for that Gram
+    determinant.
     """
-    diag = [_cofactor(phi1n, phi2n, i, i, factor) for i in range(5)]
-    support = [i for i in range(5) if not diag[i].is_zero]
+    scale = factor.denominator_lcm()
+    f = [c.numerator * (scale // c.denominator) for c in factor.coeffs]
+    content = math.gcd(*f)
+    f = [c // content for c in f]
+    lf = f[-1]
+    diag = [pseudo_remainder(norm.cofactor(i, i), f) for i in range(5)]
+    support = [i for i in range(5) if diag[i][0]]
     if not support:
         raise ArithmeticError("singular member has corank > 1, contradicting smoothness")
     k = support[-1]
-    inv = inverse_mod(diag[k], factor)
+    w, s = int_inverse_mod(diag[k][0], f)  # 1 / r_kk = w / s
     heights = {k: _height(RatPoly.of([1]))}
     for i in support[:-1]:
-        heights[i] = _height(inv * _cofactor(phi1n, phi2n, i, k, factor) % factor)
+        v, e = pseudo_remainder(poly_mul(w, pseudo_remainder(norm.cofactor(i, k), f)[0]), f)
+        heights[i] = _height(RatPoly.of([Fraction(x, s * lf**e) for x in v]))
     drop = min(support, key=lambda i: (heights[i], i))
-    return strip_square_content(diag[drop])
+    r, e = diag[drop]
+    den = lf**e * norm.den**4
+    return strip_square_content(RatPoly.of([Fraction(x, den) for x in r]))
 
 
 def delta_invariant(norm: NormalizedPencil, certify: bool = True) -> DeltaInvariant:
-    """Factor P and compute the delta square classes of the singular members.
+    """Factor P and compute the delta square classes of the singular members,
+    with disc(P) and the norms Res(P_i, delta_i) that the later stages read.
 
     certify=False leaves every square flag "undecided" (cheap mode for laws
     that only need the representatives, like the norm-square check).
     """
-    factors = [f for f, _ in factor_q(norm.P)]
-    reps = []
-    flags = []
-    for f in factors:
-        d = delta_component(norm.phi1n, norm.phi2n, f)
-        reps.append(d)
-        if certify:
-            flags.append(sqrt_in_etale(d, f).status)
-        else:
-            flags.append("undecided")
-    return DeltaInvariant(norm.chart, norm.P, tuple(factors), tuple(reps), tuple(flags))
+    factors = tuple(f for f, _ in factor_q(norm.P))
+    reps = tuple(delta_component(norm, f) for f in factors)
+    disc = discriminant(norm.P)
+    norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
+    if certify:
+        # an irreducible P is its own factor, and disc(P) its discriminant
+        disc_m = disc if len(factors) == 1 else None
+        flags = tuple(sqrt_in_etale(d, f, disc_m, n).status for f, d, n in zip(factors, reps, norms))
+    else:
+        flags = ("undecided",) * len(factors)
+    return DeltaInvariant(norm.chart, norm.P, factors, reps, flags, disc, norms)
 
 
 class InsufficientCertificatesError(ValueError):
@@ -373,7 +429,7 @@ def b_delta_group(inv: DeltaInvariant) -> BrauerQuotient:
     m = len(idx)
     if m == 0:
         return BrauerQuotient((), (), 0)
-    norms = [resultant(inv.factors[i], inv.delta_reps[i]) for i in idx]
+    norms = [inv.norms[i] for i in idx]
     if any(n == 0 for n in norms):
         raise ArithmeticError("delta representative shares a root with its factor")
     kept = []

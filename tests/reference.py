@@ -84,6 +84,14 @@ def diag(*entries) -> Matrix:
     return matrix_of([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def mat_combine(a: Matrix, b: Matrix, x, y) -> Matrix:
+    """The member x a + y b of a pencil, as a rational matrix."""
+    n = len(a)
+    return tuple(
+        tuple(x * a[i][j] + y * b[i][j] for j in range(n)) for i in range(n)
+    )
+
+
 def mat_congruent(m: Matrix, u: Matrix) -> Matrix:
     """u^T m u for a rational change of coordinates u."""
     n = len(m)
@@ -222,7 +230,7 @@ CLASS_SETS = {
 def galois_profile(P: RatPoly) -> GaloisProfile:
     """`galois_group_quintic` given the irreducible factors of P, as
     `analyze` passes them from the delta invariant."""
-    return galois_group_quintic(P, [f for f, _ in factor_q(P)])
+    return galois_group_quintic(P, [f for f, _ in factor_q(P)], discriminant(P))
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_criterion_7_bt_witness_searches():
     s0 = bad_set_s0(D10_QUINTIC, delta)
 
     t0 = time.time()
-    wit = find_bT(D10_QUINTIC, delta, [DT_RES_NONZERO, DT_RES_ZERO], prime_bound=100_000)
+    wit = find_bT(D10_QUINTIC, delta, [DT_RES_NONZERO, DT_RES_ZERO], s0, prime_bound=100_000)
     elapsed_b = time.time() - t0
     assert elapsed_b < 120
     assert wit.verify(D10_QUINTIC, delta, s0)
@@ -230,10 +230,11 @@ def test_criterion_7_bt_witness_searches():
 
     t0 = time.time()
     delta_triv = [(T5_MINUS_2, poly(1))]
-    wit_a = find_bT(T5_MINUS_2, delta_triv, [IDENTITY_CONDITION], prime_bound=100_000)
+    s0_triv = bad_set_s0(T5_MINUS_2, delta_triv)
+    wit_a = find_bT(T5_MINUS_2, delta_triv, [IDENTITY_CONDITION], s0_triv, prime_bound=100_000)
     elapsed_a = time.time() - t0
     assert elapsed_a < 120
-    assert wit_a.verify(T5_MINUS_2, delta_triv, bad_set_s0(T5_MINUS_2, delta_triv))
+    assert wit_a.verify(T5_MINUS_2, delta_triv, s0_triv)
     assert delta_residue_at(T5_MINUS_2, delta_triv, wit_a.primes[0]).is_zero
     report(
         7,

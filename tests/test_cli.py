@@ -1,5 +1,6 @@
 """CLI tests: verbs, exit codes, schema validation, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import quadpencil
-from quadpencil.cli import _MAX_BITS, main, parse_poly
+from quadpencil.cli import _MAX_BITS, main, parse_delta, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
@@ -293,20 +294,25 @@ class TestAnalyze:
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
         assert calls == []
 
-    def test_s5_analyze_takes_four_discriminants(self, tmp_path, monkeypatch):
-        # disc(q) once for smoothness, disc(P) for Galois, the bad set and
-        # the square test of its one delta component
+    def test_s5_analyze_takes_each_discriminant_and_resultant_once(self, tmp_path, monkeypatch):
+        # disc(q) once for smoothness and disc(P) once, shared by Galois, the
+        # bad set and the square test of its one delta component; likewise
+        # Res(P, delta) for the bad set, the square test and the B group
         import random
 
         from quadpencil.pencil import random_pencil
 
         path = tmp_path / "random.json"
         path.write_text(pencil_dumps(random_pencil(random.Random(314))))
-        calls = count_calls(monkeypatch, "discriminant")
+        discs = count_calls(monkeypatch, "discriminant")
+        resultants = count_calls(monkeypatch, "resultant")
         out = tmp_path / "r.json"
         assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
-        assert json.loads(out.read_text())["galois"]["label"] == "S5"
-        assert len(calls) == 4
+        report = json.loads(out.read_text())
+        assert report["galois"]["label"] == "S5"
+        assert len(discs) == 2 and discs[1] == RatPoly.of(report["P"])
+        assert len(resultants) == len(set(resultants))
+        assert (RatPoly.of(report["P"]), RatPoly.of(report["delta_reps"][0])) in resultants
 
     def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
         import quadpencil.galois as galois_mod
@@ -441,6 +447,46 @@ def test_help_exits_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+class TestGoldenBytes:
+    """The --json analyze reports of a fixed corpus, pinned by sha256: an
+    optimisation of any stage must leave every byte as it was."""
+
+    @staticmethod
+    def _analyze(pen, tmp_path, capsys) -> tuple[int, str]:
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(pen))
+        code = main(["--json", "analyze", str(path)])
+        return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_random_corpus(self, tmp_path, capsys):
+        import random
+
+        from quadpencil.pencil import random_pencil
+
+        rng = random.Random(0)
+        digest = hashlib.sha256()
+        for _ in range(24):
+            code, out = self._analyze(random_pencil(rng, 9), tmp_path, capsys)
+            digest.update(f"{code}:{out}\n".encode())
+        assert digest.hexdigest() == "316142bf072cfcff381d83cb573087198d0dd341043b01238bed6642fa4a2e91"
+
+    @pytest.mark.parametrize(
+        "P, delta, expected",
+        [
+            ("t^5-2", "1", (0, "ebbdba0772532118e3f11245ec7a22c48204f04358cb8213ed373a20f9731e3d")),
+            (
+                "t*(t-1)*(t-2)*(t-3)*(t-4)",
+                "5;5;1;1;1",
+                (2, "3846d0b8de497b629ecd1d3684fbc15ac450fcd20abfeddc51cdef280ba163c3"),
+            ),
+        ],
+    )
+    def test_canonical_pencils(self, P, delta, expected, tmp_path, capsys):
+        q = parse_poly(P)
+        pen = canonical_quadrics(q, parse_delta(delta, q)).to_pencil()
+        assert self._analyze(pen, tmp_path, capsys) == expected
 
 
 class TestCanonKummer:

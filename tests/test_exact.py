@@ -16,11 +16,15 @@ from quadpencil.exact import (
     factor_q,
     fp_reduce,
     fp_roots,
+    fp_trim,
+    int_inverse_mod,
     integer_roots,
     inverse_mod,
     is_square_q,
     legendre,
+    poly_mul,
     prime_place,
+    pseudo_remainder,
     rational_reconstruct,
     resultant,
     sqrt_in_etale,
@@ -235,6 +239,45 @@ class TestResultant:
             for y in betas:
                 expected *= x - y
         assert resultant(f, g) == expected
+
+
+int_polys = st.lists(st.integers(-50, 50), max_size=7).map(fp_trim)
+
+
+class TestIntegerPolynomials:
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys, int_polys.filter(bool), st.integers(0, 3))
+    @example([1, 2, 3], [5, 7], 0)
+    @example([0, 0, 4], [1, 0, 3], 2)  # a padded with zeros
+    def test_pseudo_remainder(self, a, b, pad):
+        # r = lc(b)^e (a mod b) over Q, e counted from the padded length
+        r, e = pseudo_remainder(a + [0] * pad, b)
+        assert e == max(0, len(a) + pad - len(b) + 1)
+        assert RatPoly.of(r) == RatPoly.of(a) % RatPoly.of(b) * b[-1] ** e
+        assert not r or r[-1] != 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys.filter(lambda f: len(f) > 1), int_polys)
+    @example([-2, 0, 0, 0, 0, 1], [0, 1])
+    @example([3, 7], [5])  # linear modulus: the inverse of a constant
+    @example([1, 0, -2, 0, 0, 9], [4, -1, 0, 3, 2])
+    def test_int_inverse_mod(self, f, c):
+        # c w = s mod f over Q, against the extended Euclidean inverse
+        c = RatPoly.of(c) % RatPoly.of(f)
+        assume(not c.is_zero and RatPoly.of(f).gcd(c).degree == 0)
+        den = c.denominator_lcm()
+        ints = [x.numerator * (den // x.denominator) for x in c.coeffs]
+        w, s = int_inverse_mod(ints, f)
+        assert s != 0 and len(w) < len(f)
+        assert RatPoly.of(w) * Fraction(den, s) == inverse_mod(c, RatPoly.of(f))
+
+    def test_int_inverse_mod_rejects_a_common_root(self):
+        with pytest.raises(ValueError):
+            int_inverse_mod([-1, 1], [-1, 0, 1])  # t - 1 divides t^2 - 1
+
+    def test_poly_mul(self):
+        assert poly_mul([1, 2], [3, 0, 4]) == [3, 6, 4, 8]
+        assert poly_mul([], [1]) == []
 
 
 class TestSquares:

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import quadpencil.exact as exact_mod
 import quadpencil.galois as galois_mod
-import quadpencil.localarith as localarith_mod
 from quadpencil import gf2
 from quadpencil.canon import canonical_quadrics
 from quadpencil.cli import _MAX_BITS, main, parse_poly
@@ -253,7 +252,7 @@ class TestPrimeWalk:
             primes.append(p)
             return original(f, p)
 
-        for module in (exact_mod, galois_mod, localarith_mod):
+        for module in (exact_mod, galois_mod):
             monkeypatch.setattr(module, "cycle_type", recording)
         return primes
 
@@ -275,7 +274,7 @@ class TestPrimeWalk:
         factors = [f for f, _ in exact_mod.factor_q(C5_QUINTIC)]
         primes = self._record_cycle_types(monkeypatch)
         factored = count_factor_q(monkeypatch)
-        prof = galois_group_quintic(C5_QUINTIC, factors)
+        prof = galois_group_quintic(C5_QUINTIC, factors, discriminant(C5_QUINTIC))
         assert prof.label == "C5"
         assert primes == expected
         assert all(cycle_type(C5_QUINTIC, p) == (5,) for p in expected[:-1])

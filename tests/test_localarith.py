@@ -492,20 +492,21 @@ class TestDeltaResidue:
 
 class TestFindBT:
     def test_identity_on_t5_minus_2(self):
-        wit = find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [IDENTITY_CONDITION])
+        fs = [(T5_MINUS_2, poly(1))]
+        wit = find_bT(T5_MINUS_2, fs, [IDENTITY_CONDITION], bad_set_s0(T5_MINUS_2, fs))
         assert wit.primes == (151,)  # first totally split prime beyond the margin
         assert wit.valuations == (1,)
         assert val_unit(T5_MINUS_2(wit.b), 151)[0] == 1
 
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleConditionError):
-            find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 1),)])
+            find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 1),)], bad_set_s0(T5_MINUS_2, []))
         with pytest.raises(InadmissibleConditionError):
-            find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 0),)])
+            find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 0),)], bad_set_s0(T5_MINUS_2, []))
 
     def test_d10_two_conditions(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
-        wit = find_bT(delta[0][0], delta, [DT_RES_NONZERO, DT_RES_ZERO])
+        wit = find_bT(delta[0][0], delta, [DT_RES_NONZERO, DT_RES_ZERO], bad_set_s0(delta[0][0], delta))
         w1, w2 = wit.primes
         assert w1 != w2
         # the residue behavior is what the classes prescribe
@@ -518,13 +519,13 @@ class TestFindBT:
 
     def test_witness_invariants_reverify(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
-        wit = find_bT(delta[0][0], delta, [DT_RES_ZERO])
         s0 = bad_set_s0(delta[0][0], delta)
+        wit = find_bT(delta[0][0], delta, [DT_RES_ZERO], s0)
         assert wit.verify(delta[0][0], delta, s0)
 
     def test_duplicate_conditions_distinct_primes(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
-        wit = find_bT(delta[0][0], delta, [DT_RES_ZERO, DT_RES_ZERO])
+        wit = find_bT(delta[0][0], delta, [DT_RES_ZERO, DT_RES_ZERO], bad_set_s0(delta[0][0], delta))
         assert len(set(wit.primes)) == 2
         for w in wit.primes:
             assert val_unit(D10_QUINTIC(wit.b), w)[0] == 1
@@ -533,9 +534,5 @@ class TestFindBT:
         from quadpencil.localarith import NoWitnessError
 
         with pytest.raises(NoWitnessError):
-            find_bT(
-                T5_MINUS_2,
-                [(T5_MINUS_2, poly(1))],
-                [IDENTITY_CONDITION],
-                prime_bound=120,
-            )
+            fs = [(T5_MINUS_2, poly(1))]
+            find_bT(T5_MINUS_2, fs, [IDENTITY_CONDITION], bad_set_s0(T5_MINUS_2, fs), prime_bound=120)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadpencil.exact import (
     RatPoly,
     Residue,
+    discriminant,
     factor_q,
     is_square_q,
     resultant,
@@ -28,11 +29,11 @@ from quadpencil.pencil import (
     b_delta_group,
     char_poly_t,
     chart_poly,
+    clear_denominators,
     definite_sign,
     delta_component,
     delta_invariant,
     hasse_class,
-    mat_combine,
     mat_det,
     matrix_of,
     normalize_pencil,
@@ -41,7 +42,15 @@ from quadpencil.pencil import (
     pencil_dumps,
     random_pencil,
 )
-from reference import galois_profile, mat_congruent, signature, verify_norm_square
+from quadpencil.canon import canonical_quadrics
+from reference import (
+    galois_profile,
+    mat_combine,
+    mat_congruent,
+    shift,
+    signature,
+    verify_norm_square,
+)
 
 
 def diag(*entries):
@@ -53,6 +62,19 @@ DIAG_PENCIL = Pencil(diag(1, 1, 1, 1, 1), diag(0, 1, 2, 3, 4))
 
 def poly(*coeffs):
     return RatPoly.of(coeffs)
+
+
+def chart_members(norm):
+    """phi1' and phi2' as rational matrices, from the chart and the pencil."""
+    a, b, c, d = norm.chart
+    pencil = norm.pencil
+    return mat_combine(pencil.phi1, pencil.phi2, a, b), mat_combine(pencil.phi1, pencil.phi2, c, d)
+
+
+def delta_datum(chart, P, factors, reps, flags):
+    """A DeltaInvariant built by hand, with its disc(P) and norms."""
+    norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
+    return DeltaInvariant(chart, P, factors, reps, flags, discriminant(P), norms)
 
 
 class TestNormalization:
@@ -69,8 +91,12 @@ class TestNormalization:
 
     def test_det_identity(self):
         norm = normalize_pencil(DIAG_PENCIL)
-        q = char_poly_t(norm.phi1n, norm.phi2n)
+        phi1n, phi2n = chart_members(norm)
+        q = char_poly_t(phi1n, phi2n)
         assert q == norm.P * norm.lead
+        # the integer members are the chart members cleared of denominators
+        for m, phi in ((norm.m1, phi1n), (norm.m2, phi2n)):
+            assert [[Fraction(x, norm.den) for x in row] for row in m] == [list(row) for row in phi]
 
     def test_singular_pencil_rejected(self):
         # phi2 = phi1 gives det(mu phi1 - nu phi1) with a quintuple root
@@ -143,7 +169,7 @@ class TestDeltaInvariant:
 
     def test_hand_built_violation(self):
         split = RatPoly.from_roots([0, 1, 2, 3, 4])
-        inv = DeltaInvariant(
+        inv = delta_datum(
             (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
             split,
             tuple(RatPoly.of([-r, 1]) for r in range(5)),
@@ -267,11 +293,12 @@ class TestDefiniteSign:
     def test_against_signature(self, b):
         n = len(b)
         m = matrix_of([[b[i][j] + b[j][i] for j in range(n)] for i in range(n)])
+        a = clear_denominators(m)[1][0]  # a positive multiple of m
         if mat_det(m) == 0:
-            assert definite_sign(m) == 0
+            assert definite_sign(a) == 0
         else:
             pos, neg = signature(m)
-            assert definite_sign(m) == (1 if pos == n else -1 if neg == n else 0)
+            assert definite_sign(a) == (1 if pos == n else -1 if neg == n else 0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -291,11 +318,12 @@ class TestDefiniteSign:
         m = matrix_of(
             [[s * sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
         )
+        a = clear_denominators(m)[1][0]  # a positive multiple of m
         if mat_det(m) == 0:
-            assert definite_sign(m) == 0
+            assert definite_sign(a) == 0
         else:
             assert signature(m) == ((n, 0) if s > 0 else (0, n))
-            assert definite_sign(m) == s
+            assert definite_sign(a) == s
 
 
 def split_pencil(rng: random.Random) -> Pencil:
@@ -317,7 +345,8 @@ class TestChartPoly:
                 a, b, c, d = chart
                 phi1n = mat_combine(pencil.phi1, pencil.phi2, a, b)
                 phi2n = mat_combine(pencil.phi1, pencil.phi2, c, d)
-                assert chart_poly(pencil.det_poly, 5, chart) == char_poly_t(phi1n, phi2n)
+                form = [pencil.det_poly[i] for i in range(6)]
+                assert RatPoly.of(chart_poly(form, 5, chart)) == char_poly_t(phi1n, phi2n)
 
 
 def reference_kernel_vector(M, modulus):
@@ -396,16 +425,42 @@ class TestDeltaComponentAgainstGaussJordan:
         rng = random.Random(seed)
         pencil = split_pencil(rng) if split else random_pencil(rng, entry_bound=rng.choice([2, 9]))
         norm = normalize_pencil(pencil, skip_charts=skip)
-        for f, _ in factor_q(norm.P):
-            assert delta_component(norm.phi1n, norm.phi2n, f) == reference_delta_component(
-                norm.phi1n, norm.phi2n, f
-            )
+        assert_matches_reference(norm)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10**6), height=st.sampled_from([10**6, 10**12]), skip=st.integers(0, 2))
+    @example(seed=0, height=10**6, skip=0)
+    @example(seed=1, height=10**12, skip=1)
+    def test_matches_reference_tall(self, seed, height, skip):
+        pencil = random_pencil(random.Random(seed), entry_bound=height)
+        assert_matches_reference(normalize_pencil(pencil, skip_charts=skip))
+
+    @pytest.mark.parametrize(
+        "P, delta",
+        [
+            (poly(-2, 0, 0, 0, 0, 1), poly(1, Fraction(1, 3))),
+            (poly(-2, 0, 0, 0, 0, 1), poly(Fraction(3, 2), 0, 1)),
+            (shift(poly(1, 3, -3, -4, 1, 1), Fraction(7, 3)), poly(1)),
+            (shift(poly(1, 3, -3, -4, 1, 1), 5), poly(2, Fraction(1, 5))),
+        ],
+    )
+    def test_matches_reference_rational_entries(self, P, delta):
+        pencil = canonical_quadrics(P, delta).to_pencil()
+        assert pencil.cleared[0] > 1
+        for skip in (0, 1):
+            assert_matches_reference(normalize_pencil(pencil, skip_charts=skip))
+
+
+def assert_matches_reference(norm):
+    phi1n, phi2n = chart_members(norm)
+    for f, _ in factor_q(norm.P):
+        assert delta_component(norm, f) == reference_delta_component(phi1n, phi2n, f)
 
 
 def _split_invariant(deltas):
     split = RatPoly.from_roots([0, 1, 2, 3, 4])
     flags = tuple("square" if is_square_q(d) else "nonsquare" for d in deltas)
-    return DeltaInvariant(
+    return delta_datum(
         (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
         split,
         tuple(RatPoly.of([-r, 1]) for r in range(5)),
@@ -433,7 +488,7 @@ class TestBrauerQuotient:
 
     def test_undecided_rejected(self):
         split = RatPoly.from_roots([0, 1, 2, 3, 4])
-        inv = DeltaInvariant(
+        inv = delta_datum(
             (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
             split,
             tuple(RatPoly.of([-r, 1]) for r in range(5)),
@@ -447,7 +502,7 @@ class TestBrauerQuotient:
 class TestHasseClass:
     def test_irreducible(self):
         P = poly(-2, 0, 0, 0, 0, 1)
-        inv = DeltaInvariant(
+        inv = delta_datum(
             (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
             P,
             (P,),
