@@ -30,13 +30,17 @@ invariant (`pencil.delta_component`) works this way: it reduces a cofactor
 table, interpolated once per pencil, by pseudo-remainders and takes one
 inverse per factor of P, and it builds rationals only for its result.
 
-This is the only module that calls sympy, and sympy factors over Q only:
-factorization of polynomials over Q, primality, the next prime and
-integer factorization are delegated to it (exact, deterministic);
-everything the certificates depend on is re-verified here.  Arithmetic
-over F_p is the repo's own: a distinct-degree split (`_ddf`) gives cycle
-types and signed Frobenius classes, and its degree-one step (`fp_roots`)
-the roots mod p.
+This is the only module that calls sympy: primality, the next prime and
+integer factorization are delegated to it (exact, deterministic), and so
+is the factorization of a polynomial over Q where `factor_q` cannot decide
+it itself.  `factor_q` finds the rational roots by a p-adic lift
+(`integer_roots`) and proves the cofactor irreducible from the factor
+degrees mod a few good primes, so sympy's Zassenhaus factorization runs
+only on a polynomial with a repeated factor or on a cofactor left
+unproved.  Everything the certificates depend on is re-verified here.
+Arithmetic over F_p is the repo's own: a distinct-degree split (`_ddf`)
+gives cycle types, the factor degrees `factor_q` reads and signed
+Frobenius classes, and its degree-one step (`fp_roots`) the roots mod p.
 """
 
 from __future__ import annotations
@@ -400,11 +404,92 @@ def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
 
     The product of the factors (times the content f / prod) reproduces f.
     Factors are sorted by (degree, coefficient tuple) for determinism.
+
+    With D the denominator lcm of f / lc(f) and n = deg f, Q(t) =
+    D^n (f / lc(f))(t / D) is monic in Z[t].  A squarefree Q loses its
+    rational roots first: each integer root r (`integer_roots`) is the
+    linear factor t - r/D.  The cofactor G, monic in Z[t] of degree k, has
+    no rational root, so it is irreducible when k <= 3.  For k >= 4 the
+    degree-set test proves it (Musser, J. ACM 25, 1978): a factor of G over
+    Q of degree d reduces mod a good prime p (odd, G mod p squarefree) to a
+    product of some of the irreducible factors of G mod p, so d is a sum of
+    some of their degrees, which the distinct-degree split `_ddf` gives.
+    The possible degrees start as {0, 2, ..., k - 2, k}, since G has no
+    linear factor, and lose at each good prime every value that is not
+    such a sum; once only {0, k} is left, G is irreducible.  sympy's
+    factorization runs only where this does not decide: on a Q that is not
+    squarefree, or on a cofactor still unproved after
+    `_DEGREE_SET_PRIMES` good primes, which happens when it has a
+    quadratic factor or, like t^4 + 1, is reducible mod every prime.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree > MAX_DEGREE:
         raise ValueError(f"degree > {MAX_DEGREE} not supported")
+    monic, n = f.monic(), f.degree
+    D = monic.denominator_lcm()
+    Q = RatPoly(tuple(Fraction(c.numerator * D ** (n - i) // c.denominator)
+                      for i, c in enumerate(monic.coeffs)))
+    p = unramified_prime(Q)
+    if p is None:
+        return _sympy_factor_q(f)
+    out, G = [], [int(c) for c in Q.coeffs]
+    for r in _integer_roots_at(Q, p):
+        out.append((RatPoly((Fraction(-r, D), Fraction(1))), 1))
+        G = _div_linear(G, r)
+    if len(G) > 1:
+        rest = RatPoly(tuple(Fraction(c, D ** (len(G) - 1 - i)) for i, c in enumerate(G)))
+        out += [(rest, 1)] if _degree_set_irreducible(G) else _sympy_factor_q(rest)
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
+# Good primes the degree-set test of factor_q walks before it hands a
+# cofactor to sympy.  An irreducible quintic with Galois group S5 is proved
+# at a prime of cycle type (5) or (4, 1), which a good prime has with
+# chance 1/5 + 1/4 = 9/20 (Chebotarev), so ten primes leave it unproved
+# with chance 0.55^10, about 1 in 400.
+_DEGREE_SET_PRIMES = 10
+
+
+def _div_linear(G: list[int], r: int) -> list[int]:
+    """G / (t - r) for an integer root r of the monic G in Z[t], by
+    synthetic division."""
+    q, acc = [], 0
+    for c in reversed(G[1:]):
+        acc = acc * r + c
+        q.append(acc)
+    return q[::-1]
+
+
+def _degree_set_irreducible(G: list[int]) -> bool:
+    """True when the degree-set test proves the monic G in Z[t], of degree
+    k with no rational root, irreducible over Q within `_DEGREE_SET_PRIMES`
+    good primes; False leaves the question open."""
+    k = len(G) - 1
+    if k <= 3:
+        return True
+    # bit d of `possible` is set while a factor of degree d is not ruled out
+    possible = ((1 << (k + 1)) - 1) & ~(2 | (1 << (k - 1)))
+    good = 0
+    for p in good_primes(BadSet((), 0), 3):
+        m = [c % p for c in G]
+        if not fp_is_squarefree(m, p):
+            continue
+        sums = 1
+        for d, part in _ddf(m, p):
+            for _ in range((len(part) - 1) // d):
+                sums |= sums << d
+        possible &= sums
+        if possible == 1 | (1 << k):
+            return True
+        good += 1
+        if good == _DEGREE_SET_PRIMES:
+            return False
+
+
+def _sympy_factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
+    """factor_q by sympy's factorization over Q (Zassenhaus)."""
     _, pairs = f.to_sympy().factor_list()
     out = []
     for p, mult in pairs:
@@ -797,6 +882,12 @@ def integer_roots(f: RatPoly) -> list[int]:
     p = unramified_prime(f)
     if p is None:
         return integer_roots(f // f.gcd(f.derivative()))
+    return _integer_roots_at(f, p)
+
+
+def _integer_roots_at(f: RatPoly, p: int) -> list[int]:
+    """`integer_roots` of a monic f in Z[t] at an odd prime p not dividing
+    disc(f)."""
     roots_p = fp_roots(fp_reduce(f, p), p)
     if not roots_p:
         return []

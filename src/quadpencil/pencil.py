@@ -49,7 +49,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def matrix_of(rows) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
     n = len(out)
     if any(len(r) != n for r in out):
         raise ValueError("matrix must be square")

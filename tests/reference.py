@@ -78,6 +78,17 @@ def shift(f: RatPoly, c) -> RatPoly:
     return out
 
 
+def sympy_factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
+    """`exact.factor_q` by sympy's factorization over Q alone (Zassenhaus):
+    the monic irreducible factors with multiplicities, sorted by (degree,
+    coefficients)."""
+    t = sympy.Symbol("t")
+    out = [(RatPoly.from_sympy(sympy.Poly(g, t)).monic(), int(mult))
+           for g, mult in f.to_sympy().factor_list()[1]]
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
 def diag(*entries) -> Matrix:
     """The diagonal matrix with the given entries."""
     n = len(entries)

@@ -276,6 +276,24 @@ class TestAnalyze:
         P = RatPoly.of(report["P"])
         assert calls == [P]
 
+    @pytest.mark.parametrize("kind", ["random", "readme-split"])
+    def test_factor_q_without_sympy(self, kind, tmp_path, monkeypatch):
+        # factor_q proves P irreducible (h = 9) or completely split itself,
+        # so sympy's factorization over Q is never called
+        import random
+
+        from quadpencil.pencil import random_pencil
+
+        if kind == "random":
+            pen = random_pencil(random.Random(9))
+        else:
+            pen = canonical_quadrics(RatPoly.from_roots([0, 1, 2, 3, 4]), [5, 5, 1, 1, 1]).to_pencil()
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(pen))
+        calls = count_calls(monkeypatch, "_sympy_factor_q")
+        assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
+        assert calls == []
+
     def test_smooth_pencil_takes_no_rational_gcd(self, tmp_path, monkeypatch):
         import random
 
@@ -560,6 +578,10 @@ class TestCanonKummer:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: 3 delta entries for 1 factors"]
 
+    def test_canon_factors_without_sympy(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, "_sympy_factor_q")
+        assert main(["canon", "--poly", "t^5-2"]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -41,6 +41,7 @@ from reference import (
     shift,
     sqrt_in_etale_walk,
     strip_square_content_by_trial_division,
+    sympy_factor_q,
     sympy_rational_roots,
 )
 
@@ -80,6 +81,33 @@ class TestRatPoly:
         assert c % m2 == poly(7)
 
 
+@st.composite
+def factor_q_inputs(draw):
+    """Polynomials over Q of degree 1-8 with integer or rational coefficients
+    and any leading coefficient: arbitrary ones, products of degrees 2+2,
+    3+2 and a linear factor times an irreducible quartic, and ones with a
+    repeated factor."""
+    coeff = draw(st.sampled_from([
+        st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)]))
+
+    def monic(k):
+        return RatPoly.of(draw(st.lists(coeff, min_size=k, max_size=k)) + [1])
+
+    shape = draw(st.sampled_from(["any", "2+2", "3+2", "1+4", "repeated"]))
+    if shape == "any":
+        f = monic(draw(st.integers(1, 8)))
+    elif shape == "repeated":
+        g = monic(draw(st.integers(1, 3)))
+        f = g * g * monic(draw(st.integers(0, 2)))
+    else:
+        a, b = map(int, shape.split("+"))
+        g = monic(b)
+        if shape == "1+4":
+            assume(len(sympy_factor_q(g)) == 1)
+        f = monic(a) * g
+    return f * draw(coeff.filter(bool))
+
+
 class TestFactorQ:
     def test_quadratic_rational_roots(self):
         fac = factor_q(poly(-1, 0, 1))
@@ -96,6 +124,14 @@ class TestFactorQ:
         fac = factor_q(SPLIT_QUINTIC)
         assert len(fac) == 5
         assert all(f.degree == 1 and m == 1 for f, m in fac)
+
+    def test_sympy_only_for_an_unproved_cofactor(self, monkeypatch):
+        # t^4 + 1 is reducible mod every prime, so the degree-set test never
+        # proves it irreducible and sympy decides
+        calls = count_calls(monkeypatch, "_sympy_factor_q")
+        assert factor_q(poly(1, 0, 0, 0, 1)) == [(poly(1, 0, 0, 0, 1), 1)]
+        factor_q(T5_MINUS_2)
+        assert calls == [poly(1, 0, 0, 0, 1)]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -121,11 +157,23 @@ class TestFactorQ:
             f = RatPoly.of([rng.randrange(-20, 21) for _ in range(rng.randrange(2, 9))])
             if f.is_zero:
                 continue
+            fac = factor_q(f)
+            assert fac == sympy_factor_q(f)
             prod = RatPoly.of([1])
-            for g, m in factor_q(f):
+            for g, m in fac:
                 for _ in range(m):
                     prod = prod * g
             assert prod * (f.lc / prod.lc) == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_q_inputs())
+    @example(poly(1, 0, 0, 0, 1))  # t^4 + 1: reducible mod every prime
+    @example(poly(1, 0, -10, 0, 1))  # t^4 - 10t^2 + 1: likewise
+    @example(poly(1, 0, 1) * poly(-2, 0, 0, 1))
+    @example(T5_MINUS_2)
+    @example(SPLIT_QUINTIC)
+    def test_matches_sympy(self, f):
+        assert factor_q(f) == sympy_factor_q(f)
 
 
 class TestFactorFp:

@@ -66,6 +66,18 @@ def test_exact_sympy_names():
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def test_factor_list_only_in_the_fallback():
+    # sympy's factorization over Q (Zassenhaus) runs only where factor_q's
+    # own proof does not decide: one call site, in _sympy_factor_q
+    sites = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "factor_list"]
+    exact = ast.parse((SRC / "exact.py").read_text())
+    fallback = next(n for n in exact.body if isinstance(n, ast.FunctionDef) and n.name == "_sympy_factor_q")
+    assert len(sites) == 1, sites
+    assert sites[0][0] == "exact.py" and fallback.lineno <= sites[0][1] <= fallback.end_lineno, sites
+
+
 def test_exact_does_no_arithmetic_mod_p_in_sympy():
     # sympy factors over Q only: a call of a name exact.py does not define
     # itself (a sympy constructor or method) never passes modulus=
