@@ -30,7 +30,7 @@ from .pencil import rat_str
 # sympy module as cli.sympy; exact.py is the module that imports it.
 sympy = exact.sympy
 
-SCHEMA_VERSION = "quadpencil-report-3"
+SCHEMA_VERSION = "quadpencil-report-4"
 
 
 def _poly_json(f: RatPoly) -> list[str]:
@@ -201,11 +201,12 @@ def run_analyze(args) -> int:
 
     certs = [localarith.real_soluble(pen)]
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
-    # p = 2 is declared out of scope for solubility (always "unknown"), so the
-    # default certificate sweep covers the small odd bad primes
+    # The default sweep covers the small odd bad primes.  p = 2 is decided
+    # on request (`local --places 2`): for a split pencil always, by the
+    # ball tree, while the search for other pencils rarely decides it.
     small_bad = [p for p in (3, 5, 7, 11, 13) if p in s0]
-    for p in small_bad:
-        certs.append(localarith.padic_soluble(pen.cleared[1:], p, effort=args.effort))
+    split = localarith.diagonal_model(norm, inv.factors)
+    certs += _padic_certificates(pen, split, small_bad, args.effort)
 
     witness = None
     if conditions is not None:
@@ -401,6 +402,15 @@ def run_search(args) -> int:
     return 0
 
 
+def _padic_certificates(pen, split, places, effort: int) -> list:
+    """The certificates at the primes `places`: the ball tree of the
+    diagonal model `split` when P splits completely (None otherwise), else
+    the search of `padic_soluble`, bounded by `effort`."""
+    if split is not None:
+        return [localarith.split_soluble(split, p) for p in places]
+    return [localarith.padic_soluble(pen.cleared[1:], p, effort=effort) for p in places]
+
+
 def run_local(args) -> int:
     try:
         with open(args.input) as fh:
@@ -411,16 +421,18 @@ def run_local(args) -> int:
         return 1
     try:
         certs = [localarith.real_soluble(pen)]
-        norm = None if places else pencil.normalize_pencil(pen)
+        norm = pencil.normalize_pencil(pen)
     except pencil.SingularPencilError as e:
         print(f"error: singular base locus: {e}", file=sys.stderr)
         return 1
-    if not places:
+    if places:
+        factors = [f for f, _ in exact.factor_q(norm.P)]
+    else:
         inv = pencil.delta_invariant(norm, certify=False)
+        factors = inv.factors
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
         places = [p for p in (3, 5, 7, 11, 13) if p in s0]
-    for p in places:
-        certs.append(localarith.padic_soluble(pen.cleared[1:], p, effort=args.effort))
+    certs += _padic_certificates(pen, localarith.diagonal_model(norm, factors), places, args.effort)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "local-certificates",
@@ -590,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prime-bound", type=int, default=100_000)
-    ap.add_argument("--effort", type=int, default=3)
+    ap.add_argument("--effort", type=int, default=3,
+                    help="levels of the p-adic search for a pencil that does not split "
+                         "completely (a split pencil is always decided)")
     ap.add_argument("--margin", type=int, default=100)
     ap.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     ap.add_argument("--out", default=None, help="write output to a file")

@@ -30,8 +30,9 @@ invariant (`pencil.delta_component`) works this way: it reduces a cofactor
 table, interpolated once per pencil, by pseudo-remainders and takes one
 inverse per factor of P, and it builds rationals only for its result.
 
-This is the only module that calls sympy: primality, the next prime and
-integer factorization are delegated to it (exact, deterministic), and so
+This is the only module that calls sympy: primality, the next prime past
+a table of the primes below 2^16 (`small_primes`) and integer
+factorization are delegated to it (exact, deterministic), and so
 is the factorization of a polynomial over Q where `factor_q` cannot decide
 it itself.  `factor_q` finds the rational roots by a p-adic lift
 (`integer_roots`) and proves the cofactor irreducible from the factor
@@ -45,6 +46,8 @@ Frobenius classes, and its degree-one step (`fp_roots`) the roots mod p.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -434,7 +437,7 @@ def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
     if p is None:
         return _sympy_factor_q(f)
     out, G = [], [int(c) for c in Q.coeffs]
-    for r in _integer_roots_at(Q, p):
+    for r in integer_roots(Q, p):
         out.append((RatPoly((Fraction(-r, D), Fraction(1))), 1))
         G = _div_linear(G, r)
     if len(G) > 1:
@@ -738,12 +741,36 @@ class BadSet:
         return p == 2 or p < self.margin or any(n % p == 0 for n in self.integers)
 
 
+# The walk over good primes reads the primes below this bound from one
+# sieve, built on first use; sympy's nextprime serves only past it.
+SMALL_PRIME_END = 1 << 16
+
+
+@functools.cache
+def small_primes() -> tuple[int, ...]:
+    """The primes below SMALL_PRIME_END, increasing: 2, then the odd
+    primes from a sieve of Eratosthenes over the odd numbers."""
+    half = SMALL_PRIME_END // 2  # sieve[i] stands for 2 i + 1
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(SMALL_PRIME_END) + 1) // 2):
+        if sieve[i]:
+            q = 2 * i + 1
+            sieve[q * q // 2::q] = bytes(len(range(q * q // 2, half, q)))
+    return (2,) + tuple(2 * i + 1 for i in range(half) if sieve[i])
+
+
 def good_primes(bad: BadSet, start: int, stop: Optional[int] = None) -> Iterator[int]:
     """Primes p >= start outside `bad`, increasing.  A bounded walk ends
     after examining the first prime >= stop."""
+    table = small_primes()
     p = start - 1
+    i = bisect.bisect_right(table, p)
     while stop is None or p < stop:
-        p = int(sympy.nextprime(p))
+        if i < len(table):
+            p, i = table[i], i + 1
+        else:
+            p = int(sympy.nextprime(p))
         if p not in bad:
             yield p
 
@@ -864,30 +891,26 @@ def unramified_prime(f: RatPoly) -> Optional[int]:
     return None if disc == 0 else next(good_primes(BadSet((disc.numerator,), 0), 3))
 
 
-def integer_roots(f: RatPoly) -> list[int]:
+def integer_roots(f: RatPoly, p: Optional[int] = None) -> list[int]:
     """The integer roots of a monic f in Z[t], sorted; they are all of its
     rational roots.
 
-    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): at the least odd prime
-    p not dividing disc(f) every root of f is a simple root mod p, so each
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): at an odd prime p not
+    dividing disc(f) every root of f is a simple root mod p, so each
     integer root is the symmetric residue of the Hensel lift of a root mod p
     to a p^k above twice Fujiwara's bound on the roots (`root_bound_bits`).
-    A lift is kept only if it is a root of f exactly.  A repeated root is a
-    root of the squarefree part f // gcd(f, f'), which is then lifted
-    instead."""
+    A lift is kept only if it is a root of f exactly.  p is the least such
+    prime (`unramified_prime`), or the one a caller that tested f for
+    separability has found already.  A repeated root is a root of the
+    squarefree part f // gcd(f, f'), which is then lifted instead."""
     if f.is_zero or f.lc != 1 or any(c.denominator != 1 for c in f.coeffs):
         raise ValueError("monic integer polynomial required")
     if f.degree < 2:
         return [int(-f[0])] if f.degree == 1 else []
-    p = unramified_prime(f)
     if p is None:
-        return integer_roots(f // f.gcd(f.derivative()))
-    return _integer_roots_at(f, p)
-
-
-def _integer_roots_at(f: RatPoly, p: int) -> list[int]:
-    """`integer_roots` of a monic f in Z[t] at an odd prime p not dividing
-    disc(f)."""
+        p = unramified_prime(f)
+        if p is None:
+            return integer_roots(f // f.gcd(f.derivative()))
     roots_p = fp_roots(fp_reduce(f, p), p)
     if not roots_p:
         return []

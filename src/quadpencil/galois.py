@@ -14,10 +14,10 @@ the resolvent are integer arithmetic too: a monic integer polynomial is
 separable when it is squarefree mod a small prime, or else when its
 discriminant (an integer Sylvester determinant) is nonzero
 (`exact.unramified_prime`), and the rational roots of the sextic are its
-integer roots, found by a p-adic lift (`exact.integer_roots`) without
-factoring it.  When the resolvent has a repeated root the Tschirnhausen
-transform r -> r^2 + c*r is the characteristic polynomial of that
-multiplication on Q[y]/(P).
+integer roots, found by a p-adic lift from that same prime without
+factoring it (`exact.integer_roots`).  When the resolvent has a repeated
+root the Tschirnhausen transform r -> r^2 + c*r is the characteristic
+polynomial of that multiplication on Q[y]/(P).
 
 A prime is good for P when it is odd and divides neither disc(P) nor a
 denominator of P; this is a division test on those integers (a `BadSet`
@@ -273,11 +273,6 @@ def _is_separable(f: RatPoly) -> bool:
     return unramified_prime(f) is not None
 
 
-def _rational_roots(f: RatPoly) -> list[Fraction]:
-    """The rational roots of a monic integer polynomial, sorted."""
-    return [Fraction(r) for r in integer_roots(f)]
-
-
 def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:
     """Monic quintic whose roots are r^2 + c*r over the roots r of P: the
     characteristic polynomial of multiplication by y^2 + c*y on the power
@@ -298,9 +293,10 @@ def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
     steps = 0
     while True:
         sext = RatPoly.of(resolvent_sextic(work)[::-1])
-        if _is_separable(sext):
-            roots = _rational_roots(sext)
-            return (roots[0] if roots else None), steps
+        p = unramified_prime(sext)  # found once: it also lifts the roots
+        if p is not None:
+            roots = integer_roots(sext, p)
+            return (Fraction(roots[0]) if roots else None), steps
         steps += 1
         if steps > 12:
             raise ArithmeticError("no separable resolvent found after 12 transforms")

@@ -478,6 +478,74 @@ def sqrt_in_etale_walk(
 
 
 # ---------------------------------------------------------------------------
+# The walk over good primes
+
+
+def nextprime_walk(bad: BadSet, start: int, stop=None):
+    """The walk `good_primes` made before its prime table: sympy's nextprime
+    from start - 1, each prime outside `bad` yielded, ending after the first
+    prime >= stop."""
+    p = start - 1
+    while stop is None or p < stop:
+        p = int(sympy.nextprime(p))
+        if p not in bad:
+            yield p
+
+
+# ---------------------------------------------------------------------------
+# Points of a diagonal model mod p^k
+
+
+def diagonal_primitive_count(a: Sequence[int], b: Sequence[int], p: int, k: int) -> int:
+    """The number of primitive y mod p^k (some y_i a unit) with
+    sum a_i y_i^2 = sum b_i y_i^2 = 0 mod p^k, q = p^k.
+
+    Orthogonality of the characters of (Z/q)^2: the count of all y is
+    q^-2 sum over (s, t) of prod_i G(s a_i + t b_i), where G(u), the sum of
+    exp(2 pi i u y^2 / q) over y mod q, is the discrete Fourier transform
+    of the histogram of the squares mod q; the y with every y_i = 0 mod p
+    are counted the same way and subtracted.  The sums are in floating
+    point, so the result is checked to lie within 0.01 of an integer."""
+    import numpy as np
+
+    q = p**k
+    ys = np.arange(q, dtype=np.int64)
+    total = 0.0
+    for sign, kept in ((1, ys), (-1, ys[::p])):
+        gauss = np.fft.ifft(np.bincount(kept * kept % q, minlength=q)) * q
+        s = np.arange(q, dtype=np.int64)
+        acc = 0j
+        for t in range(q):
+            prod = np.ones(q, dtype=complex)
+            for ai, bi in zip(a, b):
+                prod *= gauss[(s * (ai % q) + t * (bi % q)) % q]
+            acc += prod.sum()
+        total += sign * acc.real / (q * q)
+    count = round(total)
+    assert abs(total - count) < 0.01, total
+    return count
+
+
+def diagonal_insoluble_at(c: Sequence[int], n: Sequence[int], p: int, kmax: int):
+    """The least k <= kmax at which sum c_i y_i^2 = sum n_i c_i y_i^2 = 0
+    has no primitive solution mod p^k, or None; such a k proves that the
+    model has no Q_p-point.  Each coordinate's pair (c_i, n_i c_i) is first
+    divided by p^(2 floor(v/2)), v = v_p(c_i) (y_i -> y_i / p^(v // 2)),
+    and each form by its p-content; neither changes the Q_p-points."""
+    a = [ci // p ** (2 * (val_unit(Fraction(ci), p)[0] // 2)) for ci in c]
+    b = [ni * ai for ni, ai in zip(n, a)]
+    for form in (a, b):
+        content = math.gcd(*form)
+        while content % p == 0:
+            content //= p
+            form[:] = [x // p for x in form]
+    for k in range(1, kmax + 1):
+        if diagonal_primitive_count(a, b, p, k) == 0:
+            return k
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Call counting and time limits
 
 

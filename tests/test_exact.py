@@ -1,13 +1,17 @@
 """Tests for the exact arithmetic substrate."""
 
 import random
+import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from quadpencil.exact import (
     REAL_PLACE,
+    SMALL_PRIME_END,
+    BadSet,
     RatPoly,
     Residue,
     crt_poly,
@@ -17,6 +21,7 @@ from quadpencil.exact import (
     fp_reduce,
     fp_roots,
     fp_trim,
+    good_primes,
     int_inverse_mod,
     integer_roots,
     inverse_mod,
@@ -28,6 +33,7 @@ from quadpencil.exact import (
     rational_reconstruct,
     resultant,
     sqrt_in_etale,
+    small_primes,
     sqrt_mod_p,
     strip_square_content,
     val_unit,
@@ -38,6 +44,7 @@ from reference import (
     hilbert_symbol,
     local_square,
     count_calls,
+    nextprime_walk,
     shift,
     sqrt_in_etale_walk,
     strip_square_content_by_trial_division,
@@ -641,6 +648,28 @@ class TestIntegerRoots:
             integer_roots(poly(1, 2))
         with pytest.raises(ValueError, match="monic integer"):
             integer_roots(poly(Fraction(1, 2), 0, 1))
+
+
+class TestGoodPrimes:
+    def test_table_is_primerange(self):
+        assert list(small_primes()) == list(sympy.primerange(2, SMALL_PRIME_END))
+
+    # start and stop on both sides of the table's end (65521 is its last
+    # prime, 65537 the next), at its start, and an empty walk
+    @pytest.mark.parametrize(
+        "start,stop",
+        [(0, 40), (2, 2), (3, 3), (65500, 65600), (65521, 65537), (65522, 65522),
+         (65536, 65700), (70000, 70100), (100, 99), (65600, 65500)],
+    )
+    def test_matches_nextprime_walk(self, start, stop):
+        bad = BadSet((3 * 65519 * 65537 * 70001,), 11)
+        assert list(good_primes(bad, start, stop)) == list(nextprime_walk(bad, start, stop))
+
+    @pytest.mark.parametrize("start", [3, 65500, 65537])
+    def test_unbounded_walk(self, start):
+        bad = BadSet((65537,), 0)
+        assert (list(itertools.islice(good_primes(bad, start), 12))
+                == list(itertools.islice(nextprime_walk(bad, start), 12)))
 
 
 class TestResidue:

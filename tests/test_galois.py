@@ -21,18 +21,20 @@ from quadpencil.exact import (
     discriminant,
     factor_q,
     good_primes,
+    integer_roots,
     is_square_q,
     resultant,
+    unramified_prime,
 )
 from quadpencil.galois import (
     _THETA_REPS,
-    _rational_roots,
     _theta_value,
     _tschirnhausen,
     GaloisProfile,
     RamifiedPrimeError,
     frobenius_class,
     galois_group_quintic,
+    resolvent_has_rational_root,
     resolvent_sextic,
 )
 from quadpencil.localarith import condition_representative
@@ -353,8 +355,15 @@ class TestExactAgainstSympy:
     @given(coeffs=st.lists(st.integers(-9, 9), min_size=5, max_size=5))
     @example(coeffs=[-2, 0, 0, 0, 0])  # t^5 - 2: resolvent root 0
     def test_resolvent_rational_roots(self, coeffs):
-        sext = resolvent_sextic(RatPoly.of(coeffs + [1]))
-        assert _rational_roots(RatPoly.of(sext[::-1])) == sympy_rational_roots(sext)
+        # where the sextic is separable, resolvent_has_rational_root lifts
+        # its roots from the prime of the separability test
+        P = RatPoly.of(coeffs + [1])
+        sext = resolvent_sextic(P)
+        expected = sympy_rational_roots(sext)
+        f = RatPoly.of(sext[::-1])
+        assert [Fraction(r) for r in integer_roots(f)] == expected
+        if unramified_prime(f) is not None:
+            assert resolvent_has_rational_root(P) == ((expected or [None])[0], 0)
 
 
 class TestNoFloat:
@@ -372,7 +381,7 @@ class TestNoFloat:
     @pytest.mark.parametrize(
         "P,delta,label,code",
         [
-            ("t*(t-1)*(t-2)*(t-3)*(t-4)", [5, 5, 1, 1, 1], "REDUCIBLE", 2),  # 3-adic unknown
+            ("t*(t-1)*(t-2)*(t-3)*(t-4)", [5, 5, 1, 1, 1], "REDUCIBLE", 0),  # every place decided
             ("t^5-2", [1], "F20", 0),
         ],
         ids=["split", "t5-2"],

@@ -1,8 +1,10 @@
 """Tests for local solubility, residues and the witness search."""
 
 import itertools
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from quadpencil.exact import (
     RatPoly,
     discriminant,
+    factor_q,
     is_square_q,
     resultant,
     strip_square_content,
@@ -27,15 +30,19 @@ from quadpencil.localarith import (
     BTWitness,
     InadmissibleConditionError,
     bad_set_s0,
+    diagonal_model,
     find_bT,
     isolate_real_roots,
     padic_soluble,
     real_soluble,
+    split_soluble,
 )
-from quadpencil.pencil import Pencil, matrix_of, pencil_dumps, random_pencil
+from quadpencil.pencil import Pencil, matrix_of, normalize_pencil, pencil_dumps, random_pencil
 import quadpencil.localarith as localarith_mod
 from reference import (
     delta_residue_at,
+    diagonal_insoluble_at,
+    diagonal_primitive_count,
     fraction_sturm_chain,
     fraction_sturm_var,
     mat_congruent,
@@ -460,6 +467,133 @@ class TestPadicSoluble:
         for early, late in zip(verdicts, verdicts[1:]):
             if early in ("soluble", "insoluble"):
                 assert late == early
+
+
+def split_model(roots, deltas):
+    """The canonical pencil of the split quintic with these roots and
+    per-factor deltas, and its diagonal model."""
+    pen = canonical_quadrics(RatPoly.from_roots(roots), deltas).to_pencil()
+    norm = normalize_pencil(pen)
+    return pen, diagonal_model(norm, [f for f, _ in factor_q(norm.P)])
+
+
+def check_hensel_witness(pen, p, witness):
+    """The soluble witness re-checked from the pencil: a primitive common
+    zero mod p^level of its p-primitive integer forms, at which the least
+    valuation of a 2x2 minor of the Jacobian is minor_valuation, with
+    2 minor_valuation < level."""
+    x, level, e = witness["point_mod_pk"], witness["level"], witness["minor_valuation"]
+    forms = []
+    for m in pen.cleared[1:]:
+        g = math.gcd(*(v for row in m for v in row))
+        while g % p == 0:
+            g //= p
+            m = [[v // p for v in row] for row in m]
+        forms.append(m)
+    assert all(sum(x[i] * a[i][j] * x[j] for i in range(5) for j in range(5)) % p**level == 0
+               for a in forms)
+    assert any(v % p for v in x)
+    rows = [[2 * sum(a[i][j] * x[j] for j in range(5)) for i in range(5)] for a in forms]
+    minors = [rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
+              for i, j in itertools.combinations(range(5), 2)]
+    assert min(val_unit(Fraction(d), p)[0] for d in minors if d) == e
+    assert 2 * e < level
+
+
+# The precision up to which the oracle looks for a primitive solution mod
+# p^k of an insoluble diagonal model: each insoluble verdict of random split
+# pencils with roots in [-12, 12] is confirmed by then.
+ORACLE_DEPTH = {2: 11, 3: 7, 5: 4, 7: 4}
+
+# three split pencils (roots; deltas) whose places the search of
+# padic_soluble leaves undecided at its node and branch caps
+UNDECIDED_BY_SEARCH = [
+    ([0, 1, 2, 3, 4], [5, 5, 1, 1, 1]),
+    ([-3, 0, 2, 5, 7], [2, 3, 1, 1, 6]),
+    ([-6, -5, 2, 7, 9], [5, 5, 1, 1, 1]),
+]
+
+
+@st.composite
+def split_pencils(draw):
+    """Roots in [-12, 12] and deltas whose product, the norm, is a square."""
+    roots = draw(st.lists(st.integers(-12, 12), min_size=5, max_size=5, unique=True))
+    deltas = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3, 5, 6, 7]), min_size=4, max_size=4))
+    return sorted(roots), deltas + [math.prod(deltas)]
+
+
+class TestSplitSoluble:
+    @pytest.mark.parametrize("roots,deltas", UNDECIDED_BY_SEARCH)
+    def test_diagonalization(self, roots, deltas):
+        pen, model = split_model(roots, deltas)
+        norm = normalize_pencil(pen)
+        D = math.lcm(*(f[0].denominator for f, _ in factor_q(norm.P)))
+        v = model.vectors
+
+        def form(m, a, b):
+            return sum(a[i] * m[i][j] * b[j] for i in range(5) for j in range(5))
+
+        for i in range(5):
+            assert form(norm.m2, v[i], v[i]) == model.c[i] != 0
+            assert D * form(norm.m1, v[i], v[i]) == model.roots[i] * model.c[i]
+            for j in range(i):
+                assert form(norm.m1, v[i], v[j]) == form(norm.m2, v[i], v[j]) == 0
+        assert len(set(model.roots)) == 5
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    def test_oracle_counts_by_enumeration(self, p, k):
+        rng = random.Random(p * 10 + k)
+        q = p**k
+        for _ in range(3):
+            a = [rng.randrange(-30, 30) for _ in range(5)]
+            b = [rng.randrange(-30, 30) for _ in range(5)]
+            count = sum(
+                1 for y in itertools.product(range(q), repeat=5)
+                if any(v % p for v in y)
+                and sum(x * v * v for x, v in zip(a, y)) % q == 0
+                and sum(x * v * v for x, v in zip(b, y)) % q == 0
+            )
+            assert diagonal_primitive_count(a, b, p, k) == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=split_pencils(), p=st.sampled_from([2, 3, 5, 7]))
+    @example(case=UNDECIDED_BY_SEARCH[2], p=7)
+    def test_agrees_with_search_and_oracle(self, case, p):
+        pen, model = split_model(*case)
+        cert = split_soluble(model, p)
+        search = padic_soluble(pen.cleared[1:], p, effort=1)
+        assert search.verdict in ("unknown", cert.verdict)
+        if cert.verdict == "insoluble":
+            assert diagonal_insoluble_at(model.c, model.roots, p, ORACLE_DEPTH[p]) is not None
+        else:
+            assert cert.verdict == "soluble"
+            check_hensel_witness(pen, p, cert.witness)
+
+    def test_soluble_at_good_reduction(self):
+        # c_i and the root differences are 11-units, so the reduction is
+        # smooth and has a point (Chevalley-Warning)
+        pen, model = split_model(*UNDECIDED_BY_SEARCH[0])
+        assert all(c % 11 for c in model.c)
+        assert all((a - b) % 11 for a, b in itertools.combinations(model.roots, 2))
+        cert = split_soluble(model, 11)
+        assert cert.verdict == "soluble"
+        check_hensel_witness(pen, 11, cert.witness)
+
+
+    @pytest.mark.parametrize("roots,deltas", UNDECIDED_BY_SEARCH)
+    def test_cli_decides_every_place(self, roots, deltas, tmp_path):
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(canonical_quadrics(RatPoly.from_roots(roots), deltas).to_pencil()))
+        out = tmp_path / "report.json"
+        t0 = time.perf_counter()
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        certs = json.loads(out.read_text())["local_certificates"]
+        assert [c["place"] for c in certs] == ["real", "3", "5", "7", "11", "13"]
+        assert main(["--json", "--out", str(out), "local", str(path), "--places", "2,3,5,7"]) == 0
+        certs = json.loads(out.read_text())["certificates"]
+        assert [c["place"] for c in certs] == ["real", "2", "3", "5", "7"]
+        assert all(c["verdict"] != "unknown" for c in certs)
 
 
 class TestDeltaResidue:
