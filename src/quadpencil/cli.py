@@ -426,13 +426,16 @@ def run_local(args) -> int:
         print(f"error: singular base locus: {e}", file=sys.stderr)
         return 1
     if places:
-        factors = [f for f, _ in exact.factor_q(norm.P)]
+        # P is squarefree of degree 5, so it splits completely exactly when
+        # it has five rational roots
+        factors = exact.linear_factors(norm.P)
+        split = localarith.diagonal_model(norm, factors) if len(factors) == 5 else None
     else:
         inv = pencil.delta_invariant(norm, certify=False)
-        factors = inv.factors
+        split = localarith.diagonal_model(norm, inv.factors)
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
         places = [p for p in (3, 5, 7, 11, 13) if p in s0]
-    certs += _padic_certificates(pen, localarith.diagonal_model(norm, factors), places, args.effort)
+    certs += _padic_certificates(pen, split, places, args.effort)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "local-certificates",

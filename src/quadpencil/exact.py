@@ -30,11 +30,13 @@ invariant (`pencil.delta_component`) works this way: it reduces a cofactor
 table, interpolated once per pencil, by pseudo-remainders and takes one
 inverse per factor of P, and it builds rationals only for its result.
 
-This is the only module that calls sympy: primality, the next prime past
-a table of the primes below 2^16 (`small_primes`) and integer
-factorization are delegated to it (exact, deterministic), and so
-is the factorization of a polynomial over Q where `factor_q` cannot decide
-it itself.  `factor_q` finds the rational roots by a p-adic lift
+This is the only module that calls sympy.  The primes below 10^6 are one
+table (`small_primes`): the walk over good primes, the primality test of a
+place and the square content of `strip_square_content` read it, and
+sympy's primality test and next prime run only past its end.  Integer
+factorization is delegated to sympy (exact, deterministic), and so is the
+factorization of a polynomial over Q where `factor_q` cannot decide it
+itself.  `factor_q` finds the rational roots by a p-adic lift
 (`integer_roots`) and proves the cofactor irreducible from the factor
 degrees mod a few good primes, so sympy's Zassenhaus factorization runs
 only on a polynomial with a repeated factor or on a cofactor left
@@ -50,6 +52,7 @@ import bisect
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -429,10 +432,7 @@ def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree > MAX_DEGREE:
         raise ValueError(f"degree > {MAX_DEGREE} not supported")
-    monic, n = f.monic(), f.degree
-    D = monic.denominator_lcm()
-    Q = RatPoly(tuple(Fraction(c.numerator * D ** (n - i) // c.denominator)
-                      for i, c in enumerate(monic.coeffs)))
+    Q, D = _monic_integer_form(f)
     p = unramified_prime(Q)
     if p is None:
         return _sympy_factor_q(f)
@@ -445,6 +445,22 @@ def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
         out += [(rest, 1)] if _degree_set_irreducible(G) else _sympy_factor_q(rest)
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
+
+
+def _monic_integer_form(f: RatPoly) -> tuple[RatPoly, int]:
+    """(Q, D): Q(t) = D^n (f / lc(f))(t / D), monic in Z[t], for n = deg f and
+    D the denominator lcm of f / lc(f); the roots of Q are D times those of f."""
+    monic, n = f.monic(), f.degree
+    D = monic.denominator_lcm()
+    return RatPoly(tuple(c * D ** (n - i) for i, c in enumerate(monic.coeffs))), D
+
+
+def linear_factors(f: RatPoly) -> list[RatPoly]:
+    """The monic linear factors of f over Q, one per distinct rational root,
+    in `factor_q`'s order: the integer roots of its monic integer form
+    (`integer_roots`), without the degree-set walk."""
+    Q, D = _monic_integer_form(f)
+    return [RatPoly((Fraction(-r, D), Fraction(1))) for r in reversed(integer_roots(Q))]
 
 
 # Good primes the degree-set test of factor_q walks before it hands a
@@ -669,7 +685,7 @@ class LocalPlace:
 
     def __post_init__(self):
         if not self.is_real:
-            if self.p is None or not sympy.isprime(self.p):
+            if self.p is None or not is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 
     def __str__(self) -> str:
@@ -741,23 +757,32 @@ class BadSet:
         return p == 2 or p < self.margin or any(n % p == 0 for n in self.integers)
 
 
-# The walk over good primes reads the primes below this bound from one
-# sieve, built on first use; sympy's nextprime serves only past it.
-SMALL_PRIME_END = 1 << 16
+# The primes below this bound are one table, built on first use by one
+# sieve: the walk over good primes, `is_prime` and `strip_square_content`
+# read it, and sympy serves only past it.
+SMALL_PRIME_END = 10**6
 
 
 @functools.cache
-def small_primes() -> tuple[int, ...]:
-    """The primes below SMALL_PRIME_END, increasing: 2, then the odd
-    primes from a sieve of Eratosthenes over the odd numbers."""
-    half = SMALL_PRIME_END // 2  # sieve[i] stands for 2 i + 1
+def small_primes() -> array:
+    """The primes below SMALL_PRIME_END, increasing, as an array('I'): 2,
+    then the odd primes from a sieve of Eratosthenes over the odd numbers."""
+    half = SMALL_PRIME_END // 2  # sieve[i] stands for 2 i + 1, and sieve[0] for 2
     sieve = bytearray([1]) * half
-    sieve[0] = 0
     for i in range(1, (math.isqrt(SMALL_PRIME_END) + 1) // 2):
         if sieve[i]:
             q = 2 * i + 1
             sieve[q * q // 2::q] = bytes(len(range(q * q // 2, half, q)))
-    return (2,) + tuple(2 * i + 1 for i in range(half) if sieve[i])
+    return array("I", itertools.compress(itertools.chain((2,), range(3, SMALL_PRIME_END, 2)), sieve))
+
+
+def is_prime(n: int) -> bool:
+    """Primality of an integer: a lookup in `small_primes` below its end,
+    sympy's test past it."""
+    if n >= SMALL_PRIME_END:
+        return sympy.isprime(n)
+    i = bisect.bisect_right(small_primes(), n)
+    return i > 0 and small_primes()[i - 1] == n
 
 
 def good_primes(bad: BadSet, start: int, stop: Optional[int] = None) -> Iterator[int]:
@@ -1014,8 +1039,8 @@ def _sqrt_cap(d: RatPoly, m: RatPoly, disc_m: Fraction) -> int:
     y_j = w_j D^j / c has |num|^2 <= R2^n |Delta| D^(2(n-1)) and den <=
     c |Delta|."""
     n = m.degree
-    D = m.denominator_lcm()
-    e = root_bound_bits([int(c * D ** (n - j)) for j, c in enumerate(m.coeffs)])
+    M, D = _monic_integer_form(m)
+    e = root_bound_bits([int(c) for c in M.coeffs])
     c = d.denominator_lcm() * D**d.degree
     w2 = c * sum(abs(int(dj * c / D**j)) << (e * j) for j, dj in enumerate(d.coeffs))
     r2 = sum(1 << (2 * e * k) for k in range(n)) + w2
@@ -1069,52 +1094,46 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-def strip_square_content(d: RatPoly, bound: int = 10**6) -> RatPoly:
+# strip_square_content looks for the table primes dividing a content this
+# many at a time, by one gcd with their product.
+_CHUNK = 1024
+
+
+@functools.cache
+def _chunk_product(k: int) -> int:
+    """The product of the k-th chunk of `small_primes`, built on first use."""
+    return math.prod(small_primes()[k * _CHUNK:(k + 1) * _CHUNK])
+
+
+def strip_square_content(d: RatPoly) -> RatPoly:
     """Multiply d by the square of a rational so heights shrink.
 
-    Clears denominators, then removes the even part of every prime <= bound
-    from the integer content by trial division, and a cofactor left over
-    that is a square.  Trial division stops early once the cofactor is a
-    square or a prime: it would remove all of a square and none of a prime.
-    The cofactor is tested for squareness after each division, and for
-    primality first at q = 2 and then, once a division has changed it, when
-    q has passed that division by b^2/64, b its bit length: a primality
-    test of a b-bit cofactor costs about as much as b^2/128 trial
-    divisions, so the tests cost about as much as the divisions between
-    them, and a prime cofactor costs at most about one test's worth of
-    divisions more than an immediate test would.
-    The square class of d in Q[t]/(m) is unchanged.
+    Clears denominators, then removes from the integer content the even
+    part of every prime below SMALL_PRIME_END, and a cofactor left over that
+    is a square.  The primes dividing the content are found one chunk of
+    `small_primes` at a time, by one gcd with the chunk's product (the batch
+    trial division of Bernstein, "How to find smooth parts of integers",
+    2004).  The walk ends early once the square of the chunk's first prime
+    exceeds the cofactor, which is then 1 or a prime and so has nothing
+    more to remove.  The square class of d in Q[t]/(m) is unchanged.
     """
-    if d.is_zero:
-        return d
     den = d.denominator_lcm()
-    e = d * den * den  # integer coefficients, same square class
-    nums = [c.numerator for c in e.coeffs]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    if g > 1:
-        sq = 1
-        q = 2
-        rem = g
-        settled = math.isqrt(rem) ** 2 == rem
-        retest = q  # q at which rem is next tested for primality, or None
-        while not settled and q * q <= rem and q <= bound:
-            if rem % q == 0:
+    e = d * den * den  # integer coefficients, same square class (content 0 when d = 0)
+    table, sq, rem = small_primes(), 1, math.gcd(*(c.numerator for c in e.coeffs))
+    for k in range(0, len(table), _CHUNK):
+        if table[k] ** 2 > rem:
+            break
+        h = math.gcd(rem, _chunk_product(k // _CHUNK))
+        for q in table[k:k + _CHUNK]:
+            if h == 1:
+                break
+            if h % q == 0:
+                h //= q
                 exp = 0
                 while rem % q == 0:
                     rem //= q
                     exp += 1
-                sq *= q ** (2 * (exp // 2))
-                settled = math.isqrt(rem) ** 2 == rem
-                if retest is None:
-                    retest = q + rem.bit_length() ** 2 // 64
-            if retest is not None and q >= retest and not settled:
-                settled, retest = sympy.isprime(rem), None
-            q += 1 if q == 2 else 2
-        root = math.isqrt(rem)
-        if root * root == rem:
-            sq *= rem
-        if sq > 1:
-            e = e * Fraction(1, sq)
-    return e
+                sq *= q ** (exp - exp % 2)
+    if math.isqrt(rem) ** 2 == rem:
+        sq *= rem
+    return e * Fraction(1, sq) if sq > 1 else e

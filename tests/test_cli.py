@@ -506,6 +506,12 @@ class TestGoldenBytes:
         pen = canonical_quadrics(q, parse_delta(delta, q)).to_pencil()
         assert self._analyze(pen, tmp_path, capsys) == expected
 
+    def test_huge_height(self, tmp_path, capsys):
+        # height 10^400: delta contents of 1,334 to 5,322 bits
+        pen = Pencil(diag(10**400, -1, 2, -3, 5), diag(1, 2, 3, 4, 5))
+        expected = (0, "6113fa0a7373090dce1ed31efe4d0617317356a0a04a7a5bf7d7010ebb333120")
+        assert self._analyze(pen, tmp_path, capsys) == expected
+
 
 class TestCanonKummer:
     def test_canon_json(self, tmp_path):
@@ -641,6 +647,23 @@ class TestSearch:
 
 
 class TestLocal:
+    def test_places_without_factor_q(self, t52_pencil_file, monkeypatch, capsys):
+        # splitting is read off the rational roots of P, so an irreducible
+        # P is never factored
+        calls = count_factor_q(monkeypatch)
+        assert main(["--json", "local", str(t52_pencil_file), "--places", "3,5,7"]) == 0
+        assert calls == []
+        assert [c["place"] for c in json.loads(capsys.readouterr().out)["certificates"]] == [
+            "real", "3", "5", "7"]
+
+    def test_split_places_bytes(self, tmp_path, capsys):
+        q = parse_poly("t*(t-1)*(t-2)*(t-3)*(t-4)")
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(canonical_quadrics(q, parse_delta("5;5;1;1;1", q)).to_pencil()))
+        assert main(["--json", "local", str(path), "--places", "2,3,5,7"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "f96df34ee9af8abc6b2888ba7722e8d49ca8a1f5ad2ab2f4a4449a0f25d22ebf"
+
     def test_certificates(self, t52_pencil_file, tmp_path):
         out = tmp_path / "local.json"
         code = main(

@@ -2,15 +2,17 @@
 
 import random
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
+import quadpencil.exact as exact
+import quadpencil.pencil as pencil_mod
 from quadpencil.exact import (
     REAL_PLACE,
-    SMALL_PRIME_END,
     BadSet,
     RatPoly,
     Residue,
@@ -39,6 +41,7 @@ from quadpencil.exact import (
     val_unit,
 )
 from reference import (
+    diag,
     factor_fp,
     hilbert_support,
     hilbert_symbol,
@@ -607,7 +610,7 @@ class TestStripSquareContent:
         ratio_num = d.coeffs[0] / e.coeffs[0]
         assert is_square_q(ratio_num)
 
-    # contents with small primes, primes above the trial-division bound,
+    # contents with small primes, primes past the prime table's end,
     # squares and fourth powers
     @settings(max_examples=60, deadline=None)
     @given(
@@ -619,12 +622,43 @@ class TestStripSquareContent:
     )
     @example(small=[19], large=[4538519], powers=[4, 4, 1, 1, 1, 1], base=[1, 1], den=1)
     @example(small=[], large=[1000003, 1000033], powers=[1, 1, 1, 1, 1, 1], base=[3], den=5)
+    # over 5,000 bits with no prime factor below 10^6, with and without a
+    # square cofactor (2^521 - 1 and 2^607 - 1 are primes)
+    @example(small=[], large=[2**521 - 1, 2**607 - 1], powers=[9, 1, 1, 1, 1, 1], base=[1, 2], den=1)
+    @example(small=[], large=[2**521 - 1, 2**607 - 1], powers=[10, 2, 1, 1, 1, 1], base=[-3], den=7)
+    # 106 bits with the prime cofactor 10^12 + 39
+    @example(small=[2, 3], large=[1000003, 10**12 + 39], powers=[3, 2, 3, 1, 1, 1], base=[1, 1], den=1)
+    # the square of the table's last prime times a small square
+    @example(small=[3, 5], large=[999983], powers=[2, 4, 2, 1, 1, 1], base=[1, -1], den=4)
     def test_against_trial_division(self, small, large, powers, base, den):
         content = 1
         for q, e in zip(small + large, powers):
             content *= q**e
         d = RatPoly.of([Fraction(content * c, den) for c in base])
         assert strip_square_content(d) == strip_square_content_by_trial_division(d)
+
+    def test_huge_height_contents(self, monkeypatch):
+        # the five delta representatives of a pencil of height 10^400, with
+        # contents of 1,334 to 5,322 bits, one with a 5,107-bit cofactor
+        # free of primes below 10^6
+        seen = []
+        monkeypatch.setattr(pencil_mod, "strip_square_content", lambda d: seen.append(d) or d)
+        norm = pencil_mod.normalize_pencil(pencil_mod.Pencil(diag(10**400, -1, 2, -3, 5), diag(1, 2, 3, 4, 5)))
+        pencil_mod.delta_invariant(norm, certify=False)
+        assert len(seen) == 5
+        for d in seen:
+            assert strip_square_content(d) == strip_square_content_by_trial_division(d)
+
+    def test_no_sympy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sympy called")
+
+        monkeypatch.setattr(exact.sympy, "isprime", refuse)
+        monkeypatch.setattr(exact.sympy, "factorint", refuse)
+        contents = [0, 1, 12, 999983**2 * 9, 2**61 - 1, (10**12 + 39) * 1000003**3, (2**127 - 1) ** 3]
+        for content in contents:
+            d = poly(content, 2 * content)
+            assert strip_square_content(d) == strip_square_content_by_trial_division(d)
 
 
 class TestIntegerRoots:
@@ -652,24 +686,58 @@ class TestIntegerRoots:
 
 class TestGoodPrimes:
     def test_table_is_primerange(self):
-        assert list(small_primes()) == list(sympy.primerange(2, SMALL_PRIME_END))
+        assert list(small_primes()) == list(sympy.primerange(2, 10**6))
 
-    # start and stop on both sides of the table's end (65521 is its last
-    # prime, 65537 the next), at its start, and an empty walk
+    # start and stop on both sides of 2^16 (65521 the last prime below it,
+    # 65537 the next) and of the table's end (999983 its last prime, 1000003
+    # the next), at its start, and an empty walk
     @pytest.mark.parametrize(
         "start,stop",
         [(0, 40), (2, 2), (3, 3), (65500, 65600), (65521, 65537), (65522, 65522),
-         (65536, 65700), (70000, 70100), (100, 99), (65600, 65500)],
+         (65536, 65700), (70000, 70100), (100, 99), (65600, 65500),
+         (999900, 1000100), (999983, 1000003), (999983, 999983), (999984, 999984),
+         (999984, 1000003), (1000000, 1000040), (1000003, 1000003), (1000100, 999900)],
     )
     def test_matches_nextprime_walk(self, start, stop):
-        bad = BadSet((3 * 65519 * 65537 * 70001,), 11)
+        bad = BadSet((3 * 65519 * 65537 * 70001 * 999979 * 1000033,), 11)
         assert list(good_primes(bad, start, stop)) == list(nextprime_walk(bad, start, stop))
 
-    @pytest.mark.parametrize("start", [3, 65500, 65537])
+    @pytest.mark.parametrize("start", [3, 65500, 65537, 999950, 999984])
     def test_unbounded_walk(self, start):
         bad = BadSet((65537,), 0)
         assert (list(itertools.islice(good_primes(bad, start), 12))
                 == list(itertools.islice(nextprime_walk(bad, start), 12)))
+
+
+# The Carmichael numbers below 10^6: composite, yet they pass Fermat's
+# test to every base prime to them.
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745,
+    63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409,
+    314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461, 530881, 552721, 656601,
+    658801, 670033, 748657, 825265, 838201, 852841, 997633,
+)
+
+
+class TestPrimePlace:
+    @staticmethod
+    def _accepts(n: int) -> bool:
+        try:
+            return prime_place(n).p == n
+        except ValueError:
+            return False
+
+    def test_agrees_with_isprime(self):
+        # both sides of the table's end, squares of primes inside and past
+        # it, and the Carmichael numbers
+        squares = [q * q for q in (2, 3, 5, 31, 997, 999983, 1000003)]
+        for n in [*range(10**6 - 300, 10**6 + 300), *squares, *CARMICHAEL]:
+            assert self._accepts(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_rejects(self, n):
+        with pytest.raises(ValueError, match="not prime"):
+            prime_place(n)
 
 
 class TestResidue:
