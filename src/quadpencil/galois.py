@@ -52,6 +52,7 @@ from .exact import (
     BadSet,
     RatPoly,
     _ddf,
+    _monic_integer_form,
     cycle_type,
     fp_gcd,
     fp_is_squarefree,
@@ -122,14 +123,6 @@ def _theta_value(roots, perm: Perm):
     for i in range(5):
         acc += x[i] ** 2 * (x[(i + 1) % 5] * x[(i + 4) % 5] + x[(i + 2) % 5] * x[(i + 3) % 5])
     return acc
-
-
-def _integer_quintic(P: RatPoly) -> list[int]:
-    """Monic integer quintic with the same splitting field: x -> x/lam scaling."""
-    lam = P.denominator_lcm()
-    scaled = RatPoly.of([c * Fraction(lam) ** (5 - i) for i, c in enumerate(P.coeffs)])
-    assert scaled.lc == 1
-    return [int(c) for c in scaled.coeffs]
 
 
 # Coefficients of the F20 resolvent of a depressed quintic
@@ -236,7 +229,7 @@ def resolvent_sextic(P: RatPoly) -> list[int]:
     depressed integer quintic with coefficients b; its resolvent comes from
     `_F20_TABLE`, and each conjugate shifts as theta_z = 625 theta_x + corr.
     """
-    a = _integer_quintic(P)[::-1]  # 1, a1, ..., a5
+    a = [int(c) for c in reversed(_monic_integer_form(P)[0].coeffs)]  # 1, a1, ..., a5
     a1 = a[1]
     # 5^5 P((z - a1)/5) = sum_i a_i 5^i (z - a1)^(5-i), high to low in z
     b = [0] * 6
@@ -289,7 +282,7 @@ def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:
 
 def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
     """(a rational root of a separable metacyclic resolvent or None, #transforms)."""
-    work = RatPoly.of(_integer_quintic(P))
+    work = _monic_integer_form(P)[0]
     steps = 0
     while True:
         sext = RatPoly.of(resolvent_sextic(work)[::-1])
@@ -375,7 +368,7 @@ def _automorphism(P: RatPoly, disc: Fraction, p: int) -> Optional[RatPoly]:
     """
     D = P.denominator_lcm()
     sD = D**11 * math.isqrt(disc.numerator) // math.isqrt(disc.denominator)
-    e = root_bound_bits(_integer_quintic(P))
+    e = root_bound_bits([int(c) for c in _monic_integer_form(P)[0].coeffs])
     cap = 22 * e + 6 * D.bit_length() + 22  # |n|, d <= sqrt(p^k / 2)
 
     def five_cycles(roots, prev, pk):

@@ -12,9 +12,12 @@ completely over Q is decided at every prime, p = 2 included, with no
 budget: the pencil diagonalizes over Q (`diagonal_model`), and a tree of
 p-adic balls on the plane of the values c_i y_i^2 of its diagonal terms
 ends by compactness (`split_soluble`).  Any other pencil goes through
-`padic_soluble`: a tree search over residue candidates with a
-multivariate Hensel criterion, bounded by its effort, where "unknown" is a
-first-class verdict.  No verdict is ever guessed.
+`padic_soluble`: its level 1 takes the common zeros mod p by solving each
+chart line of P^4(F_p) as a quadratic over F_p (`_zeros_mod_p`), with no
+point evaluated on its own, and its singular zeros feed a tree search over
+residue candidates with a multivariate Hensel criterion, bounded by its
+effort, where "unknown" is a first-class verdict.  No verdict is ever
+guessed.
 
 The bad set S0 is 2, every prime below the margin, and the prime divisors
 of disc(P), the denominators of P and delta, the resultants Res(P_i, d_i)
@@ -32,11 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .exact import (
     REAL_PLACE,
@@ -260,45 +262,55 @@ def _integral_forms(model: Sequence[Matrix], p: int) -> list[list[list[int]]]:
     return out
 
 
-# Chart chunk sizes: the scan starts small, so that a chart with a smooth
-# zero near its start is decided after a few hundred points, and doubles up
-# to a cap that bounds the memory of one chunk.
-_FIRST_CHUNK = 64
-_MAX_CHUNK = 200_000
+def _zeros_mod_p(forms_int, p: int):
+    """The common zeros mod p of the forms in P^(n-1)(F_p), in a fixed
+    order: chart k (x_k = 1, x_j = 0 for j < k) with x_{k+1} fastest and
+    x_{n-1} slowest, then the point e_{n-1}.
 
-
-def _chart_points(n: int, k: int, p: int):
-    """Projective chart: x_k = 1, x_j = 0 for j < k, x_j free for j > k.
-
-    The points come in a fixed order (x_{k+1} fastest), in chunks of 64,
-    128, ... rows up to 200,000, so a caller that stops at its first hit
-    evaluates little more than the points before it."""
-    free = n - 1 - k
-    base = _unit_row(n, k)
-    total = p**free
-    start, chunk = 0, _FIRST_CHUNK
-    while start < total:
-        cnt = min(chunk, total - start)
-        idx = np.arange(start, start + cnt, dtype=np.int64)
-        pts = np.tile(base, (cnt, 1))
-        for j in range(free):
-            pts[:, k + 1 + j] = (idx // (p**j)) % p
-        yield pts
-        start += cnt
-        chunk = min(2 * chunk, _MAX_CHUNK)
-
-
-def _unit_row(n: int, k: int) -> np.ndarray:
-    row = np.zeros(n, dtype=np.int64)
-    row[k] = 1
-    return row
-
-
-def _eval_forms(forms: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
-    """Values mod p of the forms (m, n, n) at the points (N, n), as (m, N);
-    both are reduced mod p, so the int64 sums of at most n^2 products of
-    three residues cannot overflow."""
-    return ((pts @ forms) * pts).sum(axis=2) % p
+    No point is evaluated on its own.  On a chart line x = y + s e_{k+1}
+    each form is a s^2 + b s + c with a = A[k+1][k+1], b the s-coefficient
+    of x^T A x and c = y^T A y.  Subtracting multiples of one form with
+    a != 0 clears the s^2 terms: a combination with an s term leaves one
+    candidate, a nonzero constant leaves none, and when every combination
+    vanishes the zeros are the roots of that form (all of F_p when no form
+    has an s or s^2 term).  Each candidate is checked against every form,
+    and the zeros of a line come in increasing s."""
+    forms = [[[v % p for v in row] for row in a] for a in forms_int]
+    n = len(forms[0])
+    for k in range(n - 1):
+        j = k + 1
+        # the coordinates of y, the line's point at s = 0: x_k and x_{j+1..}
+        idx = [k, *range(j + 1, n)]
+        sq = [a[j][j] for a in forms]
+        piv = next((i for i, ai in enumerate(sq) if ai), None)
+        lin = [[a[j][i] + a[i][j] for i in idx] for a in forms]
+        sub = [[[a[i][t] for t in idx] for i in idx] for a in forms]
+        for rest in itertools.product(range(p), repeat=n - 1 - j):
+            y = (1, *reversed(rest))
+            lines = [
+                (ai, sum(map(operator.mul, r, y)) % p,
+                 sum(v * sum(map(operator.mul, row, y)) for v, row in zip(y, a)) % p)
+                for ai, r, a in zip(sq, lin, sub)
+            ]
+            if piv is None:
+                combos = [(b, c) for _, b, c in lines]
+            else:
+                a0, b0, c0 = lines[piv]
+                combos = [((b * a0 - b0 * a) % p, (c * a0 - c0 * a) % p) for a, b, c in lines]
+            sc, cc = next(((sc, cc) for sc, cc in combos if sc), (0, 0))
+            if sc:
+                cands = [-cc * pow(sc, -1, p) % p]
+            elif any(cc for _, cc in combos):
+                continue
+            elif piv is None:
+                cands = range(p)
+            else:
+                cands = fp_roots([c0, b0, a0], p)
+            for s in cands:
+                if all((a * s * s + b * s + c) % p == 0 for a, b, c in lines):
+                    yield (0,) * k + (1, s) + y[1:]
+    if all(a[n - 1][n - 1] == 0 for a in forms):
+        yield (0,) * (n - 1) + (1,)
 
 
 def _jacobian(forms_int, x: Sequence[int]) -> list[list[int]]:
@@ -346,11 +358,7 @@ def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
         sub = [[rows[r][c] for c in cols] for r in range(m)]
         d = int_det(sub)
         if d:
-            v = 0
-            while d % p == 0:
-                d //= p
-                v += 1
-            best = min(best, v)
+            best = min(best, _val(d, p))
     return best
 
 
@@ -387,10 +395,11 @@ def _solve_linear_mod_p(
 def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCertificate:
     """Search for a Q_p-point on the intersection of the model's quadrics.
 
-    Level 1 scans P^n(F_p) chart by chart in a fixed order and stops at the
-    first smooth common zero, which Hensel-lifts (soluble) and is the
-    witness; only a scan without one visits every point.  No common zero at
-    all is a proof of insolubility.  Singular zeros, collected in scan
+    Level 1 takes the common zeros of the forms in P^(n-1)(F_p) chart by
+    chart in a fixed order, solving each chart line for them
+    (`_zeros_mod_p`), and stops at the first smooth one, which Hensel-lifts
+    (soluble) and is the witness; only a scan without one solves every
+    line.  No common zero at all is a proof of insolubility.  Singular zeros, collected in scan
     order, branch into the linearized congruence mod p^2, p^3, ... up to
     `effort` levels; a candidate with all values = 0 mod p^k and a Jacobian
     minor of valuation e with 2e < k is again Hensel-liftable.  Budget
@@ -404,29 +413,17 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
     n = len(forms_int[0])
     if p**(n - 1) > 60_000_000:
         return LocalCertificate(place, "unknown", reason="residue space too large")
-    # reduced before the cast: unreduced entries can exceed int64
-    forms_np = np.array([[[v % p for v in row] for row in a] for a in forms_int], dtype=np.int64)
-
     singular: list[tuple[int, ...]] = []
-    any_solution = False
-    for k in range(n):
-        for pts in _chart_points(n, k, p):
-            vals = _eval_forms(forms_np, pts, p)
-            mask = np.all(vals == 0, axis=0)
-            if not mask.any():
-                continue
-            any_solution = True
-            for x in pts[mask]:
-                xt = tuple(int(v) for v in x)
-                if _jacobian_rank(forms_int, xt, p) == m:
-                    return LocalCertificate(
-                        place,
-                        "soluble",
-                        witness={"point_mod_p": list(xt), "level": 1, "minor_valuation": 0},
-                        reason="smooth point on the reduction",
-                    )
-                singular.append(xt)
-    if not any_solution:
+    for x in _zeros_mod_p(forms_int, p):
+        if _jacobian_rank(forms_int, x, p) == m:
+            return LocalCertificate(
+                place,
+                "soluble",
+                witness={"point_mod_p": list(x), "level": 1, "minor_valuation": 0},
+                reason="smooth point on the reduction",
+            )
+        singular.append(x)
+    if not singular:
         return LocalCertificate(
             place,
             "insoluble",

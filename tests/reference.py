@@ -493,6 +493,24 @@ def nextprime_walk(bad: BadSet, start: int, stop=None):
 
 
 # ---------------------------------------------------------------------------
+# Common zeros mod p, point by point
+
+
+def zeros_mod_p_by_enumeration(forms: Sequence[Sequence[Sequence[int]]], p: int):
+    """The common zeros of the integer forms x^T A x in P^(n-1)(F_p), found
+    by evaluating every point in turn: chart k (x_k = 1, x_j = 0 for j < k)
+    with x_{k+1} fastest and x_{n-1} slowest, the last chart being e_{n-1}."""
+    n = len(forms[0])
+    for k in range(n):
+        free = n - 1 - k
+        for idx in range(p**free):
+            x = (0,) * k + (1,) + tuple(idx // p**j % p for j in range(free))
+            if all(sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n)) % p == 0
+                   for a in forms):
+                yield x
+
+
+# ---------------------------------------------------------------------------
 # Points of a diagonal model mod p^k
 
 

@@ -2,23 +2,25 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import quadpencil
 
 SRC = pathlib.Path(quadpencil.__file__).parent
 
 # The one module allowed to import each third-party package.
-OWNERS = {"sympy": "exact.py", "numpy": "localarith.py"}
+OWNERS = {"sympy": "exact.py"}
+
+# Packages no source module imports: numpy serves the tests only.
+TEST_ONLY = {"numpy"}
 
 # The sympy names exact.py may use: factorization and primes.  Everything
 # else, resultants included, is the repo's own exact arithmetic.
 SYMPY_NAMES = {"Symbol", "Rational", "Poly", "isprime", "nextprime", "factorint"}
-
-# The functions of localarith.py that may use numpy (as np): the p-adic
-# scan.  Real solubility and everything else there is exact.
-NUMPY_USERS = {"_chart_points", "_unit_row", "_eval_forms", "padic_soluble"}
 
 
 def test_third_party_owners_and_no_evaluation():
@@ -31,22 +33,21 @@ def test_third_party_owners_and_no_evaluation():
             else:
                 roots = []
             for root in roots:
+                assert root not in TEST_ONLY, f"{path.name} imports {root}"
                 assert OWNERS.get(root, path.name) == path.name, f"{path.name} imports {root}"
             if isinstance(node, ast.Call):
                 f = node.func
                 name = getattr(f, "id", None) or getattr(f, "attr", None)
                 assert name not in ("eval", "exec", "sympify"), f"{path.name} calls {name}"
 
-    for node in ast.parse((SRC / "localarith.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom):
-            assert (node.module or "").split(".")[0] != "numpy", "localarith.py imports from numpy"
-        elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.split(".")[0] == "numpy":
-                    assert (a.name, a.asname) == ("numpy", "np"), f"localarith.py imports {a.name}"
-        elif any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node)):
-            name = getattr(node, "name", "module-level code")
-            assert name in NUMPY_USERS, f"localarith.py uses numpy in {name}"
+
+def test_cli_import_loads_no_numpy():
+    # a fresh interpreter: the verbs' import chain never loads numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, quadpencil.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_sympy_names():

@@ -48,6 +48,7 @@ from reference import (
     mat_congruent,
     signature,
     time_limit,
+    zeros_mod_p_by_enumeration,
 )
 
 
@@ -360,35 +361,74 @@ def oracle_padic_p4(model, p):
 
 def chart_order_scan(model, p):
     """(first smooth common zero or None, whether any common zero exists) of
-    integer forms over P^(n-1)(F_p), scanned chart by chart: x_k = 1, x_j = 0
-    for j < k, and the free coordinates counted with x_(k+1) fastest.  The
-    forms are divided by their p-content first."""
+    integer forms over P^(n-1)(F_p), in the chart order of
+    `zeros_mod_p_by_enumeration`.  The forms are divided by their p-content
+    first."""
     forms = []
     for m in model:
         f = [[int(x) for x in row] for row in m]
         while all(v % p == 0 for row in f for v in row):
             f = [[v // p for v in row] for row in f]
-        forms.append([[v % p for v in row] for row in f])
+        forms.append(f)
     n = len(forms[0])
     any_zero = False
-    for k in range(n):
-        free = n - 1 - k
-        for idx in range(p**free):
-            x = [0] * n
-            x[k] = 1
-            for j in range(free):
-                x[k + 1 + j] = idx // p**j % p
-            if any(sum(x[i] * f[i][j] * x[j] for i in range(n) for j in range(n)) % p
-                   for f in forms):
-                continue
-            any_zero = True
-            grads = [[2 * sum(f[i][j] * x[j] for j in range(n)) % p for i in range(n)]
-                     for f in forms]
-            # two gradients are independent mod p iff some 2x2 minor is a unit
-            if any((grads[0][a] * grads[1][b] - grads[0][b] * grads[1][a]) % p
-                   for a, b in itertools.combinations(range(n), 2)):
-                return x, True
+    for x in zeros_mod_p_by_enumeration(forms, p):
+        any_zero = True
+        grads = [[2 * sum(f[i][j] * x[j] for j in range(n)) % p for i in range(n)]
+                 for f in forms]
+        # two gradients are independent mod p iff some 2x2 minor is a unit
+        if any((grads[0][a] * grads[1][b] - grads[0][b] * grads[1][a]) % p
+               for a, b in itertools.combinations(range(n), 2)):
+            return list(x), True
     return None, any_zero
+
+
+@st.composite
+def integer_models(draw):
+    """(forms, p): 1-3 symmetric integer forms in 2-5 variables, entries
+    from small to far beyond int64, many of them multiples of p so that
+    lines vanish and forms agree mod p; P^(n-1)(F_p) has at most 15,000
+    points."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(2, max(k for k in range(2, 6) if p ** (k - 1) <= 15_000)))
+    m = draw(st.integers(1, 3))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(2**100), 2**100),
+        st.integers(-(2**70), 2**70).map(lambda v: p * v),
+    )
+    forms = []
+    for _ in range(m):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(entry)
+        forms.append(a)
+    return forms, p
+
+
+class TestZerosModP:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_models())
+    def test_matches_enumeration(self, model):
+        forms, p = model
+        assert list(localarith_mod._zeros_mod_p(forms, p)) == list(zeros_mod_p_by_enumeration(forms, p))
+
+    @pytest.mark.parametrize("forms, p", [
+        # 2 x0 x2 vanishes on the whole line x2 = 0 of chart 0
+        ([[[0, 0, 1], [0, 0, 0], [1, 0, 0]]], 5),
+        # restricted to x2 = 0 both are multiples of x1^2 - x0^2
+        ([[[-1, 0, 0], [0, 1, 0], [0, 0, 3]], [[-2, 0, 1], [0, 2, 0], [1, 0, 0]]], 7),
+        # e_3 is a zero: no form has an x3^2 term mod p
+        ([[[1, 1, 0, 0], [1, 0, 0, 2], [0, 0, 1, 0], [0, 2, 0, 3 * 10**30]],
+          [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 2, 0], [0, 0, 0, 0]]], 3),
+        # forms that vanish mod p: every point is a zero
+        ([[[2, 4], [4, 6]], [[0, 2], [2, 2**80]]], 2),
+    ])
+    def test_explicit_cases(self, forms, p):
+        zeros = list(localarith_mod._zeros_mod_p(forms, p))
+        assert zeros == list(zeros_mod_p_by_enumeration(forms, p))
+        assert zeros
 
 
 class TestPadicSoluble:
