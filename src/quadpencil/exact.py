@@ -19,16 +19,19 @@ Polynomials are coefficient tuples in low-to-high order with no trailing
 zeros; the zero polynomial has an empty tuple.  A polynomial over Z/N is
 the int list of its coefficients in [0, N), and `fp_reduce` is the one way
 a rational polynomial gets there.  Determinants of integer matrices are
-fraction-free Bareiss elimination, and a resultant is the determinant of
-an integer Sylvester matrix.
+fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and a
+resultant is the determinant of an integer Sylvester matrix.  One
+fraction-free Gauss-Jordan elimination gives a whole column of cofactors,
+the signed maximal minors of the other columns (`adjugate_column`; a
+nonzero column of the adjugate of a corank-1 symmetric matrix spans its
+kernel).
 
 A polynomial over Z is an int list as well.  `pseudo_remainder` reduces it
-modulo another without a division (Collins, J. ACM 14, 1967), and
-`int_inverse_mod` inverts it modulo f by Cramer's rule on the fraction-free
-multiplication matrix (Bareiss, Math. Comp. 22, 1968).  The delta
-invariant (`pencil.delta_component`) works this way: it reduces a cofactor
-table, interpolated once per pencil, by pseudo-remainders and takes one
-inverse per factor of P, and it builds rationals only for its result.
+modulo another without a division (Collins, J. ACM 14, 1967).  The delta
+invariant (`pencil.delta_component`) works this way: each component is
+one diagonal cofactor of a singular member, interpolated once per pencil
+and reduced by one pseudo-remainder, and rationals are built only for
+its result.
 
 This is the only module that calls sympy.  The primes below 10^6 are one
 table (`small_primes`): the walk over good primes, the primality test of a
@@ -260,6 +263,52 @@ def int_det(a: list[list[int]]) -> int:
     return sign * pivots[-1] if pivots else 1
 
 
+def adjugate_column(a: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The cofactors C_0k ... C_{n-1,k} of column k of the n x n integer
+    matrix a, that is row k of adj(a) (its column k when a is symmetric);
+    all zero when a has rank below n - 1.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968), with row and column exchanges, of the (n-1) x n matrix B whose
+    rows are the columns j != k of a.  It ends in [D I | y] up to the column
+    order, and the kernel vector (-y, D) of B is, up to the sign of the
+    exchanges, the vector of signed maximal minors m_i = (-1)^i det(B
+    without column i).  B without column i is the transposed minor of a
+    without row i and column k, so C_ik = (-1)^k m_i."""
+    n = len(a)
+    m = n - 1
+    rows = [[a[i][j] for i in range(n)] for j in range(n) if j != k]
+    order = list(range(n))  # the column of B standing at each position
+    sign, prev = (-1) ** (m + k), 1
+    for c in range(m):
+        piv = next((r for r in range(c, m) if rows[r][c]), None)
+        if piv is None:
+            found = next(((r, j) for j in range(c + 1, n) for r in range(c, m) if rows[r][j]), None)
+            if found is None:
+                return [0] * n
+            piv, j = found
+            for row in rows:
+                row[c], row[j] = row[j], row[c]
+            order[c], order[j] = order[j], order[c]
+            sign = -sign
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        row_c = rows[c]
+        pivot = row_c[c]
+        for r, row in enumerate(rows):
+            if r != c:
+                f = row[c]
+                for j in range(c + 1, n):
+                    row[j] = (row[j] * pivot - f * row_c[j]) // prev
+        prev = pivot
+    out = [0] * n
+    for r, row in enumerate(rows):
+        out[order[r]] = -sign * row[m]
+    out[order[m]] = sign * prev
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over Z (int lists, low-to-high)
 
@@ -289,30 +338,6 @@ def pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int
         for i, bi in enumerate(b[:-1]):
             r[k + i] -= c * bi
     return fp_trim(r), e
-
-
-def int_inverse_mod(c: Sequence[int], f: Sequence[int]) -> tuple[list[int], int]:
-    """(w, s) with c w = s mod f over Q, s a nonzero integer and w in Z[t] of
-    degree < n = deg f, for c in Z[t] of degree < n coprime to f.
-
-    Cramer's rule on the multiplication matrix, fraction-free: column j is
-    L^j (t^j c mod f), L = lc(f), each column the previous one times t with
-    one division-free reduction step.  With N that integer matrix, w_j =
-    L^j (-1)^j times the (0, j) minor of N and s = det N, both by Bareiss
-    elimination (Bareiss, Math. Comp. 22, 1968)."""
-    n, lf = len(f) - 1, f[-1]
-    col = list(c) + [0] * (n - len(c))
-    cols = [col]
-    for _ in range(n - 1):
-        top = col[-1]
-        col = [lf * x - top * fi for x, fi in zip([0] + col[:-1], f)]
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    minors = [int_det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(n)]
-    s = sum((-1) ** j * rows[0][j] * m for j, m in enumerate(minors))
-    if s == 0:
-        raise ValueError("not invertible: c and f share a root")
-    return fp_trim([(-1) ** j * lf**j * m for j, m in enumerate(minors)]), s
 
 
 def resultant(f: RatPoly, g: RatPoly) -> Fraction:
@@ -903,17 +928,19 @@ def split_interpolations(
 
 
 def unramified_prime(f: RatPoly) -> Optional[int]:
-    """The least odd prime that does not divide disc(f), for a monic f in
-    Z[t], or None when disc(f) = 0.
+    """The least odd prime that divides neither lc(f), a denominator of f
+    nor disc(f), for a nonzero f in Q[t], or None when disc(f) = 0.
 
-    p does not divide disc(f) iff f mod p is squarefree, so the first 10
-    odd primes are tried mod p; the integer discriminant is computed only
-    when every one of them divides it."""
+    For an odd prime p that divides neither lc(f) nor a denominator, p does
+    not divide disc(f) iff f mod p is squarefree, so the first 10 odd primes
+    are tried mod p; the discriminant is computed only when each of them
+    divides lc(f), a denominator or disc(f)."""
+    lc, den = f.lc.numerator, f.denominator_lcm()
     for p in itertools.islice(good_primes(BadSet((), 0), 3), 10):
-        if fp_is_squarefree(fp_reduce(f, p), p):
+        if lc % p and den % p and fp_is_squarefree(fp_reduce(f, p), p):
             return p
     disc = discriminant(f)
-    return None if disc == 0 else next(good_primes(BadSet((disc.numerator,), 0), 3))
+    return None if disc == 0 else next(good_primes(BadSet((disc.numerator, lc, den), 0), 3))
 
 
 def integer_roots(f: RatPoly, p: Optional[int] = None) -> list[int]:

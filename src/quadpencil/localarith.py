@@ -45,6 +45,7 @@ from .exact import (
     BadSet,
     LocalPlace,
     RatPoly,
+    adjugate_column,
     discriminant,
     fp_reduce,
     fp_roots,
@@ -269,46 +270,59 @@ def _zeros_mod_p(forms_int, p: int):
 
     No point is evaluated on its own.  On a chart line x = y + s e_{k+1}
     each form is a s^2 + b s + c with a = A[k+1][k+1], b the s-coefficient
-    of x^T A x and c = y^T A y.  Subtracting multiples of one form with
-    a != 0 clears the s^2 terms: a combination with an s term leaves one
-    candidate, a nonzero constant leaves none, and when every combination
-    vanishes the zeros are the roots of that form (all of F_p when no form
-    has an s or s^2 term).  Each candidate is checked against every form,
-    and the zeros of a line come in increasing s."""
+    of x^T A x and c = y^T A y.  Along u = x_{k+2}, the fastest coordinate
+    of y, b is linear and c quadratic in u, so their coefficients are found
+    once per plane (x_{k+3..} fixed) and evaluated on each line.
+    Subtracting multiples of one form with a != 0 clears the s^2 terms: a
+    combination with an s term leaves one candidate, a nonzero constant
+    leaves none, and when every combination vanishes the zeros are the
+    roots of that form (all of F_p when no form has an s or s^2 term).
+    Each candidate is checked against every form, and the zeros of a line
+    come in increasing s."""
     forms = [[[v % p for v in row] for row in a] for a in forms_int]
     n = len(forms[0])
     for k in range(n - 1):
-        j = k + 1
-        # the coordinates of y, the line's point at s = 0: x_k and x_{j+1..}
-        idx = [k, *range(j + 1, n)]
+        j, u = k + 1, k + 2
+        # the coordinates of y fixed on a plane: x_k = 1 and x_{u+1..}
+        idx = [k, *range(u + 1, n)]
         sq = [a[j][j] for a in forms]
         piv = next((i for i, ai in enumerate(sq) if ai), None)
         lin = [[a[j][i] + a[i][j] for i in idx] for a in forms]
         sub = [[[a[i][t] for t in idx] for i in idx] for a in forms]
-        for rest in itertools.product(range(p), repeat=n - 1 - j):
-            y = (1, *reversed(rest))
-            lines = [
-                (ai, sum(map(operator.mul, r, y)) % p,
-                 sum(v * sum(map(operator.mul, row, y)) for v, row in zip(y, a)) % p)
-                for ai, r, a in zip(sq, lin, sub)
+        if u < n:  # the u-coefficients of b and c: b1, the row c1 (times y), c2
+            along = [(a[j][u] + a[u][j], [a[i][u] + a[u][i] for i in idx], a[u][u]) for a in forms]
+        else:  # the last chart has one line
+            along = [(0, [0], 0)] * len(forms)
+        for rest in itertools.product(range(p), repeat=max(n - 1 - u, 0)):
+            z = (1, *reversed(rest))
+            plane = [
+                (ai, sum(map(operator.mul, r, z)) % p, b1,
+                 sum(v * sum(map(operator.mul, row, z)) for v, row in zip(z, a)) % p,
+                 sum(map(operator.mul, c1, z)) % p, c2)
+                for ai, r, a, (b1, c1, c2) in zip(sq, lin, sub, along)
             ]
-            if piv is None:
-                combos = [(b, c) for _, b, c in lines]
-            else:
-                a0, b0, c0 = lines[piv]
-                combos = [((b * a0 - b0 * a) % p, (c * a0 - c0 * a) % p) for a, b, c in lines]
-            sc, cc = next(((sc, cc) for sc, cc in combos if sc), (0, 0))
-            if sc:
-                cands = [-cc * pow(sc, -1, p) % p]
-            elif any(cc for _, cc in combos):
-                continue
-            elif piv is None:
-                cands = range(p)
-            else:
-                cands = fp_roots([c0, b0, a0], p)
-            for s in cands:
-                if all((a * s * s + b * s + c) % p == 0 for a, b, c in lines):
-                    yield (0,) * k + (1, s) + y[1:]
+            for x in range(p) if u < n else (0,):
+                lines = [
+                    (ai, (b0 + b1 * x) % p, (c0 + (c1 + c2 * x) * x) % p)
+                    for ai, b0, b1, c0, c1, c2 in plane
+                ]
+                if piv is None:
+                    combos = [(b, c) for _, b, c in lines]
+                else:
+                    a0, b0, c0 = lines[piv]
+                    combos = [((b * a0 - b0 * a) % p, (c * a0 - c0 * a) % p) for a, b, c in lines]
+                sc, cc = next(((sc, cc) for sc, cc in combos if sc), (0, 0))
+                if sc:
+                    cands = [-cc * pow(sc, -1, p) % p]
+                elif any(cc for _, cc in combos):
+                    continue
+                elif piv is None:
+                    cands = range(p)
+                else:
+                    cands = fp_roots([c0, b0, a0], p)
+                for s in cands:
+                    if all((a * s * s + b * s + c) % p == 0 for a, b, c in lines):
+                        yield (0,) * k + (1, s) + ((x, *z[1:]) if u < n else ())
     if all(a[n - 1][n - 1] == 0 for a in forms):
         yield (0,) * (n - 1) + (1,)
 
@@ -499,14 +513,14 @@ class DiagonalModel:
 
 def _kernel_vector(a: list[list[int]]) -> list[int]:
     """The primitive integer vector spanning the kernel of a symmetric
-    integer matrix of corank 1: a nonzero column of adj(a) = c v v^T."""
-    n = len(a)
-
-    def minor(i, k):
-        return int_det([[a[r][s] for s in range(n) if s != k] for r in range(n) if r != i])
-
-    k = next(k for k in range(n) if minor(k, k))
-    return _primitive([(-1) ** (i + k) * minor(i, k) for i in range(n)])
+    integer matrix of corank 1: adj(a) = c v v^T, so column k is a multiple
+    of v exactly when C_kk != 0, and the first such k is taken, one
+    `adjugate_column` per k."""
+    for k in range(len(a)):
+        column = adjugate_column(a, k)
+        if column[k]:
+            return _primitive(column)
+    raise ArithmeticError("matrix has corank > 1")
 
 
 def diagonal_model(norm: NormalizedPencil, factors: Sequence[RatPoly]) -> Optional[DiagonalModel]:

@@ -10,9 +10,12 @@ tuple of square classes in the residue fields Q[t]/(P_i).
 
 The rational entries are cleared of denominators once per pencil
 (`Pencil.cleared`); the chart members, their characteristic polynomial,
-the cofactors behind the delta invariant and the real members tested for
-definiteness are integer combinations of that pair, and rationals are
-built only for what a report states.
+the principal minors behind the delta invariant and the real members
+tested for definiteness are integer combinations of that pair, and
+rationals are built only for what a report states.  A singular member M
+has rank 4, so over its residue field adj(M) = c v v^T for a kernel
+vector v, and each delta component is one diagonal cofactor of M: one
+4x4 determinant per interpolation node.
 
 The norm-relation group (the products of the norms of the nonsquare delta
 components that are rational squares) is the machine-checkable core.
@@ -35,13 +38,13 @@ from .exact import (
     discriminant,
     factor_q,
     int_det,
-    int_inverse_mod,
     is_square_q,
     poly_mul,
     pseudo_remainder,
     resultant,
     sqrt_in_etale,
     strip_square_content,
+    unramified_prime,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -131,16 +134,18 @@ class Pencil:
 
         Squarefree means: the t-chart polynomial is squarefree and the root
         at infinity (present when det(phi2) = 0) is simple.  The chart
-        polynomial is squarefree iff its discriminant, an integer Sylvester
-        determinant, is nonzero; only a singular pencil pays for the gcd
-        with the derivative, which names the repeated factor.
+        polynomial is squarefree iff it is squarefree mod some prime that
+        keeps its degree (`unramified_prime`); its discriminant is computed
+        only when the first few primes all fail.  Only a singular pencil
+        pays for the gcd with the derivative, which names the repeated
+        factor.
         """
         q = self.det_poly
         if q.is_zero:
             raise SingularPencilError("every member of the pencil is singular")
         if q.degree < 4:
             raise SingularPencilError("repeated singular member at infinity")
-        if discriminant(q) != 0:
+        if unramified_prime(q) is not None:
             return q
         g = q.gcd(q.derivative())
         raise SingularPencilError(f"repeated singular member: {g}", repeated_factor=g)
@@ -230,23 +235,22 @@ class NormalizedPencil:
     m2: IntMatrix
     P: RatPoly
     lead: Fraction  # det(phi1' - t phi2') = lead * P(t)
-    _cofactors: dict[tuple[int, int], list[int]] = field(
+    _minors: dict[int, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def cofactor(self, i: int, j: int) -> list[int]:
-        """Cofactor (i, j) of m1 - t m2 as its five integer coefficients, low
-        to high (formal degree 4): integer determinants of its 4x4 minor at
-        t = 0..4, interpolated on first use and then shared by every factor
-        of P (the matrix is symmetric, so C_ij = C_ji)."""
-        key = (min(i, j), max(i, j))
-        if key not in self._cofactors:
-            rows = [r for r in range(5) if r != key[0]]
-            cols = [c for c in range(5) if c != key[1]]
-            sub1 = [[self.m1[r][c] for c in cols] for r in rows]
-            sub2 = [[self.m2[r][c] for c in cols] for r in rows]
-            self._cofactors[key] = [(-1) ** (i + j) * c for c in _int_char_poly(sub1, sub2)]
-        return self._cofactors[key]
+    def principal_minor(self, k: int) -> list[int]:
+        """The cofactor C_kk of m1 - t m2, the determinant of its principal
+        4x4 minor without row and column k, as its five integer
+        coefficients, low to high (formal degree 4): integer determinants
+        at t = 0..4, interpolated on first use and then shared by every
+        factor of P."""
+        if k not in self._minors:
+            keep = [i for i in range(5) if i != k]
+            sub1 = [[self.m1[r][c] for c in keep] for r in keep]
+            sub2 = [[self.m2[r][c] for c in keep] for r in keep]
+            self._minors[k] = _int_char_poly(sub1, sub2)
+        return self._minors[k]
 
 
 def chart_poly(form: Sequence, degree: int, chart: Chart) -> list:
@@ -332,53 +336,38 @@ class DeltaInvariant:
         return [i for i, fl in enumerate(self.square_flags) if fl == "nonsquare"]
 
 
-def _height(f: RatPoly) -> int:
-    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in f.coeffs)
-
-
 def delta_component(norm: NormalizedPencil, factor: RatPoly) -> RatPoly:
     """Gram determinant of the rank-4 singular member M = phi1' - theta phi2'
     over Q[t]/(factor), where factor divides det(phi1' - t phi2').
 
     The 4-dimensional complement of the kernel is spanned by the coordinate
-    vectors away from the kernel coordinate of smallest height (a fixed
-    pivot rule; any complement changes the result by a square).
+    vectors away from the kernel coordinate of smallest height, the total
+    bit length of the numerators and denominators of its coefficients, in
+    the kernel vector that row reduction of M gives (a fixed pivot rule;
+    any complement changes the result by a square).
 
-    Everything is read from the cofactors C_ij of the integer member
-    m1 - t m2 = den M, interpolated once per pencil (`NormalizedPencil.
-    cofactor`) and reduced mod the primitive integer multiple f of the
-    factor by pseudo-remainders: C_ij mod factor is r_ij / lc(f)^e, with
-    integers r_ij and one exponent e, as every cofactor has formal degree 4.
-    M is symmetric of rank 4, so adj(M) = c v v^T for a kernel vector v:
-    - the nonzero diagonal cofactors C_ii = c v_i^2 give the support of v;
-    - column k of adj(M), for the last coordinate k in the support, divided
-      by C_kk is v scaled to v_k = 1, the kernel vector that row reduction
-      of M gives (k is its one free column).  r_kk is inverted once, by
-      `int_inverse_mod`, and each v_i = r_ik / r_kk is an integer product
-      reduced by one more pseudo-remainder;
-    - the Gram determinant on the coordinates other than i is C_ii / den^4.
-    Rationals are built only for the heights of the v_i and for that Gram
-    determinant.
+    With C_ij the cofactors of the integer member m1 - t m2 = den M, the
+    Gram determinant on the coordinates other than d is C_dd / den^4.  M is
+    symmetric of rank 4, so adj(M) = c v v^T for a kernel vector v, and
+    C_dd = c v_d^2.  Row reduction gives v with v_k = 1 at its one free
+    column k, the last coordinate with C_kk != 0.  1 has the least height
+    of any nonzero element, and a coordinate d of the same height has
+    v_d = +-1, so C_dd = C_kk wherever the rule drops: the result is
+    C_kk / den^4 for that k.  The scan k = 4, 3, ... reads C_kk from
+    `NormalizedPencil.principal_minor`, reduced mod the primitive integer
+    multiple f of the factor by a pseudo-remainder, r / lc(f)^e; rationals
+    are built only for the result.
     """
     scale = factor.denominator_lcm()
     f = [c.numerator * (scale // c.denominator) for c in factor.coeffs]
     content = math.gcd(*f)
     f = [c // content for c in f]
-    lf = f[-1]
-    diag = [pseudo_remainder(norm.cofactor(i, i), f) for i in range(5)]
-    support = [i for i in range(5) if diag[i][0]]
-    if not support:
-        raise ArithmeticError("singular member has corank > 1, contradicting smoothness")
-    k = support[-1]
-    w, s = int_inverse_mod(diag[k][0], f)  # 1 / r_kk = w / s
-    heights = {k: _height(RatPoly.of([1]))}
-    for i in support[:-1]:
-        v, e = pseudo_remainder(poly_mul(w, pseudo_remainder(norm.cofactor(i, k), f)[0]), f)
-        heights[i] = _height(RatPoly.of([Fraction(x, s * lf**e) for x in v]))
-    drop = min(support, key=lambda i: (heights[i], i))
-    r, e = diag[drop]
-    den = lf**e * norm.den**4
-    return strip_square_content(RatPoly.of([Fraction(x, den) for x in r]))
+    for k in range(4, -1, -1):
+        r, e = pseudo_remainder(norm.principal_minor(k), f)
+        if r:
+            den = f[-1] ** e * norm.den**4
+            return strip_square_content(RatPoly.of([Fraction(x, den) for x in r]))
+    raise ArithmeticError("singular member has corank > 1, contradicting smoothness")
 
 
 def delta_invariant(norm: NormalizedPencil, certify: bool = True) -> DeltaInvariant:

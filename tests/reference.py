@@ -38,6 +38,7 @@ from quadpencil.exact import (
     fp_roots,
     fp_trim,
     good_primes,
+    int_det,
     interpolate_rational,
     inverse_mod,
     is_square_q,
@@ -493,6 +494,20 @@ def nextprime_walk(bad: BadSet, start: int, stop=None):
 
 
 # ---------------------------------------------------------------------------
+# Cofactors, one determinant each
+
+
+def adjugate_column_by_minors(a: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The cofactors C_ik = (-1)^(i+k) det(a without row i and column k) of
+    column k of the integer matrix a, one determinant per minor."""
+    n = len(a)
+    return [
+        (-1) ** (i + k) * int_det([[a[r][c] for c in range(n) if c != k] for r in range(n) if r != i])
+        for i in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Common zeros mod p, point by point
 
 
@@ -586,16 +601,17 @@ def time_limit(seconds: int):
 
 
 def count_calls(monkeypatch, name: str) -> list:
-    """The arguments of every call of the function `name` of quadpencil.exact
-    from now on, through any module of the program that imported it."""
+    """The positional arguments of every call of the function `name` of
+    quadpencil.exact from now on, through any module of the program that
+    imported it; keyword arguments are passed on unrecorded."""
     import quadpencil.exact as exact_mod
 
     calls = []
     original = getattr(exact_mod, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0] if len(args) == 1 else args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("quadpencil") and getattr(mod, name, None) is original:

@@ -313,9 +313,10 @@ class TestAnalyze:
         assert calls == []
 
     def test_s5_analyze_takes_each_discriminant_and_resultant_once(self, tmp_path, monkeypatch):
-        # disc(q) once for smoothness and disc(P) once, shared by Galois, the
-        # bad set and the square test of its one delta component; likewise
-        # Res(P, delta) for the bad set, the square test and the B group
+        # disc(P) once, shared by Galois, the bad set and the square test of
+        # its one delta component (smoothness is decided mod a small prime);
+        # likewise Res(P, delta) for the bad set, the square test and the B
+        # group
         import random
 
         from quadpencil.pencil import random_pencil
@@ -328,9 +329,28 @@ class TestAnalyze:
         assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
         report = json.loads(out.read_text())
         assert report["galois"]["label"] == "S5"
-        assert len(discs) == 2 and discs[1] == RatPoly.of(report["P"])
+        assert discs == [RatPoly.of(report["P"])]
         assert len(resultants) == len(set(resultants))
         assert (RatPoly.of(report["P"]), RatPoly.of(report["delta_reps"][0])) in resultants
+
+    def test_s5_analyze_reads_one_principal_minor(self, tmp_path, monkeypatch):
+        # the delta component of the irreducible P is one diagonal cofactor,
+        # a 4x4 principal minor at t = 0..4; the other eliminations are
+        # det(phi1 - t phi2) at t = 0..5, the two definiteness tests of the
+        # real place, disc(P) and Res(P, delta), 9x9 Sylvester matrices
+        import random
+
+        from quadpencil.pencil import random_pencil
+
+        path = tmp_path / "random.json"
+        path.write_text(pencil_dumps(random_pencil(random.Random(314))))
+        columns = count_calls(monkeypatch, "adjugate_column")
+        eliminations = count_calls(monkeypatch, "_bareiss")
+        out = tmp_path / "r.json"
+        assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
+        assert json.loads(out.read_text())["galois"]["label"] == "S5"
+        assert columns == []
+        assert sorted(len(a) for a in eliminations) == [4] * 5 + [5] * 8 + [9] * 2
 
     def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
         import quadpencil.galois as galois_mod

@@ -16,6 +16,7 @@ from quadpencil.exact import (
     BadSet,
     RatPoly,
     Residue,
+    adjugate_column,
     crt_poly,
     cycle_type,
     discriminant,
@@ -24,7 +25,6 @@ from quadpencil.exact import (
     fp_roots,
     fp_trim,
     good_primes,
-    int_inverse_mod,
     integer_roots,
     inverse_mod,
     is_square_q,
@@ -38,9 +38,11 @@ from quadpencil.exact import (
     small_primes,
     sqrt_mod_p,
     strip_square_content,
+    unramified_prime,
     val_unit,
 )
 from reference import (
+    adjugate_column_by_minors,
     diag,
     factor_fp,
     hilbert_support,
@@ -314,28 +316,66 @@ class TestIntegerPolynomials:
         assert RatPoly.of(r) == RatPoly.of(a) % RatPoly.of(b) * b[-1] ** e
         assert not r or r[-1] != 0
 
-    @settings(max_examples=200, deadline=None)
-    @given(int_polys.filter(lambda f: len(f) > 1), int_polys)
-    @example([-2, 0, 0, 0, 0, 1], [0, 1])
-    @example([3, 7], [5])  # linear modulus: the inverse of a constant
-    @example([1, 0, -2, 0, 0, 9], [4, -1, 0, 3, 2])
-    def test_int_inverse_mod(self, f, c):
-        # c w = s mod f over Q, against the extended Euclidean inverse
-        c = RatPoly.of(c) % RatPoly.of(f)
-        assume(not c.is_zero and RatPoly.of(f).gcd(c).degree == 0)
-        den = c.denominator_lcm()
-        ints = [x.numerator * (den // x.denominator) for x in c.coeffs]
-        w, s = int_inverse_mod(ints, f)
-        assert s != 0 and len(w) < len(f)
-        assert RatPoly.of(w) * Fraction(den, s) == inverse_mod(c, RatPoly.of(f))
-
-    def test_int_inverse_mod_rejects_a_common_root(self):
-        with pytest.raises(ValueError):
-            int_inverse_mod([-1, 1], [-1, 0, 1])  # t - 1 divides t^2 - 1
-
     def test_poly_mul(self):
         assert poly_mul([1, 2], [3, 0, 4]) == [3, 6, 4, 8]
         assert poly_mul([], [1]) == []
+
+
+@st.composite
+def adjugate_inputs(draw):
+    """A square integer matrix of size 1 to 6 with zero-heavy, small or
+    2^100-sized entries, with up to two rows replaced by combinations of
+    the others (corank 0, 1 or more), transposed or not."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9) | st.integers(-2**100, 2**100)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        a[i] = [sum(c * a[r][j] for r, c in enumerate(coeffs) if r != i) for j in range(n)]
+    if draw(st.booleans()):
+        a = [list(col) for col in zip(*a)]
+    return a
+
+
+class TestAdjugateColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(adjugate_inputs())
+    @example([[7]])  # n = 1: the empty minor is 1
+    @example([[1, 0, 1], [0, 1, 0], [1, 1, 1]])  # k = 0 needs a row exchange
+    @example([[1, 0, 0], [0, 1, 2], [0, 3, 4]])  # k = 0 needs a column exchange
+    @example([[0, 0, 0], [0, 1, 2], [0, 3, 4]])  # a zero row: only column 0 is nonzero
+    @example([[1, 2, 3], [2, 4, 6], [3, 6, 9]])  # rank 1: every cofactor vanishes
+    def test_against_minors(self, a):
+        for k in range(len(a)):
+            assert adjugate_column(a, k) == adjugate_column_by_minors(a, k)
+
+    def test_rows_are_not_overwritten(self):
+        a = [[0, 1, 2], [3, 0, 5], [6, 7, 0]]
+        adjugate_column(a, 1)
+        assert a == [[0, 1, 2], [3, 0, 5], [6, 7, 0]]
+
+
+class TestUnramifiedPrime:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=15), min_size=3, max_size=6))
+    @example([Fraction(1, 5), 0, 3])  # 3 divides lc(f) and 5 a denominator: 7
+    @example([-2, 0, 1])
+    @example([1, 2, 1])  # (t + 1)^2: no prime
+    def test_least_odd_prime_off_lc_denominators_and_disc(self, coeffs):
+        f = RatPoly.of(coeffs)
+        assume(f.degree >= 2)
+        disc = discriminant(f)
+        bad = BadSet((f.lc.numerator, f.denominator_lcm(), disc.numerator), 0) if disc else None
+        assert unramified_prime(f) == (next(good_primes(bad, 3)) if bad else None)
+
+    def test_fallback_takes_one_discriminant(self, monkeypatch):
+        # the roots 0, M, ..., 4M meet mod every odd prime up to 31
+        M = math.prod(sympy.primerange(3, 32))
+        discs = count_calls(monkeypatch, "discriminant")
+        f = RatPoly.from_roots([0, M, 2 * M, 3 * M, 4 * M]) * Fraction(-1, 7)
+        assert unramified_prime(f) == 37
+        assert discs == [f]
 
 
 class TestSquares:

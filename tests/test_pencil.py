@@ -1,6 +1,7 @@
 """Tests for pencil normalization and delta invariants."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from quadpencil.pencil import (
     Pencil,
     SingularPencilError,
     _chart_candidates,
-    _height,
     b_delta_group,
     char_poly_t,
     chart_poly,
@@ -44,6 +44,7 @@ from quadpencil.pencil import (
 )
 from quadpencil.canon import canonical_quadrics
 from reference import (
+    count_calls,
     galois_profile,
     mat_combine,
     mat_congruent,
@@ -108,6 +109,15 @@ class TestNormalization:
         p = Pencil(diag(0, 0, 1, 1, 1), diag(1, 1, 1, 2, 3))
         with pytest.raises(SingularPencilError):
             p.smoothness_certificate
+
+    def test_smooth_past_the_first_primes(self, monkeypatch):
+        # the singular members 0, M, ..., 4M meet mod each odd prime up to
+        # 31, so the squarefree tests mod p all fail and disc(q) decides
+        M = math.prod(sympy.primerange(3, 32))
+        discs = count_calls(monkeypatch, "discriminant")
+        q = Pencil(diag(0, M, 2 * M, 3 * M, 4 * M), diag(1, 1, 1, 1, 1)).smoothness_certificate
+        assert q == -RatPoly.from_roots([0, M, 2 * M, 3 * M, 4 * M])
+        assert discs == [q]
 
     def test_deep_chart_enumeration(self):
         # singular members at infinity, 0, 1, -1 and 2 knock out the first
@@ -401,6 +411,10 @@ def reference_det_residue(M, modulus):
     return det
 
 
+def _height(f):
+    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in f.coeffs)
+
+
 def reference_delta_component(phi1n, phi2n, factor):
     """delta_component by Gauss-Jordan over Q[t]/(factor): the kernel
     vector, the coordinate of smallest height, the restricted determinant."""
@@ -434,6 +448,15 @@ class TestDeltaComponentAgainstGaussJordan:
     def test_matches_reference_tall(self, seed, height, skip):
         pencil = random_pencil(random.Random(seed), entry_bound=height)
         assert_matches_reference(normalize_pencil(pencil, skip_charts=skip))
+
+    @pytest.mark.parametrize("skip", [0, 1])
+    def test_matches_reference_diagonal(self, skip):
+        # the kernel vectors are unit vectors e_i, so for each i < 4 the
+        # cofactors C_44, ..., C_{i+1,i+1} vanish mod the factor and the scan
+        # reaches C_ii
+        norm = normalize_pencil(DIAG_PENCIL, skip_charts=skip)
+        assert_matches_reference(norm)
+        assert sorted(norm._minors) == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize(
         "P, delta",
