@@ -234,7 +234,7 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
     det_ok = all(bq[i] == n * P[5 - i] for i in range(6))
 
     recovered = normalize_pencil(pencil)
-    inv = delta_invariant(recovered, certify=False)
+    inv = delta_invariant(recovered)
     a, b, c, d = chart = recovered.chart
 
     matches = []

@@ -431,7 +431,7 @@ def run_local(args) -> int:
         factors = exact.linear_factors(norm.P)
         split = localarith.diagonal_model(norm, factors) if len(factors) == 5 else None
     else:
-        inv = pencil.delta_invariant(norm, certify=False)
+        inv = pencil.delta_invariant(norm)
         split = localarith.diagonal_model(norm, inv.factors)
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
         places = [p for p in (3, 5, 7, 11, 13) if p in s0]

@@ -3,10 +3,13 @@ witness search for admissible local conditions.
 
 Real solubility of a smooth pencil is decided exactly: the base locus has
 real points iff no member of the real pencil is definite, and definiteness
-is constant between consecutive real singular parameters, so Sylvester's
-criterion at one rational sample t0 = n/d per interval decides; it reads
-the signs of the leading principal minors of the integer member
-d A - n B, for the pencil's cleared pair (A, B) = den (phi1, phi2).
+is constant on each arc between consecutive real singular parameters, so
+Sylvester's criterion at one rational member t0 = n/d per arc decides; it
+reads the signs of the leading principal minors of the integer member
+d A - n B, for the pencil's cleared pair (A, B) = den (phi1, phi2).  The
+members are separators, not isolating intervals: a Sturm-count search
+(`arc_points`) that never evaluates at a root keeps the points where it
+split the roots apart.
 p-adic solubility of a pencil whose characteristic quintic splits
 completely over Q is decided at every prime, p = 2 included, with no
 budget: the pencil diagonalizes over Q (`diagonal_model`), and a tree of
@@ -141,85 +144,82 @@ def _sturm_chain(f: RatPoly) -> list[list[int]]:
     return chain
 
 
-def _sturm_var(chain: list[list[int]], x: Fraction) -> int:
-    """Sign changes of the chain at x = n/d, d > 0: the sign of g(x) is the
-    sign of the integer sum of g_i n^i d^(deg g - i)."""
+def _value(g: list[int], x: Fraction) -> int:
+    """d^deg(g) g(x) at x = n/d, d > 0: the integer sum of g_i n^i d^(deg g - i),
+    which has the sign of g(x)."""
     n, d = x.numerator, x.denominator
-    signs = []
-    for g in chain:
-        v, dk = g[-1], d
-        for c in reversed(g[:-1]):
-            v = v * n + c * dk
-            dk *= d
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    v, dk = g[-1], d
+    for c in reversed(g[:-1]):
+        v = v * n + c * dk
+        dk *= d
+    return v
+
+
+def _sturm_var(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes of the chain at x."""
+    signs = [v > 0 for v in (_value(g, x) for g in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _squarefree_chain(f: RatPoly) -> tuple[RatPoly, list[list[int]]]:
-    """The squarefree part of f and its Sturm chain.  The last element of the
-    chain of f is gcd(f, f'); a multiple root on a bisection point would
-    stall the bisection, so when it is not constant f is divided by it."""
-    chain = _sturm_chain(f)
-    return (f, chain) if len(chain[-1]) == 1 else _squarefree_chain(f // RatPoly.of(chain[-1]))
+def _split_point(a: Fraction, b: Fraction) -> Fraction:
+    """A dyadic point of (a, b): the midpoint, or, on an interval of one sign
+    whose ends differ by more than a factor 4, the power of two halfway
+    between their bit lengths, so a far root costs a bisection of its
+    exponent, not of its value."""
+    if a >= 0 and b > 4 * max(a, 1):
+        return Fraction(2 ** ((int(max(a, 1)).bit_length() + int(b).bit_length()) // 2))
+    if b <= 0 and -a > 4 * max(-b, 1):
+        return -_split_point(-b, -a)
+    return (a + b) / 2
 
 
-def isolate_real_roots(f: RatPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals (a, b], one distinct real root each, separated by
-    nonempty gaps; f may have multiple roots."""
-    if f.degree < 1:
-        return []
-    f, chain = _squarefree_chain(f)
-    bound = Fraction(1) + max(abs(c / f.lc) for c in f.coeffs)
+def arc_points(q: RatPoly) -> list[Fraction]:
+    """Points of the real line, none of them a root of the nonconstant q, at
+    least one on each arc that the real roots of q cut from the projective
+    line: [lo, hi, *separators], increasing separators, with every real root
+    strictly between lo and hi and exactly one distinct root between
+    consecutive points of lo, separators, hi; or [0] when q has no real root.
 
-    def count(a, b):
-        return _sturm_var(chain, a) - _sturm_var(chain, b)
-
-    work = [(-bound, bound)]
-    done: list[tuple[Fraction, Fraction]] = []
+    By Sturm's theorem V(a) - V(b) counts the distinct roots in (a, b) when
+    neither end is a root, whether or not q is squarefree.  The search starts
+    on (-B, B), B = 2^(k+1) for the largest coefficient bit length k of the
+    primitive integer multiple of q, above Cauchy's bound 1 + max|c_i / lc|.
+    It splits every interval holding two or more distinct roots at
+    `_split_point`, moved to the midpoint and then halved toward a while it
+    is a root, and keeps the split points with roots on both sides."""
+    chain = _sturm_chain(q)
+    hi = Fraction(2 ** (max(abs(c) for c in chain[0]).bit_length() + 1))
+    lo = -hi
+    v_lo, v_hi = _sturm_var(chain, lo), _sturm_var(chain, hi)
+    separators = []
+    work = [(lo, hi, v_lo, v_hi)]
     while work:
-        a, b = work.pop()
-        n = count(a, b)
-        if n == 0:
+        a, b, va, vb = work.pop()
+        if va - vb < 2:
             continue
-        if n == 1:
-            done.append((a, b))
-            continue
-        mid = (a + b) / 2
-        work.append((a, mid))
-        work.append((mid, b))
-    done.sort()
-    # shrink until consecutive intervals have a strict gap
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(done) - 1):
-            if done[i][1] >= done[i + 1][0]:
-                a, b = done[i + 1]
-                mid = (a + b) / 2
-                done[i + 1] = (a, mid) if count(a, mid) == 1 else (mid, b)
-                a0, b0 = done[i]
-                mid0 = (a0 + b0) / 2
-                done[i] = (a0, mid0) if count(a0, mid0) == 1 else (mid0, b0)
-                changed = True
-    return done
+        m = _split_point(a, b)
+        if _value(chain[0], m) == 0:
+            m = (a + b) / 2
+            while _value(chain[0], m) == 0:
+                m = (a + m) / 2
+        vm = _sturm_var(chain, m)
+        if va > vm > vb:
+            separators.append(m)
+        work += [(a, m, va, vm), (m, b, vm, vb)]
+    return [lo, hi, *sorted(separators)] if v_lo > v_hi else [Fraction(0)]
 
 
 def real_soluble(pencil: Pencil) -> LocalCertificate:
     """Insoluble iff some real member of the pencil is definite; decided by
-    Sylvester's criterion at one member per arc between consecutive real
-    singular members.  The witness is that proof: the definite member, or
-    every sampled member in the order tested, each indefinite.  Raises
-    SingularPencilError unless the pencil is smooth."""
-    q = pencil.smoothness_certificate
-    intervals = isolate_real_roots(q)
-    # With no real root, q has degree 4 and its one real singular member is
-    # at infinity, so t = 0 lies on the only arc.  Otherwise lo and hi share
-    # the arc through infinity.
-    samples = [Fraction(0)]
-    if intervals:
-        samples = [intervals[0][0] - 1, intervals[-1][1] + 1]
-        samples += [(b1 + a2) / 2 for (_, b1), (a2, _) in zip(intervals, intervals[1:])]
+    Sylvester's criterion at one member on each arc between consecutive real
+    singular members (`arc_points`: lo and hi beyond every real root, on the
+    arc through t = infinity or on its two sides when the member there is
+    singular, a separator between each two consecutive real roots, or t = 0
+    when the only real singular member is at infinity).  The witness is that
+    proof: the definite member, or every sampled member in the order tested,
+    each indefinite.  Raises SingularPencilError unless the pencil is
+    smooth."""
+    samples = arc_points(pencil.smoothness_certificate)
     _, a, b = pencil.cleared
     for t0 in samples:
         # den (phi1 - t0 phi2) times the denominator of t0, an integer matrix

@@ -317,9 +317,19 @@ class DeltaInvariant:
     P: RatPoly
     factors: tuple[RatPoly, ...]
     delta_reps: tuple[RatPoly, ...]
-    square_flags: tuple[str, ...]  # "square" | "nonsquare" | "undecided"
     disc: Fraction  # disc(P)
     norms: tuple[Fraction, ...]  # Res(P_i, delta_i) = N(delta_i), per factor
+
+    @functools.cached_property
+    def square_flags(self) -> tuple[str, ...]:
+        """Per factor, "square" or "nonsquare", certified by `sqrt_in_etale`
+        on first use; an irreducible P is its own factor, and disc(P) its
+        discriminant."""
+        disc_m = self.disc if len(self.factors) == 1 else None
+        return tuple(
+            sqrt_in_etale(d, f, disc_m, n).status
+            for f, d, n in zip(self.factors, self.delta_reps, self.norms)
+        )
 
     def factor_reps(self) -> list[tuple[RatPoly, RatPoly]]:
         return list(zip(self.factors, self.delta_reps))
@@ -370,28 +380,15 @@ def delta_component(norm: NormalizedPencil, factor: RatPoly) -> RatPoly:
     raise ArithmeticError("singular member has corank > 1, contradicting smoothness")
 
 
-def delta_invariant(norm: NormalizedPencil, certify: bool = True) -> DeltaInvariant:
+def delta_invariant(norm: NormalizedPencil) -> DeltaInvariant:
     """Factor P and compute the delta square classes of the singular members,
-    with disc(P) and the norms Res(P_i, delta_i) that the later stages read.
-
-    certify=False leaves every square flag "undecided" (cheap mode for laws
-    that only need the representatives, like the norm-square check).
-    """
+    with disc(P) and the norms Res(P_i, delta_i) that the later stages read;
+    the square flags are certified only when read."""
     factors = tuple(f for f, _ in factor_q(norm.P))
     reps = tuple(delta_component(norm, f) for f in factors)
     disc = discriminant(norm.P)
     norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
-    if certify:
-        # an irreducible P is its own factor, and disc(P) its discriminant
-        disc_m = disc if len(factors) == 1 else None
-        flags = tuple(sqrt_in_etale(d, f, disc_m, n).status for f, d, n in zip(factors, reps, norms))
-    else:
-        flags = ("undecided",) * len(factors)
-    return DeltaInvariant(norm.chart, norm.P, factors, reps, flags, disc, norms)
-
-
-class InsufficientCertificatesError(ValueError):
-    pass
+    return DeltaInvariant(norm.chart, norm.P, factors, reps, disc, norms)
 
 
 @dataclass(frozen=True)
@@ -407,13 +404,8 @@ class BrauerQuotient:
 def b_delta_group(inv: DeltaInvariant) -> BrauerQuotient:
     """Vectors gamma with prod N(delta_i)^gamma_i square, mod <(1,...,1)>.
 
-    Requires every square flag decided; zero group when delta = 0.
+    Zero group when delta = 0.
     """
-    for i, fl in enumerate(inv.square_flags):
-        if fl == "undecided":
-            raise InsufficientCertificatesError(
-                f"square class of factor {inv.factors[i]} undecided"
-            )
     idx = inv.nonsquare_indices()
     m = len(idx)
     if m == 0:

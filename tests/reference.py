@@ -600,14 +600,12 @@ def time_limit(seconds: int):
 
 
 
-def count_calls(monkeypatch, name: str) -> list:
+def count_calls(monkeypatch, name: str, module: str = "quadpencil.exact") -> list:
     """The positional arguments of every call of the function `name` of
-    quadpencil.exact from now on, through any module of the program that
-    imported it; keyword arguments are passed on unrecorded."""
-    import quadpencil.exact as exact_mod
-
+    `module` from now on, through any module of the program that imported
+    it; keyword arguments are passed on unrecorded."""
     calls = []
-    original = getattr(exact_mod, name)
+    original = getattr(sys.modules[module], name)
 
     def counting(*args, **kwargs):
         calls.append(args[0] if len(args) == 1 else args)

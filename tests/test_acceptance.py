@@ -93,7 +93,7 @@ def test_criterion_2_norm_square_law():
     failures = 0
     for _ in range(200):
         pen = random_pencil(rng, entry_bound=9)
-        inv = delta_invariant(normalize_pencil(pen), certify=False)
+        inv = delta_invariant(normalize_pencil(pen))
         if not verify_norm_square(inv):
             failures += 1
     elapsed = time.time() - t0

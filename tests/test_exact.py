@@ -684,7 +684,7 @@ class TestStripSquareContent:
         seen = []
         monkeypatch.setattr(pencil_mod, "strip_square_content", lambda d: seen.append(d) or d)
         norm = pencil_mod.normalize_pencil(pencil_mod.Pencil(diag(10**400, -1, 2, -3, 5), diag(1, 2, 3, 4, 5)))
-        pencil_mod.delta_invariant(norm, certify=False)
+        pencil_mod.delta_invariant(norm)
         assert len(seen) == 5
         for d in seen:
             assert strip_square_content(d) == strip_square_content_by_trial_division(d)

@@ -29,10 +29,10 @@ from quadpencil.localarith import (
     IDENTITY_CONDITION,
     BTWitness,
     InadmissibleConditionError,
+    arc_points,
     bad_set_s0,
     diagonal_model,
     find_bT,
-    isolate_real_roots,
     padic_soluble,
     real_soluble,
     split_soluble,
@@ -40,6 +40,7 @@ from quadpencil.localarith import (
 from quadpencil.pencil import Pencil, matrix_of, normalize_pencil, pencil_dumps, random_pencil
 import quadpencil.localarith as localarith_mod
 from reference import (
+    count_calls,
     delta_residue_at,
     diagonal_insoluble_at,
     diagonal_primitive_count,
@@ -152,18 +153,79 @@ class TestSignature:
         assert signature(mat_congruent(m, u)) == signature(m)
 
 
-class TestIsolateRoots:
+def far_roots():
+    # magnitudes up to 10^400, beyond float range, and their reciprocals
+    return st.sampled_from([10**12, 10**100, 10**400]).flatmap(
+        lambda c: st.sampled_from([c, -c, Fraction(1, c)])
+    )
+
+
+def special_roots():
+    # 0, +-2^j and dyadic midpoints are split points of the search
+    dyadic = st.tuples(st.integers(-2**12, 2**12), st.integers(0, 12)).map(
+        lambda nk: Fraction(nk[0], 2 ** nk[1])
+    )
+    powers = st.tuples(st.sampled_from([1, -1]), st.integers(-40, 40)).map(
+        lambda sj: sj[0] * Fraction(2) ** sj[1]
+    )
+    return st.one_of(
+        st.fractions(min_value=-20, max_value=20, max_denominator=6), dyadic, powers, far_roots()
+    )
+
+
+@st.composite
+def arc_polynomials(draw):
+    """Nonconstant polynomials with repeated, clustered (r, r + 2^-60), far
+    and irrational real roots, quadratics without real roots, and a rational
+    leading coefficient."""
+    roots = draw(st.lists(special_roots(), max_size=4))
+    roots += roots[: draw(st.integers(0, 3))] * draw(st.integers(1, 2))
+    if roots and draw(st.booleans()):
+        roots.append(roots[0] + Fraction(1, 2**60))
+    f = RatPoly.from_roots(roots)
+    for s in draw(st.lists(st.sampled_from([-2, -3, -7, 1, 2, 3]), max_size=2)):
+        f = f * RatPoly.of([s, 0, 1])  # t^2 + s: roots +-sqrt(-s) when s < 0
+    assume(f.degree >= 1)
+    return f * draw(st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool))
+
+
+class TestArcPoints:
     def test_split_quintic(self):
-        ivs = isolate_real_roots(SPLIT_QUINTIC)
-        assert len(ivs) == 5
-        for (a, b), r in zip(ivs, range(5)):
-            assert a < r <= b
+        lo, hi, *separators = arc_points(SPLIT_QUINTIC)
+        assert lo < 0 and hi > 4 and len(separators) == 4
+        assert all(r < s < r + 1 for r, s in enumerate(separators))
 
-    def test_gaps_are_strict(self):
-        ivs = isolate_real_roots(SPLIT_QUINTIC)
-        for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
-            assert b1 < a2
-
+    # the rational Sturm chain of tests/reference.py is the oracle: no point
+    # is a root, lo and hi enclose every root, consecutive points of lo,
+    # separators, hi enclose exactly one distinct root, and [0] exactly when
+    # there is no real root
+    @settings(max_examples=60, deadline=None)
+    @given(f=arc_polynomials())
+    # multiple roots, the first two at 0, the first midpoint of the
+    # symmetric start interval
+    @example(f=poly(0, 0, -1, 1))
+    @example(f=poly(0, 0, 0, 1, -2, 1) * poly(3, 1))
+    @example(f=RatPoly.from_roots([Fraction(1, 2)] * 3 + [2, 2, -5]) * Fraction(-7, 3))
+    # degree 4 with no real root
+    @example(f=poly(1, 0, 1) * poly(2, 0, 1))
+    def test_against_oracle(self, f):
+        with time_limit(20):
+            points = arc_points(f)
+        chain = fraction_sturm_chain(f)
+        bound = 1 + max(abs(c / f.lc) for c in f.coeffs)  # Cauchy
+        n_roots = fraction_sturm_var(chain, -bound) - fraction_sturm_var(chain, bound)
+        assert all(f(x) != 0 for x in points)
+        if n_roots == 0:
+            assert points == [0]
+            return
+        lo, hi, *separators = points
+        ordered = [lo, *separators, hi]
+        assert len(ordered) == n_roots + 1
+        counts = [
+            fraction_sturm_var(chain, a) - fraction_sturm_var(chain, b)
+            for a, b in zip(ordered, ordered[1:])
+        ]
+        assert counts == [1] * n_roots
 
     # non-monic, rational coefficients, repeated roots, roots near 10^100
     @settings(max_examples=30, deadline=None)
@@ -172,20 +234,18 @@ class TestIsolateRoots:
             st.fractions(min_value=-20, max_value=20, max_denominator=6), min_size=1, max_size=4
         ),
         repeat=st.integers(0, 2),
-        square=st.sampled_from([None, 2, 3, 7]),
         far=st.sampled_from([None, 10**12]),
         cofactor=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=2),
         lc=st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool),
     )
     @example(
-        roots=[Fraction(0), Fraction(1)], repeat=1, square=2, far=10**100, cofactor=[],
-        lc=Fraction(-3, 2),
+        roots=[Fraction(0), Fraction(1)], repeat=1, far=10**100, cofactor=[], lc=Fraction(-3, 2),
     )
     @example(
-        roots=[Fraction(-7, 2), Fraction(5)], repeat=0, square=None, far=10**100,
+        roots=[Fraction(-7, 2), Fraction(5)], repeat=0, far=10**100,
         cofactor=[Fraction(1, 3), 0], lc=Fraction(2, 5),
     )
-    def test_against_rational_chain(self, roots, repeat, square, far, cofactor, lc):
+    def test_against_rational_chain(self, roots, repeat, far, cofactor, lc):
         if far is not None:
             roots = roots + [far + roots[0]]
         f = RatPoly.from_roots(roots + roots[:repeat]) * RatPoly.of(cofactor + [1]) * lc
@@ -197,37 +257,6 @@ class TestIsolateRoots:
             assert ratio > 0 and RatPoly.of(g) * ratio == h
         for x in roots + [r + Fraction(1, 7) for r in roots] + [Fraction(0)]:
             assert localarith_mod._sturm_var(chain, x) == fraction_sturm_var(reference_chain, x)
-
-        # The isolation runs on the squarefree part, taken from the integer
-        # chain or, in the reference, by the rational gcd; the square of an
-        # irreducible quadratic adds repeated irrational roots.
-        if square is not None:
-            f = f * RatPoly.of([-square, 0, 1]) * RatPoly.of([-square, 0, 1])
-        intervals = isolate_real_roots(f)
-
-        def reference_squarefree_chain(g):
-            g = g // g.gcd(g.derivative())
-            return g, fraction_sturm_chain(g)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localarith_mod, "_squarefree_chain", reference_squarefree_chain)
-            mp.setattr(localarith_mod, "_sturm_var", fraction_sturm_var)
-            assert intervals == isolate_real_roots(f)
-
-
-    def test_multiple_roots_on_bisection_points(self):
-        # the first two have a multiple root at 0, the first midpoint of the
-        # symmetric start interval; each multiple root is isolated once
-        cases = [
-            (poly(0, 0, -1, 1), [0, 1]),
-            (poly(0, 0, 0, 1, -2, 1) * poly(3, 1), [-3, 0, 1]),
-            (RatPoly.from_roots([Fraction(1, 2)] * 3 + [2, 2, -5]) * Fraction(-7, 3), [-5, Fraction(1, 2), 2]),
-        ]
-        with time_limit(10):
-            for f, roots in cases:
-                intervals = isolate_real_roots(f)
-                assert len(intervals) == len(roots)
-                assert all(a < r <= b for (a, b), r in zip(intervals, roots))
 
 
 class TestRealSoluble:
@@ -274,10 +303,19 @@ class TestRealSoluble:
 
         q = char_poly_t(phi1, phi2)
         assert q.degree == 4
-        assert not isolate_real_roots(q)
+        assert arc_points(q) == [0]
         pencil = Pencil(phi1, phi2)
         pencil.smoothness_certificate
         assert real_soluble(pencil).verdict == "soluble"
+
+    def test_huge_height_sturm_work(self, monkeypatch):
+        # singular members at 10^400 and at four small t: the search finds
+        # magnitudes by bisecting exponents, so the work grows with the bit
+        # length of the height's logarithm, not with the height itself
+        pencil = Pencil(diag5(10**400, -1, 2, -3, 5), diag5(1, 2, 3, 4, 5))
+        calls = count_calls(monkeypatch, "_sturm_var", "quadpencil.localarith")
+        assert real_soluble(pencil).verdict == "insoluble"
+        assert len(calls) <= 64
 
     def test_congruence_invariance(self):
         rng = random.Random(13)

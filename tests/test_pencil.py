@@ -22,7 +22,6 @@ from quadpencil.exact import (
 from quadpencil.pencil import (
     BrauerQuotient,
     DeltaInvariant,
-    InsufficientCertificatesError,
     Pencil,
     SingularPencilError,
     _chart_candidates,
@@ -72,10 +71,10 @@ def chart_members(norm):
     return mat_combine(pencil.phi1, pencil.phi2, a, b), mat_combine(pencil.phi1, pencil.phi2, c, d)
 
 
-def delta_datum(chart, P, factors, reps, flags):
+def delta_datum(chart, P, factors, reps):
     """A DeltaInvariant built by hand, with its disc(P) and norms."""
     norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
-    return DeltaInvariant(chart, P, factors, reps, flags, discriminant(P), norms)
+    return DeltaInvariant(chart, P, factors, reps, discriminant(P), norms)
 
 
 class TestNormalization:
@@ -128,7 +127,7 @@ class TestNormalization:
         from quadpencil.exact import discriminant
 
         assert discriminant(norm.P) != 0
-        inv = delta_invariant(norm, certify=False)
+        inv = delta_invariant(norm)
         assert verify_norm_square(inv)
 
 
@@ -165,16 +164,24 @@ class TestDeltaInvariant:
             4: "nonsquare",
         }
 
+    def test_square_flags_on_demand(self, monkeypatch):
+        # the norm-square law and the round trip read only the
+        # representatives, so no square class is certified until read
+        calls = count_calls(monkeypatch, "sqrt_in_etale")
+        inv = delta_invariant(normalize_pencil(DIAG_PENCIL))
+        assert verify_norm_square(inv) and calls == []
+        assert inv.square_flags == inv.square_flags and len(calls) == len(inv.factors)
+
     def test_norm_square_law(self):
         norm = normalize_pencil(DIAG_PENCIL)
-        inv = delta_invariant(norm, certify=False)
+        inv = delta_invariant(norm)
         assert verify_norm_square(inv)
 
     def test_norm_square_law_random(self):
         rng = random.Random(20240)
         for _ in range(12):
             pencil = random_pencil(rng)
-            inv = delta_invariant(normalize_pencil(pencil), certify=False)
+            inv = delta_invariant(normalize_pencil(pencil))
             assert verify_norm_square(inv)
 
     def test_hand_built_violation(self):
@@ -184,7 +191,6 @@ class TestDeltaInvariant:
             split,
             tuple(RatPoly.of([-r, 1]) for r in range(5)),
             (poly(5), poly(1), poly(1), poly(1), poly(1)),
-            ("nonsquare", "square", "square", "square", "square"),
         )
         assert not verify_norm_square(inv)
 
@@ -252,8 +258,7 @@ class TestDeltaInvariant:
         i2 = delta_invariant(n2)
         assert [f.degree for f in i1.factors] == [f.degree for f in i2.factors]
         assert sorted(i1.square_flags) == sorted(i2.square_flags)
-        if "undecided" not in i1.square_flags and "undecided" not in i2.square_flags:
-            assert b_delta_group(i1).dimension == b_delta_group(i2).dimension
+        assert b_delta_group(i1).dimension == b_delta_group(i2).dimension
 
 
 rationals = st.one_of(
@@ -482,13 +487,11 @@ def assert_matches_reference(norm):
 
 def _split_invariant(deltas):
     split = RatPoly.from_roots([0, 1, 2, 3, 4])
-    flags = tuple("square" if is_square_q(d) else "nonsquare" for d in deltas)
     return delta_datum(
         (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
         split,
         tuple(RatPoly.of([-r, 1]) for r in range(5)),
         tuple(poly(d) for d in deltas),
-        flags,
     )
 
 
@@ -509,18 +512,6 @@ class TestBrauerQuotient:
         b = b_delta_group(inv)
         assert b.dimension == 2
 
-    def test_undecided_rejected(self):
-        split = RatPoly.from_roots([0, 1, 2, 3, 4])
-        inv = delta_datum(
-            (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
-            split,
-            tuple(RatPoly.of([-r, 1]) for r in range(5)),
-            tuple(poly(1) for _ in range(5)),
-            ("undecided",) * 5,
-        )
-        with pytest.raises(InsufficientCertificatesError):
-            b_delta_group(inv)
-
 
 class TestHasseClass:
     def test_irreducible(self):
@@ -530,7 +521,6 @@ class TestHasseClass:
             P,
             (P,),
             (poly(1),),
-            ("square",),
         )
         prof = galois_profile(P)
         assert hasse_class(inv, prof).kind == "IRREDUCIBLE"

@@ -18,11 +18,12 @@ SRC = pathlib.Path(quadpencil.__file__).resolve().parent.parent
     "script,args",
     [
         ("descent_stats.py", ["--systems", "5"]),
+        ("height_ladder.py", ["--max-exponent", "0"]),
         ("roundtrip_corpus.py", ["--count", "2"]),
         ("split_local.py", ["--count", "1", "--places", "2"]),
         ("witness_hunt.py", ["--scan", "200"]),
     ],
-    ids=["descent_stats", "roundtrip_corpus", "split_local", "witness_hunt"],
+    ids=["descent_stats", "height_ladder", "roundtrip_corpus", "split_local", "witness_hunt"],
 )
 def test_script_runs(script, args):
     env = dict(os.environ)
