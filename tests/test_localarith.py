@@ -189,11 +189,35 @@ def arc_polynomials(draw):
     return f * draw(st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool))
 
 
-class TestArcPoints:
+class TestIsolateRoots:
+    """arc_points isolates the real roots: lo, the separators and hi cut the
+    line into arcs holding one distinct root each."""
+
     def test_split_quintic(self):
         lo, hi, *separators = arc_points(SPLIT_QUINTIC)
         assert lo < 0 and hi > 4 and len(separators) == 4
         assert all(r < s < r + 1 for r, s in enumerate(separators))
+
+    def test_gaps_are_strict(self):
+        lo, hi, *separators = arc_points(SPLIT_QUINTIC)
+        ordered = [lo, *separators, hi]
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
+        assert all(SPLIT_QUINTIC(x) != 0 for x in ordered)
+
+    def test_multiple_roots_on_bisection_points(self):
+        # the first two have a multiple root at 0, the first midpoint of the
+        # symmetric start interval; each multiple root is isolated once
+        cases = [
+            (poly(0, 0, -1, 1), [0, 1]),
+            (poly(0, 0, 0, 1, -2, 1) * poly(3, 1), [-3, 0, 1]),
+            (RatPoly.from_roots([Fraction(1, 2)] * 3 + [2, 2, -5]) * Fraction(-7, 3), [-5, Fraction(1, 2), 2]),
+        ]
+        with time_limit(10):
+            for f, roots in cases:
+                lo, hi, *separators = arc_points(f)
+                ordered = [lo, *separators, hi]
+                assert len(ordered) == len(roots) + 1
+                assert all(a < r < b for a, b, r in zip(ordered, ordered[1:], roots))
 
     # the rational Sturm chain of tests/reference.py is the oracle: no point
     # is a root, lo and hi enclose every root, consecutive points of lo,
@@ -201,11 +225,6 @@ class TestArcPoints:
     # there is no real root
     @settings(max_examples=60, deadline=None)
     @given(f=arc_polynomials())
-    # multiple roots, the first two at 0, the first midpoint of the
-    # symmetric start interval
-    @example(f=poly(0, 0, -1, 1))
-    @example(f=poly(0, 0, 0, 1, -2, 1) * poly(3, 1))
-    @example(f=RatPoly.from_roots([Fraction(1, 2)] * 3 + [2, 2, -5]) * Fraction(-7, 3))
     # degree 4 with no real root
     @example(f=poly(1, 0, 1) * poly(2, 0, 1))
     def test_against_oracle(self, f):
