@@ -6,8 +6,19 @@ import argparse
 import random
 import time
 
+import sympy
+
 from quadpencil.canon import roundtrip_invariants
-from quadpencil.exact import RatPoly, discriminant, squarefree_part, strip_square_content
+from quadpencil.exact import RatPoly, discriminant, strip_square_content
+
+
+def squarefree_part(n: int) -> int:
+    """Squarefree kernel of a nonzero integer (sign preserved)."""
+    out = -1 if n < 0 else 1
+    for q, e in sympy.factorint(abs(n)).items():
+        if e % 2:
+            out *= int(q)
+    return out
 
 
 def main():

@@ -44,7 +44,7 @@ def main():
         roots, deltas = random_split(rng)
         pen = canonical_quadrics(RatPoly.from_roots(roots), deltas).to_pencil()
         norm = pencil.normalize_pencil(pen)
-        model = localarith.diagonal_model(norm, [f for f, _ in factor_q(norm.P)])
+        model = localarith.diagonal_model(norm, factor_q(norm.P))
         row = []
         for p in places:
             t0 = time.perf_counter()

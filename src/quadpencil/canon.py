@@ -71,7 +71,7 @@ def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple
     Per-factor lists follow that factor order and are glued by CRT.  The
     class must be invertible modulo every factor.
     """
-    factors = tuple(f for f, _ in factor_q(P))
+    factors = tuple(factor_q(P))
     if isinstance(delta_prime, RatPoly):
         d = delta_prime % P
     else:

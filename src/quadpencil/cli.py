@@ -5,9 +5,10 @@ All randomness flows through the single --seed value recorded in report
 headers; JSON reports are deterministic functions of (input, seed, config)
 and wall-clock timings appear only in the human-readable output.
 
-Exit codes: 0 success (and --help), 2 for honest "unknown" outcomes, 1
-for errors (bad input or arguments, singular pencils, exhausted
-searches), each reported as one `error:` line.
+Exit codes: 0 success (and --help); 2 for honest "unknown" outcomes,
+a witness search that exhausts its prime bound included; 1 for errors
+(bad input or arguments, singular pencils).  Errors and exhausted
+searches are each reported as one `error:` line.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ import time
 from fractions import Fraction
 
 from . import __version__, canon, exact, galois, groupmod, localarith, pencil, selmersim
-from .exact import MAX_DEGREE, RatPoly, discriminant, prime_place
+from .exact import RatPoly, discriminant, prime_place
 from .pencil import rat_str
-
-# The benchmark's self-test (perfbench/selftest.py) reads the program's
-# sympy module as cli.sympy; exact.py is the module that imports it.
-sympy = exact.sympy
 
 SCHEMA_VERSION = "quadpencil-report-4"
 
@@ -51,6 +48,10 @@ def parse_rational(text: str) -> Fraction:
 
 # A number (integer or decimal), t, an operator or a parenthesis.
 _TOKEN = re.compile(r"\s*(\d+\.?\d*|\.\d+|\*\*|[-+*/^()t])", re.ASCII)
+
+# The largest degree of a parsed polynomial and of every intermediate
+# result, so that no expression builds an unbounded power of t.
+MAX_DEGREE = 16
 
 # Coefficient size bound for parsed expressions, so that a tower of
 # constant powers such as ((9^16)^16)^16 is refused instead of computed.
@@ -201,7 +202,9 @@ def run_analyze(args) -> int:
 
     certs = [localarith.real_soluble(pen)]
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
-    # The default sweep covers the small odd bad primes.  p = 2 is decided
+    # The sweep covers the primes 3 to 13 that lie in S0.  S0 holds every
+    # prime below --margin, so at the default margin 100 that is all five,
+    # where `local` (margin 2) takes only the bad ones.  p = 2 is decided
     # on request (`local --places 2`): for a split pencil always, by the
     # ball tree, while the search for other pencils rarely decides it.
     small_bad = [p for p in (3, 5, 7, 11, 13) if p in s0]
@@ -223,9 +226,12 @@ def run_analyze(args) -> int:
                 "primes": list(wit.primes),
                 "valuations": list(wit.valuations),
             }
-        except (localarith.InadmissibleConditionError, localarith.NoWitnessError) as e:
+        except localarith.InadmissibleConditionError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
+        except localarith.NoWitnessError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
     elapsed = time.time() - t0
     payload = {

@@ -33,20 +33,18 @@ one diagonal cofactor of a singular member, interpolated once per pencil
 and reduced by one pseudo-remainder, and rationals are built only for
 its result.
 
-This is the only module that calls sympy.  The primes below 10^6 are one
-table (`small_primes`): the walk over good primes, the primality test of a
-place and the square content of `strip_square_content` read it, and
-sympy's primality test and next prime run only past its end.  Integer
-factorization is delegated to sympy (exact, deterministic), and so is the
-factorization of a polynomial over Q where `factor_q` cannot decide it
-itself.  `factor_q` finds the rational roots by a p-adic lift
-(`integer_roots`) and proves the cofactor irreducible from the factor
-degrees mod a few good primes, so sympy's Zassenhaus factorization runs
-only on a polynomial with a repeated factor or on a cofactor left
-unproved.  Everything the certificates depend on is re-verified here.
-Arithmetic over F_p is the repo's own: a distinct-degree split (`_ddf`)
-gives cycle types, the factor degrees `factor_q` reads and signed
+The primes below 10^6 are one table (`small_primes`): the walk over good
+primes, the primality test of a place and the square content of
+`strip_square_content` read it, and a Miller-Rabin test with fixed bases,
+exact below 3.3 * 10^24, runs only past its end.  `factor_q` takes the
+separable polynomials of degree at most 5 that the pencils and quintics
+have.  It finds the rational roots by a p-adic lift (`integer_roots`) and
+factors the cofactor from the factor degrees mod good primes, trying the
+quadratic factors read off the p-adic roots at a prime where it splits
+completely.  Arithmetic over F_p is the repo's own: a distinct-degree split
+(`_ddf`) gives cycle types, the factor degrees `factor_q` reads and signed
 Frobenius classes, and its degree-one step (`fp_roots`) the roots mod p.
+No third-party package is used.
 """
 
 from __future__ import annotations
@@ -60,14 +58,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-import sympy
-
-_t = sympy.Symbol("t")
-
-# The largest polynomial degree factor_q accepts; command-line polynomials
-# are held to the same bound.
-MAX_DEGREE = 16
-
 
 def _as_rat(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -76,8 +66,6 @@ def _as_rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, sympy.Rational):
-        return Fraction(int(x.p), int(x.q))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -200,14 +188,6 @@ class RatPoly:
 
     def denominator_lcm(self) -> int:
         return math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-
-    def to_sympy(self):
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(self.coeffs)]
-        return sympy.Poly(coeffs, _t)
-
-    @classmethod
-    def from_sympy(cls, p) -> "RatPoly":
-        return cls.of(list(reversed([_as_rat(c) for c in p.all_coeffs()])))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -430,46 +410,33 @@ class Residue:
 # ---------------------------------------------------------------------------
 # Factorization over Q
 
-def factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Monic irreducible factors of f over Q with multiplicities.
-
-    The product of the factors (times the content f / prod) reproduces f.
-    Factors are sorted by (degree, coefficient tuple) for determinism.
+def factor_q(f: RatPoly) -> list[RatPoly]:
+    """The monic irreducible factors over Q of a separable f of degree 1 to
+    5, sorted by (degree, coefficient tuple) for determinism; their product
+    is f / lc(f).  ValueError for any other f.
 
     With D the denominator lcm of f / lc(f) and n = deg f, Q(t) =
-    D^n (f / lc(f))(t / D) is monic in Z[t].  A squarefree Q loses its
-    rational roots first: each integer root r (`integer_roots`) is the
-    linear factor t - r/D.  The cofactor G, monic in Z[t] of degree k, has
-    no rational root, so it is irreducible when k <= 3.  For k >= 4 the
-    degree-set test proves it (Musser, J. ACM 25, 1978): a factor of G over
-    Q of degree d reduces mod a good prime p (odd, G mod p squarefree) to a
-    product of some of the irreducible factors of G mod p, so d is a sum of
-    some of their degrees, which the distinct-degree split `_ddf` gives.
-    The possible degrees start as {0, 2, ..., k - 2, k}, since G has no
-    linear factor, and lose at each good prime every value that is not
-    such a sum; once only {0, k} is left, G is irreducible.  sympy's
-    factorization runs only where this does not decide: on a Q that is not
-    squarefree, or on a cofactor still unproved after
-    `_DEGREE_SET_PRIMES` good primes, which happens when it has a
-    quadratic factor or, like t^4 + 1, is reducible mod every prime.
+    D^n (f / lc(f))(t / D) is monic in Z[t], and a factor h of Q of degree
+    k is the factor D^-k h(D t) of f.  Q loses its rational roots first:
+    each integer root r (`integer_roots`) is the linear factor t - r/D.  The
+    cofactor G, monic in Z[t], has no rational root, so it is irreducible
+    when its degree is at most 3, and `_split_cofactor` factors it when its
+    degree is 4 or 5.
     """
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    if f.degree > MAX_DEGREE:
-        raise ValueError(f"degree > {MAX_DEGREE} not supported")
+    if not 1 <= f.degree <= 5:
+        raise ValueError(f"factor_q takes degree 1 to 5, not {f.degree}")
     Q, D = _monic_integer_form(f)
     p = unramified_prime(Q)
     if p is None:
-        return _sympy_factor_q(f)
-    out, G = [], [int(c) for c in Q.coeffs]
+        raise ValueError(f"{f} is not separable")
+    G, factors = [int(c) for c in Q.coeffs], []
     for r in integer_roots(Q, p):
-        out.append((RatPoly((Fraction(-r, D), Fraction(1))), 1))
-        G = _div_linear(G, r)
+        factors.append([-r, 1])
+        G = _divide_monic(G, [-r, 1])[0]
     if len(G) > 1:
-        rest = RatPoly(tuple(Fraction(c, D ** (len(G) - 1 - i)) for i, c in enumerate(G)))
-        out += [(rest, 1)] if _degree_set_irreducible(G) else _sympy_factor_q(rest)
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
+        factors += _split_cofactor(G) if len(G) > 4 else [G]
+    out = [RatPoly(tuple(Fraction(c, D ** (len(h) - 1 - i)) for i, c in enumerate(h))) for h in factors]
+    return sorted(out, key=lambda g: (g.degree, g.coeffs))
 
 
 def _monic_integer_form(f: RatPoly) -> tuple[RatPoly, int]:
@@ -483,63 +450,68 @@ def _monic_integer_form(f: RatPoly) -> tuple[RatPoly, int]:
 def linear_factors(f: RatPoly) -> list[RatPoly]:
     """The monic linear factors of f over Q, one per distinct rational root,
     in `factor_q`'s order: the integer roots of its monic integer form
-    (`integer_roots`), without the degree-set walk."""
+    (`integer_roots`), without the factorization of the cofactor."""
     Q, D = _monic_integer_form(f)
     return [RatPoly((Fraction(-r, D), Fraction(1))) for r in reversed(integer_roots(Q))]
 
 
-# Good primes the degree-set test of factor_q walks before it hands a
-# cofactor to sympy.  An irreducible quintic with Galois group S5 is proved
-# at a prime of cycle type (5) or (4, 1), which a good prime has with
-# chance 1/5 + 1/4 = 9/20 (Chebotarev), so ten primes leave it unproved
-# with chance 0.55^10, about 1 in 400.
-_DEGREE_SET_PRIMES = 10
+def _divide_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r in Z[t] and deg r < deg b, for a monic b of
+    degree at most deg a."""
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1]
+        for i, bi in enumerate(b):
+            r[k + i] -= c * bi
+    return q, r[:len(b) - 1]
 
 
-def _div_linear(G: list[int], r: int) -> list[int]:
-    """G / (t - r) for an integer root r of the monic G in Z[t], by
-    synthetic division."""
-    q, acc = [], 0
-    for c in reversed(G[1:]):
-        acc = acc * r + c
-        q.append(acc)
-    return q[::-1]
+def _split_cofactor(G: list[int]) -> list[list[int]]:
+    """The monic irreducible factors in Z[t] of a monic squarefree G in Z[t]
+    of degree k = 4 or 5 with no rational root.  Such a G is reducible
+    exactly when it has a quadratic factor.
 
-
-def _degree_set_irreducible(G: list[int]) -> bool:
-    """True when the degree-set test proves the monic G in Z[t], of degree
-    k with no rational root, irreducible over Q within `_DEGREE_SET_PRIMES`
-    good primes; False leaves the question open."""
+    The good primes p (odd, G mod p squarefree) are walked in order.  At
+    each, the degree-set test (Musser, J. ACM 25, 1978): a factor of G over
+    Q of degree d reduces mod p to a product of some of the irreducible
+    factors of G mod p, so d is a sum of some of their degrees, which the
+    distinct-degree split `_ddf` gives.  The possible degrees start as
+    {0, 2, ..., k - 2, k} and lose every value that is not such a sum; once
+    only {0, k} is left, G is irreducible.  The walk ends at the latest at
+    the first good prime where G splits completely, which has density
+    1/|Gal(G)| >= 1/120 (Chebotarev).  There every root of G lies in Z_p as
+    the Hensel lift of a root mod p.  A quadratic factor t^2 - s t + q has
+    two of them as roots, so with 2^e bounding the roots
+    (`root_bound_bits`), |s| <= 2^(e+1) and |q| <= 2^(2e) are the symmetric
+    residues mod p^n > 2^(2e+2) of the sum and product of a pair of lifts.
+    Each pair is tried by exact division; when none divides, G is
+    irreducible.
+    """
     k = len(G) - 1
-    if k <= 3:
-        return True
     # bit d of `possible` is set while a factor of degree d is not ruled out
     possible = ((1 << (k + 1)) - 1) & ~(2 | (1 << (k - 1)))
-    good = 0
     for p in good_primes(BadSet((), 0), 3):
         m = [c % p for c in G]
         if not fp_is_squarefree(m, p):
             continue
+        parts = _ddf(m, p)
+        if len(parts) == 1 and parts[0][0] == 1:
+            pk, bound = p, 1 << (2 * root_bound_bits(G) + 2)
+            while pk <= bound:
+                pk *= p
+            for a, b in itertools.combinations(lift_roots(RatPoly.of(G), fp_roots(m, p), p, pk), 2):
+                h = [c - pk if c > pk // 2 else c for c in (a * b % pk, -(a + b) % pk)] + [1]
+                cofactor, rem = _divide_monic(G, h)
+                if not any(rem):
+                    return [h, cofactor]
+            return [G]
         sums = 1
-        for d, part in _ddf(m, p):
+        for d, part in parts:
             for _ in range((len(part) - 1) // d):
                 sums |= sums << d
         possible &= sums
         if possible == 1 | (1 << k):
-            return True
-        good += 1
-        if good == _DEGREE_SET_PRIMES:
-            return False
-
-
-def _sympy_factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
-    """factor_q by sympy's factorization over Q (Zassenhaus)."""
-    _, pairs = f.to_sympy().factor_list()
-    out = []
-    for p, mult in pairs:
-        out.append((RatPoly.from_sympy(sympy.Poly(p, _t)).monic(), int(mult)))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
+            return [G]
 
 
 def discriminant(f: RatPoly) -> Fraction:
@@ -784,8 +756,13 @@ class BadSet:
 
 # The primes below this bound are one table, built on first use by one
 # sieve: the walk over good primes, `is_prime` and `strip_square_content`
-# read it, and sympy serves only past it.
+# read it, and Miller-Rabin serves only past it.
 SMALL_PRIME_END = 10**6
+
+# Miller-Rabin with the first 13 primes as bases is exact below psi_13 =
+# MILLER_RABIN_END (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_END = 3317044064679887385961981
 
 
 @functools.cache
@@ -802,12 +779,30 @@ def small_primes() -> array:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of an integer: a lookup in `small_primes` below its end,
-    sympy's test past it."""
-    if n >= SMALL_PRIME_END:
-        return sympy.isprime(n)
-    i = bisect.bisect_right(small_primes(), n)
-    return i > 0 and small_primes()[i - 1] == n
+    """Primality of an integer below MILLER_RABIN_END: a lookup in
+    `small_primes` below its end, the strong probable-prime test to every
+    base of `_MILLER_RABIN_BASES` past it; ValueError at or above
+    MILLER_RABIN_END, where that test is not proved exact."""
+    if n < SMALL_PRIME_END:
+        i = bisect.bisect_right(small_primes(), n)
+        return i > 0 and small_primes()[i - 1] == n
+    if n >= MILLER_RABIN_END:
+        raise ValueError(f"primality of {n} is not decided at or above {MILLER_RABIN_END}")
+    # an even n fails at base 2, where s = 0 and 2^(n-1) mod n is even
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def good_primes(bad: BadSet, start: int, stop: Optional[int] = None) -> Iterator[int]:
@@ -820,7 +815,9 @@ def good_primes(bad: BadSet, start: int, stop: Optional[int] = None) -> Iterator
         if i < len(table):
             p, i = table[i], i + 1
         else:
-            p = int(sympy.nextprime(p))
+            p += 1
+            while not is_prime(p):
+                p += 1
         if p not in bad:
             yield p
 
@@ -1108,17 +1105,6 @@ def interpolate_rational(basis: Sequence[Sequence[int]], ys: Sequence[int], pk: 
             return None
         coeffs.append(rec)
     return RatPoly.of(coeffs)
-
-
-def squarefree_part(n: int) -> int:
-    """Squarefree kernel of a nonzero integer (sign preserved)."""
-    if n == 0:
-        raise ValueError("squarefree part of zero")
-    out = -1 if n < 0 else 1
-    for q, e in sympy.factorint(abs(n)).items():
-        if e % 2:
-            out *= int(q)
-    return out
 
 
 # strip_square_content looks for the table primes dividing a content this

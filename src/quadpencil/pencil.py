@@ -384,7 +384,7 @@ def delta_invariant(norm: NormalizedPencil) -> DeltaInvariant:
     """Factor P and compute the delta square classes of the singular members,
     with disc(P) and the norms Res(P_i, delta_i) that the later stages read;
     the square flags are certified only when read."""
-    factors = tuple(f for f, _ in factor_q(norm.P))
+    factors = tuple(factor_q(norm.P))
     reps = tuple(delta_component(norm, f) for f in factors)
     disc = discriminant(norm.P)
     norms = tuple(resultant(f, d) for f, d in zip(factors, reps))

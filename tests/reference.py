@@ -79,14 +79,34 @@ def shift(f: RatPoly, c) -> RatPoly:
     return out
 
 
+def to_sympy(f: RatPoly) -> sympy.Poly:
+    """f as a sympy polynomial in t."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                      sympy.Symbol("t"))
+
+
+def from_sympy(p: sympy.Poly) -> RatPoly:
+    """The polynomial over Q with the coefficients of the sympy polynomial p."""
+    return RatPoly.of([Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, reversed(p.all_coeffs()))])
+
+
 def sympy_factor_q(f: RatPoly) -> list[tuple[RatPoly, int]]:
-    """`exact.factor_q` by sympy's factorization over Q alone (Zassenhaus):
-    the monic irreducible factors with multiplicities, sorted by (degree,
-    coefficients)."""
+    """The factorization of f over Q by sympy alone (Zassenhaus): the monic
+    irreducible factors with multiplicities, sorted by (degree,
+    coefficients) as `exact.factor_q` sorts them."""
     t = sympy.Symbol("t")
-    out = [(RatPoly.from_sympy(sympy.Poly(g, t)).monic(), int(mult))
-           for g, mult in f.to_sympy().factor_list()[1]]
+    out = [(from_sympy(sympy.Poly(g, t)).monic(), int(mult)) for g, mult in to_sympy(f).factor_list()[1]]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
+def squarefree_part(n: int) -> int:
+    """Squarefree kernel of a nonzero integer (sign preserved), by sympy's
+    integer factorization."""
+    out = -1 if n < 0 else 1
+    for q, e in sympy.factorint(abs(n)).items():
+        if e % 2:
+            out *= int(q)
     return out
 
 
@@ -242,7 +262,7 @@ CLASS_SETS = {
 def galois_profile(P: RatPoly) -> GaloisProfile:
     """`galois_group_quintic` given the irreducible factors of P, as
     `analyze` passes them from the delta invariant."""
-    return galois_group_quintic(P, [f for f, _ in factor_q(P)], discriminant(P))
+    return galois_group_quintic(P, factor_q(P), discriminant(P))
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +640,10 @@ def count_calls(monkeypatch, name: str, module: str = "quadpencil.exact") -> lis
 def count_factor_q(monkeypatch) -> list:
     """The polynomials exact.factor_q is called on from now on."""
     return count_calls(monkeypatch, "factor_q")
+
+
+def refuse_sympy(monkeypatch) -> None:
+    """From now on, an import of sympy or of any of its modules raises
+    ImportError, so a program path that would load sympy fails."""
+    for name in ["sympy", *(k for k in sys.modules if k.startswith("sympy."))]:
+        monkeypatch.setitem(sys.modules, name, None)

@@ -19,7 +19,6 @@ from quadpencil.exact import (
     discriminant,
     inverse_mod,
     is_square_q,
-    squarefree_part,
     strip_square_content,
 )
 from quadpencil.groupmod import TRANSITIVE_SUBGROUPS, end_ring_r, h1_dim, perm_closure
@@ -54,6 +53,7 @@ from reference import (
     hilbert_symbol,
     shift,
     span,
+    squarefree_part,
     verify_norm_square,
 )
 

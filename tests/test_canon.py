@@ -10,7 +10,6 @@ from quadpencil.exact import (
     discriminant,
     inverse_mod,
     is_square_q,
-    squarefree_part,
 )
 from quadpencil.canon import (
     CanonicalModel,
@@ -22,7 +21,7 @@ from quadpencil.canon import (
     trace_form,
 )
 from quadpencil.pencil import mat_det
-from reference import branch_form, count_factor_q
+from reference import branch_form, count_factor_q, squarefree_part
 
 
 def poly(*coeffs):
@@ -178,7 +177,7 @@ class TestNormalizeDelta:
         entries = [5, 5, 1, 1, 1]
         d, _ = normalize_delta(SPLIT_QUINTIC, entries)
         # entries follow factor_q order (sorted by coefficient tuple)
-        for (f, _), v in zip(factor_q(SPLIT_QUINTIC), entries):
+        for f, v in zip(factor_q(SPLIT_QUINTIC), entries):
             root = -f[0]
             assert d(root) == v
 

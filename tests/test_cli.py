@@ -14,11 +14,11 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import quadpencil
-from quadpencil.cli import _MAX_BITS, main, parse_delta, parse_poly
+from quadpencil.cli import _MAX_BITS, MAX_DEGREE, main, parse_delta, parse_poly
 from quadpencil.canon import canonical_quadrics
-from quadpencil.exact import MAX_DEGREE, RatPoly, discriminant, squarefree_part
+from quadpencil.exact import RatPoly, discriminant
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
-from reference import count_calls, count_factor_q, diag, load_schema
+from reference import count_calls, count_factor_q, diag, load_schema, refuse_sympy, squarefree_part
 
 SRC = pathlib.Path(quadpencil.__file__).resolve().parent.parent
 
@@ -279,7 +279,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("kind", ["random", "readme-split"])
     def test_factor_q_without_sympy(self, kind, tmp_path, monkeypatch):
         # factor_q proves P irreducible (h = 9) or completely split itself,
-        # so sympy's factorization over Q is never called
+        # and no sympy is imported
         import random
 
         from quadpencil.pencil import random_pencil
@@ -290,9 +290,8 @@ class TestAnalyze:
             pen = canonical_quadrics(RatPoly.from_roots([0, 1, 2, 3, 4]), [5, 5, 1, 1, 1]).to_pencil()
         path = tmp_path / "pencil.json"
         path.write_text(pencil_dumps(pen))
-        calls = count_calls(monkeypatch, "_sympy_factor_q")
+        refuse_sympy(monkeypatch)
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
-        assert calls == []
 
     def test_smooth_pencil_takes_no_rational_gcd(self, tmp_path, monkeypatch):
         import random
@@ -605,9 +604,8 @@ class TestCanonKummer:
         assert err == ["error: 3 delta entries for 1 factors"]
 
     def test_canon_factors_without_sympy(self, monkeypatch, capsys):
-        calls = count_calls(monkeypatch, "_sympy_factor_q")
+        refuse_sympy(monkeypatch)
         assert main(["canon", "--poly", "t^5-2"]) == 0
-        assert calls == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -665,6 +663,21 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_analyze_bound_exhausted(self, tmp_path, capsys):
+        # the same exhausted witness search from analyze --conditions: exit
+        # 2, one error line
+        import random
+
+        from quadpencil.pencil import random_pencil
+
+        path = tmp_path / "pencil.json"
+        path.write_text(pencil_dumps(random_pencil(random.Random(0), 9)))
+        identity = "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"
+        code = main(["--prime-bound", "120", "analyze", str(path), "--conditions", identity])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no prime below 120 realizes condition")
+
 
 class TestLocal:
     def test_places_without_factor_q(self, t52_pencil_file, monkeypatch, capsys):
@@ -675,6 +688,13 @@ class TestLocal:
         assert calls == []
         assert [c["place"] for c in json.loads(capsys.readouterr().out)["certificates"]] == [
             "real", "3", "5", "7"]
+
+    def test_place_past_the_primality_bound(self, t52_pencil_file, capsys):
+        # psi_13: Miller-Rabin with the first 13 prime bases is not exact
+        # from here on, so the place is an error rather than a guess
+        assert main(["local", str(t52_pencil_file), "--places", "3317044064679887385961981"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: primality of 3317044064679887385961981")
 
     def test_split_places_bytes(self, tmp_path, capsys):
         q = parse_poly("t*(t-1)*(t-2)*(t-3)*(t-4)")

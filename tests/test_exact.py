@@ -27,6 +27,7 @@ from quadpencil.exact import (
     good_primes,
     integer_roots,
     inverse_mod,
+    is_prime,
     is_square_q,
     legendre,
     poly_mul,
@@ -50,6 +51,7 @@ from reference import (
     local_square,
     count_calls,
     nextprime_walk,
+    refuse_sympy,
     shift,
     sqrt_in_etale_walk,
     strip_square_content_by_trial_division,
@@ -93,89 +95,88 @@ class TestRatPoly:
         assert c % m2 == poly(7)
 
 
+def separable(f: RatPoly) -> bool:
+    """f has degree 1, or degree 2 or more and no repeated root."""
+    return f.degree == 1 or f.degree > 1 and discriminant(f) != 0
+
+
 @st.composite
 def factor_q_inputs(draw):
-    """Polynomials over Q of degree 1-8 with integer or rational coefficients
-    and any leading coefficient: arbitrary ones, products of degrees 2+2,
-    3+2 and a linear factor times an irreducible quartic, and ones with a
-    repeated factor."""
+    """Separable polynomials over Q of degree 1-5 with integer or rational
+    coefficients and any leading coefficient: arbitrary ones, and products
+    of degrees 2+2, 3+2, 1+2+2 and a linear factor times an irreducible
+    quartic."""
     coeff = draw(st.sampled_from([
         st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)]))
 
     def monic(k):
         return RatPoly.of(draw(st.lists(coeff, min_size=k, max_size=k)) + [1])
 
-    shape = draw(st.sampled_from(["any", "2+2", "3+2", "1+4", "repeated"]))
+    shape = draw(st.sampled_from(["any", "2+2", "3+2", "1+4", "1+2+2"]))
     if shape == "any":
-        f = monic(draw(st.integers(1, 8)))
-    elif shape == "repeated":
-        g = monic(draw(st.integers(1, 3)))
-        f = g * g * monic(draw(st.integers(0, 2)))
+        f = monic(draw(st.integers(1, 5)))
     else:
-        a, b = map(int, shape.split("+"))
-        g = monic(b)
+        degrees = list(map(int, shape.split("+")))
+        gs = [monic(k) for k in degrees]
         if shape == "1+4":
-            assume(len(sympy_factor_q(g)) == 1)
-        f = monic(a) * g
+            assume(separable(gs[1]) and len(sympy_factor_q(gs[1])) == 1)
+        f = math.prod(gs[1:], start=gs[0])
+    assume(separable(f))
     return f * draw(coeff.filter(bool))
 
 
 class TestFactorQ:
     def test_quadratic_rational_roots(self):
-        fac = factor_q(poly(-1, 0, 1))
-        assert [(str(f), m) for f, m in fac] == [("t - 1", 1), ("t + 1", 1)]
+        assert [str(f) for f in factor_q(poly(-1, 0, 1))] == ["t - 1", "t + 1"]
 
     def test_t5_minus_2_irreducible(self):
-        # Independent check: no rational root and no low-degree factor found
-        # by scanning products of modular factorizations is replaced by the
-        # Eisenstein criterion at 2, asserted structurally.
-        fac = factor_q(T5_MINUS_2)
-        assert len(fac) == 1 and fac[0][1] == 1 and fac[0][0] == T5_MINUS_2
+        assert factor_q(T5_MINUS_2) == [T5_MINUS_2]
 
     def test_split_quintic(self):
         fac = factor_q(SPLIT_QUINTIC)
         assert len(fac) == 5
-        assert all(f.degree == 1 and m == 1 for f, m in fac)
+        assert all(f.degree == 1 for f in fac)
 
     def test_sympy_only_for_an_unproved_cofactor(self, monkeypatch):
-        # t^4 + 1 is reducible mod every prime, so the degree-set test never
-        # proves it irreducible and sympy decides
-        calls = count_calls(monkeypatch, "_sympy_factor_q")
-        assert factor_q(poly(1, 0, 0, 0, 1)) == [(poly(1, 0, 0, 0, 1), 1)]
-        factor_q(T5_MINUS_2)
-        assert calls == [poly(1, 0, 0, 0, 1)]
+        # t^4 + 1 and t^4 - 10t^2 + 1 are reducible mod every prime, so the
+        # degree-set test never proves them irreducible; the pairs of p-adic
+        # roots at the first prime where they split completely do, and no
+        # sympy is imported
+        refuse_sympy(monkeypatch)
+        assert factor_q(poly(1, 0, 0, 0, 1)) == [poly(1, 0, 0, 0, 1)]
+        assert factor_q(poly(1, 0, -10, 0, 1)) == [poly(1, 0, -10, 0, 1)]
+        assert factor_q(T5_MINUS_2) == [T5_MINUS_2]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_q(RatPoly(()))
 
+    # a constant, degree 6 and a repeated factor: outside the contract
+    @pytest.mark.parametrize(
+        "f", [poly(3), poly(1, 0, 0, 0, 0, 0, 1), poly(-1, 1) * poly(-1, 1) * poly(1, 1)],
+        ids=["constant", "degree-6", "repeated"])
+    def test_outside_the_contract_rejected(self, f):
+        with pytest.raises(ValueError):
+            factor_q(f)
+
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=9))
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6))
     def test_refold(self, coeffs):
         f = RatPoly.of(coeffs)
-        if f.is_zero:
-            return
+        assume(separable(f))
         fac = factor_q(f)
-        prod = RatPoly.of([1])
-        for g, m in fac:
-            for _ in range(m):
-                prod = prod * g
-        content = f.lc / prod.lc if not prod.is_zero else f.lc
-        assert prod * content == f
+        assert all(g.lc == 1 for g in fac)
+        assert math.prod(fac, start=RatPoly.const(f.lc)) == f
 
     def test_refold_1000_seeded(self):
         rng = random.Random(1000)
         for _ in range(1000):
             f = RatPoly.of([rng.randrange(-20, 21) for _ in range(rng.randrange(2, 9))])
-            if f.is_zero:
+            if f.degree > 5 or not separable(f):
                 continue
             fac = factor_q(f)
-            assert fac == sympy_factor_q(f)
-            prod = RatPoly.of([1])
-            for g, m in fac:
-                for _ in range(m):
-                    prod = prod * g
-            assert prod * (f.lc / prod.lc) == f
+            assert [(g, 1) for g in fac] == sympy_factor_q(f)
+            assert math.prod(fac, start=RatPoly.const(f.lc)) == f
 
     @settings(max_examples=300, deadline=None)
     @given(factor_q_inputs())
@@ -185,7 +186,7 @@ class TestFactorQ:
     @example(T5_MINUS_2)
     @example(SPLIT_QUINTIC)
     def test_matches_sympy(self, f):
-        assert factor_q(f) == sympy_factor_q(f)
+        assert [(g, 1) for g in factor_q(f)] == sympy_factor_q(f)
 
 
 class TestFactorFp:
@@ -609,8 +610,9 @@ def etale_cases(draw):
         m = RatPoly.of(draw(st.lists(coeff, min_size=n, max_size=n)) + [1])
     else:
         m = RatPoly.of(draw(st.lists(small, min_size=n, max_size=n)) + [1])
-        assume(len(factor_q(m)) == 1)
     assume(discriminant(m) != 0)
+    if kind == "irreducible":
+        assume(len(factor_q(m)) == 1)
     height = draw(st.sampled_from([9, 10**6]))
     y = RatPoly.of(draw(st.lists(st.integers(-height, height), min_size=1, max_size=n)))
     form = draw(st.sampled_from(["square", "multiple", "random"]))
@@ -690,11 +692,7 @@ class TestStripSquareContent:
             assert strip_square_content(d) == strip_square_content_by_trial_division(d)
 
     def test_no_sympy(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("sympy called")
-
-        monkeypatch.setattr(exact.sympy, "isprime", refuse)
-        monkeypatch.setattr(exact.sympy, "factorint", refuse)
+        refuse_sympy(monkeypatch)
         contents = [0, 1, 12, 999983**2 * 9, 2**61 - 1, (10**12 + 39) * 1000003**3, (2**127 - 1) ** 3]
         for content in contents:
             d = poly(content, 2 * content)
@@ -778,6 +776,41 @@ class TestPrimePlace:
     def test_rejects(self, n):
         with pytest.raises(ValueError, match="not prime"):
             prime_place(n)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+class TestIsPrime:
+    # psi_12 fails only base 41, and psi_9 = psi_10 = psi_11 =
+    # 3825123056546413051 only bases 37 and 41
+    @pytest.mark.parametrize("n", [PSI_12, 3825123056546413051])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 10**24 + 7])
+    def test_accepts_large_primes(self, n):
+        assert sympy.isprime(n)
+        assert is_prime(n)
+
+    def test_agrees_with_isprime_past_the_table(self):
+        # odd n of 20 to 82 bits, in [10^6, psi_13)
+        rng = random.Random(13)
+        for _ in range(3000):
+            bits = rng.randrange(20, 83)
+            n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            if 10**6 <= n < PSI_13:
+                assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 2**89 - 1])
+    def test_undecided_at_psi_13(self, n):
+        assert exact.MILLER_RABIN_END == PSI_13
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(n)
 
 
 class TestResidue:

@@ -1,4 +1,5 @@
-"""Layout guard: which source modules may use which third-party packages."""
+"""Layout guard: no source module uses a third-party package, and every
+definition is reachable from the verbs."""
 
 import ast
 import importlib
@@ -12,18 +13,12 @@ import quadpencil
 
 SRC = pathlib.Path(quadpencil.__file__).parent
 
-# The one module allowed to import each third-party package.
-OWNERS = {"sympy": "exact.py"}
-
-# Packages no source module imports: numpy serves the tests only.
-TEST_ONLY = {"numpy"}
-
-# The sympy names exact.py may use: factorization and primes.  Everything
-# else, resultants included, is the repo's own exact arithmetic.
-SYMPY_NAMES = {"Symbol", "Rational", "Poly", "isprime", "nextprime", "factorint"}
+# Packages no source module imports, at any depth: the tests and scripts
+# use them as oracles, and the program is plain Python.
+TEST_ONLY = ("sympy", "mpmath", "numpy")
 
 
-def test_third_party_owners_and_no_evaluation():
+def test_no_third_party_and_no_evaluation():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -33,61 +28,23 @@ def test_third_party_owners_and_no_evaluation():
             else:
                 roots = []
             for root in roots:
-                assert root not in TEST_ONLY, f"{path.name} imports {root}"
-                assert OWNERS.get(root, path.name) == path.name, f"{path.name} imports {root}"
+                assert root not in TEST_ONLY, f"{path.name} line {node.lineno} imports {root}"
             if isinstance(node, ast.Call):
                 f = node.func
                 name = getattr(f, "id", None) or getattr(f, "attr", None)
-                assert name not in ("eval", "exec", "sympify"), f"{path.name} calls {name}"
+                assert name not in ("eval", "exec", "__import__", "import_module"), f"{path.name} calls {name}"
 
 
 def test_cli_import_loads_no_numpy():
-    # a fresh interpreter: the verbs' import chain never loads numpy
+    # a fresh interpreter: the verbs' import chain loads none of them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import sys, quadpencil.cli; print('numpy' in sys.modules)"
+    code = f"import sys, quadpencil.cli; print(sorted(set({TEST_ONLY!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_exact_sympy_names():
-    tree = ast.parse((SRC / "exact.py").read_text())
-    aliases, used = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            aliases |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "sympy"}
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
-            used |= {a.name for a in node.names}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
-            used.add(node.attr)
-    assert used <= SYMPY_NAMES, f"exact.py uses sympy.{sorted(used - SYMPY_NAMES)}"
+    assert out.stdout.strip() == "[]"
 
 
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def test_factor_list_only_in_the_fallback():
-    # sympy's factorization over Q (Zassenhaus) runs only where factor_q's
-    # own proof does not decide: one call site, in _sympy_factor_q
-    sites = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
-             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "factor_list"]
-    exact = ast.parse((SRC / "exact.py").read_text())
-    fallback = next(n for n in exact.body if isinstance(n, ast.FunctionDef) and n.name == "_sympy_factor_q")
-    assert len(sites) == 1, sites
-    assert sites[0][0] == "exact.py" and fallback.lineno <= sites[0][1] <= fallback.end_lineno, sites
-
-
-def test_exact_does_no_arithmetic_mod_p_in_sympy():
-    # sympy factors over Q only: a call of a name exact.py does not define
-    # itself (a sympy constructor or method) never passes modulus=
-    tree = ast.parse((SRC / "exact.py").read_text())
-    own = {node.name for node in ast.walk(tree) if isinstance(node, DEFS)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and any(k.arg == "modulus" for k in node.keywords):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            assert name in own, f"exact.py line {node.lineno} calls {name} with modulus="
 
 
 def _used_names(tree, bare=True) -> set[str]:

@@ -571,7 +571,7 @@ def split_model(roots, deltas):
     per-factor deltas, and its diagonal model."""
     pen = canonical_quadrics(RatPoly.from_roots(roots), deltas).to_pencil()
     norm = normalize_pencil(pen)
-    return pen, diagonal_model(norm, [f for f, _ in factor_q(norm.P)])
+    return pen, diagonal_model(norm, factor_q(norm.P))
 
 
 def check_hensel_witness(pen, p, witness):
@@ -624,7 +624,7 @@ class TestSplitSoluble:
     def test_diagonalization(self, roots, deltas):
         pen, model = split_model(roots, deltas)
         norm = normalize_pencil(pen)
-        D = math.lcm(*(f[0].denominator for f, _ in factor_q(norm.P)))
+        D = math.lcm(*(f[0].denominator for f in factor_q(norm.P)))
         v = model.vectors
 
         def form(m, a, b):

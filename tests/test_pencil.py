@@ -481,7 +481,7 @@ class TestDeltaComponentAgainstGaussJordan:
 
 def assert_matches_reference(norm):
     phi1n, phi2n = chart_members(norm)
-    for f, _ in factor_q(norm.P):
+    for f in factor_q(norm.P):
         assert delta_component(norm, f) == reference_delta_component(phi1n, phi2n, f)
 
 
