@@ -7,8 +7,9 @@ and wall-clock timings appear only in the human-readable output.
 
 Exit codes: 0 success (and --help); 2 for honest "unknown" outcomes,
 a witness search that exhausts its prime bound included; 1 for errors
-(bad input or arguments, singular pencils).  Errors and exhausted
-searches are each reported as one `error:` line.
+(bad input or arguments, singular pencils, an unwritable --out).  The verbs
+raise, and `main` alone maps what they raise to an exit code and reports
+errors and exhausted searches as one `error:` line each.
 """
 
 from __future__ import annotations
@@ -172,66 +173,64 @@ def _emit(args, payload: dict, human: str) -> None:
         print(text)
 
 
+def _load_pencil(path: str) -> pencil.Pencil:
+    with open(path) as fh:
+        return pencil.pencil_loads(fh.read())
+
+
+def _certificates_json(certs) -> list[dict]:
+    return [{"place": str(c.place), "verdict": c.verdict, "reason": c.reason, "witness": c.witness}
+            for c in certs]
+
+
+def _witness_json(wit: localarith.BTWitness) -> dict:
+    return {"b": rat_str(wit.b), "primes": list(wit.primes), "valuations": list(wit.valuations)}
+
+
+def _verdicts_code(certs) -> int:
+    """2 when some local verdict is unknown, else 0."""
+    return 2 if any(c.verdict == "unknown" for c in certs) else 0
+
+
+# The primes of the default p-adic sweep of analyze and local, taken when
+# they lie in the bad set S0.  S0 holds every prime below --margin, so at
+# analyze's default margin 100 that is all five, where `local` (margin 2)
+# takes only the bad ones.  p = 2 is decided on request (`local --places
+# 2`): for a split pencil always, by the ball tree, while the search for
+# other pencils rarely decides it.
+SWEEP_PRIMES = (3, 5, 7, 11, 13)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
 
 def run_analyze(args) -> int:
     t0 = time.time()
-    try:
-        with open(args.input) as fh:
-            pen = pencil.pencil_loads(fh.read())
-        conditions = None if args.conditions is None else parse_conditions(args.conditions)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    pen = _load_pencil(args.input)
+    conditions = None if args.conditions is None else parse_conditions(args.conditions)
     digest = hashlib.sha256(pencil.pencil_dumps(pen).encode()).hexdigest()
-    try:
-        norm = pencil.normalize_pencil(pen)
-    except pencil.SingularPencilError as e:
-        print(f"error: singular base locus: {e}", file=sys.stderr)
-        return 1
+    norm = pencil.normalize_pencil(pen)
     inv = pencil.delta_invariant(norm)
-    try:
-        profile = galois.galois_group_quintic(norm.P, inv.factors, inv.disc)
-    except ArithmeticError as e:  # no usable resolvent
-        print(f"error: Galois group of P: {e}", file=sys.stderr)
-        return 1
+    profile = galois.galois_group_quintic(norm.P, inv.factors, inv.disc)
     b_dim = pencil.b_delta_group(inv).dimension
     cls = pencil.hasse_class(inv, profile)
 
     certs = [localarith.real_soluble(pen)]
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
-    # The sweep covers the primes 3 to 13 that lie in S0.  S0 holds every
-    # prime below --margin, so at the default margin 100 that is all five,
-    # where `local` (margin 2) takes only the bad ones.  p = 2 is decided
-    # on request (`local --places 2`): for a split pencil always, by the
-    # ball tree, while the search for other pencils rarely decides it.
-    small_bad = [p for p in (3, 5, 7, 11, 13) if p in s0]
     split = localarith.diagonal_model(norm, inv.factors)
-    certs += _padic_certificates(pen, split, small_bad, args.effort)
+    certs += _padic_certificates(pen, split, [p for p in SWEEP_PRIMES if p in s0], args.effort)
 
     witness = None
     if conditions is not None:
-        try:
-            wit = localarith.find_bT(
-                norm.P,
-                inv.factor_reps(),
-                conditions,
-                s0,
-                prime_bound=args.prime_bound,
-            )
-            witness = {
-                "b": rat_str(wit.b),
-                "primes": list(wit.primes),
-                "valuations": list(wit.valuations),
-            }
-        except localarith.InadmissibleConditionError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        except localarith.NoWitnessError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        wit = localarith.find_bT(
+            norm.P,
+            inv.factor_reps(),
+            conditions,
+            s0,
+            prime_bound=args.prime_bound,
+        )
+        witness = _witness_json(wit)
 
     elapsed = time.time() - t0
     payload = {
@@ -265,15 +264,7 @@ def run_analyze(args) -> int:
             "b_dimension": cls.b_dimension,
             "galois_label": cls.galois_label,
         },
-        "local_certificates": [
-            {
-                "place": str(c.place),
-                "verdict": c.verdict,
-                "reason": c.reason,
-                "witness": c.witness,
-            }
-            for c in certs
-        ],
+        "local_certificates": _certificates_json(certs),
         "witness": witness,
     }
     lines = [
@@ -288,7 +279,7 @@ def run_analyze(args) -> int:
         f"elapsed: {elapsed:.2f}s",
     ]
     _emit(args, payload, "\n".join(lines))
-    return 2 if any(c.verdict == "unknown" for c in certs) else 0
+    return _verdicts_code(certs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +310,8 @@ def _quadric_str(g, names) -> str:
 
 
 def run_canon(args) -> int:
-    try:
-        P = parse_poly(args.poly)
-        model = canon.canonical_quadrics(P, parse_delta(args.delta, P))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    P = parse_poly(args.poly)
+    model = canon.canonical_quadrics(P, parse_delta(args.delta, P))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "canonical-model",
@@ -345,12 +332,8 @@ def run_canon(args) -> int:
 
 
 def run_kummer(args) -> int:
-    try:
-        P = parse_poly(args.poly)
-        km = canon.kummer_model(P, parse_delta(args.delta, P), parse_rational(args.b))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    P = parse_poly(args.poly)
+    km = canon.kummer_model(P, parse_delta(args.delta, P), parse_rational(args.b))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kummer-model",
@@ -375,32 +358,19 @@ def run_kummer(args) -> int:
 
 
 def run_search(args) -> int:
-    try:
-        P = parse_poly(args.poly)
-        if P.degree != 5 or discriminant(P) == 0:
-            raise ValueError(f"not a separable quintic: {P}")
-        dcomb, factors = canon.normalize_delta(P, parse_delta(args.delta, P))
-        conditions = parse_conditions(args.conditions)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    P = parse_poly(args.poly)
+    if P.degree != 5 or discriminant(P) == 0:
+        raise ValueError(f"not a separable quintic: {P}")
+    dcomb, factors = canon.normalize_delta(P, parse_delta(args.delta, P))
+    conditions = parse_conditions(args.conditions)
     delta_factors = [(f, dcomb % f) for f in factors]
     s0 = localarith.bad_set_s0(P, delta_factors, args.margin)
-    try:
-        wit = localarith.find_bT(P, delta_factors, conditions, s0, prime_bound=args.prime_bound)
-    except localarith.InadmissibleConditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except localarith.NoWitnessError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    wit = localarith.find_bT(P, delta_factors, conditions, s0, prime_bound=args.prime_bound)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "bt-witness",
         "seed": args.seed,
-        "b": rat_str(wit.b),
-        "primes": list(wit.primes),
-        "valuations": list(wit.valuations),
+        **_witness_json(wit),
         "classes": [[list(pair) for pair in datum] for datum in wit.class_data],
     }
     human = f"b = {wit.b}\nT = {list(wit.primes)} (val of P(b): {list(wit.valuations)})"
@@ -418,19 +388,10 @@ def _padic_certificates(pen, split, places, effort: int) -> list:
 
 
 def run_local(args) -> int:
-    try:
-        with open(args.input) as fh:
-            pen = pencil.pencil_loads(fh.read())
-        places = args.places and [prime_place(int(p)).p for p in args.places.split(",")]
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        certs = [localarith.real_soluble(pen)]
-        norm = pencil.normalize_pencil(pen)
-    except pencil.SingularPencilError as e:
-        print(f"error: singular base locus: {e}", file=sys.stderr)
-        return 1
+    pen = _load_pencil(args.input)
+    places = args.places and [prime_place(int(p)).p for p in args.places.split(",")]
+    certs = [localarith.real_soluble(pen)]
+    norm = pencil.normalize_pencil(pen)
     if places:
         # P is squarefree of degree 5, so it splits completely exactly when
         # it has five rational roots
@@ -440,20 +401,17 @@ def run_local(args) -> int:
         inv = pencil.delta_invariant(norm)
         split = localarith.diagonal_model(norm, inv.factors)
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
-        places = [p for p in (3, 5, 7, 11, 13) if p in s0]
+        places = [p for p in SWEEP_PRIMES if p in s0]
     certs += _padic_certificates(pen, split, places, args.effort)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "local-certificates",
         "seed": args.seed,
-        "certificates": [
-            {"place": str(c.place), "verdict": c.verdict, "reason": c.reason, "witness": c.witness}
-            for c in certs
-        ],
+        "certificates": _certificates_json(certs),
     }
     human = "\n".join(f"{c.place}: {c.verdict} ({c.reason})" for c in certs)
     _emit(args, payload, human)
-    return 2 if any(c.verdict == "unknown" for c in certs) else 0
+    return _verdicts_code(certs)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +428,17 @@ MAX_PLACES = 16
 
 
 def run_simulate(args) -> int:
-    try:
-        dims = [int(x) for x in args.dims.split(",")]
-        if any(d < 0 or d % 2 or d > MAX_LOCAL_DIM for d in dims):
-            raise ValueError(
-                f"local dimensions must be even, nonnegative and at most {MAX_LOCAL_DIM}: "
-                f"{args.dims!r}"
-            )
-        if len(dims) > MAX_PLACES:
-            raise ValueError(f"at most {MAX_PLACES} places: {len(dims)} given")
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    dims = [int(x) for x in args.dims.split(",")]
+    if any(d < 0 or d % 2 or d > MAX_LOCAL_DIM for d in dims):
+        raise ValueError(
+            f"local dimensions must be even, nonnegative and at most {MAX_LOCAL_DIM}: "
+            f"{args.dims!r}"
+        )
+    if len(dims) > MAX_PLACES:
+        raise ValueError(f"at most {MAX_PLACES} places: {len(dims)} given")
+    if args.negative_control and not any(dims):
+        # no nonzero vector exists, so the redraw below could never stop
+        raise ValueError(f"--negative-control needs a positive total dimension: {args.dims!r}")
     num_systems = args.systems
     duality_checks = duality_failures = 0
     twist_checks = twist_failures = 0
@@ -672,21 +629,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; the exit code of its verb, or of what the
+    parser or the verb raised: 2 for an exhausted witness search, 1 for
+    an error.  Either is reported as one `error:` line on stderr."""
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError as e:
+        return code
+    except BrokenPipeError as e:  # an OSError, so it is matched first
         # the reader closed stdout early; send what is still buffered to
         # devnull so that the flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: output closed early: {e}", file=sys.stderr)
         return 1
-    return code
+    except localarith.NoWitnessError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except pencil.SingularPencilError as e:
+        print(f"error: singular base locus: {e}", file=sys.stderr)
+        return 1
+    except (UsageError, OSError, ValueError, ArithmeticError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -762,9 +762,7 @@ class InadmissibleConditionError(ValueError):
 
 
 class NoWitnessError(RuntimeError):
-    def __init__(self, message, condition):
-        super().__init__(message)
-        self.condition = condition
+    pass
 
 
 @dataclass(frozen=True)
@@ -804,13 +802,16 @@ def find_bT(
     assemble b by CRT so that val_{v_i}(P(b)) = 1 at each matched prime.
 
     Conditions are multisets of (cycle length, sign bit); inadmissible
-    conditions (no fixed point on the 10-point cover) are rejected before
-    scanning.  s0 is `bad_set_s0(P, delta_factors, margin)`, and the walk
-    starts at its margin.  At each prime one distinct-degree split per factor
-    gives the cycle type, and the Euler powers of the signed class are
-    taken only when it is a requested one.  The returned witness is
+    conditions (no fixed point on the 10-point cover) and an empty list,
+    whose CRT would give b = 0, are rejected before scanning.  s0 is
+    `bad_set_s0(P, delta_factors, margin)`, and the walk starts at its
+    margin.  At each prime one distinct-degree split per factor gives the
+    cycle type, and the Euler powers of the signed class are taken only
+    when it is a requested one.  The returned witness is
     re-verified exactly.
     """
+    if not conditions:
+        raise ValueError("no local conditions to realize")
     data = [normalize_condition(c) for c in conditions]
     reps = [condition_representative(d) for d in data]
     adm = is_admissible(reps)
@@ -837,8 +838,7 @@ def find_bT(
                 break
     if unmatched:
         raise NoWitnessError(
-            f"no prime below {prime_bound} realizes condition {data[unmatched[0]]}",
-            data[unmatched[0]],
+            f"no prime below {prime_bound} realizes condition {data[unmatched[0]]}"
         )
 
     residues = []

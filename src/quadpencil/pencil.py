@@ -96,10 +96,6 @@ def definite_sign(a: list[list[int]]) -> int:
 class SingularPencilError(ValueError):
     """The binary quintic of the pencil has a repeated root."""
 
-    def __init__(self, message: str, repeated_factor: Optional[RatPoly] = None):
-        super().__init__(message)
-        self.repeated_factor = repeated_factor
-
 
 @dataclass(frozen=True)
 class Pencil:
@@ -148,7 +144,7 @@ class Pencil:
         if unramified_prime(q) is not None:
             return q
         g = q.gcd(q.derivative())
-        raise SingularPencilError(f"repeated singular member: {g}", repeated_factor=g)
+        raise SingularPencilError(f"repeated singular member: {g}")
 
 
 def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:

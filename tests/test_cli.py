@@ -420,6 +420,9 @@ class TestAnalyze:
         ["search", "--poly", "t^5", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
         ["analyze", "PENCIL", "--conditions", "[[1,0"],
         ["analyze", "PENCIL", "--conditions", "[[[1,0],[1,0]]]"],
+        ["analyze", "PENCIL", "--conditions", "[[[5,0]]]"],
+        ["analyze", "PENCIL", "--conditions", "[]"],
+        ["search", "--poly", "t*(t-1)*(t-2)*(t-3)*(t-4)", "--delta", "5;5;1;1;1", "--conditions", "[]"],
         ["canon", "--poly", "t^5-2", "--delta", "t^2+__import__('os').getpid()"],
         ["canon", "--poly", "9**9**9**9"],
         ["canon", "--poly", "t^17"],
@@ -451,6 +454,9 @@ class TestAnalyze:
         "search-poly-not-separable",
         "analyze-conditions-not-json",
         "analyze-conditions-lengths",
+        "analyze-conditions-inadmissible",
+        "analyze-conditions-empty",
+        "search-conditions-empty",
         "canon-python-call",
         "canon-power-tower",
         "canon-exponent-above-bound",
@@ -476,6 +482,32 @@ def test_malformed_argument(argv, t52_pencil_file, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["missing/report.txt", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out(target, tmp_path, capsys):
+    # the report is written after the verb's work, and that open fails
+    assert main(["--out", str(tmp_path / target), "verify-lemmas"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _cli_env() -> dict:
+    """The environment of a `python -m quadpencil.cli` subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_negative_control_without_dimension():
+    # no nonzero vector exists at total dimension 0, so a redraw of the
+    # global subspace could never stop; a subprocess, so a hang fails
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadpencil.cli", "simulate", "--dims", "0", "--negative-control"],
+        capture_output=True, env=_cli_env(), text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]], ids=["main", "verb"])
@@ -548,11 +580,9 @@ class TestCanonKummer:
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
     def test_closed_stdout_is_one_error_line(self, json_flag):
         # a reader that closes the pipe early, as `| head -1` does
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "quadpencil.cli", *json_flag, "canon", "--poly", "t^5-2", "--delta", "3"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), text=True,
         )
         proc.stdout.close()
         err = proc.stderr.read()

@@ -23,16 +23,19 @@ def refuse_float(text):
     raise AssertionError(f"float {text} in a report")
 
 
-def run(argv):
+def run(argv, failed_check_reports=False):
     """Run one --json command line; a report (exit 0 or 2) is JSON without a
-    single float in it, and an error (exit 1) is one line."""
+    single float in it, and an error (exit 1) is one line.  With
+    failed_check_reports, exit 1 with nothing on stderr is a report too: a
+    self-check that failed, such as a negative control that found no
+    failure."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     err = err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
-    if code == 1:
+    if code == 1 and (err or not failed_check_reports):
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
     else:
@@ -131,3 +134,5 @@ dims_text = st.lists(
 @given(dims_text)
 def test_dims(dims):
     run(["--json", "simulate", "--systems", "1", "--dims", dims])
+    run(["--json", "simulate", "--systems", "1", "--dims", dims, "--negative-control"],
+        failed_check_reports=True)

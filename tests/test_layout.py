@@ -1,5 +1,6 @@
-"""Layout guard: no source module uses a third-party package, and every
-definition is reachable from the verbs."""
+"""Layout guard: no source module uses a third-party package, only
+cli.main maps errors to exit codes, and every definition is reachable from
+the verbs."""
 
 import ast
 import importlib
@@ -42,6 +43,20 @@ def test_cli_import_loads_no_numpy():
     code = f"import sys, quadpencil.cli; print(sorted(set({TEST_ONLY!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_main_maps_errors():
+    # cli.main alone turns what a verb raises into an exit code and an
+    # `error:` line: nothing else in cli.py writes to stderr or returns
+    # from an except clause
+    tree = ast.parse((SRC / "cli.py").read_text())
+    tree.body = [node for node in tree.body if getattr(node, "name", None) != "main"]
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "stderr"), \
+            f"cli.py line {node.lineno} writes to stderr outside main"
+        if isinstance(node, ast.ExceptHandler):
+            assert not any(isinstance(n, ast.Return) for n in ast.walk(node)), \
+                f"cli.py line {node.lineno} returns an exit code outside main"
 
 
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

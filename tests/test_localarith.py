@@ -735,6 +735,12 @@ class TestFindBT:
         with pytest.raises(InadmissibleConditionError):
             find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 0),)], bad_set_s0(T5_MINUS_2, []))
 
+    def test_empty_conditions_rejected(self):
+        # the CRT of no residues is b = 0, a root of this P
+        fs = [(f, poly(1)) for f in factor_q(SPLIT_QUINTIC)]
+        with pytest.raises(ValueError, match="no local conditions"):
+            find_bT(SPLIT_QUINTIC, fs, [], bad_set_s0(SPLIT_QUINTIC, fs))
+
     def test_d10_two_conditions(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
         wit = find_bT(delta[0][0], delta, [DT_RES_NONZERO, DT_RES_ZERO], bad_set_s0(delta[0][0], delta))
