@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .exact import (
     RatPoly,
     Residue,
     crt_poly,
-    discriminant,
     factor_q,
     inverse_mod,
     is_square_q,
@@ -48,20 +47,12 @@ def power_sums(P: RatPoly, upto: int) -> list[Fraction]:
     s = [Fraction(n)]
     for k in range(1, upto + 1):
         acc = Fraction(0)
-        for i in range(1, k):
+        for i in range(1, min(k, n + 1)):
             acc += c[n - i] * s[k - i]
         if k <= n:
             acc += k * c[n - k]
         s.append(-acc)
     return s
-
-
-def trace_of(g: RatPoly, P: RatPoly, sums: Optional[list[Fraction]] = None) -> Fraction:
-    """Trace of multiplication by g on Q[t]/(P)."""
-    g = g % P
-    if sums is None:
-        sums = power_sums(P, P.degree - 1)
-    return sum((g[j] * sums[j] for j in range(P.degree)), Fraction(0))
 
 
 def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple[RatPoly, ...]]:
@@ -92,17 +83,15 @@ def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple
 def trace_form(P: RatPoly, weight: RatPoly, delta: RatPoly) -> Matrix:
     """Gram matrix Tr(weight * delta * theta^(i+j)) on the power basis.
 
-    weight and delta are residue classes mod P; the matrix is the Hankel
-    array of the traces tau_k = Tr(weight delta theta^k), k = 0..8.
+    weight and delta are residue classes mod P, and n = deg P; the matrix is
+    the Hankel array of the traces tau_k = Tr(h theta^k) = sum_j h_j s_(j+k),
+    k = 0..2n-2, read off the power sums s of P for h = weight delta mod P.
     """
-    sums = power_sums(P, P.degree - 1)
+    n = P.degree
+    sums = power_sums(P, 3 * n - 3)
     h = (weight * delta) % P
-    taus = []
-    cur = h
-    for k in range(9):
-        taus.append(trace_of(cur, P, sums))
-        cur = (cur * RatPoly.of([0, 1])) % P
-    return matrix_of([[taus[i + j] for j in range(5)] for i in range(5)])
+    taus = [sum((h[j] * sums[j + k] for j in range(n)), Fraction(0)) for k in range(2 * n - 1)]
+    return matrix_of([[taus[i + j] for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -132,8 +121,6 @@ def canonical_quadrics(P: RatPoly, delta_prime: DeltaInput) -> CanonicalModel:
     """Gram matrices of the two trace forms cutting out the canonical model."""
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
-    if discriminant(P) == 0:
-        raise ValueError("P must be separable")
     delta, factors = normalize_delta(P, delta_prime)
     w1 = inverse_mod(P.derivative(), P)
     g1 = trace_form(P, w1, delta)

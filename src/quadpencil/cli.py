@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, canon, exact, galois, groupmod, localarith, pencil, selmersim
-from .exact import RatPoly, discriminant, prime_place
+from .exact import RatPoly, prime_place
 from .pencil import rat_str
 
 SCHEMA_VERSION = "quadpencil-report-4"
@@ -359,8 +359,9 @@ def run_kummer(args) -> int:
 
 def run_search(args) -> int:
     P = parse_poly(args.poly)
-    if P.degree != 5 or discriminant(P) == 0:
-        raise ValueError(f"not a separable quintic: {P}")
+    if P.degree != 5:
+        # normalize_delta's factor_q refuses an inseparable quintic
+        raise ValueError(f"not a quintic: {P}")
     dcomb, factors = canon.normalize_delta(P, parse_delta(args.delta, P))
     conditions = parse_conditions(args.conditions)
     delta_factors = [(f, dcomb % f) for f in factors]
@@ -436,9 +437,11 @@ def run_simulate(args) -> int:
         )
     if len(dims) > MAX_PLACES:
         raise ValueError(f"at most {MAX_PLACES} places: {len(dims)} given")
-    if args.negative_control and not any(dims):
-        # no nonzero vector exists, so the redraw below could never stop
-        raise ValueError(f"--negative-control needs a positive total dimension: {args.dims!r}")
+    if args.negative_control and sum(dims) < 4:
+        # at total dimension 0 no nonzero vector exists, so the redraw below
+        # could never stop; at 2 the redrawn line is the anisotropic vector,
+        # and both sides of the duality check are all of H_v
+        raise ValueError(f"--negative-control needs a total dimension of at least 4: {args.dims!r}")
     num_systems = args.systems
     duality_checks = duality_failures = 0
     twist_checks = twist_failures = 0

@@ -18,7 +18,9 @@ found this way, so a failure at that precision is a proof.
 Polynomials are coefficient tuples in low-to-high order with no trailing
 zeros; the zero polynomial has an empty tuple.  A polynomial over Z/N is
 the int list of its coefficients in [0, N), and `fp_reduce` is the one way
-a rational polynomial gets there.  Determinants of integer matrices are
+a rational polynomial gets there.  One product (`poly_mul`) serves Z, Q
+and F_p, and Q and F_p have one long division each (`RatPoly.__divmod__`,
+`fp_divmod`).  Determinants of integer matrices are
 fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and a
 resultant is the determinant of an integer Sylvester matrix.  One
 fraction-free Gauss-Jordan elimination gives a whole column of cofactors,
@@ -133,34 +135,22 @@ class RatPoly:
         if isinstance(other, (int, Fraction)):
             c = _as_rat(other)
             return RatPoly(_trim([ci * c for ci in self.coeffs]))
-        if self.is_zero or other.is_zero:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(_trim(out))
+        return RatPoly(tuple(poly_mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
         d, lc = other.degree, other.lc
-        while len(r) - 1 >= d and _trim(r):
-            r = list(_trim(r))
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                r[k + i] -= c * b
-            r = list(_trim(r))
-        return RatPoly(_trim(q)), RatPoly(_trim(r))
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(r) - d)
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = r[k + d] / lc
+            if c:
+                for i, b in enumerate(other.coeffs):
+                    r[k + i] -= c * b
+        return RatPoly(tuple(q)), RatPoly(_trim(r[:d]))
 
     def __mod__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[1]
@@ -293,10 +283,11 @@ def adjugate_column(a: Sequence[Sequence[int]], k: int) -> list[int]:
 # Polynomials over Z (int lists, low-to-high)
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two coefficient lists (ints or Fractions), low to high."""
+    """Product of two coefficient lists (ints or Fractions), low to high;
+    every coefficient has the type of the product of the leading ones."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [a[-1] * b[-1] * 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -533,30 +524,27 @@ def fp_trim(a: list[int]) -> list[int]:
 
 
 def fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return fp_trim(out)
+    return fp_trim([c % p for c in poly_mul(a, b)])
+
+
+def fp_divmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q m + r over F_p and deg r < deg m, both reduced and
+    trimmed, for any int list a; m has no trailing zeros."""
+    dm, r = len(m) - 1, list(a)
+    if len(r) <= dm:
+        return [], fp_trim([c % p for c in r])
+    inv = pow(m[-1], -1, p)
+    q = [0] * (len(r) - dm)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dm] * inv % p
+        if c:
+            for i, mi in enumerate(m):
+                r[k + i] -= c * mi
+    return fp_trim(q), fp_trim([c % p for c in r[:dm]])
 
 
 def fp_rem(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    r = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(r) - 1 >= dm and fp_trim(r):
-        r = fp_trim(r)
-        if len(r) - 1 < dm:
-            break
-        c = r[-1] * inv % p
-        k = len(r) - 1 - dm
-        for i, mi in enumerate(m):
-            r[k + i] = (r[k + i] - c * mi) % p
-        r = fp_trim(r)
-    return r
+    return fp_divmod(a, m, p)[1]
 
 
 def fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -574,8 +562,8 @@ def fp_powmod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int
     b = fp_rem(base, m, p)
     while e:
         if e & 1:
-            result = fp_rem(fp_mul(result, b, p), m, p)
-        b = fp_rem(fp_mul(b, b, p), m, p)
+            result = fp_rem(poly_mul(result, b), m, p)
+        b = fp_rem(poly_mul(b, b), m, p)
         e >>= 1
     return result
 
@@ -619,7 +607,7 @@ def _ddf(m: Sequence[int], p: int) -> list[tuple[int, list[int]]]:
         g = _fixed_part(rem, xq, p)
         if len(g) > 1:
             out.append((d, g))
-            rem = _fp_div_exact(rem, g, p)
+            rem = fp_divmod(rem, g, p)[0]
             if len(rem) > 1:
                 xq = fp_rem(xq, rem, p)
     return out
@@ -646,7 +634,7 @@ def fp_roots(m: Sequence[int], p: int) -> list[int]:
     while len(g) > 2:
         if fp_eval(g, r, p) == 0:
             roots.append(r)
-            g = _fp_div_exact(g, [-r % p, 1], p)
+            g = fp_divmod(g, [-r % p, 1], p)[0]
         r += 1
     if len(g) == 2:
         roots.append(-g[0] % p)
@@ -656,18 +644,6 @@ def fp_roots(m: Sequence[int], p: int) -> list[int]:
 def fp_is_squarefree(m: Sequence[int], p: int) -> bool:
     """gcd(m, m') = 1 over F_p."""
     return len(fp_gcd(m, fp_trim([i * c % p for i, c in enumerate(m)][1:]), p)) == 1
-
-
-def _fp_div_exact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    inv = pow(b[-1], -1, p)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(b) - 1] * inv % p
-        q[k] = c
-        for i, bi in enumerate(b):
-            r[k + i] = (r[k + i] - c * bi) % p
-    return fp_trim(q)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,11 +1059,7 @@ def lagrange_basis(xs: Sequence[int], mod: int) -> list[list[int]]:
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            new = [0] * (len(num) + 1)
-            for k, a in enumerate(num):
-                new[k] = (new[k] - a * xj) % mod
-                new[k + 1] = (new[k + 1] + a) % mod
-            num = new
+            num = fp_mul(num, [-xj % mod, 1], mod)
             denom = denom * (xi - xj) % mod
         scale = pow(denom, -1, mod)
         basis.append([a * scale % mod for a in num])

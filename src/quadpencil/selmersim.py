@@ -31,17 +31,13 @@ from . import gf2
 
 
 def q_split(x: int, d: int) -> int:
-    acc = 0
-    for i in range(d):
-        acc ^= (x >> i) & (x >> (d + i)) & 1
-    return acc
+    """q(x) = sum x_i x_(d+i): the parity of the pairs of set bits."""
+    return (x & (x >> d) & ((1 << d) - 1)).bit_count() & 1
 
 
 def pair_split(x: int, y: int, d: int) -> int:
-    acc = 0
-    for i in range(d):
-        acc ^= ((x >> i) & (y >> (d + i)) & 1) ^ ((y >> i) & (x >> (d + i)) & 1)
-    return acc
+    """The polar pairing sum x_i y_(d+i) + y_i x_(d+i) of q, as one parity."""
+    return (((x & (y >> d)) ^ (y & (x >> d))) & ((1 << d) - 1)).bit_count() & 1
 
 
 def transvection(x: int, u: int, d: int) -> int:

@@ -360,6 +360,23 @@ def span(vectors: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def q_split_by_bits(x: int, d: int) -> int:
+    """Oracle: q(x) = sum x_i x_(d+i) over F_2, one bit pair at a time."""
+    acc = 0
+    for i in range(d):
+        acc ^= (x >> i) & (x >> (d + i)) & 1
+    return acc
+
+
+def pair_split_by_bits(x: int, y: int, d: int) -> int:
+    """Oracle: the polar pairing sum x_i y_(d+i) + y_i x_(d+i) of q, one bit
+    pair at a time."""
+    acc = 0
+    for i in range(d):
+        acc ^= ((x >> i) & (y >> (d + i)) & 1) ^ ((y >> i) & (x >> (d + i)) & 1)
+    return acc
+
+
 def exhaustive_selmer(system: SelmerSystem) -> set[int]:
     """Oracle: enumerate the whole global subspace and filter (small systems)."""
     return {x for x in span(system.global_lagrangian) if _in_product(system, x)}

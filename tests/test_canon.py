@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadpencil.exact import (
     RatPoly,
@@ -45,6 +46,17 @@ def partial_fraction_tau(roots, weight_fn, k):
     for r in roots:
         acc += Fraction(r) ** k * weight_fn(Fraction(r))
     return acc
+
+
+class TestPowerSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
+    @example([0, 1, 2, 3, 4])
+    def test_against_roots(self, roots):
+        # past k = n Newton's identities use all n coefficients of P
+        n = len(roots)
+        sums = power_sums(RatPoly.from_roots(roots), 2 * n + 2)
+        assert sums == [sum(Fraction(r) ** k for r in roots) for k in range(2 * n + 3)]
 
 
 class TestTraceIdentities:

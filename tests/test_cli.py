@@ -499,11 +499,14 @@ def _cli_env() -> dict:
     return env
 
 
-def test_negative_control_without_dimension():
+@pytest.mark.parametrize("dims", ["0", "2", "0,2"])
+def test_negative_control_without_dimension(dims):
     # no nonzero vector exists at total dimension 0, so a redraw of the
-    # global subspace could never stop; a subprocess, so a hang fails
+    # global subspace could never stop; at total dimension 2 the redrawn
+    # line is the anisotropic vector, and duality cannot fail.  A
+    # subprocess, so a hang fails
     proc = subprocess.run(
-        [sys.executable, "-m", "quadpencil.cli", "simulate", "--dims", "0", "--negative-control"],
+        [sys.executable, "-m", "quadpencil.cli", "simulate", "--dims", dims, "--negative-control"],
         capture_output=True, env=_cli_env(), text=True, timeout=60,
     )
     assert proc.returncode == 1
@@ -562,6 +565,35 @@ class TestGoldenBytes:
         pen = Pencil(diag(10**400, -1, 2, -3, 5), diag(1, 2, 3, 4, 5))
         expected = (0, "9489b6765f8c3eddba462cd96889b6bea2b786b171db8597d69a503efbfb7bb8")
         assert self._analyze(pen, tmp_path, capsys) == expected
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["canon", "--poly", "t^5-2"],
+             "78f37f744f4d31519a24a59738846721e5f6d60f6b4902cd6d38ee5fc2acecc1"),
+            (["kummer", "--poly", "t^5-2", "--delta", "t^2+2", "--b", "1"],
+             "f78db026d88d331544b3c4caf02f979c50f37e90dcd2b3d14efb71979c37b6ce"),
+            (["kummer", "--poly", "t*(t-1)*(t-2)*(t-3)*(t-4)", "--delta", "5;5;1;1;1", "--b", "7"],
+             "8e4b1a5ea71ec5a67b04538ee7b31812b0e4b455cc0f2a2194ecc02a437c8c2c"),
+            (["search", "--poly", "t^5-2", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
+             "9909e402ec7e6133c044f0545b11c29aaff92f02d1f5ad35448ef714f7ca9620"),
+            (["search", "--poly", "t^5-5*t+12", "--delta", "5*t^4-5",
+              "--conditions", "[[[2,1],[2,1],[1,0]],[[2,0],[2,0],[1,0]]]"],
+             "c5ac19a3ed47dd53fdd604594a5b76aaf7b9209c637e7dfd32b817388af2ee95"),
+            (["simulate", "--systems", "200", "--dims", "4,4,4"],
+             "860e8108eba6435c057a899c764f2ffdf468d04a1304ff472d05c8b7dd919637"),
+            (["simulate", "--dims", "4,4,4,4,4", "--mode", "A", "--start-dim", "5"],
+             "bfb2dffe2325aa60332e480dbf232f2255e4c80f2b429f96eb0b1822638f799b"),
+            (["simulate", "--systems", "50", "--dims", "2,2,2", "--negative-control"],
+             "fd27f03b20abd12f53c83bcb631308b6bdbfb8ea335db3318a5552fd7863c8ec"),
+        ],
+        ids=["canon", "kummer-t5-2", "kummer-split", "search-t5-2", "search-d10",
+             "simulate", "simulate-descent", "simulate-negative-control"],
+    )
+    def test_readme_examples(self, argv, expected, capsys):
+        # the README's canon, kummer, search and simulate examples with --json
+        code = main(["--json", *argv])
+        assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (0, expected)
 
 
 class TestCanonKummer:

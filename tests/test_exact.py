@@ -21,7 +21,9 @@ from quadpencil.exact import (
     cycle_type,
     discriminant,
     factor_q,
+    fp_divmod,
     fp_reduce,
+    fp_rem,
     fp_roots,
     fp_trim,
     good_primes,
@@ -50,6 +52,7 @@ from reference import (
     hilbert_symbol,
     local_square,
     count_calls,
+    from_sympy,
     nextprime_walk,
     refuse_sympy,
     shift,
@@ -57,6 +60,7 @@ from reference import (
     strip_square_content_by_trial_division,
     sympy_factor_q,
     sympy_rational_roots,
+    to_sympy,
 )
 
 
@@ -320,6 +324,67 @@ class TestIntegerPolynomials:
     def test_poly_mul(self):
         assert poly_mul([1, 2], [3, 0, 4]) == [3, 6, 4, 8]
         assert poly_mul([], [1]) == []
+
+
+# rational coefficient lists, zero-heavy so that interior zeros occur
+rat_polys = st.lists(
+    st.sampled_from([Fraction(0)] * 3) | st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    max_size=7,
+).map(RatPoly.of)
+
+
+def qq_div(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Oracle: sympy's division with remainder over QQ."""
+    q, r = sympy.div(to_sympy(a).as_expr(), to_sympy(b).as_expr(), sympy.Symbol("t"), domain=sympy.QQ)
+    return tuple(from_sympy(sympy.Poly(x, sympy.Symbol("t"), domain=sympy.QQ)) for x in (q, r))
+
+
+class TestRatPolyKernels:
+    """Product and long division over Q against sympy."""
+
+    @staticmethod
+    def assert_fractions(*fs: RatPoly):
+        assert all(type(c) is Fraction for f in fs for c in f.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rat_polys, rat_polys)
+    @example(poly(1, 0, 0, 1), poly(1))  # (t^3 + 1) * 1: t and t^2 get no product
+    @example(poly(), poly(Fraction(1, 3), 0, 2))  # zero operand
+    def test_mul(self, a, b):
+        prod = a * b
+        self.assert_fractions(prod)
+        expected = to_sympy(a).as_expr() * to_sympy(b).as_expr()
+        assert prod == from_sympy(sympy.Poly(sympy.expand(expected), sympy.Symbol("t"), domain=sympy.QQ))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rat_polys, rat_polys.filter(lambda f: not f.is_zero))
+    @example(poly(), poly(1, 2))  # zero dividend
+    @example(poly(Fraction(1, 2), 3), poly(0, 0, 0, 5))  # divisor of higher degree
+    @example(poly(1, 0, 0, 0, 0, 7), poly(Fraction(-2, 3), 0, 1))  # interior zeros
+    def test_divmod(self, a, b):
+        q, r = divmod(a, b)
+        self.assert_fractions(q, r)
+        assert (q, r) == qq_div(a, b)
+        assert q * b + r == a and r.degree < b.degree
+
+
+def fp_div_oracle(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Oracle: sympy's division of polynomials over GF(p)."""
+    t = sympy.Symbol("t")
+    q, r = sympy.Poly(a[::-1] or [0], t, modulus=p).div(sympy.Poly(m[::-1], t, modulus=p))
+    return tuple(fp_trim([int(c) % p for c in reversed(x.all_coeffs())]) for x in (q, r))
+
+
+class TestFpDivmod:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+    def test_against_sympy(self, p, data):
+        # the dividend may be any int list: the result is reduced mod p
+        a = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=9))
+        m = data.draw(st.lists(st.integers(0, p - 1), max_size=6)) + [data.draw(st.integers(1, p - 1))]
+        q, r = fp_divmod(a, m, p)
+        assert (q, r) == fp_div_oracle(a, m, p)
+        assert fp_rem(a, m, p) == r
 
 
 @st.composite

@@ -25,7 +25,14 @@ from quadpencil.selmersim import (
     twist_at,
     verify_pt_duality,
 )
-from reference import ct_kernel, endgame_pairing, exhaustive_selmer, span
+from reference import (
+    ct_kernel,
+    endgame_pairing,
+    exhaustive_selmer,
+    pair_split_by_bits,
+    q_split_by_bits,
+    span,
+)
 
 
 class TestLocalSpace:
@@ -46,6 +53,16 @@ class TestLocalSpace:
         # q(e1 + f1) = 1 in the d = 1 split plane
         with pytest.raises(ValueError):
             LocalSpace(1, (0b11,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 16).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, (1 << (2 * d + 2)) - 1),
+                            st.integers(0, (1 << (2 * d + 2)) - 1))))
+    def test_popcount_forms_match_bits(self, dxy):
+        # bits at 2d and above are ignored by both
+        d, x, y = dxy
+        assert q_split(x, d) == q_split_by_bits(x, d)
+        assert pair_split(x, y, d) == pair_split_by_bits(x, y, d)
 
     def test_transvection_preserves_q(self):
         rng = random.Random(1)
