@@ -429,6 +429,8 @@ MAX_PLACES = 16
 
 
 def run_simulate(args) -> int:
+    """Check --dims, run the seeded corpus of `selmersim.check_corpus` and,
+    with --mode, the descent search, and report both."""
     dims = [int(x) for x in args.dims.split(",")]
     if any(d < 0 or d % 2 or d > MAX_LOCAL_DIM for d in dims):
         raise ValueError(
@@ -437,44 +439,7 @@ def run_simulate(args) -> int:
         )
     if len(dims) > MAX_PLACES:
         raise ValueError(f"at most {MAX_PLACES} places: {len(dims)} given")
-    if args.negative_control and sum(dims) < 4:
-        # at total dimension 0 no nonzero vector exists, so the redraw below
-        # could never stop; at 2 the redrawn line is the anisotropic vector,
-        # and both sides of the duality check are all of H_v
-        raise ValueError(f"--negative-control needs a total dimension of at least 4: {args.dims!r}")
-    num_systems = args.systems
-    duality_checks = duality_failures = 0
-    twist_checks = twist_failures = 0
-    traces = []
-    import random as _random
-
-    rng = _random.Random(args.seed)
-    for k in range(num_systems):
-        system = selmersim.make_system(args.seed + k, len(dims), dims)
-        if args.negative_control:
-            n = system.total_dim
-            while True:
-                cand = selmersim.gf2.reduce_basis(
-                    [rng.randrange(1, 1 << n) for _ in range(sum(d // 2 for d in dims))]
-                )
-                if len(cand) == sum(d // 2 for d in dims) and any(
-                    system.q_total(x) for x in cand
-                ):
-                    break
-            system = selmersim.SelmerSystem(system.places, tuple(cand))
-        for v in range(len(dims)):
-            duality_checks += 1
-            if not selmersim.verify_pt_duality(system, v):
-                duality_failures += 1
-        for v in range(len(dims)):
-            if system.places[v].d == 0:
-                continue
-            try:
-                cond = selmersim.random_transverse_condition(rng, system.places[v])
-                _, step = selmersim.twist_at(system, v, cond)
-                twist_checks += 1
-            except (RuntimeError, ValueError):
-                twist_failures += 1
+    corpus = selmersim.check_corpus(args.seed, dims, args.systems, args.negative_control)
     descent = None
     if args.mode:
         found = selmersim.find_descent_instance(
@@ -489,26 +454,26 @@ def run_simulate(args) -> int:
         "seed": args.seed,
         "config": {
             "dims": dims,
-            "systems": num_systems,
+            "systems": args.systems,
             "mode": args.mode,
             "negative_control": bool(args.negative_control),
         },
-        "duality": {"checks": duality_checks, "failures": duality_failures},
-        "twists": {"checks": twist_checks, "failures": twist_failures},
+        **corpus,
         "descent": descent,
     }
+    duality, twists = corpus["duality"], corpus["twists"]
     human = "\n".join(
         [
-            f"systems: {num_systems}, dims {dims}",
-            f"duality: {duality_checks - duality_failures}/{duality_checks} pass",
-            f"twist laws: {twist_checks}/{twist_checks + twist_failures} pass",
+            f"systems: {args.systems}, dims {dims}",
+            f"duality: {duality['checks'] - duality['failures']}/{duality['checks']} pass",
+            f"twist laws: {twists['checks']}/{twists['checks'] + twists['failures']} pass",
             f"descent: {descent}",
         ]
     )
     _emit(args, payload, human)
     if args.negative_control:
-        return 0 if duality_failures > 0 else 1
-    return 0 if duality_failures == 0 and twist_failures == 0 else 1
+        return 0 if duality["failures"] > 0 else 1
+    return 0 if duality["failures"] == 0 and twists["failures"] == 0 else 1
 
 
 EXPECTED_LEMMA_TABLE = {

@@ -261,11 +261,6 @@ def resolvent_sextic(P: RatPoly) -> list[int]:
     return out
 
 
-def _is_separable(f: RatPoly) -> bool:
-    """disc(f) != 0, for a monic f in Z[t]."""
-    return unramified_prime(f) is not None
-
-
 def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:
     """Monic quintic whose roots are r^2 + c*r over the roots r of P: the
     characteristic polynomial of multiplication by y^2 + c*y on the power
@@ -277,7 +272,7 @@ def _tschirnhausen(P: RatPoly, c: int) -> Optional[RatPoly]:
         cols.append(col)
         col = (col * y) % P
     q = char_poly(tuple(tuple(f[i] for f in cols) for i in range(P.degree)))
-    return q if _is_separable(q) else None
+    return q if unramified_prime(q) is not None else None
 
 
 def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
@@ -290,14 +285,11 @@ def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
         if p is not None:
             roots = integer_roots(sext, p)
             return (Fraction(roots[0]) if roots else None), steps
-        steps += 1
-        if steps > 12:
-            raise ArithmeticError("no separable resolvent found after 12 transforms")
-        nxt = _tschirnhausen(work, steps)
+        nxt = None
         while nxt is None:
             steps += 1
             if steps > 12:
-                raise ArithmeticError("no usable transformation found")
+                raise ArithmeticError("no separable resolvent found after 12 transforms")
             nxt = _tschirnhausen(work, steps)
         work = nxt
 

@@ -656,10 +656,13 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
                 yield w, m + 1, free
 
     # the unit charts: (1, s, t); (p s, 1, t), one ball per t mod p; (p s, p t, 1)
-    charts = [([1, 0, 0], 0, (1, 2))]
-    charts += [([0, 1, t], 1, (0, 2)) for t in range(p)]
-    charts += [([0, 0, 1], 1, (0, 1))]
-    stack = [iter(charts)]
+    # chained lazily: at a large prime the first balls usually decide
+    charts = itertools.chain(
+        [([1, 0, 0], 0, (1, 2))],
+        (([0, 1, t], 1, (0, 2)) for t in range(p)),
+        [([0, 0, 1], 1, (0, 1))],
+    )
+    stack = [charts]
     nodes = depth = 0
     while stack:
         ball = next(stack[-1], None)

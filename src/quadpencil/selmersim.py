@@ -15,9 +15,17 @@ alone those laws are false, so conditions and global subspaces are kept
 isotropic for q throughout, matching the fact that Kummer-map images are
 isotropic for the quadratic refinement of the local pairing.
 
+Both forms are parities of one mask: with partner(y) the vector y with the
+two halves of every place swapped and `low` the mask of the first halves,
+q(x) is the parity of x & partner(x) & low and <x, y> that of
+x & partner(y).
+
 Orthogonal transvections x -> x + <x,u> u with q(u) = 1 preserve q and act
 transitively on the maximal isotropics, so seeded transvection words give
-deterministic "random" systems.
+deterministic "random" systems.  `check_corpus` runs the `simulate` corpus:
+duality at every place and one transverse twist per place of a run of
+seeded systems, optionally under a non-isotropic global subspace (the
+negative control).
 """
 
 from __future__ import annotations
@@ -25,55 +33,64 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import gf2
 
 
-def q_split(x: int, d: int) -> int:
-    """q(x) = sum x_i x_(d+i): the parity of the pairs of set bits."""
-    return (x & (x >> d) & ((1 << d) - 1)).bit_count() & 1
+def _pair_partner(x: int, d: int) -> int:
+    """x with its two halves swapped, for x < 2^(2d): y -> <x, y> is the
+    parity of y & _pair_partner(x, d)."""
+    return ((x & ((1 << d) - 1)) << d) | (x >> d)
 
 
-def pair_split(x: int, y: int, d: int) -> int:
-    """The polar pairing sum x_i y_(d+i) + y_i x_(d+i) of q, as one parity."""
-    return (((x & (y >> d)) ^ (y & (x >> d))) & ((1 << d) - 1)).bit_count() & 1
+def _transvection_word(
+    rng: random.Random,
+    basis: list[int],
+    n: int,
+    low: int,
+    partner: Callable[[int], int],
+    count: int,
+) -> list[int]:
+    """`basis` under `count` seeded orthogonal transvections of F_2^n, each
+    u redrawn until q(u) = 1, in reduced form."""
+    for _ in range(count):
+        u = pu = 0
+        while not (u & pu & low).bit_count() & 1:
+            u = rng.randrange(1, 1 << n)
+            pu = partner(u)
+        basis = [x ^ u if (x & pu).bit_count() & 1 else x for x in basis]
+    return gf2.reduce_basis(basis)
 
 
-def transvection(x: int, u: int, d: int) -> int:
-    return x ^ u if pair_split(x, u, d) else x
+def _check_maximal_isotropic(
+    basis: Sequence[int], r: int, low: int, partner: Callable[[int], int]
+) -> None:
+    """Raise ValueError unless `basis` is r independent vectors on which q
+    and the pairing vanish."""
+    if len(basis) != r or gf2.rank(basis) != r:
+        raise ValueError(f"a maximal isotropic needs {r} independent vectors")
+    for i, x in enumerate(basis):
+        px = partner(x)
+        if (x & px & low).bit_count() & 1 or any((y & px).bit_count() & 1 for y in basis[i + 1 :]):
+            raise ValueError("subspace is not isotropic for the quadratic form")
 
 
 def standard_lagrangian(d: int) -> list[int]:
     return [1 << i for i in range(d)]
 
 
-def random_isotropic(rng: random.Random, d: int, words: int = 0) -> list[int]:
+def random_isotropic(rng: random.Random, d: int) -> list[int]:
     """Image of the standard maximal isotropic under a seeded word of
     orthogonal transvections (q(u) = 1 vectors)."""
     if d == 0:
         return []
-    basis = standard_lagrangian(d)
-    n2 = 2 * d
     # odd/even word lengths reach the two rulings of the quadric, so both
     # intersection parities occur across seeds
-    count = words or 3 * d + 2 + rng.randrange(2)
-    for _ in range(count):
-        u = 0
-        while q_split(u, d) != 1:
-            u = rng.randrange(1, 1 << n2)
-        basis = [transvection(x, u, d) for x in basis]
-    return gf2.reduce_basis(basis)
-
-
-def is_isotropic_basis(basis: Sequence[int], d: int) -> bool:
-    for i, x in enumerate(basis):
-        if q_split(x, d):
-            return False
-        for y in basis[i + 1 :]:
-            if pair_split(x, y, d):
-                return False
-    return True
+    count = 3 * d + 2 + rng.randrange(2)
+    return _transvection_word(
+        rng, standard_lagrangian(d), 2 * d, (1 << d) - 1, lambda x: _pair_partner(x, d), count
+    )
 
 
 @dataclass(frozen=True)
@@ -85,12 +102,9 @@ class LocalSpace:
     condition: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.condition) != self.d:
-            raise ValueError("condition must have dimension d")
-        if gf2.rank(self.condition) != self.d:
-            raise ValueError("condition basis is dependent")
-        if not is_isotropic_basis(self.condition, self.d):
-            raise ValueError("condition is not isotropic for the quadratic form")
+        _check_maximal_isotropic(
+            self.condition, self.d, (1 << self.d) - 1, lambda x: _pair_partner(x, self.d)
+        )
 
     @property
     def dim(self) -> int:
@@ -113,35 +127,28 @@ class SelmerSystem:
     def total_dim(self) -> int:
         return self.offsets[-1]
 
-    def q_total(self, x: int) -> int:
-        acc = 0
-        for pl, off in zip(self.places, self.offsets):
-            acc ^= q_split((x >> off) & ((1 << pl.dim) - 1), pl.d)
-        return acc
+    @functools.cached_property
+    def low(self) -> int:
+        """The mask of the first halves of the places."""
+        return sum(((1 << pl.d) - 1) << off for pl, off in zip(self.places, self.offsets))
 
-    def pair_total(self, x: int, y: int) -> int:
-        acc = 0
-        for pl, off in zip(self.places, self.offsets):
-            mask = (1 << pl.dim) - 1
-            acc ^= pair_split((x >> off) & mask, (y >> off) & mask, pl.d)
-        return acc
+    def partner(self, y: int) -> int:
+        """y with the two halves of every place swapped: <x, y> is the
+        parity of x & partner(y)."""
+        out = 0
+        for v, pl in enumerate(self.places):
+            out |= _pair_partner(self.res(y, v), pl.d) << self.offsets[v]
+        return out
+
+    def q_total(self, x: int) -> int:
+        return (x & self.partner(x) & self.low).bit_count() & 1
 
     def res(self, x: int, v: int) -> int:
         off = self.offsets[v]
         return (x >> off) & ((1 << self.places[v].dim) - 1)
 
     def validate(self) -> None:
-        want = sum(pl.d for pl in self.places)
-        if len(self.global_lagrangian) != want:
-            raise ValueError("global subspace must have dimension sum d_v")
-        if gf2.rank(self.global_lagrangian) != want:
-            raise ValueError("global basis is dependent")
-        for i, x in enumerate(self.global_lagrangian):
-            if self.q_total(x):
-                raise ValueError("global subspace not isotropic for q")
-            for y in self.global_lagrangian[i + 1 :]:
-                if self.pair_total(x, y):
-                    raise ValueError("global subspace not isotropic for the pairing")
+        _check_maximal_isotropic(self.global_lagrangian, self.total_dim // 2, self.low, self.partner)
 
     def conditions_product(self) -> list[int]:
         out = []
@@ -150,19 +157,13 @@ class SelmerSystem:
         return out
 
 
-def make_system(
-    seed: int,
-    num_places: int,
-    dims,
-    condition_words: Optional[int] = None,
-    global_words: Optional[int] = None,
-) -> SelmerSystem:
+def make_system(seed: int, num_places: int, dims, global_words: Optional[int] = None) -> SelmerSystem:
     """Deterministic system from a seed: conditions and the global subspace
     are transvection words applied to standard maximal isotropics.
 
     dims: an even integer (same local dimension 2d everywhere) or a list of
-    even integers per place; zero is allowed and contributes nothing.  Short
-    word overrides keep the global subspace close to the product of
+    even integers per place; zero is allowed and contributes nothing.  A
+    short global word keeps the global subspace close to the product of
     conditions, which is how large-Selmer starting points are seeded.
     """
     if isinstance(dims, int):
@@ -172,36 +173,18 @@ def make_system(
     if any(x % 2 for x in dims):
         raise ValueError("local dimensions must be even")
     rng = random.Random(seed)
-    places = []
-    for dim in dims:
-        d = dim // 2
-        places.append(LocalSpace(d, tuple(random_isotropic(rng, d, words=condition_words or 0))))
-    total_d = sum(pl.d for pl in places)
-    system = SelmerSystem(
-        tuple(places), tuple(_global_word(rng, places, total_d, global_words))
-    )
+    places = tuple(LocalSpace(dim // 2, tuple(random_isotropic(rng, dim // 2))) for dim in dims)
+    # the global word starts from the product of the conditions, itself
+    # maximal isotropic
+    start = SelmerSystem(places, ())
+    glob = []
+    if start.total_dim:
+        n = start.total_dim
+        count = global_words if global_words is not None else 2 * n + 4 + rng.randrange(2)
+        glob = _transvection_word(rng, start.conditions_product(), n, start.low, start.partner, count)
+    system = SelmerSystem(places, tuple(glob))
     system.validate()
     return system
-
-
-def _global_word(
-    rng: random.Random,
-    places: Sequence[LocalSpace],
-    total_d: int,
-    words: Optional[int] = None,
-) -> list[int]:
-    # start from the product of the conditions, itself maximal isotropic
-    system = SelmerSystem(tuple(places), ())
-    basis = system.conditions_product()
-    if system.total_dim == 0:
-        return []
-    count = words if words is not None else 4 * total_d + 4 + rng.randrange(2)
-    for _ in range(count):
-        u = 0
-        while system.q_total(u) != 1:
-            u = rng.randrange(1, 1 << system.total_dim)
-        basis = [x ^ u if system.pair_total(x, u) else x for x in basis]
-    return gf2.reduce_basis(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +193,12 @@ def _global_word(
 
 def selmer(system: SelmerSystem) -> list[int]:
     """Global subspace meet the product of local conditions, by basis."""
-    return gf2.intersect(
-        list(system.global_lagrangian), system.conditions_product(), system.total_dim
-    )
+    return relaxed_selmer(system, None)
 
 
-def relaxed_selmer(system: SelmerSystem, v: int) -> list[int]:
-    """Selmer conditions away from v, no condition at v."""
+def relaxed_selmer(system: SelmerSystem, v: Optional[int]) -> list[int]:
+    """Selmer conditions away from v, no condition at v (v None: the Selmer
+    group itself)."""
     cond = []
     for i, (pl, off) in enumerate(zip(system.places, system.offsets)):
         if i == v:
@@ -243,13 +225,6 @@ def verify_pt_duality(system: SelmerSystem, v: int) -> bool:
     rows = [_pair_partner(x, pl.d) for x in gf2.reduce_basis(res_sel)]
     ann = gf2.null_space(rows, pl.dim)
     return gf2.same_space(image_plus, ann)
-
-
-def _pair_partner(x: int, d: int) -> int:
-    """y -> <x, y> equals the dot product with the half-swapped mask."""
-    lo = x & ((1 << d) - 1)
-    hi = x >> d
-    return (lo << d) | hi
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +379,19 @@ def descent_driver(
 
 
 def find_descent_instance(
-    mode: str,
-    start_dim: int,
-    num_places: int,
-    dims,
-    max_seed: int = 4000,
-    global_words: Optional[int] = None,
+    mode: str, start_dim: int, num_places: int, dims, max_seed: int = 4000
 ) -> Optional[tuple[int, SelmerSystem, DescentTrace]]:
     """Seed search for a system whose descent reaches its terminal dimension
     from the requested starting dimension.
 
-    Short global words (or a small sweep of them) are how high starting
-    dimensions are found: random maximal isotropics intersect in low
-    dimension almost always.
+    A small sweep of short global words is how high starting dimensions are
+    found: random maximal isotropics intersect in low dimension almost
+    always.
     """
-    if global_words is not None:
-        word_choices = [global_words]
-    else:
-        total_d = (sum(dims) if not isinstance(dims, int) else dims * num_places) // 2
-        center = total_d - start_dim
-        word_choices = [w for w in (center, center + 1, center + 2, center + 4) if w >= 0]
-        word_choices.append(None)
-    for words in word_choices:
+    total_d = (sum(dims) if not isinstance(dims, int) else dims * num_places) // 2
+    center = total_d - start_dim
+    word_choices = [w for w in (center, center + 1, center + 2, center + 4) if w >= 0]
+    for words in word_choices + [None]:
         for seed in range(max_seed):
             system = make_system(seed, num_places, dims, global_words=words)
             sel = selmer(system)
@@ -439,3 +405,45 @@ def find_descent_instance(
                 if trace.terminated and trace.dims[0] == start_dim:
                     return seed, system, trace
     return None
+
+
+# ---------------------------------------------------------------------------
+# The simulate corpus
+
+
+def check_corpus(seed: int, dims: Sequence[int], systems: int, negative_control: bool = False) -> dict:
+    """Duality at every place and one transverse twist per place of positive
+    dimension, over the systems seeded seed, seed + 1, ...; with the
+    negative control each global subspace is first replaced by a seeded
+    one on which q does not vanish.  Returns the checks and failures of
+    each kind."""
+    r = sum(dims) // 2
+    if negative_control and r < 2:
+        # at total dimension 0 no nonzero vector exists, so the redraw below
+        # could never stop; at 2 the redrawn line is the anisotropic vector,
+        # and both sides of the duality check are all of H_v
+        raise ValueError(
+            "--negative-control needs a total dimension of at least 4: "
+            f"{','.join(map(str, dims))!r}"
+        )
+    counts = {"duality": {"checks": 0, "failures": 0}, "twists": {"checks": 0, "failures": 0}}
+    rng = random.Random(seed)
+    for k in range(systems):
+        system = make_system(seed + k, len(dims), dims)
+        if negative_control:
+            cand = []
+            while len(cand) != r or not any(system.q_total(x) for x in cand):
+                cand = gf2.reduce_basis([rng.randrange(1, 1 << (2 * r)) for _ in range(r)])
+            system = SelmerSystem(system.places, tuple(cand))
+        for v in range(len(dims)):
+            counts["duality"]["checks"] += 1
+            counts["duality"]["failures"] += not verify_pt_duality(system, v)
+        for v, pl in enumerate(system.places):
+            if pl.d == 0:
+                continue
+            try:
+                twist_at(system, v, random_transverse_condition(rng, pl))
+                counts["twists"]["checks"] += 1
+            except (RuntimeError, ValueError):
+                counts["twists"]["failures"] += 1
+    return counts

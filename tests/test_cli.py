@@ -586,12 +586,22 @@ class TestGoldenBytes:
              "bfb2dffe2325aa60332e480dbf232f2255e4c80f2b429f96eb0b1822638f799b"),
             (["simulate", "--systems", "50", "--dims", "2,2,2", "--negative-control"],
              "fd27f03b20abd12f53c83bcb631308b6bdbfb8ea335db3318a5552fd7863c8ec"),
+            (["--seed", "123", "simulate", "--systems", "40", "--dims", "2,4,2"],
+             "2c83831a7223c1a4cc899bdd6b7fba3cfc69548c82c4a03205bca43c7db61323"),
+            (["--seed", "5", "simulate", "--systems", "20", "--dims", "4,0,4", "--negative-control"],
+             "60699a553d3d3cb52f6399d2cd25e68d63ea7c58206f08dcc6dc27efb570fcfe"),
+            (["--seed", "9", "simulate", "--systems", "30", "--dims", "8,8,8", "--mode", "B",
+              "--start-dim", "7", "--descent-seeds", "300"],
+             "dd7e0cfe623fef0345831e7f4c7449ac9a24212c682616e2de859aa1c2ee5e64"),
         ],
         ids=["canon", "kummer-t5-2", "kummer-split", "search-t5-2", "search-d10",
-             "simulate", "simulate-descent", "simulate-negative-control"],
+             "simulate", "simulate-descent", "simulate-negative-control",
+             "simulate-mixed-dims", "simulate-zero-place-control", "simulate-mode-b"],
     )
     def test_readme_examples(self, argv, expected, capsys):
-        # the README's canon, kummer, search and simulate examples with --json
+        # the README's canon, kummer, search and simulate examples with --json,
+        # and three more simulate runs: mixed dimensions, a zero-dimensional
+        # place under the negative control, and a mode B descent
         code = main(["--json", *argv])
         assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (0, expected)
 

@@ -59,6 +59,21 @@ def test_only_main_maps_errors():
                 f"cli.py line {node.lineno} returns an exit code outside main"
 
 
+def test_cli_reaches_no_module_through_another():
+    # cli.py calls each module it uses by that module's own name, and only
+    # selmersim builds a SelmerSystem: the simulator's internals stay in it
+    modules = {path.stem for path in SRC.glob("*.py")}
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            inner = node.value
+            assert not (isinstance(inner.value, ast.Name) and inner.value.id in modules
+                        and inner.attr in modules), \
+                f"cli.py line {node.lineno} reaches {inner.attr} through {inner.value.id}"
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "selmersim.py":
+            assert "SelmerSystem(" not in path.read_text(), f"{path.name} builds a SelmerSystem"
+
+
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 

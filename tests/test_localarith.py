@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -676,6 +677,18 @@ class TestSplitSoluble:
         assert cert.verdict == "soluble"
         check_hensel_witness(pen, 11, cert.witness)
 
+    def test_large_prime_builds_no_chart_list(self):
+        # a good prime decides in the first balls, so the p + 2 balls of
+        # the charts must not all be built before the first is visited
+        _, model = split_model(*UNDECIDED_BY_SEARCH[0])
+        tracemalloc.start()
+        try:
+            cert = split_soluble(model, 1000003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict == "soluble"
+        assert peak < 2**20
 
     @pytest.mark.parametrize("roots,deltas", UNDECIDED_BY_SEARCH)
     def test_cli_decides_every_place(self, roots, deltas, tmp_path):

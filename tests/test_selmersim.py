@@ -1,27 +1,27 @@
 """Tests for the synthetic 2-Selmer twisting machinery."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadpencil import gf2
+from quadpencil.cli import main
 from quadpencil.selmersim import (
     DescentBlockedError,
     LocalSpace,
     SelmerSystem,
+    _pair_partner,
+    check_corpus,
     descent_driver,
     find_descent_instance,
-    is_isotropic_basis,
     make_system,
-    pair_split,
-    q_split,
     random_isotropic,
     random_transverse_condition,
     relaxed_selmer,
     selmer,
     standard_lagrangian,
-    transvection,
     twist_at,
     verify_pt_duality,
 )
@@ -38,7 +38,7 @@ from reference import (
 class TestLocalSpace:
     def test_standard_is_isotropic(self):
         for d in (1, 2, 3):
-            assert is_isotropic_basis(standard_lagrangian(d), d)
+            LocalSpace(d, tuple(standard_lagrangian(d)))  # validates
 
     def test_random_isotropic_valid(self):
         rng = random.Random(0)
@@ -47,7 +47,7 @@ class TestLocalSpace:
                 basis = random_isotropic(rng, d)
                 assert len(basis) == d
                 assert gf2.rank(basis) == d
-                assert is_isotropic_basis(basis, d)
+                LocalSpace(d, tuple(basis))  # validates
 
     def test_non_isotropic_rejected(self):
         # q(e1 + f1) = 1 in the d = 1 split plane
@@ -59,20 +59,47 @@ class TestLocalSpace:
         lambda d: st.tuples(st.just(d), st.integers(0, (1 << (2 * d + 2)) - 1),
                             st.integers(0, (1 << (2 * d + 2)) - 1))))
     def test_popcount_forms_match_bits(self, dxy):
-        # bits at 2d and above are ignored by both
+        # _pair_partner is defined on vectors below 2^(2d); the oracles
+        # ignore the bits above
         d, x, y = dxy
-        assert q_split(x, d) == q_split_by_bits(x, d)
-        assert pair_split(x, y, d) == pair_split_by_bits(x, y, d)
+        x &= (1 << (2 * d)) - 1
+        y &= (1 << (2 * d)) - 1
+        assert (x & _pair_partner(x, d) & ((1 << d) - 1)).bit_count() & 1 == q_split_by_bits(x, d)
+        assert (x & _pair_partner(y, d)).bit_count() & 1 == pair_split_by_bits(x, y, d)
 
     def test_transvection_preserves_q(self):
         rng = random.Random(1)
         d = 3
+        system = SelmerSystem((LocalSpace(d, tuple(standard_lagrangian(d))),), ())
         for _ in range(100):
             u = rng.randrange(1, 1 << (2 * d))
-            if q_split(u, d) != 1:
+            if system.q_total(u) != 1:
                 continue
             x = rng.randrange(1 << (2 * d))
-            assert q_split(transvection(x, u, d), d) == q_split(x, d)
+            image = x ^ u if pair_split_by_bits(x, u, d) else x
+            assert system.q_total(image) == system.q_total(x)
+
+
+class TestSystemForms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6).flatmap(
+        lambda ds: st.tuples(st.just(ds), st.integers(0, (1 << (2 * sum(ds))) - 1),
+                             st.integers(0, (1 << (2 * sum(ds))) - 1))))
+    def test_q_total_and_partner_match_bits(self, case):
+        # q and the pairing of the direct sum are the sums of the per-place
+        # forms; places of dimension 0 contribute nothing
+        ds, x, y = case
+        places = tuple(LocalSpace(d, tuple(standard_lagrangian(d))) for d in ds)
+        system = SelmerSystem(places, ())
+        q = pair = off = 0
+        for d in ds:
+            xv, yv = (x >> off) & ((1 << (2 * d)) - 1), (y >> off) & ((1 << (2 * d)) - 1)
+            q ^= q_split_by_bits(xv, d)
+            pair ^= pair_split_by_bits(xv, yv, d)
+            off += 2 * d
+        assert system.q_total(x) == q
+        assert (x & system.partner(y)).bit_count() & 1 == pair
+        assert (y & system.partner(x)).bit_count() & 1 == pair
 
 
 class TestMakeSystem:
@@ -166,6 +193,22 @@ class TestDuality:
             if not all(verify_pt_duality(bad, v) for v in range(3)):
                 detected += 1
         assert detected > 0
+
+
+class TestCheckCorpus:
+    def test_negative_control_and_cli_counts(self, tmp_path):
+        control = check_corpus(0, [2, 2, 2], 50, negative_control=True)
+        assert control["duality"]["checks"] == 150
+        assert control["duality"]["failures"] > 0
+        plain = check_corpus(0, [2, 2, 2], 50)
+        assert plain["duality"] == {"checks": 150, "failures": 0}
+        assert plain["twists"] == {"checks": 150, "failures": 0}
+        for counts, flags in ((control, ["--negative-control"]), (plain, [])):
+            out = tmp_path / "sim.json"
+            main(["--json", "--seed", "0", "--out", str(out), "simulate", "--systems", "50",
+                  "--dims", "2,2,2", *flags])
+            data = json.loads(out.read_text())
+            assert {"duality": data["duality"], "twists": data["twists"]} == counts
 
 
 class TestTwist:
