@@ -7,9 +7,11 @@ and wall-clock timings appear only in the human-readable output.
 
 Exit codes: 0 success (and --help); 2 for honest "unknown" outcomes,
 a witness search that exhausts its prime bound included; 1 for errors
-(bad input or arguments, singular pencils, an unwritable --out).  The verbs
-raise, and `main` alone maps what they raise to an exit code and reports
-errors and exhausted searches as one `error:` line each.
+(bad input or arguments, singular pencils, an unwritable --out).  Each verb
+returns (payload, human, code): the report's own fields, its human text
+and its exit code.  `main` alone writes them, adding the report header and
+encoding the payload as JSON, and maps what the verbs raise to an exit
+code, reporting errors and exhausted searches as one `error:` line each.
 """
 
 from __future__ import annotations
@@ -29,14 +31,6 @@ from .exact import RatPoly, prime_place
 from .pencil import rat_str
 
 SCHEMA_VERSION = "quadpencil-report-4"
-
-
-def _poly_json(f: RatPoly) -> list[str]:
-    return [rat_str(c) for c in f.coeffs]
-
-
-def _matrix_json(m) -> list[list[str]]:
-    return [[rat_str(x) for x in row] for row in m]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -161,16 +155,25 @@ def parse_conditions(text: str) -> list:
         raise ValueError(f"malformed conditions {text!r}: {e}") from None
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        text = json.dumps(payload, indent=1, sort_keys=True)
-    else:
-        text = human
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _json_value(x):
+    """The JSON form of a report value: rationals as "num/den" strings,
+    polynomials as their coefficients (low to high) and certificates and
+    classifications as their fields; TypeError for any other type."""
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, Fraction):
+        return rat_str(x)
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, RatPoly):
+        return [rat_str(c) for c in x.coeffs]
+    if isinstance(x, localarith.LocalCertificate):
+        return {**vars(x), "place": str(x.place)}  # the witness is plain JSON
+    if isinstance(x, pencil.HasseClassification):
+        return _json_value(vars(x))
+    raise TypeError(f"no JSON form for a report value of type {type(x).__name__}")
 
 
 def _load_pencil(path: str) -> pencil.Pencil:
@@ -178,13 +181,8 @@ def _load_pencil(path: str) -> pencil.Pencil:
         return pencil.pencil_loads(fh.read())
 
 
-def _certificates_json(certs) -> list[dict]:
-    return [{"place": str(c.place), "verdict": c.verdict, "reason": c.reason, "witness": c.witness}
-            for c in certs]
-
-
-def _witness_json(wit: localarith.BTWitness) -> dict:
-    return {"b": rat_str(wit.b), "primes": list(wit.primes), "valuations": list(wit.valuations)}
+def _witness_fields(wit: localarith.BTWitness) -> dict:
+    return {"b": wit.b, "primes": wit.primes, "valuations": wit.valuations}
 
 
 def _verdicts_code(certs) -> int:
@@ -205,7 +203,7 @@ SWEEP_PRIMES = (3, 5, 7, 11, 13)
 # analyze
 
 
-def run_analyze(args) -> int:
+def run_analyze(args) -> tuple[dict, str, int]:
     t0 = time.time()
     pen = _load_pencil(args.input)
     conditions = None if args.conditions is None else parse_conditions(args.conditions)
@@ -213,8 +211,8 @@ def run_analyze(args) -> int:
     norm = pencil.normalize_pencil(pen)
     inv = pencil.delta_invariant(norm)
     profile = galois.galois_group_quintic(norm.P, inv.factors, inv.disc)
-    b_dim = pencil.b_delta_group(inv).dimension
-    cls = pencil.hasse_class(inv, profile)
+    b = pencil.b_delta_group(inv)
+    cls = pencil.hasse_class(inv, profile, b)
 
     certs = [localarith.real_soluble(pen)]
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
@@ -230,13 +228,11 @@ def run_analyze(args) -> int:
             s0,
             prime_bound=args.prime_bound,
         )
-        witness = _witness_json(wit)
+        witness = _witness_fields(wit)
 
     elapsed = time.time() - t0
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
-        "seed": args.seed,
         "config": {
             "margin": args.margin,
             "effort": args.effort,
@@ -244,27 +240,20 @@ def run_analyze(args) -> int:
         },
         "input_sha256": digest,
         "chart": [rat_str(x) for x in norm.chart],
-        "P": _poly_json(norm.P),
-        "lead": rat_str(norm.lead),
-        "factors": [_poly_json(f) for f in inv.factors],
-        "delta_reps": [_poly_json(d) for d in inv.delta_reps],
-        "square_flags": list(inv.square_flags),
+        "P": norm.P,
+        "lead": norm.lead,
+        "factors": inv.factors,
+        "delta_reps": inv.delta_reps,
+        "square_flags": inv.square_flags,
         "galois": {
             "label": profile.label,
             "disc_is_square": profile.disc_is_square,
-            "resolvent_root": None
-            if profile.resolvent_root is None
-            else rat_str(profile.resolvent_root),
-            "certificate": _poly_json(c) if isinstance(c := profile.certificate, RatPoly) else c,
+            "resolvent_root": profile.resolvent_root,
+            "certificate": profile.certificate,
         },
-        "brauer_dimension": b_dim,
-        "classification": {
-            "kind": cls.kind,
-            "factor_degrees": list(cls.factor_degrees),
-            "b_dimension": cls.b_dimension,
-            "galois_label": cls.galois_label,
-        },
-        "local_certificates": _certificates_json(certs),
+        "brauer_dimension": b.dimension,
+        "classification": cls,
+        "local_certificates": certs,
         "witness": witness,
     }
     lines = [
@@ -273,13 +262,12 @@ def run_analyze(args) -> int:
         f"factors: {[str(f) for f in inv.factors]}",
         f"delta flags: {list(inv.square_flags)}",
         f"galois: {profile.label}",
-        f"B-dimension: {b_dim}",
+        f"B-dimension: {b.dimension}",
         f"classification: {cls.kind}",
         "local: " + ", ".join(f"{c.place}:{c.verdict}" for c in certs),
         f"elapsed: {elapsed:.2f}s",
     ]
-    _emit(args, payload, "\n".join(lines))
-    return _verdicts_code(certs)
+    return payload, "\n".join(lines), _verdicts_code(certs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +275,7 @@ def run_analyze(args) -> int:
 
 
 def _model_payload(model: canon.CanonicalModel) -> dict:
-    return {
-        "P": _poly_json(model.P),
-        "delta": _poly_json(model.delta),
-        "gram1": _matrix_json(model.gram1),
-        "gram2": _matrix_json(model.gram2),
-    }
+    return {"P": model.P, "delta": model.delta, "gram1": model.gram1, "gram2": model.gram2}
 
 
 def _quadric_str(g, names) -> str:
@@ -309,15 +292,10 @@ def _quadric_str(g, names) -> str:
     return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
-def run_canon(args) -> int:
+def run_canon(args) -> tuple[dict, str, int]:
     P = parse_poly(args.poly)
     model = canon.canonical_quadrics(P, parse_delta(args.delta, P))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "canonical-model",
-        "seed": args.seed,
-        **_model_payload(model),
-    }
+    payload = {"kind": "canonical-model", **_model_payload(model)}
     names = ["u0", "u1", "u2", "u3", "u4"]
     human = "\n".join(
         [
@@ -327,37 +305,33 @@ def run_canon(args) -> int:
             f"Q2: {_quadric_str(model.gram2, names)} = 0",
         ]
     )
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
-def run_kummer(args) -> int:
+def run_kummer(args) -> tuple[dict, str, int]:
     P = parse_poly(args.poly)
     km = canon.kummer_model(P, parse_delta(args.delta, P), parse_rational(args.b))
+    qs = km.quadrics()
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "kind": "kummer-model",
-        "seed": args.seed,
-        "b": rat_str(km.b),
+        "b": km.b,
         **_model_payload(km.base),
-        "gram3": _matrix_json(km.gram3),
-        "quadrics": [_matrix_json(q) for q in km.quadrics()],
+        "gram3": km.gram3,
+        "quadrics": qs,
     }
     names = ["x", "u0", "u1", "u2", "u3", "u4"]
-    qs = km.quadrics()
     human = "\n".join(
         [f"P = {P},  b = {km.b}"]
         + [f"Q{i+1}: {_quadric_str(q, names)} = 0" for i, q in enumerate(qs)]
     )
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
 # ---------------------------------------------------------------------------
 # search / local
 
 
-def run_search(args) -> int:
+def run_search(args) -> tuple[dict, str, int]:
     P = parse_poly(args.poly)
     if P.degree != 5:
         # normalize_delta's factor_q refuses an inseparable quintic
@@ -367,16 +341,9 @@ def run_search(args) -> int:
     delta_factors = [(f, dcomb % f) for f in factors]
     s0 = localarith.bad_set_s0(P, delta_factors, args.margin)
     wit = localarith.find_bT(P, delta_factors, conditions, s0, prime_bound=args.prime_bound)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bt-witness",
-        "seed": args.seed,
-        **_witness_json(wit),
-        "classes": [[list(pair) for pair in datum] for datum in wit.class_data],
-    }
+    payload = {"kind": "bt-witness", **_witness_fields(wit), "classes": wit.class_data}
     human = f"b = {wit.b}\nT = {list(wit.primes)} (val of P(b): {list(wit.valuations)})"
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
 def _padic_certificates(pen, split, places, effort: int) -> list:
@@ -388,7 +355,7 @@ def _padic_certificates(pen, split, places, effort: int) -> list:
     return [localarith.padic_soluble(pen.cleared[1:], p, effort=effort) for p in places]
 
 
-def run_local(args) -> int:
+def run_local(args) -> tuple[dict, str, int]:
     pen = _load_pencil(args.input)
     places = args.places and [prime_place(int(p)).p for p in args.places.split(",")]
     certs = [localarith.real_soluble(pen)]
@@ -404,15 +371,9 @@ def run_local(args) -> int:
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
         places = [p for p in SWEEP_PRIMES if p in s0]
     certs += _padic_certificates(pen, split, places, args.effort)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "local-certificates",
-        "seed": args.seed,
-        "certificates": _certificates_json(certs),
-    }
+    payload = {"kind": "local-certificates", "certificates": certs}
     human = "\n".join(f"{c.place}: {c.verdict} ({c.reason})" for c in certs)
-    _emit(args, payload, human)
-    return _verdicts_code(certs)
+    return payload, human, _verdicts_code(certs)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +389,7 @@ MAX_LOCAL_DIM = 16
 MAX_PLACES = 16
 
 
-def run_simulate(args) -> int:
+def run_simulate(args) -> tuple[dict, str, int]:
     """Check --dims, run the seeded corpus of `selmersim.check_corpus` and,
     with --mode, the descent search, and report both."""
     dims = [int(x) for x in args.dims.split(",")]
@@ -447,16 +408,14 @@ def run_simulate(args) -> int:
         )
         if found:
             seed, _, trace = found
-            descent = {"seed": seed, "dims": list(trace.dims), "mode": args.mode}
+            descent = {"seed": seed, "dims": trace.dims, "mode": args.mode}
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "kind": "simulation",
-        "seed": args.seed,
         "config": {
             "dims": dims,
             "systems": args.systems,
             "mode": args.mode,
-            "negative_control": bool(args.negative_control),
+            "negative_control": args.negative_control,
         },
         **corpus,
         "descent": descent,
@@ -470,10 +429,9 @@ def run_simulate(args) -> int:
             f"descent: {descent}",
         ]
     )
-    _emit(args, payload, human)
     if args.negative_control:
-        return 0 if duality["failures"] > 0 else 1
-    return 0 if duality["failures"] == 0 and twists["failures"] == 0 else 1
+        return payload, human, 0 if duality["failures"] > 0 else 1
+    return payload, human, 0 if duality["failures"] == 0 and twists["failures"] == 0 else 1
 
 
 EXPECTED_LEMMA_TABLE = {
@@ -485,7 +443,7 @@ EXPECTED_LEMMA_TABLE = {
 }
 
 
-def run_verify_lemmas(args) -> int:
+def run_verify_lemmas(args) -> tuple[dict, str, int]:
     rows = groupmod.lemma_table()
     ok = True
     lines = [f"{'subgroup':>9} {'order':>6} {'H1':>4} {'r':>3}  expected"]
@@ -500,15 +458,8 @@ def run_verify_lemmas(args) -> int:
         payload_rows.append(
             {"subgroup": label, "order": order, "h1_dim": h1, "end_degree": r, "ok": match}
         )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "lemma-table",
-        "seed": args.seed,
-        "rows": payload_rows,
-        "all_ok": ok,
-    }
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
+    payload = {"kind": "lemma-table", "rows": payload_rows, "all_ok": ok}
+    return payload, "\n".join(lines), 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +548,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command line; the exit code of its verb, or of what the
-    parser or the verb raised: 2 for an exhausted witness search, 1 for
-    an error.  Either is reported as one `error:` line on stderr."""
+    """Run one command line and write its verb's report, the payload with
+    the schema version and seed as JSON under --json and the human text
+    otherwise, to stdout or --out.  The exit code is the verb's, or that of
+    what the parser or the verb raised: 2 for an exhausted witness search,
+    1 for an error.  Either is reported as one `error:` line on stderr."""
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        payload, text, code = args.func(args)
+        if args.json:
+            payload = {**payload, "schema_version": SCHEMA_VERSION, "seed": args.seed}
+            text = json.dumps(_json_value(payload), indent=1, sort_keys=True)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
         sys.stdout.flush()
         return code
     except BrokenPipeError as e:  # an OSError, so it is matched first

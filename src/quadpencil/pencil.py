@@ -309,7 +309,6 @@ def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
 class DeltaInvariant:
     """Characteristic quintic with per-factor delta square classes."""
 
-    chart: Chart
     P: RatPoly
     factors: tuple[RatPoly, ...]
     delta_reps: tuple[RatPoly, ...]
@@ -384,7 +383,7 @@ def delta_invariant(norm: NormalizedPencil) -> DeltaInvariant:
     reps = tuple(delta_component(norm, f) for f in factors)
     disc = discriminant(norm.P)
     norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
-    return DeltaInvariant(norm.chart, norm.P, factors, reps, disc, norms)
+    return DeltaInvariant(norm.P, factors, reps, disc, norms)
 
 
 @dataclass(frozen=True)
@@ -436,13 +435,13 @@ class HasseClassification:
     galois_label: str
 
 
-def hasse_class(inv: DeltaInvariant, galois_profile) -> HasseClassification:
-    """Which case of the split/irreducible classification the pencil is in."""
+def hasse_class(inv: DeltaInvariant, galois_profile, b: BrauerQuotient) -> HasseClassification:
+    """Which case of the split/irreducible classification the pencil is in;
+    b is the pencil's `b_delta_group`, read for a split pencil."""
     degs = tuple(sorted((f.degree for f in inv.factors), reverse=True))
     if inv.is_irreducible:
         return HasseClassification("IRREDUCIBLE", degs, None, galois_profile.label)
     if inv.is_split:
-        b = b_delta_group(inv)
         kind = "SPLIT_TRIVIAL_BRAUER" if b.dimension == 0 else "SPLIT_NONTRIVIAL_BRAUER"
         return HasseClassification(kind, degs, b.dimension, galois_profile.label)
     return HasseClassification("OTHER", degs, None, galois_profile.label)

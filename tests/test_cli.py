@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import quadpencil
-from quadpencil.cli import _MAX_BITS, MAX_DEGREE, main, parse_delta, parse_poly
+from quadpencil.cli import _MAX_BITS, MAX_DEGREE, _json_value, main, parse_delta, parse_poly
 from quadpencil.canon import canonical_quadrics
 from quadpencil.exact import RatPoly, discriminant
 from quadpencil.pencil import Pencil, pencil_dumps, matrix_of
@@ -152,6 +152,12 @@ class TestAnalyze:
         assert report["classification"]["kind"] == "SPLIT_TRIVIAL_BRAUER"
         assert report["galois"]["label"] == "REDUCIBLE"
         assert report["brauer_dimension"] == 0
+
+    def test_brauer_group_computed_once(self, split_pencil_file, monkeypatch):
+        # the split classification reads the B-group that the report states
+        calls = count_calls(monkeypatch, "b_delta_group", "quadpencil.pencil")
+        assert main(["--json", "analyze", str(split_pencil_file)]) == 0
+        assert len(calls) == 1
 
     def test_irreducible_f20(self, t52_pencil_file, tmp_path):
         out = tmp_path / "report.json"
@@ -490,6 +496,39 @@ def test_unwritable_out(target, tmp_path, capsys):
     assert main(["--out", str(tmp_path / target), "verify-lemmas"]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--json", "analyze", "PENCIL"],
+        ["--json", "canon", "--poly", "t^5-2"],
+        ["--json", "kummer", "--poly", "t^5-2", "--b", "1"],
+        ["--json", "search", "--poly", "t^5-2", "--conditions", "[[[1,0],[1,0],[1,0],[1,0],[1,0]]]"],
+        ["--json", "local", "PENCIL", "--places", "3"],
+        ["--json", "simulate", "--systems", "5", "--dims", "2,2"],
+        ["--json", "verify-lemmas"],
+        ["kummer", "--poly", "t^5-2", "--b", "1"],
+    ],
+    ids=["analyze", "canon", "kummer", "search", "local", "simulate", "verify-lemmas", "human"],
+)
+def test_out_writes_stdout_bytes(argv, t52_pencil_file, tmp_path, capsys):
+    # --out FILE holds exactly what the same command prints, with the same
+    # exit code and nothing on stdout
+    argv = [str(t52_pencil_file) if a == "PENCIL" else a for a in argv]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main(["--out", str(out), *argv]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("value", [1.5, {"x": [object()]}, {1, 2}], ids=["float", "nested", "set"])
+def test_report_value_without_json_form(value):
+    # a report value of a type the encoder does not name fails loudly
+    with pytest.raises(TypeError):
+        _json_value(value)
 
 
 def _cli_env() -> dict:

@@ -59,6 +59,21 @@ def test_only_main_maps_errors():
                 f"cli.py line {node.lineno} returns an exit code outside main"
 
 
+def test_only_main_writes_reports():
+    # the verbs return (payload, human, code), and cli.main alone adds the
+    # report header, encodes the payload and writes it: nothing else in
+    # cli.py prints, dumps JSON, touches stdout or names the schema
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    schema = next(node for node in tree.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "SCHEMA_VERSION")
+    tree.body = [node for node in tree.body if node not in (main, schema)]
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name not in ("print", "dumps", "stdout", "SCHEMA_VERSION"), \
+            f"cli.py line {node.lineno} writes a report outside main"
+
+
 def test_cli_reaches_no_module_through_another():
     # cli.py calls each module it uses by that module's own name, and only
     # selmersim builds a SelmerSystem: the simulator's internals stay in it

@@ -71,10 +71,10 @@ def chart_members(norm):
     return mat_combine(pencil.phi1, pencil.phi2, a, b), mat_combine(pencil.phi1, pencil.phi2, c, d)
 
 
-def delta_datum(chart, P, factors, reps):
+def delta_datum(P, factors, reps):
     """A DeltaInvariant built by hand, with its disc(P) and norms."""
     norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
-    return DeltaInvariant(chart, P, factors, reps, discriminant(P), norms)
+    return DeltaInvariant(P, factors, reps, discriminant(P), norms)
 
 
 class TestNormalization:
@@ -187,7 +187,6 @@ class TestDeltaInvariant:
     def test_hand_built_violation(self):
         split = RatPoly.from_roots([0, 1, 2, 3, 4])
         inv = delta_datum(
-            (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
             split,
             tuple(RatPoly.of([-r, 1]) for r in range(5)),
             (poly(5), poly(1), poly(1), poly(1), poly(1)),
@@ -488,7 +487,6 @@ def assert_matches_reference(norm):
 def _split_invariant(deltas):
     split = RatPoly.from_roots([0, 1, 2, 3, 4])
     return delta_datum(
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
         split,
         tuple(RatPoly.of([-r, 1]) for r in range(5)),
         tuple(poly(d) for d in deltas),
@@ -516,21 +514,20 @@ class TestBrauerQuotient:
 class TestHasseClass:
     def test_irreducible(self):
         P = poly(-2, 0, 0, 0, 0, 1)
-        inv = delta_datum(
-            (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
-            P,
-            (P,),
-            (poly(1),),
-        )
+        inv = delta_datum(P, (P,), (poly(1),))
         prof = galois_profile(P)
-        assert hasse_class(inv, prof).kind == "IRREDUCIBLE"
+        assert hasse_class(inv, prof, b_delta_group(inv)).kind == "IRREDUCIBLE"
 
     def test_split_cases(self):
         split = RatPoly.from_roots([0, 1, 2, 3, 4])
         prof = galois_profile(split)
-        assert hasse_class(_split_invariant([5, 5, 5, 5, 1]), prof).kind == "SPLIT_NONTRIVIAL_BRAUER"
-        assert hasse_class(_split_invariant([1, 1, 1, 1, 1]), prof).kind == "SPLIT_TRIVIAL_BRAUER"
-        assert hasse_class(_split_invariant([5, 5, 1, 1, 1]), prof).kind == "SPLIT_TRIVIAL_BRAUER"
+        for deltas, kind in (
+            ([5, 5, 5, 5, 1], "SPLIT_NONTRIVIAL_BRAUER"),
+            ([1, 1, 1, 1, 1], "SPLIT_TRIVIAL_BRAUER"),
+            ([5, 5, 1, 1, 1], "SPLIT_TRIVIAL_BRAUER"),
+        ):
+            inv = _split_invariant(deltas)
+            assert hasse_class(inv, prof, b_delta_group(inv)).kind == kind
 
 
 class TestJson:
