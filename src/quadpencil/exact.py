@@ -11,9 +11,11 @@ Hensel lifts continued from one precision to the next, one Lagrange basis
 per precision and rational reconstruction of each coefficient, up to a
 precision at which a polynomial of bounded height is sure to come back
 (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).  The bounds rest on
-Fujiwara's root bound (`root_bound_bits`); the square roots of
-`sqrt_in_etale` and the automorphisms of `galois._automorphism` are
-found this way, so a failure at that precision is a proof.
+Fujiwara's root bound (`root_bound_bits`).  The automorphisms of
+`galois._automorphism` and the square roots of `sqrt_in_etale` are found
+this way, so a failure at that precision is a proof; only a d that is a
+square in Q[t] already has its root read off its coefficients, from the
+top down, with no prime.
 
 Polynomials are coefficient tuples in low-to-high order with no trailing
 zeros; the zero polynomial has an empty tuple.  A polynomial over Z/N is
@@ -955,6 +957,25 @@ def integer_roots(f: RatPoly, p: Optional[int] = None) -> list[int]:
     return sorted(roots)
 
 
+def _sqrt_q(d: RatPoly) -> Optional[RatPoly]:
+    """The h in Q[t] with h^2 = d and a positive leading coefficient, or
+    None when the nonzero d is not a square in Q[t].  d must have even
+    degree 2k and a leading coefficient that is a square in Q, whose
+    positive root is h_k; each lower h_j, from the top down, is then fixed
+    by the coefficient of t^(k+j) in h^2 = d, which is 2 h_k h_j plus the
+    products h_a h_(k+j-a), j < a < k, of coefficients already found.
+    h^2 = d is checked exactly."""
+    if d.degree % 2 or not is_square_q(d.lc):
+        return None
+    k = d.degree // 2
+    top = Fraction(math.isqrt(d.lc.numerator), math.isqrt(d.lc.denominator))
+    h = [Fraction(0)] * k + [top]
+    for j in range(k - 1, -1, -1):
+        h[j] = (d[k + j] - sum(h[a] * h[k + j - a] for a in range(j + 1, k))) / (2 * top)
+    root = RatPoly.of(h)
+    return root if root * root == d else None
+
+
 def sqrt_in_etale(
     d: RatPoly, m: RatPoly, disc_m: Optional[Fraction] = None, norm: Optional[Fraction] = None
 ) -> SqrtEtaleResult:
@@ -962,7 +983,9 @@ def sqrt_in_etale(
 
     m must be a monic squarefree modulus and d a unit mod m; a caller that
     has disc(m) or the norm Res(m, d) passes it, and it is not computed
-    again.  The good primes (odd, dividing no denominator of m or d and not
+    again.  When d, reduced mod m, is a square in Q[t] (`_sqrt_q`), its
+    root there is returned as "square" and no prime is walked; otherwise
+    the good primes (odd, dividing no denominator of m or d and not
     disc(m)) are walked in order.  At a prime p where some d(r), m(r) = 0 mod p, is a
     nonresidue mod p the answer is "nonsquare" with the certificate (p, r):
     the Hensel lift of r maps the algebra to Z_p, where d has no square
@@ -981,20 +1004,19 @@ def sqrt_in_etale(
     if d.is_zero:
         raise ValueError("d is zero modulo m")
 
-    if m.degree == 1:
-        val = d(-m[0])
-        if is_square_q(val):
-            num = math.isqrt(val.numerator)
-            den = math.isqrt(val.denominator)
-            return SqrtEtaleResult("square", RatPoly.const(Fraction(num, den)))
+    if m.degree > 1:
+        if disc_m is None:
+            disc_m = discriminant(m)
+        if disc_m == 0:
+            raise ValueError("modulus must be squarefree")
+        if (resultant(m, d) if norm is None else norm) == 0:
+            raise ValueError("d is not a unit modulo m")
+    root = _sqrt_q(d)
+    if root is not None:
+        return SqrtEtaleResult("square", root)
+    if m.degree == 1:  # d is the rational d(-m_0), and not a square
         return SqrtEtaleResult("nonsquare", certificate=None)
 
-    if disc_m is None:
-        disc_m = discriminant(m)
-    if disc_m == 0:
-        raise ValueError("modulus must be squarefree")
-    if (resultant(m, d) if norm is None else norm) == 0:
-        raise ValueError("d is not a unit modulo m")
     bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
     n = m.degree
     for p in good_primes(bad, 3):

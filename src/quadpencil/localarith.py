@@ -422,7 +422,11 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
     place = prime_place(p)
     if effort <= 0:
         return LocalCertificate(place, "unknown", reason="effort exhausted")
-    forms_int = _integral_forms(model, p)
+    # candidates live mod p^level, level <= effort, and minor valuations are
+    # capped at the level, so the forms mod p^(effort + 1) fix every value
+    # the search reads
+    top = p ** (effort + 1)
+    forms_int = [[[v % top for v in row] for row in a] for a in _integral_forms(model, p)]
     m = len(forms_int)
     n = len(forms_int[0])
     if p**(n - 1) > 60_000_000:
@@ -586,6 +590,13 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
     determined and the vanishing ones meet at w, so by compactness the tree
     is finite: the search always decides, with no budget.
 
+    What every ball reads is computed once per prime: the valuation and
+    unit part of each c_i, each chart's least valuation of B's free columns,
+    and a memo of residue symbols, filled as balls meet the residues (a
+    dict, never a table of size p).  A ball then costs three products per
+    coordinate, a divisibility test and a lookup, and stops at the first
+    class that disagrees.
+
     The soluble witness maps y back to x = sum y_i v_i, with the square
     roots taken to a precision p^k at which some maximal minor of the
     Jacobian of the pencil's own forms has valuation e with 2e < k, the
@@ -593,6 +604,7 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
     (largest m) and the node count of the exhausted tree."""
     place = prime_place(p)
     r = 3 if p == 2 else 1
+    q = 8 if p == 2 else p  # the unit classes: residues mod 8, or symbols mod p
     n, c = model.roots, model.c
     d = n[1] - n[0]
     B = [
@@ -603,13 +615,12 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
         [0, 0, d],
     ]
     vB = [[_val(x, p) for x in row] for row in B]
-    vc = [_val(x, p) for x in c]
-
-    def square_class(i: int, a: int, va: int) -> tuple[int, int]:
-        """The square class of a / c_i: valuation parity and the class of
-        the unit part (a residue symbol, or the residue mod 8 at p = 2)."""
-        u = (a // p**va) * (c[i] // p ** vc[i])
-        return (va - vc[i]) % 2, u % 8 if p == 2 else legendre(u, p)
+    c_parts = []
+    for ci in c:
+        vc = _val(ci, p)
+        c_parts.append((vc, ci // p**vc % q))
+    low = {free: [min(row[j] for j in free) for row in vB] for free in ((1, 2), (0, 2), (0, 1))}
+    unit_class: dict[int, int] = {}
 
     def in_ball(w, w0, m, free) -> bool:
         (k,) = {0, 1, 2} - set(free)
@@ -618,17 +629,35 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
 
     def point_of(w0, m, free):
         """A point w of the ball at which z has one common class, or None
-        (the ball fails) or "split"."""
-        alpha = [sum(b * x for b, x in zip(row, w0)) for row in B]
-        classes, open_ = set(), []
-        for i in range(5):
-            va = _val(alpha[i], p)
-            if va + r <= m + min(vB[i][j] for j in free):
-                classes.add(square_class(i, alpha[i], va))
+        (the ball fails) or "split".  The square class of a / c_i is the
+        parity of v(a) - v(c_i) and the class of the product of the unit
+        parts (its residue symbol, or its residue mod 8 at p = 2); the
+        first class that differs from an earlier one fails the ball."""
+        x0, x1, x2 = w0
+        alpha, open_ = [], []
+        first = None
+        for i, ((b0, b1, b2), lo, (vc, uc)) in enumerate(zip(B, low[free], c_parts)):
+            a = b0 * x0 + b1 * x1 + b2 * x2
+            alpha.append(a)
+            if a % p:
+                va = 0
+            elif a:
+                va = _val(a, p)
+                a //= p**va
             else:
+                va = math.inf
+            if va + r > m + lo:
                 open_.append(i)
-        if len(classes) > 1:
-            return None
+                continue
+            u = a * uc % q
+            s = unit_class.get(u)
+            if s is None:
+                s = unit_class[u] = u if p == 2 else legendre(u, p)
+            cls = ((va - vc) % 2, s)
+            if first is None:
+                first = cls
+            elif cls != first:
+                return None
         if not open_:
             return w0
         if len(open_) == 1:

@@ -9,6 +9,7 @@ compare the two directly.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import signal
@@ -55,7 +56,13 @@ from quadpencil.galois import (
     frobenius_class,
     galois_group_quintic,
 )
-from quadpencil.localarith import condition_representative
+from quadpencil.localarith import (
+    DiagonalModel,
+    LocalCertificate,
+    _split_witness,
+    _val,
+    condition_representative,
+)
 from quadpencil.pencil import DeltaInvariant, Matrix, char_poly, matrix_of
 from quadpencil.selmersim import SelmerSystem
 
@@ -613,6 +620,105 @@ def diagonal_insoluble_at(c: Sequence[int], n: Sequence[int], p: int, kmax: int)
         if diagonal_primitive_count(a, b, p, k) == 0:
             return k
     return None
+
+
+def split_soluble_per_ball(model: DiagonalModel, p: int) -> LocalCertificate:
+    """The ball tree of `localarith.split_soluble` with no memo: every ball
+    computes the valuation, unit part and residue symbol (`legendre`, a
+    modular power) of each coordinate on its own, and the classes of all
+    five before comparing them.  It visits the same balls in the same order,
+    so it gives the same verdict, depth, node count and witness."""
+    place = prime_place(p)
+    r = 3 if p == 2 else 1
+    n, c = model.roots, model.c
+    d = n[1] - n[0]
+    B = [
+        [n[2] - n[1], n[3] - n[1], n[4] - n[1]],
+        [n[0] - n[2], n[0] - n[3], n[0] - n[4]],
+        [d, 0, 0],
+        [0, d, 0],
+        [0, 0, d],
+    ]
+    vB = [[_val(x, p) for x in row] for row in B]
+    vc = [_val(x, p) for x in c]
+
+    def square_class(i: int, a: int, va: int) -> tuple[int, int]:
+        """The square class of a / c_i: valuation parity and the class of
+        the unit part (a residue symbol, or the residue mod 8 at p = 2)."""
+        u = (a // p**va) * (c[i] // p ** vc[i])
+        return (va - vc[i]) % 2, u % 8 if p == 2 else legendre(u, p)
+
+    def in_ball(w, w0, m, free) -> bool:
+        (k,) = {0, 1, 2} - set(free)
+        vk = _val(w[k], p)
+        return vk < math.inf and all(_val(w[j] - w0[j] * w[k], p) >= m + vk for j in free)
+
+    def point_of(w0, m, free):
+        """A point w of the ball at which z has one common class, or None
+        (the ball fails) or "split"."""
+        alpha = [sum(b * x for b, x in zip(row, w0)) for row in B]
+        classes, open_ = set(), []
+        for i in range(5):
+            va = _val(alpha[i], p)
+            if va + r <= m + min(vB[i][j] for j in free):
+                classes.add(square_class(i, alpha[i], va))
+            else:
+                open_.append(i)
+        if len(classes) > 1:
+            return None
+        if not open_:
+            return w0
+        if len(open_) == 1:
+            (i,) = open_
+            j = min(free, key=lambda j: vB[i][j])
+            if _val(alpha[i], p) < m + vB[i][j]:
+                return "split"
+            # z_i(w0 + s e_j) = alpha_i + s B_ij vanishes at s = -alpha_i / B_ij
+            return [B[i][j] * x - (alpha[i] if t == j else 0) for t, x in enumerate(w0)]
+        if len(open_) == 2:
+            (b1, b2) = (B[i] for i in open_)
+            w = [b1[1] * b2[2] - b1[2] * b2[1], b1[2] * b2[0] - b1[0] * b2[2],
+                 b1[0] * b2[1] - b1[1] * b2[0]]
+            if in_ball(w, w0, m, free):
+                return w
+        return "split"
+
+    def children(w0, m, free):
+        step = p**m
+        for s in range(p):
+            for t in range(p):
+                w = list(w0)
+                w[free[0]] += step * s
+                w[free[1]] += step * t
+                yield w, m + 1, free
+
+    # the unit charts: (1, s, t); (p s, 1, t), one ball per t mod p; (p s, p t, 1)
+    # chained lazily: at a large prime the first balls usually decide
+    charts = itertools.chain(
+        [([1, 0, 0], 0, (1, 2))],
+        (([0, 1, t], 1, (0, 2)) for t in range(p)),
+        [([0, 0, 1], 1, (0, 1))],
+    )
+    stack = [charts]
+    nodes = depth = 0
+    while stack:
+        ball = next(stack[-1], None)
+        if ball is None:
+            stack.pop()
+            continue
+        nodes += 1
+        depth = max(depth, ball[1])
+        found = point_of(*ball)
+        if found == "split":
+            stack.append(children(*ball))
+        elif found is not None:
+            return _split_witness(model, p, [sum(b * x for b, x in zip(row, found)) for row in B])
+    return LocalCertificate(
+        place,
+        "insoluble",
+        witness={"ball_tree_depth": depth, "ball_tree_nodes": nodes},
+        reason="no ball of the diagonal model holds a point",
+    )
 
 
 # ---------------------------------------------------------------------------

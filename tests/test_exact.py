@@ -647,6 +647,15 @@ class TestSqrtEtale:
         assert res.status == "square"
         assert ((res.root * res.root - d) % m).is_zero
 
+    def test_square_in_q_walks_no_prime(self, monkeypatch):
+        # t^4 = (t^2)^2; the walk reaches the first totally split prime of
+        # t^5 - 1/2 after 34 primes
+        m = poly(Fraction(-1, 2), 0, 0, 0, 0, 1)
+        calls = count_calls(monkeypatch, "fp_roots")
+        res = sqrt_in_etale(poly(0, 0, 0, 0, 1), m)
+        assert res.status == "square" and res.root == poly(0, 0, 1)
+        assert calls == []
+
     def test_nonsquare_proved_at_first_split_prime(self, monkeypatch):
         # t^2 - 2 has no root mod 3 or 5 and the roots 3, 4 mod 7, where
         # 11 = 4 is a residue at both; 11 is not a square in Q(sqrt 2)
@@ -659,10 +668,9 @@ class TestSqrtEtale:
 
 
 @st.composite
-def etale_cases(draw):
-    """(d, m): m monic squarefree of degree 2 to 5, irreducible, reducible
-    or with rational coefficients; d a square y^2 mod m, a rational
-    multiple c y^2 of one, or random, and a unit mod m."""
+def etale_moduli(draw):
+    """m monic squarefree of degree 2 to 5, irreducible, reducible or with
+    rational coefficients."""
     n = draw(st.integers(2, 5))
     small = st.integers(-9, 9)
     kind = draw(st.sampled_from(["irreducible", "reducible", "rational"]))
@@ -678,6 +686,15 @@ def etale_cases(draw):
     assume(discriminant(m) != 0)
     if kind == "irreducible":
         assume(len(factor_q(m)) == 1)
+    return m
+
+
+@st.composite
+def etale_cases(draw):
+    """(d, m): m from `etale_moduli`; d a square y^2 mod m, a rational
+    multiple c y^2 of one, or random, and a unit mod m."""
+    m = draw(etale_moduli())
+    n = m.degree
     height = draw(st.sampled_from([9, 10**6]))
     y = RatPoly.of(draw(st.lists(st.integers(-height, height), min_size=1, max_size=n)))
     form = draw(st.sampled_from(["square", "multiple", "random"]))
@@ -703,6 +720,23 @@ class TestSqrtAgainstWalk:
         ref = sqrt_in_etale_walk(d, m)
         if ref.status != "undecided":
             assert res.status == ref.status
+
+    # d = c^2 h^2 with deg h^2 < deg m is a square in Q[t] and stays one
+    # after reduction mod m
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=etale_moduli(),
+        h=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3),
+        c=st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool),
+    )
+    def test_square_in_q_is_square(self, m, h, c):
+        h = RatPoly.of(h[:(m.degree + 1) // 2])
+        d = h * h * (c * c)
+        assume(not d.is_zero and resultant(m, d) != 0)
+        res = sqrt_in_etale(d, m)
+        assert res.status == "square"
+        assert ((res.root * res.root - d) % m).is_zero
+        assert sqrt_in_etale_walk(d, m).status in ("square", "undecided")
 
 
 class TestStripSquareContent:

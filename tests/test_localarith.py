@@ -1,5 +1,6 @@
 """Tests for local solubility, residues and the witness search."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ from quadpencil.localarith import (
 )
 from quadpencil.pencil import Pencil, matrix_of, normalize_pencil, pencil_dumps, random_pencil
 import quadpencil.localarith as localarith_mod
+from height_ladder import rational_pencil
 from reference import (
     count_calls,
     delta_residue_at,
@@ -49,9 +51,11 @@ from reference import (
     fraction_sturm_var,
     mat_congruent,
     signature,
+    split_soluble_per_ball,
     time_limit,
     zeros_mod_p_by_enumeration,
 )
+from split_local import random_split
 
 
 def poly(*coeffs):
@@ -556,6 +560,33 @@ class TestPadicSoluble:
                 else:
                     assert cert.verdict in ("soluble", "insoluble", "unknown")
 
+    def test_level_search_multiplies_residues(self, monkeypatch):
+        # the cleared forms of the 10^30-rational pencil have entries of
+        # thousands of bits; the level search reads them mod p^(effort + 1)
+        pen = rational_pencil(30)
+        assert max(abs(v) for m in pen.cleared[1:] for row in m for v in row) > 7**4
+        calls = count_calls(monkeypatch, "_form_values", "quadpencil.localarith")
+        cert = padic_soluble(pen.cleared[1:], 7, effort=3)
+        assert cert.witness["level"] == 3 and calls
+        assert all(0 <= v < 7**4 for forms, _ in calls for a in forms for row in a for v in row)
+
+    def test_certificates_golden(self):
+        # every certificate at p = 3, ..., 13 with effort 3 and 5 of 40
+        # pencils at h = 9, 10 at h = 10^6 and the rational rungs 10^3 and
+        # 10^30 of scripts/height_ladder.py, pinned by sha256, so reading
+        # the forms mod p^(effort + 1) changes no byte
+        rng = random.Random(0)
+        corpus = [random_pencil(rng, 9) for _ in range(40)]
+        corpus += [random_pencil(rng, 10**6) for _ in range(10)]
+        corpus += [rational_pencil(k) for k in (3, 30)]
+        digest = hashlib.sha256()
+        for pen in corpus:
+            for effort in (3, 5):
+                for p in (3, 5, 7, 11, 13):
+                    c = padic_soluble(pen.cleared[1:], p, effort=effort)
+                    digest.update(json.dumps([str(c.place), c.verdict, c.reason, c.witness]).encode())
+        assert digest.hexdigest() == "cf01101b40930c81339812ff46ad12a3369b89efd2aa27538ff298b265c7ee33"
+
     def test_escalation_consistency(self):
         # soluble never becomes insoluble when effort grows
         rng = random.Random(17)
@@ -689,6 +720,33 @@ class TestSplitSoluble:
             tracemalloc.stop()
         assert cert.verdict == "soluble"
         assert peak < 2**20
+
+    def test_same_certificates_as_per_ball_tree(self):
+        # the pencils of scripts/split_local.py: verdict, depth, node count
+        # and witness as the tree with no memo gives them
+        rng = random.Random(0)
+        for _ in range(60):
+            _, model = split_model(*random_split(rng))
+            for p in (2, 3, 5, 7, 11, 13):
+                assert split_soluble(model, p) == split_soluble_per_ball(model, p)
+
+    # a bad prime 101 (a root and, in the second, a delta): every residue
+    # class of the plane is visited, so the tree has about p^2 balls
+    @pytest.mark.parametrize("deltas", [[5, 5, 1, 1, 1], [101, 101, 1, 1, 1]])
+    def test_bad_prime_reads_each_residue_once(self, deltas, monkeypatch):
+        _, model = split_model([0, 1, 2, 3, 101], deltas)
+        calls = []
+        legendre = localarith_mod.legendre
+
+        def counting(a, p):
+            calls.append(a % p)
+            return legendre(a, p)
+
+        monkeypatch.setattr(localarith_mod, "legendre", counting)
+        cert = split_soluble(model, 101)
+        monkeypatch.undo()
+        assert cert == split_soluble_per_ball(model, 101)
+        assert len(calls) == len(set(calls)) <= 100
 
     @pytest.mark.parametrize("roots,deltas", UNDECIDED_BY_SEARCH)
     def test_cli_decides_every_place(self, roots, deltas, tmp_path):
