@@ -3,7 +3,7 @@
 
 For a depressed quintic z^5 + b2 z^3 + b3 z^2 + b4 z + b5 with roots
 z1..z5, the resolvent R(y) = prod_j (y - theta_j) over the six conjugates
-of the order-20 invariant (`galois._THETA_REPS`) is
+of the order-20 invariant (`THETA_REPS`) is
 y^6 + sum_k c_k y^(6-k), where c_k is an integer polynomial in b2..b5,
 weighted-homogeneous of weight 4k (b_i has weight i).
 
@@ -39,6 +39,33 @@ WEIGHTS = (2, 3, 4, 5)
 GRID = 25  # one more than the degree 24 of c6 in the roots
 
 
+def coset_theta_patterns():
+    """Six permutations giving the distinct conjugates of the order-20 invariant."""
+    seen = {}
+    for perm in itertools.permutations(range(5)):
+        mons = []
+        for i in range(5):
+            mons.append(tuple(sorted((perm[i], perm[i], perm[(i + 1) % 5], perm[(i + 4) % 5]))))
+            mons.append(tuple(sorted((perm[i], perm[i], perm[(i + 2) % 5], perm[(i + 3) % 5]))))
+        sig = frozenset(mons)
+        if sig not in seen:
+            seen[sig] = perm
+    assert len(seen) == 6
+    return list(seen.values())
+
+
+THETA_REPS = coset_theta_patterns()
+
+
+def theta_value(roots, perm):
+    """The conjugate of the order-20 invariant that perm picks, at the roots."""
+    x = [roots[perm[i]] for i in range(5)]
+    acc = 0
+    for i in range(5):
+        acc += x[i] ** 2 * (x[(i + 1) % 5] * x[(i + 4) % 5] + x[(i + 2) % 5] * x[(i + 3) % 5])
+    return acc
+
+
 def monomials(weight):
     """Exponents (e2, e3, e4, e5) with 2e2 + 3e3 + 4e4 + 5e5 == weight, descending."""
     out = []
@@ -60,8 +87,8 @@ def depressed_coeffs(roots):
 def resolvent_from_roots(roots):
     """(c1, ..., c6) of prod_j (y - theta_j), exactly from the roots."""
     poly = [1]
-    for perm in galois._THETA_REPS:
-        th = galois._theta_value(roots, perm)
+    for perm in THETA_REPS:
+        th = theta_value(roots, perm)
         poly = [a - th * b for a, b in zip(poly + [0], [0] + poly)]
     return tuple(poly[1:])
 
@@ -131,8 +158,8 @@ def prove_shift_rule():
     e3 = sum(u * v * w for u, v, w in itertools.combinations(xs, 3))
     corr = 10 * c**4 + 8 * c**3 * e1 + 2 * c**2 * e1**2 + c**2 * e2 + c * e1 * e2 - c * e3
     shifted = [x + c for x in xs]
-    for perm in galois._THETA_REPS:
-        diff = galois._theta_value(shifted, perm) - galois._theta_value(xs, perm) - corr
+    for perm in THETA_REPS:
+        diff = theta_value(shifted, perm) - theta_value(xs, perm) - corr
         if sympy.expand(diff) != 0:
             raise AssertionError(f"shift rule fails for conjugate {perm}")
 

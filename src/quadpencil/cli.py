@@ -12,6 +12,9 @@ returns (payload, human, code): the report's own fields, its human text
 and its exit code.  `main` alone writes them, adding the report header and
 encoding the payload as JSON, and maps what the verbs raise to an exit
 code, reporting errors and exhausted searches as one `error:` line each.
+The verbs parse and encode only: the library returns values, and which
+places a report covers and which procedure decides each one is
+`localarith`'s choice (`sweep_places`, `local_certificates`).
 """
 
 from __future__ import annotations
@@ -157,8 +160,9 @@ def parse_conditions(text: str) -> list:
 
 def _json_value(x):
     """The JSON form of a report value: rationals as "num/den" strings,
-    polynomials as their coefficients (low to high) and certificates and
-    classifications as their fields; TypeError for any other type."""
+    polynomials as their coefficients (low to high), places as their names
+    and certificates and classifications as their fields; TypeError for any
+    other type."""
     if x is None or isinstance(x, (str, int)):
         return x
     if isinstance(x, Fraction):
@@ -169,9 +173,9 @@ def _json_value(x):
         return {k: _json_value(v) for k, v in x.items()}
     if isinstance(x, RatPoly):
         return [rat_str(c) for c in x.coeffs]
-    if isinstance(x, localarith.LocalCertificate):
-        return {**vars(x), "place": str(x.place)}  # the witness is plain JSON
-    if isinstance(x, pencil.HasseClassification):
+    if isinstance(x, exact.LocalPlace):
+        return str(x)
+    if isinstance(x, (localarith.LocalCertificate, pencil.HasseClassification)):
         return _json_value(vars(x))
     raise TypeError(f"no JSON form for a report value of type {type(x).__name__}")
 
@@ -190,15 +194,6 @@ def _verdicts_code(certs) -> int:
     return 2 if any(c.verdict == "unknown" for c in certs) else 0
 
 
-# The primes of the default p-adic sweep of analyze and local, taken when
-# they lie in the bad set S0.  S0 holds every prime below --margin, so at
-# analyze's default margin 100 that is all five, where `local` (margin 2)
-# takes only the bad ones.  p = 2 is decided on request (`local --places
-# 2`): for a split pencil always, by the ball tree, while the search for
-# other pencils rarely decides it.
-SWEEP_PRIMES = (3, 5, 7, 11, 13)
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -214,10 +209,8 @@ def run_analyze(args) -> tuple[dict, str, int]:
     b = pencil.b_delta_group(inv)
     cls = pencil.hasse_class(inv, profile, b)
 
-    certs = [localarith.real_soluble(pen)]
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
-    split = localarith.diagonal_model(norm, inv.factors)
-    certs += _padic_certificates(pen, split, [p for p in SWEEP_PRIMES if p in s0], args.effort)
+    certs = localarith.local_certificates(norm, inv.factors, localarith.sweep_places(s0), args.effort)
 
     witness = None
     if conditions is not None:
@@ -346,31 +339,19 @@ def run_search(args) -> tuple[dict, str, int]:
     return payload, human, 0
 
 
-def _padic_certificates(pen, split, places, effort: int) -> list:
-    """The certificates at the primes `places`: the ball tree of the
-    diagonal model `split` when P splits completely (None otherwise), else
-    the search of `padic_soluble`, bounded by `effort`."""
-    if split is not None:
-        return [localarith.split_soluble(split, p) for p in places]
-    return [localarith.padic_soluble(pen.cleared[1:], p, effort=effort) for p in places]
-
-
 def run_local(args) -> tuple[dict, str, int]:
     pen = _load_pencil(args.input)
     places = args.places and [prime_place(int(p)).p for p in args.places.split(",")]
-    certs = [localarith.real_soluble(pen)]
     norm = pencil.normalize_pencil(pen)
     if places:
-        # P is squarefree of degree 5, so it splits completely exactly when
-        # it has five rational roots
+        # the linear factors alone tell whether P splits, with no degree-set walk
         factors = exact.linear_factors(norm.P)
-        split = localarith.diagonal_model(norm, factors) if len(factors) == 5 else None
     else:
         inv = pencil.delta_invariant(norm)
-        split = localarith.diagonal_model(norm, inv.factors)
+        factors = inv.factors
         s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
-        places = [p for p in SWEEP_PRIMES if p in s0]
-    certs += _padic_certificates(pen, split, places, args.effort)
+        places = localarith.sweep_places(s0)
+    certs = localarith.local_certificates(norm, factors, places, args.effort)
     payload = {"kind": "local-certificates", "certificates": certs}
     human = "\n".join(f"{c.place}: {c.verdict} ({c.reason})" for c in certs)
     return payload, human, _verdicts_code(certs)

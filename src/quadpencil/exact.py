@@ -30,12 +30,15 @@ the signed maximal minors of the other columns (`adjugate_column`; a
 nonzero column of the adjugate of a corank-1 symmetric matrix spans its
 kernel).
 
-A polynomial over Z is an int list as well.  `pseudo_remainder` reduces it
-modulo another without a division (Collins, J. ACM 14, 1967).  The delta
-invariant (`pencil.delta_component`) works this way: each component is
-one diagonal cofactor of a singular member, interpolated once per pencil
-and reduced by one pseudo-remainder, and rationals are built only for
-its result.
+A polynomial over Z is an int list as well, with one long division,
+`pseudo_divmod` (Collins, J. ACM 14, 1967).  It makes no rational
+division: it is the division itself when the divisor is monic
+(`factor_q`), and otherwise it divides the dividend times a power of the
+divisor's leading coefficient (the Sturm chains of `localarith`, the delta
+invariant).  The delta invariant (`pencil.delta_component`) works this
+way: each component is one diagonal cofactor of a singular member,
+interpolated once per pencil and reduced by one pseudo-remainder, and
+rationals are built only for its result.
 
 The primes below 10^6 are one table (`small_primes`): the walk over good
 primes, the primality test of a place and the square content of
@@ -297,20 +300,25 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
-    """(r, e) with r = lc(b)^e (a mod b) in Z[t], e = max(0, deg a - deg b + 1):
-    the pseudo-remainder (Collins, J. ACM 14, 1967), division-free, so the
-    remainder over Q is r / lc(b)^e.  deg a is its formal degree len(a) - 1
-    (so a list padded with zeros raises e), and b has no trailing zeros."""
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, e) with lc(b)^e a = q b + r in Z[t], deg r < deg b and
+    e = max(0, deg a - deg b + 1): the pseudo-division (Collins, J. ACM 14,
+    1967), division-free, so over Q the quotient is q / lc(b)^e and the
+    remainder r / lc(b)^e, and for a monic b it is the division itself.
+    deg a is its formal degree len(a) - 1 (so a list padded with zeros
+    raises e), b has no trailing zeros, and r is trimmed."""
     r, lb = list(a), b[-1]
     e = max(0, len(a) - len(b) + 1)
+    q = [0] * e
     for _ in range(e):
         c = r.pop()
         k = len(r) - len(b) + 1
+        q = [lb * x for x in q]
         r = [lb * x for x in r]
+        q[k] += c
         for i, bi in enumerate(b[:-1]):
             r[k + i] -= c * bi
-    return fp_trim(r), e
+    return q, fp_trim(r), e
 
 
 def resultant(f: RatPoly, g: RatPoly) -> Fraction:
@@ -425,7 +433,7 @@ def factor_q(f: RatPoly) -> list[RatPoly]:
     G, factors = [int(c) for c in Q.coeffs], []
     for r in integer_roots(Q, p):
         factors.append([-r, 1])
-        G = _divide_monic(G, [-r, 1])[0]
+        G = pseudo_divmod(G, [-r, 1])[0]
     if len(G) > 1:
         factors += _split_cofactor(G) if len(G) > 4 else [G]
     out = [RatPoly(tuple(Fraction(c, D ** (len(h) - 1 - i)) for i, c in enumerate(h))) for h in factors]
@@ -446,17 +454,6 @@ def linear_factors(f: RatPoly) -> list[RatPoly]:
     (`integer_roots`), without the factorization of the cofactor."""
     Q, D = _monic_integer_form(f)
     return [RatPoly((Fraction(-r, D), Fraction(1))) for r in reversed(integer_roots(Q))]
-
-
-def _divide_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with a = q b + r in Z[t] and deg r < deg b, for a monic b of
-    degree at most deg a."""
-    q, r = [0] * (len(a) - len(b) + 1), list(a)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + len(b) - 1]
-        for i, bi in enumerate(b):
-            r[k + i] -= c * bi
-    return q, r[:len(b) - 1]
 
 
 def _split_cofactor(G: list[int]) -> list[list[int]]:
@@ -494,8 +491,8 @@ def _split_cofactor(G: list[int]) -> list[list[int]]:
                 pk *= p
             for a, b in itertools.combinations(lift_roots(RatPoly.of(G), fp_roots(m, p), p, pk), 2):
                 h = [c - pk if c > pk // 2 else c for c in (a * b % pk, -(a + b) % pk)] + [1]
-                cofactor, rem = _divide_monic(G, h)
-                if not any(rem):
+                cofactor, rem, _ = pseudo_divmod(G, h)
+                if not rem:
                     return [h, cofactor]
             return [G]
         sums = 1

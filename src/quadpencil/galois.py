@@ -67,7 +67,6 @@ from .exact import (
     split_interpolations,
     unramified_prime,
 )
-from .groupmod import Perm
 from .pencil import char_poly
 
 LABELS = ("C5", "D10", "F20", "A5", "S5", "REDUCIBLE")
@@ -99,36 +98,11 @@ class GaloisProfile:
             raise ValueError("a certificate is expected for C5 and D10 only")
 
 
-def _coset_theta_patterns() -> list[Perm]:
-    """Six permutations giving the distinct conjugates of the order-20 invariant."""
-    seen: dict[frozenset, Perm] = {}
-    for perm in itertools.permutations(range(5)):
-        mons = []
-        for i in range(5):
-            mons.append(tuple(sorted((perm[i], perm[i], perm[(i + 1) % 5], perm[(i + 4) % 5]))))
-            mons.append(tuple(sorted((perm[i], perm[i], perm[(i + 2) % 5], perm[(i + 3) % 5]))))
-        sig = frozenset(mons)
-        if sig not in seen:
-            seen[sig] = perm
-    assert len(seen) == 6
-    return list(seen.values())
-
-
-_THETA_REPS = _coset_theta_patterns()
-
-
-def _theta_value(roots, perm: Perm):
-    x = [roots[perm[i]] for i in range(5)]
-    acc = 0
-    for i in range(5):
-        acc += x[i] ** 2 * (x[(i + 1) % 5] * x[(i + 4) % 5] + x[(i + 2) % 5] * x[(i + 3) % 5])
-    return acc
-
-
 # Coefficients of the F20 resolvent of a depressed quintic
 # z^5 + b2 z^3 + b3 z^2 + b4 z + b5: row k lists (coefficient, e2, e3, e4, e5)
 # of c_k = sum coefficient * b2^e2 b3^e3 b4^e4 b5^e5, the coefficient of
-# y^(6-k) in prod_j (y - theta_j).  Derived and proved by scripts/f20_table.py.
+# y^(6-k) in prod_j (y - theta_j) over the six conjugates theta_j of the
+# order-20 invariant.  Derived and proved by scripts/f20_table.py.
 _F20_TABLE = (
     (  # c1: weight 4, 1 of 2 monomials
         (8, 0, 0, 1, 0),

@@ -8,9 +8,8 @@ small enough for exhaustive closure and exact F_2 linear algebra.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import gf2
 
@@ -277,20 +276,10 @@ def end_ring_r(gens: Sequence[Perm]) -> int:
 # ---------------------------------------------------------------------------
 # Admissibility
 
-def is_admissible(elements: Sequence[WreathElement], rng: Optional[random.Random] = None) -> list[bool]:
-    """Per element: does it fix a point of the 10-point cover?
-
-    Constancy on conjugacy classes is spot-checked with a random conjugate.
-    """
-    rng = rng or random.Random(0)
-    out = []
-    for g in elements:
-        fixed = bool(g.fixed_points())
-        h = WreathElement(rng.randrange(32), tuple(rng.sample(range(5), 5)))
-        conj = h * g * h.inverse()
-        assert bool(conj.fixed_points()) == fixed, "fixed-point count not a class function"
-        out.append(fixed)
-    return out
+def is_admissible(elements: Sequence[WreathElement]) -> list[bool]:
+    """Per element: does it fix a point of the 10-point cover?  The answer
+    depends on the conjugacy class alone."""
+    return [bool(g.fixed_points()) for g in elements]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ chart line of P^4(F_p) as a quadratic over F_p (`_zeros_mod_p`), with no
 point evaluated on its own, and its singular zeros feed a tree search over
 residue candidates with a multivariate Hensel criterion, bounded by its
 effort, where "unknown" is a first-class verdict.  No verdict is ever
-guessed.
+guessed, and none reads a floating-point number.
+`local_certificates` is the one place that picks the procedure for each
+place of a report, and `sweep_places` the primes of the default sweep; a
+certificate's witness holds values (integers, rationals), which the report
+writer encodes.
 
 The bad set S0 is 2, every prime below the margin, and the prime divisors
 of disc(P), the denominators of P and delta, the resultants Res(P_i, d_i)
@@ -57,7 +61,7 @@ from .exact import (
     legendre,
     lift_roots,
     prime_place,
-    pseudo_remainder,
+    pseudo_divmod,
     resultant,
     sqrt_mod_p,
     val_unit,
@@ -70,7 +74,6 @@ from .pencil import (
     Pencil,
     clear_denominators,
     definite_sign,
-    rat_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -128,14 +131,14 @@ def _sturm_chain(f: RatPoly) -> list[list[int]]:
 
     A primitive remainder sequence (Collins, JACM 14, 1967): the next
     element is the pseudo-remainder lc(b)^e a - q b, e = deg a - deg b + 1,
-    of the last two (`pseudo_remainder`), negated when lc(b)^e > 0 and
+    of the last two (`pseudo_divmod`), negated when lc(b)^e > 0 and
     divided by its content."""
     den = f.denominator_lcm()
     a = _primitive([int(c * den) for c in f.coeffs])
     chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        r, _ = pseudo_remainder(a, b)
+        _, r, _ = pseudo_divmod(a, b)
         if not r:
             break
         if b[-1] > 0 or (len(a) - len(b)) % 2:
@@ -230,7 +233,7 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
                 REAL_PLACE,
                 "insoluble",
                 witness={
-                    "definite_member_at": rat_str(t0),
+                    "definite_member_at": t0,
                     "signature": [5, 0] if sign > 0 else [0, 5],
                 },
                 reason="definite member in the pencil",
@@ -238,7 +241,7 @@ def real_soluble(pencil: Pencil) -> LocalCertificate:
     return LocalCertificate(
         REAL_PLACE,
         "soluble",
-        witness={"indefinite_members_at": [rat_str(t0) for t0 in samples]},
+        witness={"indefinite_members_at": samples},
         reason="no definite member on the real pencil line",
     )
 
@@ -528,9 +531,12 @@ def _kernel_vector(a: list[list[int]]) -> list[int]:
 
 
 def diagonal_model(norm: NormalizedPencil, factors: Sequence[RatPoly]) -> Optional[DiagonalModel]:
-    """The diagonal model of the pencil when P splits into the linear
-    `factors` (its factors over Q), else None."""
-    if any(f.degree != 1 for f in factors):
+    """The diagonal model of the pencil when `factors`, distinct monic
+    factors of P over Q, are five, else None.  P is squarefree of degree
+    5, so five such factors are linear: both its factorization and its
+    linear factors alone (`exact.linear_factors`) have five entries exactly
+    when P splits completely."""
+    if len(factors) != 5:
         return None
     roots = [-f[0] for f in factors]
     D = math.lcm(*(e.denominator for e in roots))
@@ -543,10 +549,10 @@ def diagonal_model(norm: NormalizedPencil, factors: Sequence[RatPoly]) -> Option
     return DiagonalModel(norm.pencil.cleared[1:], tuple(n), tuple(vectors), tuple(c))
 
 
-def _val(x: int, p: int) -> float:
-    """p-adic valuation of an integer, infinite at 0."""
+def _val(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     if x == 0:
-        return math.inf
+        raise ValueError("valuation of zero")
     v = 0
     while x % p == 0:
         x //= p
@@ -614,18 +620,23 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
         [0, d, 0],
         [0, 0, d],
     ]
-    vB = [[_val(x, p) for x in row] for row in B]
+    vB = [[_val(x, p) if x else None for x in row] for row in B]  # None: B_ij = 0
     c_parts = []
     for ci in c:
         vc = _val(ci, p)
         c_parts.append((vc, ci // p**vc % q))
-    low = {free: [min(row[j] for j in free) for row in vB] for free in ((1, 2), (0, 2), (0, 1))}
+    # per chart and coordinate, the least valuation of B's free columns, or
+    # None when z_i does not depend on the free coordinates
+    low = {free: [min((row[j] for j in free if row[j] is not None), default=None) for row in vB]
+           for free in ((1, 2), (0, 2), (0, 1))}
     unit_class: dict[int, int] = {}
 
     def in_ball(w, w0, m, free) -> bool:
         (k,) = {0, 1, 2} - set(free)
+        if not w[k]:
+            return False
         vk = _val(w[k], p)
-        return vk < math.inf and all(_val(w[j] - w0[j] * w[k], p) >= m + vk for j in free)
+        return all(w[j] == w0[j] * w[k] or _val(w[j] - w0[j] * w[k], p) >= m + vk for j in free)
 
     def point_of(w0, m, free):
         """A point w of the ball at which z has one common class, or None
@@ -644,9 +655,9 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
             elif a:
                 va = _val(a, p)
                 a //= p**va
-            else:
-                va = math.inf
-            if va + r > m + lo:
+            # undetermined: z_i vanishes at the center, or the ball moves it
+            # by p^(va + r) or more (never when it has no free dependence)
+            if not a or lo is not None and va + r > m + lo:
                 open_.append(i)
                 continue
             u = a * uc % q
@@ -662,8 +673,8 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
             return w0
         if len(open_) == 1:
             (i,) = open_
-            j = min(free, key=lambda j: vB[i][j])
-            if _val(alpha[i], p) < m + vB[i][j]:
+            j = min((j for j in free if B[i][j]), key=lambda j: vB[i][j])
+            if alpha[i] and _val(alpha[i], p) < m + vB[i][j]:
                 return "split"
             # z_i(w0 + s e_j) = alpha_i + s B_ij vanishes at s = -alpha_i / B_ij
             return [B[i][j] * x - (alpha[i] if t == j else 0) for t, x in enumerate(w0)]
@@ -738,7 +749,7 @@ def _split_witness(model: DiagonalModel, p: int, z: list[int]) -> LocalCertifica
         y = [0 if part is None else p ** (part[0] - smin) * _sqrt_unit(part[1], p, N + 1)
              for part in parts]
         x = [sum(yi * v[j] for yi, v in zip(y, model.vectors)) for j in range(5)]
-        g = min(_val(xj, p) for xj in x)
+        g = min(_val(xj, p) for xj in x if xj)
         k = N - g
         if k >= 2:
             pk = p**k
@@ -752,6 +763,38 @@ def _split_witness(model: DiagonalModel, p: int, z: list[int]) -> LocalCertifica
                     reason="Hensel-liftable point of the diagonal model",
                 )
         N *= 2
+
+
+# ---------------------------------------------------------------------------
+# The places of a report
+
+
+# The primes of the default p-adic sweep of analyze and local, taken when
+# they lie in the bad set S0.  S0 holds every prime below --margin, so at
+# analyze's default margin 100 that is all five, where `local` (margin 2)
+# takes only the bad ones.  p = 2 is decided on request (`local --places
+# 2`): for a split pencil always, by the ball tree, while the search for
+# other pencils rarely decides it.
+SWEEP_PRIMES = (3, 5, 7, 11, 13)
+
+
+def sweep_places(s0: BadSet) -> list[int]:
+    """The primes of the default sweep that lie in the bad set s0."""
+    return [p for p in SWEEP_PRIMES if p in s0]
+
+
+def local_certificates(
+    norm: NormalizedPencil, factors: Sequence[RatPoly], places: Sequence[int], effort: int
+) -> list[LocalCertificate]:
+    """The certificate of the real place, then one per prime of `places`:
+    the ball tree of the diagonal model when `factors` are the five linear
+    factors of P (`diagonal_model`), else the search of `padic_soluble`,
+    bounded by `effort`."""
+    split = diagonal_model(norm, factors)
+    return [real_soluble(norm.pencil)] + [
+        padic_soluble(norm.pencil.cleared[1:], p, effort) if split is None else split_soluble(split, p)
+        for p in places
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .exact import (
     int_det,
     is_square_q,
     poly_mul,
-    pseudo_remainder,
+    pseudo_divmod,
     resultant,
     sqrt_in_etale,
     strip_square_content,
@@ -368,7 +368,7 @@ def delta_component(norm: NormalizedPencil, factor: RatPoly) -> RatPoly:
     content = math.gcd(*f)
     f = [c // content for c in f]
     for k in range(4, -1, -1):
-        r, e = pseudo_remainder(norm.principal_minor(k), f)
+        _, r, e = pseudo_divmod(norm.principal_minor(k), f)
         if r:
             den = f[-1] ** e * norm.den**4
             return strip_square_content(RatPoly.of([Fraction(x, den) for x in r]))

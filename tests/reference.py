@@ -60,7 +60,6 @@ from quadpencil.localarith import (
     DiagonalModel,
     LocalCertificate,
     _split_witness,
-    _val,
     condition_representative,
 )
 from quadpencil.pencil import DeltaInvariant, Matrix, char_poly, matrix_of
@@ -620,6 +619,17 @@ def diagonal_insoluble_at(c: Sequence[int], n: Sequence[int], p: int, kmax: int)
         if diagonal_primitive_count(a, b, p, k) == 0:
             return k
     return None
+
+
+def _val(x: int, p: int) -> float:
+    """p-adic valuation of an integer, infinite at 0."""
+    if x == 0:
+        return math.inf
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def split_soluble_per_ball(model: DiagonalModel, p: int) -> LocalCertificate:

@@ -34,7 +34,7 @@ from quadpencil.exact import (
     legendre,
     poly_mul,
     prime_place,
-    pseudo_remainder,
+    pseudo_divmod,
     rational_reconstruct,
     resultant,
     sqrt_in_etale,
@@ -315,11 +315,13 @@ class TestIntegerPolynomials:
     @example([1, 2, 3], [5, 7], 0)
     @example([0, 0, 4], [1, 0, 3], 2)  # a padded with zeros
     def test_pseudo_remainder(self, a, b, pad):
-        # r = lc(b)^e (a mod b) over Q, e counted from the padded length
-        r, e = pseudo_remainder(a + [0] * pad, b)
+        # r = lc(b)^e (a mod b) over Q, e counted from the padded length,
+        # and lc(b)^e a = q b + r in Z[t]
+        q, r, e = pseudo_divmod(a + [0] * pad, b)
         assert e == max(0, len(a) + pad - len(b) + 1)
         assert RatPoly.of(r) == RatPoly.of(a) % RatPoly.of(b) * b[-1] ** e
         assert not r or r[-1] != 0
+        assert RatPoly.of(poly_mul(q, b)) + RatPoly.of(r) == RatPoly.of(a) * b[-1] ** e
 
     def test_poly_mul(self):
         assert poly_mul([1, 2], [3, 0, 4]) == [3, 6, 4, 8]

@@ -27,8 +27,6 @@ from quadpencil.exact import (
     unramified_prime,
 )
 from quadpencil.galois import (
-    _THETA_REPS,
-    _theta_value,
     _tschirnhausen,
     GaloisProfile,
     RamifiedPrimeError,
@@ -39,6 +37,7 @@ from quadpencil.galois import (
 )
 from quadpencil.localarith import condition_representative
 from quadpencil.pencil import pencil_dumps
+from f20_table import THETA_REPS, theta_value
 from reference import (
     CLASS_SETS,
     count_calls,
@@ -300,8 +299,8 @@ class TestResolvent:
     def _product_over_conjugates(roots):
         """prod_j (y - theta_j), high to low, expanded exactly from the roots."""
         out = [1]
-        for perm in _THETA_REPS:
-            th = _theta_value(roots, perm)
+        for perm in THETA_REPS:
+            th = theta_value(roots, perm)
             out = [a - th * b for a, b in zip(out + [0], [0] + out)]
         return out
 

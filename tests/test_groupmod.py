@@ -84,6 +84,22 @@ class TestAction:
         conj = h * g * h.inverse()
         assert len(g.fixed_points()) == len(conj.fixed_points())
 
+    def test_fixed_point_count_class_function_exhaustive(self):
+        # invariance under conjugation by each generator, on every element,
+        # is invariance under the whole group: is_admissible reads a class
+        # function
+        gens = [
+            WreathElement(0b00001, (0, 1, 2, 3, 4)),
+            WreathElement(0, (1, 0, 2, 3, 4)),
+            WreathElement(0, (1, 2, 3, 4, 0)),
+        ]
+        full = wreath_closure(gens)
+        assert len(full) == 3840
+        for g in full:
+            count = len(g.fixed_points())
+            for h in gens:
+                assert len((h * g * h.inverse()).fixed_points()) == count
+
 
 class TestSubgroups:
     def test_orders(self):

@@ -89,6 +89,27 @@ def test_cli_reaches_no_module_through_another():
             assert "SelmerSystem(" not in path.read_text(), f"{path.name} builds a SelmerSystem"
 
 
+def test_localarith_owns_local_verdicts():
+    # localarith picks the places of a report and the procedure that
+    # decides each, and returns values; cli only encodes them
+    cli_names = _used_names(ast.parse((SRC / "cli.py").read_text()))
+    owned = {"real_soluble", "padic_soluble", "split_soluble", "diagonal_model", "SWEEP_PRIMES"}
+    assert not cli_names & owned, f"cli.py names {sorted(cli_names & owned)}"
+    assert "rat_str" not in _used_names(ast.parse((SRC / "localarith.py").read_text())), \
+        "localarith.py formats a rational"
+
+
+def test_no_floating_point():
+    # every verdict is exact: no source module names inf or nan or calls float
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not _used_names(tree) & {"inf", "nan"}, f"{path.name} names inf or nan"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) != "float", \
+                    f"{path.name} line {node.lineno} calls float"
+
+
 DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
