@@ -3,9 +3,10 @@
 The two canonical Gram matrices are weighted trace forms on the basis
 1, theta, ..., theta^4 of Q[t]/(P): entries Tr(w(theta) delta' theta^(i+j))
 with weights 1/P'(theta) and theta/P'(theta).  The double-cover model adds
-x^2 = (trace form with weight P(b)/((b-theta) P'(theta))).  All traces are
-traces of multiplication operators, computed from the power sums of P; no
-root approximations.
+x^2 = (trace form with weight P(b)/((b-theta) P'(theta))).  Every weight is
+g(theta)/P'(theta) for a polynomial g, and Euler's identity (Serre, Local
+Fields, III 6) reads Tr(g(theta)/P'(theta)) off as the t^(n-1) coefficient
+of g mod P: no inverse in Q[t]/(P), no power sums, no root approximations.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from typing import Sequence, Union
 
 from .exact import (
     RatPoly,
-    Residue,
     crt_poly,
     factor_q,
-    inverse_mod,
     is_square_q,
     resultant,
     sqrt_in_etale,
@@ -36,23 +35,6 @@ from .pencil import (
 )
 
 DeltaInput = Union[RatPoly, Sequence[RatPoly], Sequence[int]]
-
-
-def power_sums(P: RatPoly, upto: int) -> list[Fraction]:
-    """s_k = sum of k-th powers of the roots, k = 0..upto (Newton)."""
-    n = P.degree
-    if P.lc != 1:
-        raise ValueError("monic polynomial required")
-    c = [P[i] for i in range(n + 1)]
-    s = [Fraction(n)]
-    for k in range(1, upto + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, n + 1)):
-            acc += c[n - i] * s[k - i]
-        if k <= n:
-            acc += k * c[n - k]
-        s.append(-acc)
-    return s
 
 
 def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple[RatPoly, ...]]:
@@ -80,17 +62,18 @@ def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple
     return d, factors
 
 
-def trace_form(P: RatPoly, weight: RatPoly, delta: RatPoly) -> Matrix:
-    """Gram matrix Tr(weight * delta * theta^(i+j)) on the power basis.
+def trace_form(P: RatPoly, g: RatPoly) -> Matrix:
+    """Gram matrix Tr(g(theta) theta^(i+j) / P'(theta)) on the power basis.
 
-    weight and delta are residue classes mod P, and n = deg P; the matrix is
-    the Hankel array of the traces tau_k = Tr(h theta^k) = sum_j h_j s_(j+k),
-    k = 0..2n-2, read off the power sums s of P for h = weight delta mod P.
+    P is monic of degree n and g a polynomial.  By Euler's identity entry
+    (i, j) is the t^(n-1) coefficient of g t^(i+j) mod P; the residue for
+    k = i + j comes from the one for k - 1 by one multiplication by t.
     """
     n = P.degree
-    sums = power_sums(P, 3 * n - 3)
-    h = (weight * delta) % P
-    taus = [sum((h[j] * sums[j + k] for j in range(n)), Fraction(0)) for k in range(2 * n - 1)]
+    h, taus = g % P, []
+    for _ in range(2 * n - 1):
+        taus.append(h[n - 1])
+        h = (h * RatPoly.x()) % P
     return matrix_of([[taus[i + j] for j in range(n)] for i in range(n)])
 
 
@@ -122,9 +105,8 @@ def canonical_quadrics(P: RatPoly, delta_prime: DeltaInput) -> CanonicalModel:
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
     delta, factors = normalize_delta(P, delta_prime)
-    w1 = inverse_mod(P.derivative(), P)
-    g1 = trace_form(P, w1, delta)
-    g2 = trace_form(P, (w1 * RatPoly.of([0, 1])) % P, delta)
+    g1 = trace_form(P, delta)
+    g2 = trace_form(P, delta * RatPoly.x())
     return CanonicalModel(P, delta, factors, g1, g2)
 
 
@@ -155,13 +137,16 @@ class KummerModel:
 
 def kummer_model(P: RatPoly, delta_prime: DeltaInput, b) -> KummerModel:
     """Double cover datum at b: gram3 = trace form with weight
-    P(b) / ((b - theta) P'(theta)); requires P(b) != 0."""
+    P(b) / ((b - theta) P'(theta)); requires P(b) != 0.
+
+    P(b) / (b - theta) is Q_b(theta) for the exact quotient
+    Q_b = (P(b) - P) / (b - t)."""
     b = Fraction(b)
     if P(b) == 0:
         raise ValueError("b is a root of P")
     base = canonical_quadrics(P, delta_prime)
-    w = inverse_mod((RatPoly.of([b, -1]) * P.derivative()) % P, P)
-    g3 = trace_form(P, (w * P(b)) % P, base.delta)
+    q_b = (RatPoly.const(P(b)) - P) // RatPoly.of([b, -1])
+    g3 = trace_form(P, q_b * base.delta)
     return KummerModel(base, b, g3)
 
 
@@ -222,7 +207,7 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
 
     recovered = normalize_pencil(pencil)
     inv = delta_invariant(recovered)
-    a, b, c, d = chart = recovered.chart
+    chart = recovered.chart
 
     matches = []
     used = set()
@@ -240,19 +225,12 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
             continue
         j, pf, pd = target
         used.add(j)
-        theta = Residue.of(RatPoly.of([a, -c]), rf) * Residue.of(
-            RatPoly.of([-b, d]), rf
-        ).inverse()
-        mapped = _eval_poly_at_residue(pd, theta)
-        ratio = Residue.of(rd, rf) * mapped.inverse()
-        reduced = strip_square_content(ratio.poly)
+        # rd / pd(theta) for theta = (a - c t)/(d t - b), times the square
+        # (pd(theta) (d t - b)^(k/2))^2 for an even k >= deg pd
+        k = pd.degree + pd.degree % 2
+        mapped = RatPoly.of(chart_poly((pd.coeffs + (0,) * (k - pd.degree))[::-1], k, chart))
+        reduced = strip_square_content((rd * mapped) % rf)
         status = sqrt_in_etale(reduced, rf).status
         matches.append(FactorMatch(pf, rf, status))
     return RoundTripReport(P, n, det_ok, is_square_q(n), recovered, tuple(matches))
 
-
-def _eval_poly_at_residue(f: RatPoly, x: Residue) -> Residue:
-    acc = Residue.of(RatPoly(()), x.modulus)
-    for c in reversed(f.coeffs):
-        acc = acc * x + Residue.of(RatPoly.const(c), x.modulus)
-    return acc

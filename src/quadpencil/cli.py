@@ -206,8 +206,8 @@ def run_analyze(args) -> tuple[dict, str, int]:
     norm = pencil.normalize_pencil(pen)
     inv = pencil.delta_invariant(norm)
     profile = galois.galois_group_quintic(norm.P, inv.factors, inv.disc)
-    b = pencil.b_delta_group(inv)
-    cls = pencil.hasse_class(inv, profile, b)
+    b_dim = pencil.b_delta_group(inv)
+    cls = pencil.hasse_class(inv, profile, b_dim)
 
     s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
     certs = localarith.local_certificates(norm, inv.factors, localarith.sweep_places(s0), args.effort)
@@ -244,7 +244,7 @@ def run_analyze(args) -> tuple[dict, str, int]:
             "resolvent_root": profile.resolvent_root,
             "certificate": profile.certificate,
         },
-        "brauer_dimension": b.dimension,
+        "brauer_dimension": b_dim,
         "classification": cls,
         "local_certificates": certs,
         "witness": witness,
@@ -255,7 +255,7 @@ def run_analyze(args) -> tuple[dict, str, int]:
         f"factors: {[str(f) for f in inv.factors]}",
         f"delta flags: {list(inv.square_flags)}",
         f"galois: {profile.label}",
-        f"B-dimension: {b.dimension}",
+        f"B-dimension: {b_dim}",
         f"classification: {cls.kind}",
         "local: " + ", ".join(f"{c.place}:{c.verdict}" for c in certs),
         f"elapsed: {elapsed:.2f}s",

@@ -469,9 +469,8 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
             sols, truncated = _solve_linear_mod_p(_jacobian(forms_int, x), target, p, cap=p**2 * 8)
             any_truncated = any_truncated or truncated
             for y in sols:
+                # F(x + mod y) = F(x) + mod J(x) y + mod^2 F(y) = 0 mod (mod p)
                 x2 = tuple((x[i] + mod * y[i]) % (mod * p) for i in range(n))
-                if any(v % (mod * p) for v in _form_values(forms_int, x2)):
-                    continue
                 e = _minor_valuation(forms_int, x2, p, cap=level)
                 if 2 * e < level:
                     return LocalCertificate(

@@ -386,45 +386,26 @@ def delta_invariant(norm: NormalizedPencil) -> DeltaInvariant:
     return DeltaInvariant(norm.P, factors, reps, disc, norms)
 
 
-@dataclass(frozen=True)
-class BrauerQuotient:
-    """Norm-relation group on the nonsquare delta components, modulo the
-    all-ones vector."""
+def b_delta_group(inv: DeltaInvariant) -> int:
+    """Dimension of the vectors gamma over the nonsquare delta components
+    with prod N(delta_i)^gamma_i square, mod <(1,...,1)>.
 
-    nonsquare_indices: tuple[int, ...]
-    basis: tuple[int, ...]  # F_2 masks over the nonsquare indices
-    dimension: int
-
-
-def b_delta_group(inv: DeltaInvariant) -> BrauerQuotient:
-    """Vectors gamma with prod N(delta_i)^gamma_i square, mod <(1,...,1)>.
-
-    Zero group when delta = 0.
+    Those gamma form a subgroup, so its dimension is the rank of its nonzero
+    members, less one when the all-ones vector is among them; zero when
+    delta = 0.
     """
-    idx = inv.nonsquare_indices()
-    m = len(idx)
-    if m == 0:
-        return BrauerQuotient((), (), 0)
-    norms = [inv.norms[i] for i in idx]
+    norms = [inv.norms[i] for i in inv.nonsquare_indices()]
     if any(n == 0 for n in norms):
         raise ArithmeticError("delta representative shares a root with its factor")
     kept = []
-    for gamma in range(1 << m):
+    for gamma in range(1, 1 << len(norms)):
         prod = Fraction(1)
-        for j in range(m):
+        for j, n in enumerate(norms):
             if (gamma >> j) & 1:
-                prod *= norms[j]
+                prod *= n
         if is_square_q(prod):
             kept.append(gamma)
-    all_ones = (1 << m) - 1
-    sub = [all_ones] if all_ones in kept else []
-    basis = []
-    cur = list(sub)
-    for v in gf2.reduce_basis(kept):
-        if not gf2.in_span(v, cur):
-            basis.append(v)
-            cur.append(v)
-    return BrauerQuotient(tuple(idx), tuple(basis), len(basis))
+    return gf2.rank(kept) - ((1 << len(norms)) - 1 in kept)
 
 
 @dataclass(frozen=True)
@@ -435,15 +416,15 @@ class HasseClassification:
     galois_label: str
 
 
-def hasse_class(inv: DeltaInvariant, galois_profile, b: BrauerQuotient) -> HasseClassification:
+def hasse_class(inv: DeltaInvariant, galois_profile, b_dimension: int) -> HasseClassification:
     """Which case of the split/irreducible classification the pencil is in;
-    b is the pencil's `b_delta_group`, read for a split pencil."""
+    b_dimension is the pencil's `b_delta_group`, read for a split pencil."""
     degs = tuple(sorted((f.degree for f in inv.factors), reverse=True))
     if inv.is_irreducible:
         return HasseClassification("IRREDUCIBLE", degs, None, galois_profile.label)
     if inv.is_split:
-        kind = "SPLIT_TRIVIAL_BRAUER" if b.dimension == 0 else "SPLIT_NONTRIVIAL_BRAUER"
-        return HasseClassification(kind, degs, b.dimension, galois_profile.label)
+        kind = "SPLIT_TRIVIAL_BRAUER" if b_dimension == 0 else "SPLIT_NONTRIVIAL_BRAUER"
+        return HasseClassification(kind, degs, b_dimension, galois_profile.label)
     return HasseClassification("OTHER", degs, None, galois_profile.label)
 
 

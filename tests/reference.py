@@ -22,12 +22,13 @@ from typing import Iterable, Sequence
 import sympy
 
 from quadpencil import gf2
-from quadpencil.canon import DeltaInput, normalize_delta, trace_form
+from quadpencil.canon import DeltaInput, RoundTripReport, normalize_delta
 from quadpencil.exact import (
     REAL_PLACE,
     BadSet,
     LocalPlace,
     RatPoly,
+    Residue,
     SqrtEtaleResult,
     _as_rat,
     discriminant,
@@ -48,7 +49,9 @@ from quadpencil.exact import (
     lift_roots,
     prime_place,
     resultant,
+    sqrt_in_etale,
     sqrt_mod_p,
+    strip_square_content,
     val_unit,
 )
 from quadpencil.galois import (
@@ -62,7 +65,7 @@ from quadpencil.localarith import (
     _split_witness,
     condition_representative,
 )
-from quadpencil.pencil import DeltaInvariant, Matrix, char_poly, matrix_of
+from quadpencil.pencil import DeltaInvariant, Matrix, char_poly, delta_invariant, matrix_of
 from quadpencil.selmersim import SelmerSystem
 
 
@@ -344,6 +347,37 @@ def delta_residue_at(
 # Canonical models
 
 
+def power_sums(P: RatPoly, upto: int) -> list[Fraction]:
+    """s_k = sum of k-th powers of the roots, k = 0..upto (Newton)."""
+    n = P.degree
+    if P.lc != 1:
+        raise ValueError("monic polynomial required")
+    c = [P[i] for i in range(n + 1)]
+    s = [Fraction(n)]
+    for k in range(1, upto + 1):
+        acc = Fraction(0)
+        for i in range(1, min(k, n + 1)):
+            acc += c[n - i] * s[k - i]
+        if k <= n:
+            acc += k * c[n - k]
+        s.append(-acc)
+    return s
+
+
+def weighted_trace_form(P: RatPoly, weight: RatPoly, delta: RatPoly) -> Matrix:
+    """Oracle: Gram matrix Tr(weight * delta * theta^(i+j)) on the power basis.
+
+    weight and delta are residue classes mod P, and n = deg P; the matrix is
+    the Hankel array of the traces tau_k = Tr(h theta^k) = sum_j h_j s_(j+k),
+    k = 0..2n-2, read off the power sums s of P for h = weight delta mod P.
+    """
+    n = P.degree
+    sums = power_sums(P, 3 * n - 3)
+    h = (weight * delta) % P
+    taus = [sum((h[j] * sums[j + k] for j in range(n)), Fraction(0)) for k in range(2 * n - 1)]
+    return matrix_of([[taus[i + j] for j in range(n)] for i in range(n)])
+
+
 def branch_form(P: RatPoly, delta_prime: DeltaInput, b) -> Matrix:
     """Branch locus form: weight 1 / ((b - theta) P'(theta))."""
     b = Fraction(b)
@@ -351,7 +385,28 @@ def branch_form(P: RatPoly, delta_prime: DeltaInput, b) -> Matrix:
         raise ValueError("b is a root of P")
     delta, _ = normalize_delta(P, delta_prime)
     w = inverse_mod((RatPoly.of([b, -1]) * P.derivative()) % P, P)
-    return trace_form(P, w, delta)
+    return weighted_trace_form(P, w, delta)
+
+
+def roundtrip_statuses_by_residue(rep: RoundTripReport, delta_prime: DeltaInput) -> list[str]:
+    """Oracle: each matched factor's ratio status from rd / pd(theta) in
+    Q[t]/(rf), with theta = (a - c t)/(d t - b) inverted there."""
+    delta, _ = normalize_delta(rep.P, delta_prime)
+    reps = dict(delta_invariant(rep.recovered).factor_reps())
+    a, b, c, d = rep.recovered.chart
+    out = []
+    for m in rep.matches:
+        rf = m.recovered_factor
+        if m.input_factor.is_zero:
+            out.append(m.ratio_status)
+            continue
+        theta = Residue.of(RatPoly.of([a, -c]), rf) * Residue.of(RatPoly.of([-b, d]), rf).inverse()
+        mapped = Residue.of(RatPoly(()), rf)
+        for x in reversed((delta % m.input_factor).coeffs):
+            mapped = mapped * theta + Residue.of(RatPoly.const(x), rf)
+        ratio = Residue.of(reps[rf], rf) * mapped.inverse()
+        out.append(sqrt_in_etale(strip_square_content(ratio.poly), rf).status)
+    return out
 
 
 # ---------------------------------------------------------------------------

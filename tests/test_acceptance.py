@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from quadpencil import gf2
-from quadpencil.canon import canonical_quadrics, roundtrip_invariants, trace_form
+from quadpencil.canon import canonical_quadrics, roundtrip_invariants
 from quadpencil.exact import (
     RatPoly,
     discriminant,
@@ -51,10 +51,12 @@ from reference import (
     endgame_pairing,
     hilbert_support,
     hilbert_symbol,
+    roundtrip_statuses_by_residue,
     shift,
     span,
     squarefree_part,
     verify_norm_square,
+    weighted_trace_form,
 )
 
 
@@ -158,6 +160,18 @@ def test_criterion_3_roundtrip():
     report(3, "round trip", f"50 pairs in {elapsed:.1f}s")
 
 
+def test_roundtrip_statuses_match_residue_oracle():
+    """The round trip's delta-class statuses, taken through the chart's
+    action on Q[t], equal rd / pd(theta) computed by inversion mod rf."""
+    # delta classes of odd degree, where the chart's formal degree must be
+    # even so that the power of d t - b it brings in is a square
+    odd = [(shift(T5_MINUS_2, k), d) for k, d in ((0, poly(0, 1)), (1, poly(0, 1)), (2, poly(1, 1)))]
+    odd.append((poly(-3, 0, 1) * poly(-2, 0, 0, 1), [poly(3), poly(0, 1)]))
+    for P, d in _roundtrip_corpus() + odd:
+        rep = roundtrip_invariants(P, d)
+        assert [m.ratio_status for m in rep.matches] == roundtrip_statuses_by_residue(rep, d)
+
+
 def test_criterion_4_euler_traces_and_pencil_identity():
     """tau_0..tau_3 = 0, tau_4 = 1 on 100 random quintics, exact; and the
     characteristic form of the canonical pencil is a square times P."""
@@ -169,7 +183,7 @@ def test_criterion_4_euler_traces_and_pencil_identity():
         if discriminant(P) == 0:
             continue
         done += 1
-        g = trace_form(P, inverse_mod(P.derivative(), P), poly(1))
+        g = weighted_trace_form(P, inverse_mod(P.derivative(), P), poly(1))
         assert [g[0][0], g[0][1], g[0][2], g[0][3]] == [0, 0, 0, 0]
         assert g[0][4] == 1
         if done % 10 == 0:

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadpencil.exact import (
     RatPoly,
     discriminant,
+    factor_q,
     inverse_mod,
     is_square_q,
 )
@@ -17,12 +18,16 @@ from quadpencil.canon import (
     canonical_quadrics,
     kummer_model,
     normalize_delta,
-    power_sums,
     roundtrip_invariants,
-    trace_form,
 )
 from quadpencil.pencil import mat_det
-from reference import branch_form, count_factor_q, squarefree_part
+from reference import (
+    branch_form,
+    count_factor_q,
+    power_sums,
+    squarefree_part,
+    weighted_trace_form,
+)
 
 
 def poly(*coeffs):
@@ -65,7 +70,7 @@ class TestTraceIdentities:
         roots = [0, 1, 2, 3, 4]
         P = SPLIT_QUINTIC
         Pd = P.derivative()
-        g = trace_form(P, inverse_mod(Pd, P), poly(1))
+        g = weighted_trace_form(P, inverse_mod(Pd, P), poly(1))
         for i in range(5):
             for j in range(5):
                 expected = partial_fraction_tau(roots, lambda r: 1 / Pd(r), i + j)
@@ -78,7 +83,7 @@ class TestTraceIdentities:
         rng = random.Random(42)
         for _ in range(25):
             P = random_quintic(rng)
-            g = trace_form(P, inverse_mod(P.derivative(), P), poly(1))
+            g = weighted_trace_form(P, inverse_mod(P.derivative(), P), poly(1))
             taus = [g[0][0], g[0][1], g[0][2], g[0][3], g[0][4]]
             assert taus[:4] == [0, 0, 0, 0]
             assert taus[4] == 1
@@ -86,8 +91,8 @@ class TestTraceIdentities:
     def test_shifted_hankel(self):
         P = T5_MINUS_2
         w1 = inverse_mod(P.derivative(), P)
-        g1 = trace_form(P, w1, poly(1))
-        g2 = trace_form(P, (w1 * poly(0, 1)) % P, poly(1))
+        g1 = weighted_trace_form(P, w1, poly(1))
+        g2 = weighted_trace_form(P, (w1 * poly(0, 1)) % P, poly(1))
         for i in range(5):
             for j in range(4):
                 assert g2[i][j] == g1[i][j + 1]
@@ -98,6 +103,49 @@ class TestTraceIdentities:
             for row in g:
                 for x in row:
                     assert x.denominator == 1
+
+
+coeff = st.fractions(min_value=-9, max_value=9, max_denominator=1000)
+
+
+@st.composite
+def quintic_and_delta(draw):
+    """An integer, rational or split quintic, with one delta class mod P or
+    a per-factor list."""
+    kind = draw(st.sampled_from(["integer", "rational", "split"]))
+    if kind == "split":
+        P = RatPoly.from_roots(draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5, unique=True)))
+    else:
+        c = st.integers(-9, 9) if kind == "integer" else coeff
+        P = RatPoly.of(draw(st.lists(c, min_size=5, max_size=5)) + [1])
+    assume(discriminant(P) != 0)
+    factors = factor_q(P)
+    if draw(st.booleans()):
+        delta = [RatPoly.of(draw(st.lists(coeff, min_size=f.degree, max_size=f.degree))) for f in factors]
+    else:
+        delta = RatPoly.of(draw(st.lists(coeff, min_size=1, max_size=5)))
+    return P, delta
+
+
+class TestEulerTraces:
+    @settings(max_examples=60, deadline=None)
+    @given(quintic_and_delta(), coeff)
+    @example((SPLIT_QUINTIC, [poly(5), poly(5), poly(1), poly(1), poly(1)]), Fraction(7))
+    @example((T5_MINUS_2, poly(2, 0, 1)), Fraction(1))
+    def test_grams_match_inverted_weights(self, case, b):
+        # Euler's identity against the weights inverted in Q[t]/(P) and
+        # traced through the power sums
+        P, delta = case
+        try:
+            normalize_delta(P, delta)
+        except ValueError:
+            assume(False)
+        assume(P(b) != 0)
+        km = kummer_model(P, delta, b)
+        w1 = inverse_mod(P.derivative(), P)
+        assert km.base.gram1 == weighted_trace_form(P, w1, km.base.delta)
+        assert km.base.gram2 == weighted_trace_form(P, (w1 * poly(0, 1)) % P, km.base.delta)
+        assert km.gram3 == tuple(tuple(P(b) * x for x in row) for row in branch_form(P, delta, b))
 
 
 class TestCanonicalQuadrics:
@@ -184,8 +232,6 @@ class TestKummer:
 
 class TestNormalizeDelta:
     def test_per_factor_crt(self):
-        from quadpencil.exact import factor_q
-
         entries = [5, 5, 1, 1, 1]
         d, _ = normalize_delta(SPLIT_QUINTIC, entries)
         # entries follow factor_q order (sorted by coefficient tuple)

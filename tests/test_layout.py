@@ -99,6 +99,16 @@ def test_localarith_owns_local_verdicts():
         "localarith.py formats a rational"
 
 
+def test_canon_inverts_nothing():
+    # by Euler's identity every canonical Gram matrix is read off g mod P,
+    # and the round trip compares delta classes through pencil.chart_poly:
+    # canon inverts nothing in Q[t]/(P) and takes no power sums
+    tree = ast.parse((SRC / "canon.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, DEFS)}
+    named = (_used_names(tree) | defined) & {"inverse_mod", "Residue", "power_sums"}
+    assert not named, f"canon.py names {sorted(named)}"
+
+
 def test_no_floating_point():
     # every verdict is exact: no source module names inf or nan or calls float
     for path in sorted(SRC.glob("*.py")):
