@@ -452,9 +452,14 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of printing a usage block and exiting 2,
-    the code that means "unknown"; `main` reports it as one error line."""
+    the code that means "unknown"; `main` reports it as one error line.
+    argparse takes a value that begins with '-' (and is not a plain number)
+    for an option, so an option that then lacks its value says how to
+    write one."""
 
     def error(self, message):
+        if message.endswith("expected one argument"):
+            message += " (write a value that begins with '-' as --option=value)"
         raise UsageError(message)
 
 

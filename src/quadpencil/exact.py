@@ -671,19 +671,21 @@ def prime_place(p: int) -> LocalPlace:
     return LocalPlace(False, p)
 
 
-def val_unit(a: Fraction, p: int) -> tuple[int, Fraction]:
-    """p-adic valuation and unit part of a nonzero rational."""
-    if a == 0:
+def valuation(n: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer."""
+    if n == 0:
         raise ValueError("valuation of zero")
     v = 0
-    num, den = a.numerator, a.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v
+
+
+def val_unit(a: Fraction, p: int) -> tuple[int, Fraction]:
+    """p-adic valuation and unit part of a nonzero rational."""
+    vn, vd = valuation(a.numerator, p), valuation(a.denominator, p)
+    return vn - vd, Fraction(a.numerator // p**vn, a.denominator // p**vd)
 
 
 def legendre(a: int, p: int) -> int:
@@ -1133,10 +1135,8 @@ def strip_square_content(d: RatPoly) -> RatPoly:
                 break
             if h % q == 0:
                 h //= q
-                exp = 0
-                while rem % q == 0:
-                    rem //= q
-                    exp += 1
+                exp = valuation(rem, q)
+                rem //= q**exp
                 sq *= q ** (exp - exp % 2)
     if math.isqrt(rem) ** 2 == rem:
         sq *= rem

@@ -18,9 +18,11 @@ ends by compactness (`split_soluble`).  Any other pencil goes through
 `padic_soluble`: its level 1 takes the common zeros mod p by solving each
 chart line of P^4(F_p) as a quadratic over F_p (`_zeros_mod_p`), with no
 point evaluated on its own, and its singular zeros feed a tree search over
-residue candidates with a multivariate Hensel criterion, bounded by its
-effort, where "unknown" is a first-class verdict.  No verdict is ever
-guessed, and none reads a floating-point number.
+residue candidates, bounded by its effort, where "unknown" is a
+first-class verdict.  Every p-adic "soluble", from either procedure, is
+one Hensel certificate, built by `_lifting` alone: a primitive common zero
+mod p^k with a maximal Jacobian minor of valuation e, 2e < k.  No verdict
+is ever guessed, and none reads a floating-point number.
 `local_certificates` is the one place that picks the procedure for each
 place of a report, and `sweep_places` the primes of the default sweep; a
 certificate's witness holds values (integers, rationals), which the report
@@ -65,6 +67,7 @@ from .exact import (
     resultant,
     sqrt_mod_p,
     val_unit,
+    valuation,
 )
 from .galois import RamifiedPrimeError, frobenius_class
 from .groupmod import WreathElement, is_admissible
@@ -341,10 +344,6 @@ def _form_values(forms_int, x: Sequence[int]) -> list[int]:
     return [sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n)) for a in forms_int]
 
 
-def _jacobian_rank(forms_int, x: Sequence[int], p: int) -> int:
-    return len(_reduce_mod_p(_jacobian(forms_int, x), len(x), p))
-
-
 def _reduce_mod_p(a: list[list[int]], ncols: int, p: int) -> list[int]:
     """Gauss-Jordan elimination mod p of the rows of a, in place, over the
     first ncols columns; returns the pivot columns (their count is the rank)."""
@@ -365,18 +364,32 @@ def _reduce_mod_p(a: list[list[int]], ncols: int, p: int) -> list[int]:
     return pivots
 
 
-def _minor_valuation(forms_int, x: Sequence[int], p: int, cap: int) -> int:
-    """Min p-valuation of a maximal minor of the Jacobian at x (cap = gave up)."""
-    n = len(x)
-    m = len(forms_int)
+def _lifting(forms_int, x: Sequence[int], p: int, level: int, reason: str
+             ) -> Optional[LocalCertificate]:
+    """The Hensel certificate of x, a primitive common zero of the forms mod
+    p^level: "soluble" when some maximal minor of the Jacobian at x has
+    valuation e with 2e < level, else None.  e is read capped at the level.
+    At level 1 that asks whether some minor is a p-unit, that is whether
+    the rows have full rank mod p (`_reduce_mod_p`); above it the minors are
+    scanned until the first p-unit one.  This is the only place that builds
+    a p-adic "soluble"."""
     rows = _jacobian(forms_int, x)
-    best = cap
-    for cols in itertools.combinations(range(n), m):
-        sub = [[rows[r][c] for c in cols] for r in range(m)]
-        d = int_det(sub)
-        if d:
-            best = min(best, _val(d, p))
-    return best
+    m = len(rows)
+    if level == 1:
+        e = 0 if len(_reduce_mod_p(rows, len(x), p)) == m else 1
+    else:
+        e = level
+        for cols in itertools.combinations(range(len(x)), m):
+            d = int_det([[row[c] for c in cols] for row in rows])
+            if d:
+                e = min(e, valuation(d, p))
+                if not e:
+                    break
+    if 2 * e >= level:
+        return None
+    key = "point_mod_p" if level == 1 else "point_mod_pk"
+    witness = {key: list(x), "level": level, "minor_valuation": e}
+    return LocalCertificate(prime_place(p), "soluble", witness, reason)
 
 
 def _solve_linear_mod_p(
@@ -416,11 +429,11 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
     chart in a fixed order, solving each chart line for them
     (`_zeros_mod_p`), and stops at the first smooth one, which Hensel-lifts
     (soluble) and is the witness; only a scan without one solves every
-    line.  No common zero at all is a proof of insolubility.  Singular zeros, collected in scan
-    order, branch into the linearized congruence mod p^2, p^3, ... up to
-    `effort` levels; a candidate with all values = 0 mod p^k and a Jacobian
-    minor of valuation e with 2e < k is again Hensel-liftable.  Budget
-    exhaustion returns "unknown", never a guessed verdict.
+    line.  No common zero at all is a proof of insolubility.  Singular
+    zeros, collected in scan order, branch into the linearized congruence
+    mod p^2, p^3, ... up to `effort` levels; every zero, at every level, is
+    tested by the one criterion of `_lifting`.  Budget exhaustion returns
+    "unknown", never a guessed verdict.
     """
     place = prime_place(p)
     if effort <= 0:
@@ -430,19 +443,14 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
     # the search reads
     top = p ** (effort + 1)
     forms_int = [[[v % top for v in row] for row in a] for a in _integral_forms(model, p)]
-    m = len(forms_int)
     n = len(forms_int[0])
     if p**(n - 1) > 60_000_000:
         return LocalCertificate(place, "unknown", reason="residue space too large")
     singular: list[tuple[int, ...]] = []
     for x in _zeros_mod_p(forms_int, p):
-        if _jacobian_rank(forms_int, x, p) == m:
-            return LocalCertificate(
-                place,
-                "soluble",
-                witness={"point_mod_p": list(x), "level": 1, "minor_valuation": 0},
-                reason="smooth point on the reduction",
-            )
+        cert = _lifting(forms_int, x, p, 1, "smooth point on the reduction")
+        if cert:
+            return cert
         singular.append(x)
     if not singular:
         return LocalCertificate(
@@ -454,12 +462,13 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
 
     # refine singular candidates level by level
     node_cap = 4000 * effort
-    frontier = [(x, p) for x in singular]  # (candidate ints, modulus p^level)
+    frontier = singular  # common zeros mod p^(level - 1)
     nodes = 0
     any_truncated = False
     for level in range(2, effort + 1):
+        mod = p ** (level - 1)
         new_frontier = []
-        for x, mod in frontier:
+        for x in frontier:
             nodes += 1
             if nodes > node_cap:
                 return LocalCertificate(place, "unknown", reason="node budget exhausted")
@@ -471,19 +480,10 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
             for y in sols:
                 # F(x + mod y) = F(x) + mod J(x) y + mod^2 F(y) = 0 mod (mod p)
                 x2 = tuple((x[i] + mod * y[i]) % (mod * p) for i in range(n))
-                e = _minor_valuation(forms_int, x2, p, cap=level)
-                if 2 * e < level:
-                    return LocalCertificate(
-                        place,
-                        "soluble",
-                        witness={
-                            "point_mod_pk": list(x2),
-                            "level": level,
-                            "minor_valuation": e,
-                        },
-                        reason="Hensel-liftable candidate",
-                    )
-                new_frontier.append((x2, mod * p))
+                cert = _lifting(forms_int, x2, p, level, "Hensel-liftable candidate")
+                if cert:
+                    return cert
+                new_frontier.append(x2)
         if not new_frontier:
             # insolubility is only a proof when no branch was truncated
             if any_truncated:
@@ -548,17 +548,6 @@ def diagonal_model(norm: NormalizedPencil, factors: Sequence[RatPoly]) -> Option
     return DiagonalModel(norm.pencil.cleared[1:], tuple(n), tuple(vectors), tuple(c))
 
 
-def _val(x: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if x == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _sqrt_unit(w: Fraction, p: int, k: int) -> int:
     """A square root mod p^(k-1) of a p-adic unit square w (w = 1 mod 8 at
     p = 2): Hensel's lift of a root mod p, or at p = 2 the root 1 mod 8
@@ -619,10 +608,10 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
         [0, d, 0],
         [0, 0, d],
     ]
-    vB = [[_val(x, p) if x else None for x in row] for row in B]  # None: B_ij = 0
+    vB = [[valuation(x, p) if x else None for x in row] for row in B]  # None: B_ij = 0
     c_parts = []
     for ci in c:
-        vc = _val(ci, p)
+        vc = valuation(ci, p)
         c_parts.append((vc, ci // p**vc % q))
     # per chart and coordinate, the least valuation of B's free columns, or
     # None when z_i does not depend on the free coordinates
@@ -634,8 +623,8 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
         (k,) = {0, 1, 2} - set(free)
         if not w[k]:
             return False
-        vk = _val(w[k], p)
-        return all(w[j] == w0[j] * w[k] or _val(w[j] - w0[j] * w[k], p) >= m + vk for j in free)
+        vk = valuation(w[k], p)
+        return all(w[j] == w0[j] * w[k] or valuation(w[j] - w0[j] * w[k], p) >= m + vk for j in free)
 
     def point_of(w0, m, free):
         """A point w of the ball at which z has one common class, or None
@@ -652,7 +641,7 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
             if a % p:
                 va = 0
             elif a:
-                va = _val(a, p)
+                va = valuation(a, p)
                 a //= p**va
             # undetermined: z_i vanishes at the center, or the ball moves it
             # by p^(va + r) or more (never when it has no free dependence)
@@ -673,7 +662,7 @@ def split_soluble(model: DiagonalModel, p: int) -> LocalCertificate:
         if len(open_) == 1:
             (i,) = open_
             j = min((j for j in free if B[i][j]), key=lambda j: vB[i][j])
-            if alpha[i] and _val(alpha[i], p) < m + vB[i][j]:
+            if alpha[i] and valuation(alpha[i], p) < m + vB[i][j]:
                 return "split"
             # z_i(w0 + s e_j) = alpha_i + s B_ij vanishes at s = -alpha_i / B_ij
             return [B[i][j] * x - (alpha[i] if t == j else 0) for t, x in enumerate(w0)]
@@ -748,19 +737,13 @@ def _split_witness(model: DiagonalModel, p: int, z: list[int]) -> LocalCertifica
         y = [0 if part is None else p ** (part[0] - smin) * _sqrt_unit(part[1], p, N + 1)
              for part in parts]
         x = [sum(yi * v[j] for yi, v in zip(y, model.vectors)) for j in range(5)]
-        g = min(_val(xj, p) for xj in x if xj)
+        g = min(valuation(xj, p) for xj in x if xj)
         k = N - g
         if k >= 2:
-            pk = p**k
-            x = [xj // p**g % pk for xj in x]
-            e = _minor_valuation(forms_int, x, p, cap=k)
-            if 2 * e < k:
-                return LocalCertificate(
-                    prime_place(p),
-                    "soluble",
-                    witness={"point_mod_pk": x, "level": k, "minor_valuation": e},
-                    reason="Hensel-liftable point of the diagonal model",
-                )
+            cert = _lifting(forms_int, [xj // p**g % p**k for xj in x], p, k,
+                            "Hensel-liftable point of the diagonal model")
+            if cert:
+                return cert
         N *= 2
 
 

@@ -186,16 +186,11 @@ Chart = tuple[int, int, int, int]
 
 
 def _chart_candidates():
-    """Moebius moves in a fixed order: identity, t+1, t-1, 1/t, t/(t-1),
-    then all small-height (c, d) directions with a canonical completion."""
-    fixed = [
-        (1, 0, 0, 1),
-        (1, -1, 0, 1),
-        (1, 1, 0, 1),
-        (0, 1, 1, 0),
-        (1, 0, 1, -1),
-    ]
-    yield from fixed
+    """Moebius moves in a fixed order: identity, 1/t, t/(t-1), then all
+    small-height (c, d) directions with a canonical completion.  Each moves
+    a different point of the pencil line to infinity: the direction (c, d)
+    fixes the second member c phi1 + d phi2."""
+    yield from [(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, -1)]
     seen = {(0, 1), (1, 0), (1, -1)}
     for h in range(1, 30):
         for c in range(-h, h + 1):
@@ -269,28 +264,20 @@ def chart_poly(form: Sequence, degree: int, chart: Chart) -> list:
     return acc
 
 
-def normalize_pencil(pencil: Pencil, skip_charts: int = 0) -> NormalizedPencil:
+def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
     """Move a rational point of the pencil line off the singular locus to
-    infinity and return the monic separable degree-5 characteristic quintic.
-
-    skip_charts > 0 forces a later candidate (used to test chart
-    independence).
-    """
+    infinity and return the monic separable degree-5 characteristic quintic."""
     q = pencil.smoothness_certificate  # raises SingularPencilError unless the pencil is smooth
     den, m1, m2 = pencil.cleared
     scale = den**5
     # the coefficients of det(m1 - t m2) = den^5 det(phi1 - t phi2)
     form = [x.numerator * (scale // x.denominator) for x in q.coeffs] + [0] * (5 - q.degree)
-    skipped = 0
     for chart in _chart_candidates():
         a, b, c, d = chart
         if a * d - b * c == 0:
             continue
         chart_q = chart_poly(form, 5, chart)
         if chart_q[5] == 0:
-            continue
-        if skipped < skip_charts:
-            skipped += 1
             continue
         lc = chart_q[5]
         return NormalizedPencil(
@@ -461,9 +448,10 @@ def pencil_loads(text: str) -> Pencil:
     return pencil_from_json(json.loads(text))
 
 
-def random_pencil(rng: random.Random, entry_bound: int = 9, max_tries: int = 200) -> Pencil:
-    """Random integral smooth pencil, entries in [-entry_bound, entry_bound]."""
-    for _ in range(max_tries):
+def random_pencil(rng: random.Random, entry_bound: int = 9) -> Pencil:
+    """Random integral smooth pencil, entries in [-entry_bound, entry_bound],
+    from at most 200 draws."""
+    for _ in range(200):
         mats = []
         for _ in range(2):
             m = [[0] * 5 for _ in range(5)]

@@ -277,12 +277,11 @@ def twist_at(system: SelmerSystem, v: int, new_condition: Sequence[int]) -> tupl
     return new_system, step
 
 
-def random_transverse_condition(
-    rng: random.Random, pl: LocalSpace, max_tries: int = 200
-) -> tuple[int, ...]:
+def random_transverse_condition(rng: random.Random, pl: LocalSpace) -> tuple[int, ...]:
     """Seeded maximal isotropic with trivial intersection with the current
-    condition (the shadow of a ramified local twist)."""
-    for _ in range(max_tries):
+    condition (the shadow of a ramified local twist), from at most 200
+    draws."""
+    for _ in range(200):
         cand = random_isotropic(rng, pl.d)
         if not gf2.intersect(cand, list(pl.condition), pl.dim):
             return tuple(cand)
@@ -317,7 +316,6 @@ def descent_driver(
     target_class_index: int = 0,
     mode: str = "A",
     seed: int = 0,
-    max_steps: int = 32,
 ) -> DescentTrace:
     """Drive the Selmer dimension down by repeated condition swaps.
 
@@ -325,8 +323,8 @@ def descent_driver(
     move needs the distinguished class to have zero residue at the place
     (so it survives any swap) and the Selmer image there to span the whole
     condition; a transverse swap then drops the dimension by exactly r.
-    Stops at dimension 1 (either mode) or 3 (mode B); raises with the
-    blocking state when no move exists.
+    Stops at dimension 1 (either mode) or 3 (mode B), or after 32 steps;
+    raises with the blocking state when no move exists.
     """
     if mode not in ("A", "B"):
         raise ValueError("mode must be A or B")
@@ -340,7 +338,7 @@ def descent_driver(
     delta = sel[target_class_index]
     dims = [len(sel)]
     steps: list[TwistStep] = []
-    while len(sel) != 1 and not (mode == "B" and len(sel) == 3) and len(steps) < max_steps:
+    while len(sel) != 1 and not (mode == "B" and len(sel) == 3) and len(steps) < 32:
         move = None
         for v, pl in enumerate(system.places):
             if pl.d != drop:

@@ -624,6 +624,21 @@ def zeros_mod_p_by_enumeration(forms: Sequence[Sequence[Sequence[int]]], p: int)
 
 
 # ---------------------------------------------------------------------------
+# The rank test of a smooth zero mod p
+
+
+def jacobian_rank(forms: Sequence[Sequence[Sequence[int]]], x: Sequence[int], p: int) -> int:
+    """The rank mod p of the Jacobian of the forms x^T A x at x, whose rows
+    are the gradients 2 A x, computed over GF(p) by sympy; x is a smooth
+    zero mod p exactly when the rank is the number of forms."""
+    from sympy.polys.matrices import DomainMatrix
+
+    n, field = len(x), sympy.GF(p)
+    rows = [[field(2 * sum(a[i][j] * x[j] for j in range(n))) for i in range(n)] for a in forms]
+    return DomainMatrix(rows, (len(rows), n), field).rank()
+
+
+# ---------------------------------------------------------------------------
 # Points of a diagonal model mod p^k
 
 

@@ -490,6 +490,26 @@ def test_malformed_argument(argv, t52_pencil_file, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["kummer", "--poly", "t^5-2", "--b", "-7/3"], "--b"),
+        (["canon", "--poly", "t^5-2", "--delta", "-t^2+2"], "--delta"),
+        (["canon", "--poly", "-t^5+2"], "--poly"),
+    ],
+    ids=["kummer-b", "canon-delta", "canon-poly"],
+)
+def test_value_that_begins_with_a_dash(argv, option, capsys):
+    # argparse takes the value for an option; the one error line says how
+    # to write it, and the `=` form is read as the value
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: argument {option}: expected one argument")
+    assert "--option=value" in lines[0]
+    assert main(["kummer", "--poly", "t^5-2", "--b=-7/3"]) == 0
+    assert "b = -7/3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("target", ["missing/report.txt", "."], ids=["missing-directory", "directory"])
 def test_unwritable_out(target, tmp_path, capsys):
     # the report is written after the verb's work, and that open fails

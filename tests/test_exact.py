@@ -43,6 +43,7 @@ from quadpencil.exact import (
     strip_square_content,
     unramified_prime,
     val_unit,
+    valuation,
 )
 from reference import (
     adjugate_column_by_minors,
@@ -739,6 +740,47 @@ class TestSqrtAgainstWalk:
         assert res.status == "square"
         assert ((res.root * res.root - d) % m).is_zero
         assert sqrt_in_etale_walk(d, m).status in ("square", "undecided")
+
+
+# p = 2, small odd primes and primes above 10^6
+VALUATION_PRIMES = st.sampled_from([2, 3, 5, 7, 1_000_003, 10**9 + 7, 2**61 - 1])
+
+
+class TestValuation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        unit=st.integers(-(10**40), 10**40).filter(bool),
+        p=VALUATION_PRIMES,
+        k=st.integers(0, 40),
+    )
+    @example(unit=-1, p=2, k=3)
+    @example(unit=-(1_000_003**2) * 7, p=1_000_003, k=0)
+    def test_against_sympy(self, unit, p, k):
+        n = unit * p**k
+        assert valuation(n, p) == sympy.multiplicity(p, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num=st.integers(-(10**30), 10**30).filter(bool),
+        den=st.integers(1, 10**30),
+        p=VALUATION_PRIMES,
+        k=st.integers(-20, 20),
+    )
+    @example(num=-12, den=1, p=2, k=0)
+    @example(num=1, den=8 * 1_000_003, p=1_000_003, k=-2)
+    def test_val_unit_against_sympy(self, num, den, p, k):
+        a = Fraction(num, den) * Fraction(p) ** k
+        v, u = val_unit(a, p)
+        assert v == sympy.multiplicity(p, a.numerator) - sympy.multiplicity(p, a.denominator)
+        assert u.numerator % p and u.denominator % p
+        assert u * Fraction(p) ** v == a
+
+    @pytest.mark.parametrize("p", [2, 3, 1_000_003])
+    def test_zero_is_an_error(self, p):
+        with pytest.raises(ValueError):
+            valuation(0, p)
+        with pytest.raises(ValueError):
+            val_unit(Fraction(0), p)
 
 
 class TestStripSquareContent:

@@ -109,6 +109,32 @@ def test_canon_inverts_nothing():
     assert not named, f"canon.py names {sorted(named)}"
 
 
+def test_one_padic_certificate_builder():
+    # every p-adic "soluble" is one Hensel certificate, built in one
+    # function: exactly one function of localarith (its own body, nested
+    # definitions apart) names a witness key, and none keeps a second
+    # valuation or the old rank test beside it
+    keys = {"point_mod_p", "point_mod_pk", "minor_valuation"}
+    builders, defined = [], set()
+    for node in ast.walk(ast.parse((SRC / "localarith.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+            work, named = list(node.body), set()
+            while work:
+                child = work.pop()
+                if isinstance(child, DEFS):
+                    continue
+                if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                    named.add(child.value)
+                named |= {getattr(child, "id", None), getattr(child, "attr", None), getattr(child, "arg", None)}
+                work.extend(ast.iter_child_nodes(child))
+            if named & keys:
+                builders.append(node.name)
+    assert len(builders) == 1, f"localarith.py builds p-adic certificates in {builders}"
+    stale = defined & {"_val", "_jacobian_rank"}
+    assert not stale, f"localarith.py defines {sorted(stale)}"
+
+
 def test_no_floating_point():
     # every verdict is exact: no source module names inf or nan or calls float
     for path in sorted(SRC.glob("*.py")):

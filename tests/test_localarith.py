@@ -49,6 +49,7 @@ from reference import (
     diagonal_primitive_count,
     fraction_sturm_chain,
     fraction_sturm_var,
+    jacobian_rank,
     mat_congruent,
     signature,
     split_soluble_per_ball,
@@ -491,6 +492,46 @@ class TestZerosModP:
         zeros = list(localarith_mod._zeros_mod_p(forms, p))
         assert zeros == list(zeros_mod_p_by_enumeration(forms, p))
         assert zeros
+
+
+@st.composite
+def jacobian_cases(draw):
+    """(forms, x, p): one or two symmetric integer forms in 3-5 variables,
+    many entries multiples of every p drawn, and a point x."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(1, 2))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70).map(lambda v: p * v))
+    forms = []
+    for _ in range(m):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(entry)
+        forms.append(a)
+    x = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n))
+    return forms, x, p
+
+
+class TestLifting:
+    @settings(max_examples=150, deadline=None)
+    @given(jacobian_cases())
+    @example(([[[1, 0, 0], [0, 0, 0], [0, 0, 0]]], [0, 1, 0], 3))
+    @example(([[[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]], [1, 0, 0], 5))
+    @example(([[[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]], [1, 0, 0], 2))
+    def test_level_one_is_full_rank(self, case):
+        # at level 1 the one Hensel test says "lifts" exactly when the
+        # Jacobian has full rank mod p, at the drawn point and at the first
+        # common zeros of the forms mod p
+        forms, x, p = case
+        m = len(forms)
+        zeros = itertools.islice(localarith_mod._zeros_mod_p(forms, p), 30)
+        for point in [tuple(x), *zeros]:
+            cert = localarith_mod._lifting(forms, point, p, 1, "smooth point on the reduction")
+            assert (cert is not None) == (jacobian_rank(forms, point, p) == m)
+            if cert is not None:
+                assert cert.verdict == "soluble" and cert.place.p == p
+                assert cert.witness == {"point_mod_p": list(point), "level": 1, "minor_valuation": 0}
 
 
 class TestPadicSoluble:
