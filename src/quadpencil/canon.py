@@ -217,7 +217,7 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
             if j in used or pf.degree != rf.degree:
                 continue
             # (d t - b)^deg pf((a - c t)/(d t - b)) vanishes mod rf
-            if (RatPoly.of(chart_poly(pf.coeffs[::-1], pf.degree, chart)) % rf).is_zero:
+            if (RatPoly.over(chart_poly(pf.num[::-1], pf.degree, chart)) % rf).is_zero:
                 target = (j, pf, pd)
                 break
         if target is None:
@@ -228,7 +228,7 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
         # rd / pd(theta) for theta = (a - c t)/(d t - b), times the square
         # (pd(theta) (d t - b)^(k/2))^2 for an even k >= deg pd
         k = pd.degree + pd.degree % 2
-        mapped = RatPoly.of(chart_poly((pd.coeffs + (0,) * (k - pd.degree))[::-1], k, chart))
+        mapped = RatPoly.over(chart_poly((pd.num + (0,) * (k - pd.degree))[::-1], k, chart), pd.den)
         reduced = strip_square_content((rd * mapped) % rf)
         status = sqrt_in_etale(reduced, rf).status
         matches.append(FactorMatch(pf, rf, status))

@@ -17,28 +17,34 @@ this way, so a failure at that precision is a proof; only a d that is a
 square in Q[t] already has its root read off its coefficients, from the
 top down, with no prime.
 
-Polynomials are coefficient tuples in low-to-high order with no trailing
-zeros; the zero polynomial has an empty tuple.  A polynomial over Z/N is
-the int list of its coefficients in [0, N), and `fp_reduce` is the one way
-a rational polynomial gets there.  One product (`poly_mul`) serves Z, Q
-and F_p, and Q and F_p have one long division each (`RatPoly.__divmod__`,
-`fp_divmod`).  Determinants of integer matrices are
-fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and a
-resultant is the determinant of an integer Sylvester matrix.  One
-fraction-free Gauss-Jordan elimination gives a whole column of cofactors,
-the signed maximal minors of the other columns (`adjugate_column`; a
-nonzero column of the adjugate of a corank-1 symmetric matrix spans its
-kernel).
+A polynomial over Q (`RatPoly`) is a tuple of integer numerators, low to
+high with no trailing zero, over one positive denominator, in lowest
+terms, so that equal polynomials have equal fields; the zero polynomial
+is ((), 1).  Its arithmetic runs on ints, one gcd per result, and
+Fractions are built only for output (`RatPoly.coeffs`) and for single
+values.  A caller that needs integer coefficients reads the numerators
+and the denominator; none clears denominators by hand.  A polynomial over
+Z/N is the int list of its coefficients in [0, N), and `fp_reduce`, with
+one inverse of the denominator, is the one way a rational polynomial gets
+there.  One product (`poly_mul`) serves Z, Q and F_p, Z and Q share one
+long division (`pseudo_divmod`) and F_p has its own (`fp_divmod`).
+Determinants of integer matrices are fraction-free Bareiss elimination
+(Bareiss, Math. Comp. 22, 1968), and a resultant is the determinant of an
+integer Sylvester matrix.  One fraction-free Gauss-Jordan elimination
+gives a whole column of cofactors, the signed maximal minors of the other
+columns (`adjugate_column`; a nonzero column of the adjugate of a
+corank-1 symmetric matrix spans its kernel).
 
 A polynomial over Z is an int list as well, with one long division,
 `pseudo_divmod` (Collins, J. ACM 14, 1967).  It makes no rational
 division: it is the division itself when the divisor is monic
 (`factor_q`), and otherwise it divides the dividend times a power of the
-divisor's leading coefficient (the Sturm chains of `localarith`, the delta
-invariant).  The delta invariant (`pencil.delta_component`) works this
-way: each component is one diagonal cofactor of a singular member,
-interpolated once per pencil and reduced by one pseudo-remainder, and
-rationals are built only for its result.
+divisor's leading coefficient (the Sturm chains of `localarith`, the
+delta invariant, and `RatPoly.__divmod__`, which puts that power into the
+denominators of the quotient and the remainder).  The delta invariant
+(`pencil.delta_component`) works this way: each component is one diagonal
+cofactor of a singular member, interpolated once per pencil and reduced
+by one pseudo-remainder, and rationals are built only for its result.
 
 The primes below 10^6 are one table (`small_primes`): the walk over good
 primes, the primality test of a place and the square content of
@@ -76,22 +82,37 @@ def _as_rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 @dataclass(frozen=True)
 class RatPoly:
-    """Univariate polynomial over Q, coefficients low-to-high."""
+    """Univariate polynomial over Q: integer numerators `num`, low to high
+    with no trailing zero, over one denominator `den` > 0 with gcd(den,
+    *num) = 1.  The form is unique, so == and hash are polynomial equality;
+    the zero polynomial is ((), 1), and `over` brings any (num, den) to the
+    form.  `coeffs` is the same polynomial as Fractions, for output."""
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @classmethod
+    def over(cls, num: Sequence[int], den: int = 1) -> "RatPoly":
+        """(sum num_i t^i) / den for ints num_i, low to high, and an int den != 0."""
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        if not n:
+            return cls(())
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        return cls(tuple(num[:n]) if g == 1 else tuple(c // g for c in num[:n]), den // g)
 
     @classmethod
     def of(cls, coeffs) -> "RatPoly":
-        return cls(_trim([_as_rat(c) for c in coeffs]))
+        """The polynomial with these coefficients (ints, Fractions or "n/d"
+        strings), low to high."""
+        cs = [c if isinstance(c, int) else _as_rat(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls.over([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def const(cls, c) -> "RatPoly":
@@ -99,63 +120,67 @@ class RatPoly:
 
     @classmethod
     def x(cls) -> "RatPoly":
-        return cls.of([0, 1])
+        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots) -> "RatPoly":
-        f = cls.of([1])
+        f = cls((1,))
         for r in roots:
             f = f * cls.of([-_as_rat(r), 1])
         return f
 
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
+
+    def _sum(self, other: "RatPoly", sign: int) -> "RatPoly":
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a, b, da = [c * (db // g) for c in a], [c * (da // g) for c in b], da // g * db
+        return RatPoly.over([x + sign * y for x, y in itertools.zip_longest(a, b, fillvalue=0)], da)
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(_trim([self[i] + other[i] for i in range(n)]))
+        return self._sum(other, 1)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(_trim([self[i] - other[i] for i in range(n)]))
+        return self._sum(other, -1)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
+        return RatPoly(tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_rat(other)
-            return RatPoly(_trim([ci * c for ci in self.coeffs]))
-        return RatPoly(tuple(poly_mul(self.coeffs, other.coeffs)))
+            return RatPoly.over([c * other.numerator for c in self.num], self.den * other.denominator)
+        return RatPoly.over(poly_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
+        # lc(B)^e A = Q B + R over Z for A = den_a a and B = den_b b, so
+        # q = Q den_b / (den_a lc(B)^e) and r = R / (den_a lc(B)^e)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d, lc = other.degree, other.lc
-        r = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(r) - d)
-        for k in range(len(q) - 1, -1, -1):
-            c = q[k] = r[k + d] / lc
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    r[k + i] -= c * b
-        return RatPoly(tuple(q)), RatPoly(_trim(r[:d]))
+        q, r, e = pseudo_divmod(self.num, other.num)
+        scale = self.den * other.num[-1] ** e
+        return RatPoly.over([c * other.den for c in q], scale), RatPoly.over(r, scale)
 
     def __mod__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[1]
@@ -163,17 +188,20 @@ class RatPoly:
     def __floordiv__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[0]
 
-    def __call__(self, x):
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {x!r}")
+        if self.is_zero:
+            return Fraction(0)
+        return Fraction(scaled_value(self.num, x), self.den * x.denominator**self.degree)
 
     def monic(self) -> "RatPoly":
-        return self * (1 / self.lc)
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return RatPoly.over(self.num, self.num[-1])
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
+        return RatPoly.over([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         a, b = self, other
@@ -182,14 +210,14 @@ class RatPoly:
         return a.monic() if not a.is_zero else a
 
     def denominator_lcm(self) -> int:
-        return math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
+        return self.den
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self[i]
+            c = self.coeffs[i]
             if c == 0:
                 continue
             mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
@@ -288,11 +316,10 @@ def adjugate_column(a: Sequence[Sequence[int]], k: int) -> list[int]:
 # Polynomials over Z (int lists, low-to-high)
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two coefficient lists (ints or Fractions), low to high;
-    every coefficient has the type of the product of the leading ones."""
+    """Product of two int coefficient lists, low to high."""
     if not a or not b:
         return []
-    out = [a[-1] * b[-1] * 0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -313,12 +340,25 @@ def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     for _ in range(e):
         c = r.pop()
         k = len(r) - len(b) + 1
-        q = [lb * x for x in q]
-        r = [lb * x for x in r]
+        if lb != 1:
+            q = [lb * x for x in q]
+            r = [lb * x for x in r]
         q[k] += c
         for i, bi in enumerate(b[:-1]):
             r[k + i] -= c * bi
     return q, fp_trim(r), e
+
+
+def scaled_value(g: Sequence[int], x) -> int:
+    """d^deg(g) g(x) at the int or Fraction x = n/d, d > 0, for a nonzero
+    int list g: the integer sum of g_i n^i d^(deg g - i), which has the sign
+    of g(x)."""
+    n, d = x.numerator, x.denominator
+    v, dk = g[-1], d
+    for c in reversed(g[:-1]):
+        v = v * n + c * dk
+        dk *= d
+    return v
 
 
 def resultant(f: RatPoly, g: RatPoly) -> Fraction:
@@ -329,12 +369,10 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of zero polynomial")
     m, n = f.degree, g.degree
-    a, b = f.denominator_lcm(), g.denominator_lcm()
-    F = [c.numerator * (a // c.denominator) for c in reversed(f.coeffs)]
-    G = [c.numerator * (b // c.denominator) for c in reversed(g.coeffs)]
+    F, G = list(reversed(f.num)), list(reversed(g.num))
     rows = [[0] * i + F + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + G + [0] * (m - 1 - i) for i in range(m)]
-    return Fraction(int_det(rows), a**n * b**m)
+    return Fraction(int_det(rows), f.den**n * g.den**m)
 
 
 def crt_poly(residues: Sequence[RatPoly], moduli: Sequence[RatPoly]) -> RatPoly:
@@ -360,7 +398,7 @@ def inverse_mod(a: RatPoly, m: RatPoly) -> RatPoly:
         s0, s1 = s1, s0 - q * s1
     if r0.degree != 0:
         raise ValueError(f"not invertible modulo {m}: gcd has degree {r0.degree}")
-    return (s0 * (1 / r0.coeffs[0])) % m
+    return (s0 * Fraction(r0.den, r0.num[0])) % m
 
 
 @dataclass(frozen=True)
@@ -430,13 +468,13 @@ def factor_q(f: RatPoly) -> list[RatPoly]:
     p = unramified_prime(Q)
     if p is None:
         raise ValueError(f"{f} is not separable")
-    G, factors = [int(c) for c in Q.coeffs], []
+    G, factors = list(Q.num), []
     for r in integer_roots(Q, p):
         factors.append([-r, 1])
         G = pseudo_divmod(G, [-r, 1])[0]
     if len(G) > 1:
         factors += _split_cofactor(G) if len(G) > 4 else [G]
-    out = [RatPoly(tuple(Fraction(c, D ** (len(h) - 1 - i)) for i, c in enumerate(h))) for h in factors]
+    out = [RatPoly.over([c * D**i for i, c in enumerate(h)], D ** (len(h) - 1)) for h in factors]
     return sorted(out, key=lambda g: (g.degree, g.coeffs))
 
 
@@ -444,8 +482,8 @@ def _monic_integer_form(f: RatPoly) -> tuple[RatPoly, int]:
     """(Q, D): Q(t) = D^n (f / lc(f))(t / D), monic in Z[t], for n = deg f and
     D the denominator lcm of f / lc(f); the roots of Q are D times those of f."""
     monic, n = f.monic(), f.degree
-    D = monic.denominator_lcm()
-    return RatPoly(tuple(c * D ** (n - i) for i, c in enumerate(monic.coeffs))), D
+    D = monic.den
+    return RatPoly(tuple(c * D ** (n - 1 - i) for i, c in enumerate(monic.num[:-1])) + (1,)), D
 
 
 def linear_factors(f: RatPoly) -> list[RatPoly]:
@@ -453,7 +491,7 @@ def linear_factors(f: RatPoly) -> list[RatPoly]:
     in `factor_q`'s order: the integer roots of its monic integer form
     (`integer_roots`), without the factorization of the cofactor."""
     Q, D = _monic_integer_form(f)
-    return [RatPoly((Fraction(-r, D), Fraction(1))) for r in reversed(integer_roots(Q))]
+    return [RatPoly.over([-r, D], D) for r in reversed(integer_roots(Q))]
 
 
 def _split_cofactor(G: list[int]) -> list[list[int]]:
@@ -575,9 +613,10 @@ def fp_eval(a: Sequence[int], x: int, p: int) -> int:
 
 
 def fp_reduce(f: RatPoly, mod: int) -> list[int]:
-    """The coefficients of f in Z/mod; every denominator of f must be a unit
+    """The coefficients of f in Z/mod; the denominator of f must be a unit
     there."""
-    return fp_trim([c.numerator * pow(c.denominator, -1, mod) % mod for c in f.coeffs])
+    inv = pow(f.den, -1, mod)
+    return fp_trim([c * inv % mod for c in f.num])
 
 
 def _fixed_part(m: Sequence[int], xq: Sequence[int], p: int) -> list[int]:
@@ -902,14 +941,14 @@ def split_interpolations(
 
 
 def unramified_prime(f: RatPoly) -> Optional[int]:
-    """The least odd prime that divides neither lc(f), a denominator of f
+    """The least odd prime that divides neither lc(f), the denominator of f
     nor disc(f), for a nonzero f in Q[t], or None when disc(f) = 0.
 
-    For an odd prime p that divides neither lc(f) nor a denominator, p does
+    For an odd prime p that divides neither lc(f) nor the denominator, p does
     not divide disc(f) iff f mod p is squarefree, so the first 10 odd primes
     are tried mod p; the discriminant is computed only when each of them
-    divides lc(f), a denominator or disc(f)."""
-    lc, den = f.lc.numerator, f.denominator_lcm()
+    divides lc(f), the denominator or disc(f)."""
+    lc, den = f.num[-1], f.den
     for p in itertools.islice(good_primes(BadSet((), 0), 3), 10):
         if lc % p and den % p and fp_is_squarefree(fp_reduce(f, p), p):
             return p
@@ -929,10 +968,10 @@ def integer_roots(f: RatPoly, p: Optional[int] = None) -> list[int]:
     prime (`unramified_prime`), or the one a caller that tested f for
     separability has found already.  A repeated root is a root of the
     squarefree part f // gcd(f, f'), which is then lifted instead."""
-    if f.is_zero or f.lc != 1 or any(c.denominator != 1 for c in f.coeffs):
+    if f.is_zero or f.num[-1] != 1 or f.den != 1:
         raise ValueError("monic integer polynomial required")
     if f.degree < 2:
-        return [int(-f[0])] if f.degree == 1 else []
+        return [-f.num[0]] if f.degree == 1 else []
     if p is None:
         p = unramified_prime(f)
         if p is None:
@@ -940,7 +979,7 @@ def integer_roots(f: RatPoly, p: Optional[int] = None) -> list[int]:
     roots_p = fp_roots(fp_reduce(f, p), p)
     if not roots_p:
         return []
-    bound = 1 << root_bound_bits([c.numerator for c in f.coeffs])
+    bound = 1 << root_bound_bits(f.num)
     pk = p
     while pk <= 2 * bound:
         pk *= pk
@@ -948,10 +987,7 @@ def integer_roots(f: RatPoly, p: Optional[int] = None) -> list[int]:
     for x in lift_roots(f, roots_p, p, pk):
         if x > pk // 2:
             x -= pk
-        v = 0
-        for c in reversed(f.coeffs):
-            v = v * x + c.numerator
-        if v == 0:
+        if scaled_value(f.num, x) == 0:
             roots.append(x)
     return sorted(roots)
 
@@ -1016,7 +1052,7 @@ def sqrt_in_etale(
     if m.degree == 1:  # d is the rational d(-m_0), and not a square
         return SqrtEtaleResult("nonsquare", certificate=None)
 
-    bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
+    bad = BadSet((disc_m.numerator, disc_m.denominator, m.den, d.den), 0)
     n = m.degree
     for p in good_primes(bad, 3):
         roots = fp_roots(fp_reduce(m, p), p)
@@ -1061,9 +1097,10 @@ def _sqrt_cap(d: RatPoly, m: RatPoly, disc_m: Fraction) -> int:
     c |Delta|."""
     n = m.degree
     M, D = _monic_integer_form(m)
-    e = root_bound_bits([int(c) for c in M.coeffs])
-    c = d.denominator_lcm() * D**d.degree
-    w2 = c * sum(abs(int(dj * c / D**j)) << (e * j) for j, dj in enumerate(d.coeffs))
+    e = root_bound_bits(M.num)
+    c = d.den * D**d.degree
+    # E_j = c d_j / D^j = num_j D^(deg d - j)
+    w2 = c * sum(abs(dj * D ** (d.degree - j)) << (e * j) for j, dj in enumerate(d.num))
     r2 = sum(1 << (2 * e * k) for k in range(n)) + w2
     delta = abs(int(D ** (n * (n - 1)) * disc_m))
     return (2 * max(r2**n * delta * D ** (2 * n - 2), (c * delta) ** 2)).bit_length()
@@ -1123,9 +1160,9 @@ def strip_square_content(d: RatPoly) -> RatPoly:
     exceeds the cofactor, which is then 1 or a prime and so has nothing
     more to remove.  The square class of d in Q[t]/(m) is unchanged.
     """
-    den = d.denominator_lcm()
-    e = d * den * den  # integer coefficients, same square class (content 0 when d = 0)
-    table, sq, rem = small_primes(), 1, math.gcd(*(c.numerator for c in e.coeffs))
+    # e = den^2 d has integer coefficients and the square class of d (content 0 when d = 0)
+    e = [c * d.den for c in d.num]
+    table, sq, rem = small_primes(), 1, math.gcd(*e)
     for k in range(0, len(table), _CHUNK):
         if table[k] ** 2 > rem:
             break
@@ -1140,4 +1177,4 @@ def strip_square_content(d: RatPoly) -> RatPoly:
                 sq *= q ** (exp - exp % 2)
     if math.isqrt(rem) ** 2 == rem:
         sq *= rem
-    return e * Fraction(1, sq) if sq > 1 else e
+    return RatPoly.over(e, sq)

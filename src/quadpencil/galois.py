@@ -203,7 +203,7 @@ def resolvent_sextic(P: RatPoly) -> list[int]:
     depressed integer quintic with coefficients b; its resolvent comes from
     `_F20_TABLE`, and each conjugate shifts as theta_z = 625 theta_x + corr.
     """
-    a = [int(c) for c in reversed(_monic_integer_form(P)[0].coeffs)]  # 1, a1, ..., a5
+    a = list(reversed(_monic_integer_form(P)[0].num))  # 1, a1, ..., a5
     a1 = a[1]
     # 5^5 P((z - a1)/5) = sum_i a_i 5^i (z - a1)^(5-i), high to low in z
     b = [0] * 6
@@ -302,7 +302,7 @@ def _c5_or_d10_certificate(P: RatPoly, disc: Fraction) -> Union[int, RatPoly]:
     which exists for D10 by Chebotarev's density theorem."""
     searched = False
     # 2 and the primes dividing disc(P) or a denominator of P are bad
-    for p in good_primes(BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0), 3):
+    for p in good_primes(BadSet((disc.numerator, disc.denominator, P.den), 0), 3):
         ct = cycle_type(P, p)
         if ct == (2, 2, 1):
             return p
@@ -332,9 +332,9 @@ def _automorphism(P: RatPoly, disc: Fraction, p: int) -> Optional[RatPoly]:
     d divides s D = D^11 sqrt(disc P), which rules out most false
     reconstructions before the exact check.
     """
-    D = P.denominator_lcm()
+    D = P.den
     sD = D**11 * math.isqrt(disc.numerator) // math.isqrt(disc.denominator)
-    e = root_bound_bits([int(c) for c in _monic_integer_form(P)[0].coeffs])
+    e = root_bound_bits(_monic_integer_form(P)[0].num)
     cap = 22 * e + 6 * D.bit_length() + 22  # |n|, d <= sqrt(p^k / 2)
 
     def five_cycles(roots, prev, pk):
@@ -346,9 +346,9 @@ def _automorphism(P: RatPoly, disc: Fraction, p: int) -> Optional[RatPoly]:
             yield image
 
     for g in split_interpolations(P, p, fp_roots(fp_reduce(P, p), p), cap, five_cycles):
-        if g is not None and g != RatPoly.x() and sD % g.denominator_lcm() == 0:
+        if g is not None and g != RatPoly.x() and sD % g.den == 0:
             acc = RatPoly(())
-            for c in reversed(P.coeffs):  # P(g) mod P by Horner
+            for c in reversed(P.num):  # den(P) P(g) mod P by Horner, zero iff P(g) is
                 acc = (acc * g + RatPoly.const(c)) % P
             if acc.is_zero:
                 return g
@@ -388,7 +388,7 @@ def frobenius_class(
     """
     if p == 2:
         raise RamifiedPrimeError("p = 2 rejected")
-    if P.denominator_lcm() % p == 0:
+    if P.den % p == 0:
         raise RamifiedPrimeError(f"{p} divides a denominator of P")
     Pp = fp_reduce(P, p)
     if len(Pp) - 1 != P.degree or not fp_is_squarefree(Pp, p):
@@ -397,7 +397,7 @@ def frobenius_class(
     for Pi, di in delta_factors:
         if di.is_zero:
             raise ValueError("zero delta representative")
-        if di.denominator_lcm() % p == 0:
+        if di.den % p == 0:
             raise RamifiedPrimeError(f"delta ramifies at {p}")
         splits.append((fp_reduce(di, p), _ddf(fp_reduce(Pi, p), p)))
     if cycle_types is not None:

@@ -65,6 +65,7 @@ from .exact import (
     prime_place,
     pseudo_divmod,
     resultant,
+    scaled_value,
     sqrt_mod_p,
     val_unit,
     valuation,
@@ -101,10 +102,10 @@ def bad_set_s0(
         disc = discriminant(P)
     if norms is None:
         norms = [resultant(f, d) for f, d in delta_factors]
-    integers = [disc.numerator, disc.denominator, P.denominator_lcm()]
+    integers = [disc.numerator, disc.denominator, P.den]
     for (f, d), res in zip(delta_factors, norms):
-        integers += [d.denominator_lcm(), res.numerator, res.denominator]
-        content = math.gcd(*(c.numerator for c in d.coeffs))
+        integers += [d.den, res.numerator, res.denominator]
+        content = math.gcd(*d.num)
         if content > 1:
             integers.append(content)
     return BadSet(tuple(integers), margin)
@@ -136,8 +137,7 @@ def _sturm_chain(f: RatPoly) -> list[list[int]]:
     element is the pseudo-remainder lc(b)^e a - q b, e = deg a - deg b + 1,
     of the last two (`pseudo_divmod`), negated when lc(b)^e > 0 and
     divided by its content."""
-    den = f.denominator_lcm()
-    a = _primitive([int(c * den) for c in f.coeffs])
+    a = _primitive(list(f.num))
     chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
@@ -150,20 +150,9 @@ def _sturm_chain(f: RatPoly) -> list[list[int]]:
     return chain
 
 
-def _value(g: list[int], x: Fraction) -> int:
-    """d^deg(g) g(x) at x = n/d, d > 0: the integer sum of g_i n^i d^(deg g - i),
-    which has the sign of g(x)."""
-    n, d = x.numerator, x.denominator
-    v, dk = g[-1], d
-    for c in reversed(g[:-1]):
-        v = v * n + c * dk
-        dk *= d
-    return v
-
-
 def _sturm_var(chain: list[list[int]], x: Fraction) -> int:
     """Sign changes of the chain at x."""
-    signs = [v > 0 for v in (_value(g, x) for g in chain) if v]
+    signs = [v > 0 for v in (scaled_value(g, x) for g in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -204,9 +193,9 @@ def arc_points(q: RatPoly) -> list[Fraction]:
         if va - vb < 2:
             continue
         m = _split_point(a, b)
-        if _value(chain[0], m) == 0:
+        if scaled_value(chain[0], m) == 0:
             m = (a + b) / 2
-            while _value(chain[0], m) == 0:
+            while scaled_value(chain[0], m) == 0:
                 m = (a + m) / 2
         vm = _sturm_var(chain, m)
         if va > vm > vb:

@@ -150,7 +150,7 @@ class Pencil:
 def char_poly_t(phi1: Matrix, phi2: Matrix) -> RatPoly:
     """det(phi1 - t phi2) for n x n rational matrices, degree <= n."""
     den, (a, b) = clear_denominators(phi1, phi2)
-    return RatPoly.of([Fraction(c, den ** len(a)) for c in _int_char_poly(a, b)])
+    return RatPoly.over(_int_char_poly(a, b), den ** len(a))
 
 
 def _int_char_poly(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[int]:
@@ -271,7 +271,7 @@ def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
     den, m1, m2 = pencil.cleared
     scale = den**5
     # the coefficients of det(m1 - t m2) = den^5 det(phi1 - t phi2)
-    form = [x.numerator * (scale // x.denominator) for x in q.coeffs] + [0] * (5 - q.degree)
+    form = [x * (scale // q.den) for x in q.num] + [0] * (5 - q.degree)
     for chart in _chart_candidates():
         a, b, c, d = chart
         if a * d - b * c == 0:
@@ -286,7 +286,7 @@ def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
             den,
             tuple(tuple(a * x + b * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)),
             tuple(tuple(c * x + d * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)),
-            RatPoly.of([Fraction(x, lc) for x in chart_q]),
+            RatPoly.over(chart_q, lc),
             Fraction(lc, scale),
         )
     raise SingularPencilError("no usable chart found")  # pragma: no cover
@@ -350,15 +350,13 @@ def delta_component(norm: NormalizedPencil, factor: RatPoly) -> RatPoly:
     multiple f of the factor by a pseudo-remainder, r / lc(f)^e; rationals
     are built only for the result.
     """
-    scale = factor.denominator_lcm()
-    f = [c.numerator * (scale // c.denominator) for c in factor.coeffs]
-    content = math.gcd(*f)
-    f = [c // content for c in f]
+    content = math.gcd(*factor.num)
+    f = [c // content for c in factor.num]
     for k in range(4, -1, -1):
         _, r, e = pseudo_divmod(norm.principal_minor(k), f)
         if r:
             den = f[-1] ** e * norm.den**4
-            return strip_square_content(RatPoly.of([Fraction(x, den) for x in r]))
+            return strip_square_content(RatPoly.over(r, den))
     raise ArithmeticError("singular member has corank > 1, contradicting smoothness")
 
 

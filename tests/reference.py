@@ -79,6 +79,107 @@ def load_schema() -> dict:
 # Polynomials and matrices
 
 
+def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    n = len(coeffs)
+    while n > 0 and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+@dataclass(frozen=True)
+class FracPoly:
+    """Oracle for `RatPoly`: a polynomial over Q as its tuple of Fraction
+    coefficients, low to high with no trailing zero, and every operation
+    done coefficient by coefficient in Fraction arithmetic."""
+
+    coeffs: tuple[Fraction, ...]
+
+    @classmethod
+    def of(cls, coeffs) -> "FracPoly":
+        return cls(_trim([_as_rat(c) for c in coeffs]))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lc(self) -> Fraction:
+        return self.coeffs[-1]
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other: "FracPoly") -> "FracPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FracPoly(_trim([self[i] + other[i] for i in range(n)]))
+
+    def __sub__(self, other: "FracPoly") -> "FracPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FracPoly(_trim([self[i] - other[i] for i in range(n)]))
+
+    def __neg__(self) -> "FracPoly":
+        return FracPoly(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other) -> "FracPoly":
+        if isinstance(other, (int, Fraction)):
+            return FracPoly(_trim([c * other for c in self.coeffs]))
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly(_trim(out))
+
+    def __divmod__(self, other: "FracPoly") -> tuple["FracPoly", "FracPoly"]:
+        d, lc = other.degree, other.lc
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(r) - d)
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = r[k + d] / lc
+            for i, b in enumerate(other.coeffs):
+                r[k + i] -= c * b
+        return FracPoly(_trim(q)), FracPoly(_trim(r[:d]))
+
+    def __call__(self, x) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def monic(self) -> "FracPoly":
+        return self * (1 / self.lc)
+
+    def derivative(self) -> "FracPoly":
+        return FracPoly(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
+
+    def gcd(self, other: "FracPoly") -> "FracPoly":
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, divmod(a, b)[1]
+        return a.monic() if not a.is_zero else a
+
+    def denominator_lcm(self) -> int:
+        return math.lcm(*(c.denominator for c in self.coeffs))
+
+    def __str__(self) -> str:
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
+            if i == 0:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(mono if c == 1 else f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 def shift(f: RatPoly, c) -> RatPoly:
     """f composed with t -> t + c."""
     out = RatPoly(())

@@ -46,6 +46,7 @@ from quadpencil.exact import (
     valuation,
 )
 from reference import (
+    FracPoly,
     adjugate_column_by_minors,
     diag,
     factor_fp,
@@ -369,6 +370,97 @@ class TestRatPolyKernels:
         self.assert_fractions(q, r)
         assert (q, r) == qq_div(a, b)
         assert q * b + r == a and r.degree < b.degree
+
+
+# tall rationals (numerators up to 10^30, denominators up to 10^20), small
+# ones and zeros, so that cancellation, interior zeros and units all occur
+tall_coeffs = st.lists(
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20))
+    | st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    | st.just(Fraction(0)),
+    max_size=7,
+)
+rationals = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)) | st.integers(-9, 9)
+
+
+def assert_canonical(f: RatPoly):
+    assert type(f.num) is tuple and all(type(c) is int for c in f.num)
+    assert type(f.den) is int and f.den > 0
+    assert math.gcd(f.den, *f.num) == 1
+    assert not f.num or f.num[-1] != 0
+    assert f.num or f.den == 1
+
+
+class TestRatPolyAgainstFracPoly:
+    """Every RatPoly operation against the Fraction-tuple oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tall_coeffs, tall_coeffs, rationals)
+    @example([], [Fraction(-3, 7)], 2)  # zero dividend, constant divisor
+    @example([1, 2, 3], [Fraction(1, 3), 0, 0, Fraction(-5, 2)], 0)  # dividend of lower degree
+    @example([Fraction(10**30, 3), 0, 7, 1], [4, Fraction(-2, 9)], Fraction(-1, 10**20))  # negative lc
+    @example([Fraction(1, 2), Fraction(1, 2)], [2, 2], Fraction(1, 2))  # a common factor to cancel
+    def test_operations(self, ca, cb, x):
+        a, b, fa, fb = RatPoly.of(ca), RatPoly.of(cb), FracPoly.of(ca), FracPoly.of(cb)
+        results = [
+            (a, fa), (a + b, fa + fb), (a - b, fa - fb), (-a, -fa), (a * b, fa * fb),
+            (a * x, fa * x), (x * a, fa * x), (a.derivative(), fa.derivative()), (a.gcd(b), fa.gcd(fb)),
+        ]
+        if not b.is_zero:
+            results += list(zip(divmod(a, b), divmod(fa, fb)))
+            results += [(b.monic(), fb.monic()), (a % b, divmod(fa, fb)[1]), (a // b, divmod(fa, fb)[0])]
+        for f, ref in results:
+            assert_canonical(f)
+            assert f.coeffs == ref.coeffs
+            assert all(type(c) is Fraction for c in f.coeffs)
+            assert f.denominator_lcm() == ref.denominator_lcm()
+            assert str(f) == str(ref)
+            assert f.degree == ref.degree
+            assert f == RatPoly.of(ref.coeffs) and hash(f) == hash(RatPoly.of(ref.coeffs))
+        for y in (x, Fraction(x), 0, -3):
+            assert a(y) == fa(Fraction(y)) and type(a(y)) is Fraction
+        if not a.is_zero:
+            assert a.lc == fa.lc and [a[i] for i in range(-1, a.degree + 2)] == [fa[i] for i in range(-1, a.degree + 2)]
+
+    def test_equality_across_constructions(self):
+        assert RatPoly.of([Fraction(1, 2), 1]) == RatPoly.of(["1/2", "2/2"])
+        assert hash(RatPoly.of([Fraction(1, 2), 1])) == hash(RatPoly.of(["1/2", "2/2"]))
+        assert RatPoly(()) == RatPoly.of([0, 0]) == RatPoly.of([]) == RatPoly.over([0, 0], -7)
+        assert RatPoly.over([2, 4, 0], -6) == RatPoly.of([Fraction(-1, 3), Fraction(-2, 3)])
+        assert RatPoly.over([2, 4, 0], -6) == RatPoly((-1, -2), 3)
+        assert {RatPoly.of([3, 6]) * Fraction(1, 3), RatPoly.of([1, 2])} == {RatPoly((1, 2))}
+
+    def test_evaluation_takes_rationals_only(self):
+        f = RatPoly.of([1, Fraction(1, 2)])
+        assert f(Fraction(2, 3)) == Fraction(4, 3) and f(True) == Fraction(3, 2)
+        with pytest.raises(TypeError):
+            f(0.5)
+        with pytest.raises(TypeError):
+            f(RatPoly.x())
+
+    def test_kernels_build_no_fraction(self, monkeypatch):
+        # P * Q and divmod(P, Q) over Q run on integer numerators: no
+        # Fraction is constructed, whatever the degree
+        rng = random.Random(3)
+
+        def rat_poly(n):
+            return RatPoly.of([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(n + 1)])
+
+        pairs = [(rat_poly(n), rat_poly(5)) for n in (5, 9, 15)]
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        counts = []
+        for P, Q in pairs:
+            before = len(made)
+            P * Q, divmod(P, Q), divmod(Q, P)
+            counts.append(len(made) - before)
+        assert counts == [0, 0, 0]
 
 
 def fp_div_oracle(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:

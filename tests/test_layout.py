@@ -135,6 +135,21 @@ def test_one_padic_certificate_builder():
     assert not stale, f"localarith.py defines {sorted(stale)}"
 
 
+def test_one_owner_of_rational_denominators():
+    # a RatPoly is integer numerators over one denominator (`num`, `den`):
+    # no source line iterates its Fraction view `.coeffs` to read numerators
+    # or denominators back.  cli's bound on the size of the reduced input
+    # fractions (`_MAX_BITS`) validates outside input and is the exception.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if (re.search(r"\bfor\b.*\bin\b.*\.coeffs\b", line)
+                    and re.search(r"\.(numerator|denominator)\b", line)
+                    and not (path.name == "cli.py" and "_MAX_BITS" in line)):
+                found.append(f"{path.name} {lineno}")
+    assert not found, "lines that clear a RatPoly's denominators by hand: " + ", ".join(found)
+
+
 def test_no_floating_point():
     # every verdict is exact: no source module names inf or nan or calls float
     for path in sorted(SRC.glob("*.py")):
