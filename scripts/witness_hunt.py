@@ -16,6 +16,7 @@ from quadpencil.localarith import (
     bad_set_s0,
     find_bT,
 )
+from quadpencil.pencil import DeltaInvariant
 
 
 def main():
@@ -27,14 +28,14 @@ def main():
 
     P = RatPoly.of([int(c) for c in args.poly.split(",")])
     delta = strip_square_content(P.derivative())
-    factors = [(P, delta)]
-    s0 = bad_set_s0(P, factors)
+    inv = DeltaInvariant(P, (P,), (delta,))
+    s0 = bad_set_s0(inv)
 
     counts = Counter()
     first = {}
     for p in good_primes(s0, 101, args.scan):
         try:
-            d = frobenius_class(P, factors, p)
+            d = frobenius_class(P, inv.factor_reps(), p)
         except RamifiedPrimeError:
             continue
         counts[d] += 1
@@ -45,7 +46,7 @@ def main():
     for d, c in sorted(counts.items()):
         print(f"  {d}: {c} primes, first at {first[d]}")
 
-    wit = find_bT(P, factors, [DT_RES_NONZERO, DT_RES_ZERO], s0, prime_bound=args.prime_bound)
+    wit = find_bT(inv, [DT_RES_NONZERO, DT_RES_ZERO], s0, prime_bound=args.prime_bound)
     print(f"\nwitness: b = {wit.b}, T = {list(wit.primes)}")
     print(f"valuations of P(b) at T: {list(wit.valuations)}")
 

@@ -7,10 +7,17 @@ x^2 = (trace form with weight P(b)/((b-theta) P'(theta))).  Every weight is
 g(theta)/P'(theta) for a polynomial g, and Euler's identity (Serre, Local
 Fields, III 6) reads Tr(g(theta)/P'(theta)) off as the t^(n-1) coefficient
 of g mod P: no inverse in Q[t]/(P), no power sums, no root approximations.
+
+A model keeps delta' as one class mod P and as the record of (P, delta')
+that every later stage reads (`pencil.DeltaInvariant`): the factors P_i
+of P and delta' mod each.  The round trip multiplies the record's norms
+Res(P_i, delta'_i) to N(delta'), and `search` hands the record to the bad
+set and the (b, T) search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -20,11 +27,11 @@ from .exact import (
     crt_poly,
     factor_q,
     is_square_q,
-    resultant,
     sqrt_in_etale,
     strip_square_content,
 )
 from .pencil import (
+    DeltaInvariant,
     Matrix,
     NormalizedPencil,
     Pencil,
@@ -37,9 +44,10 @@ from .pencil import (
 DeltaInput = Union[RatPoly, Sequence[RatPoly], Sequence[int]]
 
 
-def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple[RatPoly, ...]]:
-    """Accept a single class mod P or a per-factor list; return one class
-    and the monic irreducible factors of P, in the order of factor_q(P).
+def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, DeltaInvariant]:
+    """Accept a single class mod P or a per-factor list; return one class d
+    and the record of (P, d): the monic irreducible factors of P, in the
+    order of factor_q(P), and d mod each.
 
     Per-factor lists follow that factor order and are glued by CRT.  The
     class must be invertible modulo every factor.
@@ -56,10 +64,11 @@ def normalize_delta(P: RatPoly, delta_prime: DeltaInput) -> tuple[RatPoly, tuple
                 f"{len(entries)} delta entries for {len(factors)} factors"
             )
         d = crt_poly([e % f for e, f in zip(entries, factors)], factors)
-    for f in factors:
-        if (d % f).is_zero:
+    reps = tuple(d % f for f in factors)
+    for f, r in zip(factors, reps):
+        if r.is_zero:
             raise ValueError(f"delta' not invertible modulo {f}")
-    return d, factors
+    return d, DeltaInvariant(P, factors, reps)
 
 
 def trace_form(P: RatPoly, g: RatPoly) -> Matrix:
@@ -83,31 +92,22 @@ class CanonicalModel:
 
     P: RatPoly
     delta: RatPoly  # one residue class mod P
-    factors: tuple[RatPoly, ...]  # the monic irreducible factors of P
+    inv: DeltaInvariant  # the factors of P and delta mod each
     gram1: Matrix  # weight 1/P'
     gram2: Matrix  # weight theta/P'
 
     def to_pencil(self) -> Pencil:
         return Pencil(self.gram1, self.gram2)
 
-    def delta_factors(self) -> list[tuple[RatPoly, RatPoly]]:
-        return [(f, self.delta % f) for f in self.factors]
-
-    def norm(self) -> Fraction:
-        n = Fraction(1)
-        for f, d in self.delta_factors():
-            n *= resultant(f, d)
-        return n
-
 
 def canonical_quadrics(P: RatPoly, delta_prime: DeltaInput) -> CanonicalModel:
     """Gram matrices of the two trace forms cutting out the canonical model."""
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
-    delta, factors = normalize_delta(P, delta_prime)
+    delta, inv = normalize_delta(P, delta_prime)
     g1 = trace_form(P, delta)
     g2 = trace_form(P, delta * RatPoly.x())
-    return CanonicalModel(P, delta, factors, g1, g2)
+    return CanonicalModel(P, delta, inv, g1, g2)
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,8 @@ def roundtrip_invariants(P: RatPoly, delta_prime: DeltaInput) -> RoundTripReport
     """
     model = canonical_quadrics(P, delta_prime)
     pencil = model.to_pencil()
-    n = model.norm()
-    delta_factors = model.delta_factors()
+    n = math.prod(model.inv.norms)
+    delta_factors = model.inv.factor_reps()
 
     bq = pencil.det_poly  # coefficients of sum c_i mu^(5-i) nu^i
     det_ok = all(bq[i] == n * P[5 - i] for i in range(6))

@@ -205,22 +205,16 @@ def run_analyze(args) -> tuple[dict, str, int]:
     digest = hashlib.sha256(pencil.pencil_dumps(pen).encode()).hexdigest()
     norm = pencil.normalize_pencil(pen)
     inv = pencil.delta_invariant(norm)
-    profile = galois.galois_group_quintic(norm.P, inv.factors, inv.disc)
+    profile = galois.galois_group_quintic(inv)
     b_dim = pencil.b_delta_group(inv)
     cls = pencil.hasse_class(inv, profile, b_dim)
 
-    s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), args.margin, inv.disc, inv.norms)
+    s0 = localarith.bad_set_s0(inv, args.margin)
     certs = localarith.local_certificates(norm, inv.factors, localarith.sweep_places(s0), args.effort)
 
     witness = None
     if conditions is not None:
-        wit = localarith.find_bT(
-            norm.P,
-            inv.factor_reps(),
-            conditions,
-            s0,
-            prime_bound=args.prime_bound,
-        )
+        wit = localarith.find_bT(inv, conditions, s0, prime_bound=args.prime_bound)
         witness = _witness_fields(wit)
 
     elapsed = time.time() - t0
@@ -329,11 +323,10 @@ def run_search(args) -> tuple[dict, str, int]:
     if P.degree != 5:
         # normalize_delta's factor_q refuses an inseparable quintic
         raise ValueError(f"not a quintic: {P}")
-    dcomb, factors = canon.normalize_delta(P, parse_delta(args.delta, P))
+    _, inv = canon.normalize_delta(P, parse_delta(args.delta, P))
     conditions = parse_conditions(args.conditions)
-    delta_factors = [(f, dcomb % f) for f in factors]
-    s0 = localarith.bad_set_s0(P, delta_factors, args.margin)
-    wit = localarith.find_bT(P, delta_factors, conditions, s0, prime_bound=args.prime_bound)
+    s0 = localarith.bad_set_s0(inv, args.margin)
+    wit = localarith.find_bT(inv, conditions, s0, prime_bound=args.prime_bound)
     payload = {"kind": "bt-witness", **_witness_fields(wit), "classes": wit.class_data}
     human = f"b = {wit.b}\nT = {list(wit.primes)} (val of P(b): {list(wit.valuations)})"
     return payload, human, 0
@@ -349,7 +342,7 @@ def run_local(args) -> tuple[dict, str, int]:
     else:
         inv = pencil.delta_invariant(norm)
         factors = inv.factors
-        s0 = localarith.bad_set_s0(norm.P, inv.factor_reps(), 2, inv.disc, inv.norms)
+        s0 = localarith.bad_set_s0(inv, 2)
         places = localarith.sweep_places(s0)
     certs = localarith.local_certificates(norm, factors, places, args.effort)
     payload = {"kind": "local-certificates", "certificates": certs}

@@ -67,7 +67,7 @@ from .exact import (
     split_interpolations,
     unramified_prime,
 )
-from .pencil import char_poly
+from .pencil import DeltaInvariant, char_poly
 
 LABELS = ("C5", "D10", "F20", "A5", "S5", "REDUCIBLE")
 
@@ -268,21 +268,22 @@ def resolvent_has_rational_root(P: RatPoly) -> tuple[Optional[Fraction], int]:
         work = nxt
 
 
-def galois_group_quintic(P: RatPoly, factors: Sequence[RatPoly], disc: Fraction) -> GaloisProfile:
-    """Classify Gal(P) for a monic separable quintic over Q, given the
-    irreducible factors of P over Q and disc(P) (neither is computed
-    again).
+def galois_group_quintic(inv: DeltaInvariant) -> GaloisProfile:
+    """Classify Gal(P) for the monic separable quintic P of the record,
+    from its irreducible factors over Q and its disc(P).
 
     Raises ArithmeticError when the resolvent needs more than 12
     Tschirnhausen transforms.
     """
+    P = inv.P
     if P.degree != 5 or P.lc != 1:
         raise ValueError("monic quintic required")
+    disc = inv.disc
     if disc == 0:
         raise ValueError("quintic is not separable")
     disc_sq = is_square_q(disc)
 
-    if len(factors) > 1:  # disc(P) != 0, so no factor repeats
+    if len(inv.factors) > 1:  # disc(P) != 0, so no factor repeats
         return GaloisProfile("REDUCIBLE", disc_sq, None)
 
     root, steps = resolvent_has_rational_root(P)

@@ -18,8 +18,9 @@ ends by compactness (`split_soluble`).  Any other pencil goes through
 `padic_soluble`: its level 1 takes the common zeros mod p by solving each
 chart line of P^4(F_p) as a quadratic over F_p (`_zeros_mod_p`), with no
 point evaluated on its own, and its singular zeros feed a tree search over
-residue candidates, bounded by its effort, where "unknown" is a
-first-class verdict.  Every p-adic "soluble", from either procedure, is
+residue candidates, bounded by its effort in levels and by a budget of
+25,000 * effort candidates tested, where "unknown" is a first-class
+verdict.  Every p-adic "soluble", from either procedure, is
 one Hensel certificate, built by `_lifting` alone: a primitive common zero
 mod p^k with a maximal Jacobian minor of valuation e, 2e < k.  No verdict
 is ever guessed, and none reads a floating-point number.
@@ -30,9 +31,11 @@ writer encodes.
 
 The bad set S0 is 2, every prime below the margin, and the prime divisors
 of disc(P), the denominators of P and delta, the resultants Res(P_i, d_i)
-and the contents of the d_i.  `bad_set_s0` only collects those integers;
-"is p bad?" is a division test, so nothing on the analyze, local or search
-path factors an integer.
+and the contents of the d_i.  `bad_set_s0` only collects those integers,
+reading disc(P) and the norms off the one record of (P, delta),
+`pencil.DeltaInvariant`, which computes each once for every stage; "is p
+bad?" is a division test, so nothing on the analyze, local or search path
+factors an integer.
 
 The (b, T) search walks the good primes above the margin, matches signed
 Frobenius classes, and builds b by lifting a simple root theta to b with
@@ -55,7 +58,6 @@ from .exact import (
     LocalPlace,
     RatPoly,
     adjugate_column,
-    discriminant,
     fp_reduce,
     fp_roots,
     good_primes,
@@ -64,7 +66,6 @@ from .exact import (
     lift_roots,
     prime_place,
     pseudo_divmod,
-    resultant,
     scaled_value,
     sqrt_mod_p,
     val_unit,
@@ -73,6 +74,7 @@ from .exact import (
 from .galois import RamifiedPrimeError, frobenius_class
 from .groupmod import WreathElement, is_admissible
 from .pencil import (
+    DeltaInvariant,
     Matrix,
     NormalizedPencil,
     Pencil,
@@ -84,26 +86,16 @@ from .pencil import (
 # Bad places
 
 
-def bad_set_s0(
-    P: RatPoly,
-    delta_factors: Sequence[tuple[RatPoly, RatPoly]] = (),
-    margin: int = 100,
-    disc: Optional[Fraction] = None,
-    norms: Optional[Sequence[Fraction]] = None,
-) -> BadSet:
+def bad_set_s0(inv: DeltaInvariant, margin: int = 100) -> BadSet:
     """Primes where anything can go wrong: 2, divisors of disc(P),
     denominators of P, primes where delta ramifies, and every prime below
     the margin (the fixed enlargement guaranteeing enough points on special
     fibres is modeled by a constant cutoff).  Only the integers are
-    collected; membership is tested by division.  A caller that has disc(P)
-    and the resultants Res(P_i, d_i) (`pencil.DeltaInvariant`) passes them,
-    and they are not computed again."""
-    if disc is None:
-        disc = discriminant(P)
-    if norms is None:
-        norms = [resultant(f, d) for f, d in delta_factors]
+    collected; membership is tested by division.  disc(P) and the norms
+    Res(P_i, d_i) are the record's, computed once for every stage."""
+    P, disc = inv.P, inv.disc
     integers = [disc.numerator, disc.denominator, P.den]
-    for (f, d), res in zip(delta_factors, norms):
+    for d, res in zip(inv.delta_reps, inv.norms):
         integers += [d.den, res.numerator, res.denominator]
         content = math.gcd(*d.num)
         if content > 1:
@@ -421,8 +413,9 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
     line.  No common zero at all is a proof of insolubility.  Singular
     zeros, collected in scan order, branch into the linearized congruence
     mod p^2, p^3, ... up to `effort` levels; every zero, at every level, is
-    tested by the one criterion of `_lifting`.  Budget exhaustion returns
-    "unknown", never a guessed verdict.
+    tested by the one criterion of `_lifting`.  The refinement tests at most
+    25,000 * effort candidates, at most 8p^2 from one zero; running out of
+    either returns "unknown", never a guessed verdict.
     """
     place = prime_place(p)
     if effort <= 0:
@@ -449,24 +442,24 @@ def padic_soluble(model: Sequence[Matrix], p: int, effort: int = 3) -> LocalCert
             reason="reduction has no points at all",
         )
 
-    # refine singular candidates level by level
-    node_cap = 4000 * effort
+    # refine singular candidates level by level; the budget counts the
+    # candidates tested (one `_lifting` each), so it bounds the work
+    budget = 25_000 * effort
     frontier = singular  # common zeros mod p^(level - 1)
-    nodes = 0
     any_truncated = False
     for level in range(2, effort + 1):
         mod = p ** (level - 1)
         new_frontier = []
         for x in frontier:
-            nodes += 1
-            if nodes > node_cap:
-                return LocalCertificate(place, "unknown", reason="node budget exhausted")
             fvals = _form_values(forms_int, x)
             assert all(v % mod == 0 for v in fvals)
             target = [(-v // mod) % p for v in fvals]
             sols, truncated = _solve_linear_mod_p(_jacobian(forms_int, x), target, p, cap=p**2 * 8)
             any_truncated = any_truncated or truncated
             for y in sols:
+                budget -= 1
+                if budget < 0:
+                    return LocalCertificate(place, "unknown", reason="candidate budget exhausted")
                 # F(x + mod y) = F(x) + mod J(x) y + mod^2 F(y) = 0 mod (mod p)
                 x2 = tuple((x[i] + mod * y[i]) % (mod * p) for i in range(n))
                 cert = _lifting(forms_int, x2, p, level, "Hensel-liftable candidate")
@@ -820,7 +813,8 @@ class BTWitness:
     class_data: tuple[ClassDatum, ...]
     valuations: tuple[int, ...]
 
-    def verify(self, P: RatPoly, delta_factors, s0: BadSet) -> bool:
+    def verify(self, inv: DeltaInvariant, s0: BadSet) -> bool:
+        P, delta_factors = inv.P, inv.factor_reps()
         if P(self.b) == 0:
             return False
         if len(set(self.primes)) != len(self.primes):
@@ -838,8 +832,7 @@ class BTWitness:
 
 
 def find_bT(
-    P: RatPoly,
-    delta_factors: Sequence[tuple[RatPoly, RatPoly]],
+    inv: DeltaInvariant,
     conditions: Sequence,
     s0: BadSet,
     prime_bound: int = 100_000,
@@ -850,11 +843,10 @@ def find_bT(
     Conditions are multisets of (cycle length, sign bit); inadmissible
     conditions (no fixed point on the 10-point cover) and an empty list,
     whose CRT would give b = 0, are rejected before scanning.  s0 is
-    `bad_set_s0(P, delta_factors, margin)`, and the walk starts at its
-    margin.  At each prime one distinct-degree split per factor gives the
-    cycle type, and the Euler powers of the signed class are taken only
-    when it is a requested one.  The returned witness is
-    re-verified exactly.
+    `bad_set_s0(inv, margin)`, and the walk starts at its margin.  At each
+    prime one distinct-degree split per factor gives the cycle type, and
+    the Euler powers of the signed class are taken only when it is a
+    requested one.  The returned witness is re-verified exactly.
     """
     if not conditions:
         raise ValueError("no local conditions to realize")
@@ -865,6 +857,7 @@ def find_bT(
         if not ok:
             raise InadmissibleConditionError(f"condition {d} has no fixed point")
 
+    P, delta_factors = inv.P, inv.factor_reps()
     unmatched = list(range(len(data)))
     matched: dict[int, int] = {}
     targets = {tuple(sorted((l for l, _ in d), reverse=True)) for d in data}
@@ -898,7 +891,7 @@ def find_bT(
     primes = tuple(matched[i] for i in range(len(data)))
     vals = tuple(val_unit(P(b), v)[0] for v in primes)
     witness = BTWitness(b, primes, tuple(data), vals)
-    if not witness.verify(P, delta_factors, s0):
+    if not witness.verify(inv, s0):
         raise RuntimeError("witness failed exact re-verification")  # pragma: no cover
     return witness
 

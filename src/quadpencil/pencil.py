@@ -185,32 +185,15 @@ def char_poly(m: Matrix) -> RatPoly:
 Chart = tuple[int, int, int, int]
 
 
-def _chart_candidates():
-    """Moebius moves in a fixed order: identity, 1/t, t/(t-1), then all
-    small-height (c, d) directions with a canonical completion.  Each moves
-    a different point of the pencil line to infinity: the direction (c, d)
-    fixes the second member c phi1 + d phi2."""
-    yield from [(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, -1)]
-    seen = {(0, 1), (1, 0), (1, -1)}
-    for h in range(1, 30):
-        for c in range(-h, h + 1):
-            for d in range(-h, h + 1):
-                if max(abs(c), abs(d)) != h or (c, d) == (0, 0):
-                    continue
-                key = (c, d) if (c, d) > (-c, -d) else (-c, -d)
-                if key in seen or math.gcd(c, d) != 1:
-                    continue
-                seen.add(key)
-                g, x, y = _ext_gcd(c, d)
-                # a d - b c = 1 with (a, b) = (y, -x)
-                yield (y, -x, c, d)
-
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+# Moebius moves (a, b, c, d), a d - b c = +-1, in a fixed order: identity,
+# 1/t, t/(t-1), then three more.  Each moves a different point of the pencil
+# line to infinity: the direction (c, d) fixes the second member
+# c phi1 + d phi2.  For a smooth pencil det(c phi1 + d phi2) is a nonzero
+# binary quintic, which vanishes at no more than five directions, so one of
+# the six is usable.
+CHARTS: tuple[Chart, ...] = (
+    (1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, -1), (1, 0, -1, -1), (1, 0, -2, -1), (1, 0, -2, 1),
+)
 
 
 @dataclass(frozen=True)
@@ -272,10 +255,8 @@ def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
     scale = den**5
     # the coefficients of det(m1 - t m2) = den^5 det(phi1 - t phi2)
     form = [x * (scale // q.den) for x in q.num] + [0] * (5 - q.degree)
-    for chart in _chart_candidates():
+    for chart in CHARTS:
         a, b, c, d = chart
-        if a * d - b * c == 0:
-            continue
         chart_q = chart_poly(form, 5, chart)
         if chart_q[5] == 0:
             continue
@@ -294,13 +275,25 @@ def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
 
 @dataclass(frozen=True)
 class DeltaInvariant:
-    """Characteristic quintic with per-factor delta square classes."""
+    """The one record of (P, delta): the quintic P, its monic irreducible
+    factors P_i over Q and a delta representative d_i mod each.  disc(P),
+    the norms and the square flags, which the bad set, the Galois label,
+    the Brauer group and the (b, T) search read, are computed on first
+    read and then shared."""
 
     P: RatPoly
     factors: tuple[RatPoly, ...]
     delta_reps: tuple[RatPoly, ...]
-    disc: Fraction  # disc(P)
-    norms: tuple[Fraction, ...]  # Res(P_i, delta_i) = N(delta_i), per factor
+
+    @functools.cached_property
+    def disc(self) -> Fraction:
+        """disc(P)."""
+        return discriminant(self.P)
+
+    @functools.cached_property
+    def norms(self) -> tuple[Fraction, ...]:
+        """Res(P_i, d_i) = N(d_i), per factor."""
+        return tuple(resultant(f, d) for f, d in zip(self.factors, self.delta_reps))
 
     @functools.cached_property
     def square_flags(self) -> tuple[str, ...]:
@@ -361,14 +354,10 @@ def delta_component(norm: NormalizedPencil, factor: RatPoly) -> RatPoly:
 
 
 def delta_invariant(norm: NormalizedPencil) -> DeltaInvariant:
-    """Factor P and compute the delta square classes of the singular members,
-    with disc(P) and the norms Res(P_i, delta_i) that the later stages read;
-    the square flags are certified only when read."""
+    """Factor P and compute the delta square classes of the singular
+    members; disc(P), the norms and the square flags wait for a reader."""
     factors = tuple(factor_q(norm.P))
-    reps = tuple(delta_component(norm, f) for f in factors)
-    disc = discriminant(norm.P)
-    norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
-    return DeltaInvariant(norm.P, factors, reps, disc, norms)
+    return DeltaInvariant(norm.P, factors, tuple(delta_component(norm, f) for f in factors))
 
 
 def b_delta_group(inv: DeltaInvariant) -> int:

@@ -369,10 +369,15 @@ CLASS_SETS = {
 }
 
 
+def delta_record(P: RatPoly, delta_factors: Sequence[tuple[RatPoly, RatPoly]] = ()) -> DeltaInvariant:
+    """The record of (P, delta) for hand-made pairs (P_i, d_i)."""
+    return DeltaInvariant(P, tuple(f for f, _ in delta_factors), tuple(d for _, d in delta_factors))
+
+
 def galois_profile(P: RatPoly) -> GaloisProfile:
     """`galois_group_quintic` given the irreducible factors of P, as
-    `analyze` passes them from the delta invariant."""
-    return galois_group_quintic(P, factor_q(P), discriminant(P))
+    `analyze` passes them in the delta invariant (delta = 1 here)."""
+    return galois_group_quintic(delta_record(P, [(f, RatPoly.const(1)) for f in factor_q(P)]))
 
 
 # ---------------------------------------------------------------------------

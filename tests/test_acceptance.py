@@ -5,6 +5,7 @@ lines.  Every tolerance and time budget is asserted in the test itself.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -47,6 +48,7 @@ from quadpencil.selmersim import (
 )
 from reference import (
     ct_kernel,
+    delta_record,
     delta_residue_at,
     endgame_pairing,
     hilbert_support,
@@ -188,7 +190,7 @@ def test_criterion_4_euler_traces_and_pencil_identity():
         assert g[0][4] == 1
         if done % 10 == 0:
             model = canonical_quadrics(P, poly(1))
-            n = model.norm()
+            n = math.prod(model.inv.norms)
             bq = model.to_pencil().det_poly
             assert all(bq[i] == n * P[5 - i] for i in range(6))
             assert is_square_q(n)
@@ -231,24 +233,26 @@ def test_criterion_7_bt_witness_searches():
     pattern with zero residue likewise."""
     delta_rep = strip_square_content(D10_QUINTIC.derivative())
     delta = [(D10_QUINTIC, delta_rep)]
-    s0 = bad_set_s0(D10_QUINTIC, delta)
+    inv = delta_record(D10_QUINTIC, delta)
+    s0 = bad_set_s0(inv)
 
     t0 = time.time()
-    wit = find_bT(D10_QUINTIC, delta, [DT_RES_NONZERO, DT_RES_ZERO], s0, prime_bound=100_000)
+    wit = find_bT(inv, [DT_RES_NONZERO, DT_RES_ZERO], s0, prime_bound=100_000)
     elapsed_b = time.time() - t0
     assert elapsed_b < 120
-    assert wit.verify(D10_QUINTIC, delta, s0)
+    assert wit.verify(inv, s0)
     w1, w2 = wit.primes
     assert not delta_residue_at(D10_QUINTIC, delta, w1).is_zero
     assert delta_residue_at(D10_QUINTIC, delta, w2).is_zero
 
     t0 = time.time()
     delta_triv = [(T5_MINUS_2, poly(1))]
-    s0_triv = bad_set_s0(T5_MINUS_2, delta_triv)
-    wit_a = find_bT(T5_MINUS_2, delta_triv, [IDENTITY_CONDITION], s0_triv, prime_bound=100_000)
+    inv_triv = delta_record(T5_MINUS_2, delta_triv)
+    s0_triv = bad_set_s0(inv_triv)
+    wit_a = find_bT(inv_triv, [IDENTITY_CONDITION], s0_triv, prime_bound=100_000)
     elapsed_a = time.time() - t0
     assert elapsed_a < 120
-    assert wit_a.verify(T5_MINUS_2, delta_triv, s0_triv)
+    assert wit_a.verify(inv_triv, s0_triv)
     assert delta_residue_at(T5_MINUS_2, delta_triv, wit_a.primes[0]).is_zero
     report(
         7,

@@ -1,5 +1,6 @@
 """Tests for the canonical surface models."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from quadpencil.canon import (
 from quadpencil.pencil import mat_det
 from reference import (
     branch_form,
+    count_calls,
     count_factor_q,
     power_sums,
     squarefree_part,
@@ -161,7 +163,7 @@ class TestCanonicalQuadrics:
         for _ in range(8):
             P = random_quintic(rng)
             model = canonical_quadrics(P, poly(1))
-            n = model.norm()
+            n = math.prod(model.inv.norms)
             bq = model.to_pencil().det_poly
             assert all(bq[i] == n * P[5 - i] for i in range(6))
             assert is_square_q(n)
@@ -276,6 +278,16 @@ class TestRoundTrip:
         calls = count_factor_q(monkeypatch)
         rep = roundtrip_invariants(SPLIT_QUINTIC, [5, 5, 1, 1, 1])
         assert calls == [SPLIT_QUINTIC, rep.recovered.P]
+
+    def test_models_take_no_discriminant_or_resultant(self, monkeypatch):
+        # the record of (P, delta') that canon builds computes disc(P) and
+        # the norms only for a reader: building a model reads neither
+        discs = count_calls(monkeypatch, "discriminant")
+        resultants = count_calls(monkeypatch, "resultant")
+        for P, delta in ((T5_MINUS_2, poly(0, 1)), (SPLIT_QUINTIC, [5, 5, 1, 1, 1])):
+            canonical_quadrics(P, delta)
+            kummer_model(P, delta, 7)
+        assert discs == [] and resultants == []
 
     def test_nonsquare_norm_detected(self):
         # a tuple with nonsquare norm is not a legitimate class: the pencil's

@@ -42,6 +42,7 @@ from reference import (
     CLASS_SETS,
     count_calls,
     count_factor_q,
+    delta_record,
     frobenius_datum,
     frobenius_ramified,
     galois_profile,
@@ -276,7 +277,7 @@ class TestPrimeWalk:
         factors = exact_mod.factor_q(C5_QUINTIC)
         primes = self._record_cycle_types(monkeypatch)
         factored = count_factor_q(monkeypatch)
-        prof = galois_group_quintic(C5_QUINTIC, factors, discriminant(C5_QUINTIC))
+        prof = galois_group_quintic(delta_record(C5_QUINTIC, [(f, poly(1)) for f in factors]))
         assert prof.label == "C5"
         assert primes == expected
         assert all(cycle_type(C5_QUINTIC, p) == (5,) for p in expected[:-1])

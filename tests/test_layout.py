@@ -4,6 +4,7 @@ the verbs."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import re
@@ -97,6 +98,21 @@ def test_localarith_owns_local_verdicts():
     assert not cli_names & owned, f"cli.py names {sorted(cli_names & owned)}"
     assert "rat_str" not in _used_names(ast.parse((SRC / "localarith.py").read_text())), \
         "localarith.py formats a rational"
+
+
+def test_one_record_of_p_and_delta():
+    # pencil.DeltaInvariant owns disc(P) and the norms: cli hands the record
+    # to every stage and reads neither, and the stages take the record
+    # first, with no disc or norms parameter beside it
+    from quadpencil import galois, localarith, pencil
+
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        assert not (isinstance(node, ast.Attribute) and node.attr in ("disc", "norms", "factor_reps")), \
+            f"cli.py line {node.lineno} reads {node.attr}"
+    for fn in (localarith.bad_set_s0, localarith.find_bT, galois.galois_group_quintic):
+        params = list(inspect.signature(fn, eval_str=True).parameters.values())
+        assert params[0].annotation is pencil.DeltaInvariant, f"{fn.__name__} takes {params[0]}"
+        assert not {"disc", "norms"} & {p.name for p in params}, f"{fn.__name__} takes disc or norms"
 
 
 def test_canon_inverts_nothing():

@@ -44,6 +44,7 @@ import quadpencil.localarith as localarith_mod
 from height_ladder import rational_pencil
 from reference import (
     count_calls,
+    delta_record,
     delta_residue_at,
     diagonal_insoluble_at,
     diagonal_primitive_count,
@@ -75,20 +76,20 @@ D10_DELTA = strip_square_content(D10_QUINTIC.derivative())  # norm = disc, a squ
 
 class TestBadSet:
     def test_t5_minus_2(self):
-        s0 = bad_set_s0(T5_MINUS_2, [(T5_MINUS_2, poly(1))], margin=100)
+        s0 = bad_set_s0(delta_record(T5_MINUS_2, [(T5_MINUS_2, poly(1))]), margin=100)
         assert 2 in s0 and 5 in s0
         assert 97 in s0  # margin
         assert 101 not in s0
 
     def test_margin_definition(self):
-        s0 = bad_set_s0(SPLIT_QUINTIC, margin=50)
+        s0 = bad_set_s0(delta_record(SPLIT_QUINTIC), margin=50)
         for p in (2, 3, 5, 7, 11, 47):
             assert p in s0
         assert 53 not in s0
 
     def test_delta_denominator(self):
         s0 = bad_set_s0(
-            T5_MINUS_2, [(T5_MINUS_2, poly(Fraction(1, 7)))], margin=5
+            delta_record(T5_MINUS_2, [(T5_MINUS_2, poly(Fraction(1, 7)))]), margin=5
         )
         assert 7 in s0
 
@@ -109,7 +110,7 @@ class TestBadSet:
         P = RatPoly.of(low + [lead])
         d = P.derivative() if delta is None else RatPoly.of(delta)
         assume(discriminant(P) != 0 and not d.is_zero and resultant(P, d) != 0)
-        s0 = bad_set_s0(P, [(P, d)], margin)
+        s0 = bad_set_s0(delta_record(P, [(P, d)]), margin)
 
         def divisors(x: Fraction) -> set[int]:
             return set(sympy.factorint(abs(x.numerator))) | set(sympy.factorint(x.denominator))
@@ -611,6 +612,18 @@ class TestPadicSoluble:
         assert cert.witness["level"] == 3 and calls
         assert all(0 <= v < 7**4 for forms, _ in calls for a in forms for row in a for v in row)
 
+    def test_candidate_budget_bounds_the_refinement(self, monkeypatch):
+        # the 10^10 rational rung at p = 11 has only singular zeros mod p
+        # and no liftable candidate within reach: after one `_lifting` per
+        # level-1 zero, the refinement tests at most 25,000 * effort
+        # candidates and then answers "unknown"
+        pen = rational_pencil(10)
+        calls = count_calls(monkeypatch, "_lifting", "quadpencil.localarith")
+        cert = padic_soluble(pen.cleared[1:], 11, effort=3)
+        level_one = sum(1 for args in calls if args[3] == 1)
+        assert cert.verdict == "unknown" and cert.reason == "candidate budget exhausted"
+        assert level_one and len(calls) <= 25_000 * 3 + level_one
+
     def test_certificates_golden(self):
         # every certificate at p = 3, ..., 13 with effort 3 and 5 of 40
         # pencils at h = 9, 10 at h = 10^6 and the rational rungs 10^3 and
@@ -676,7 +689,7 @@ def check_hensel_witness(pen, p, witness):
 ORACLE_DEPTH = {2: 11, 3: 7, 5: 4, 7: 4}
 
 # three split pencils (roots; deltas) whose places the search of
-# padic_soluble leaves undecided at its node and branch caps
+# padic_soluble leaves undecided at its candidate budget and branch cap
 UNDECIDED_BY_SEARCH = [
     ([0, 1, 2, 3, 4], [5, 5, 1, 1, 1]),
     ([-3, 0, 2, 5, 7], [2, 3, 1, 1, 6]),
@@ -835,27 +848,28 @@ class TestDeltaResidue:
 
 class TestFindBT:
     def test_identity_on_t5_minus_2(self):
-        fs = [(T5_MINUS_2, poly(1))]
-        wit = find_bT(T5_MINUS_2, fs, [IDENTITY_CONDITION], bad_set_s0(T5_MINUS_2, fs))
+        fs = delta_record(T5_MINUS_2, [(T5_MINUS_2, poly(1))])
+        wit = find_bT(fs, [IDENTITY_CONDITION], bad_set_s0(fs))
         assert wit.primes == (151,)  # first totally split prime beyond the margin
         assert wit.valuations == (1,)
         assert val_unit(T5_MINUS_2(wit.b), 151)[0] == 1
 
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleConditionError):
-            find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 1),)], bad_set_s0(T5_MINUS_2, []))
+            find_bT(delta_record(T5_MINUS_2, [(T5_MINUS_2, poly(1))]), [((5, 1),)], bad_set_s0(delta_record(T5_MINUS_2)))
         with pytest.raises(InadmissibleConditionError):
-            find_bT(T5_MINUS_2, [(T5_MINUS_2, poly(1))], [((5, 0),)], bad_set_s0(T5_MINUS_2, []))
+            find_bT(delta_record(T5_MINUS_2, [(T5_MINUS_2, poly(1))]), [((5, 0),)], bad_set_s0(delta_record(T5_MINUS_2)))
 
     def test_empty_conditions_rejected(self):
         # the CRT of no residues is b = 0, a root of this P
-        fs = [(f, poly(1)) for f in factor_q(SPLIT_QUINTIC)]
+        fs = delta_record(SPLIT_QUINTIC, [(f, poly(1)) for f in factor_q(SPLIT_QUINTIC)])
         with pytest.raises(ValueError, match="no local conditions"):
-            find_bT(SPLIT_QUINTIC, fs, [], bad_set_s0(SPLIT_QUINTIC, fs))
+            find_bT(fs, [], bad_set_s0(fs))
 
     def test_d10_two_conditions(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
-        wit = find_bT(delta[0][0], delta, [DT_RES_NONZERO, DT_RES_ZERO], bad_set_s0(delta[0][0], delta))
+        inv = delta_record(D10_QUINTIC, delta)
+        wit = find_bT(inv, [DT_RES_NONZERO, DT_RES_ZERO], bad_set_s0(inv))
         w1, w2 = wit.primes
         assert w1 != w2
         # the residue behavior is what the classes prescribe
@@ -868,13 +882,15 @@ class TestFindBT:
 
     def test_witness_invariants_reverify(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
-        s0 = bad_set_s0(delta[0][0], delta)
-        wit = find_bT(delta[0][0], delta, [DT_RES_ZERO], s0)
-        assert wit.verify(delta[0][0], delta, s0)
+        inv = delta_record(D10_QUINTIC, delta)
+        s0 = bad_set_s0(inv)
+        wit = find_bT(inv, [DT_RES_ZERO], s0)
+        assert wit.verify(inv, s0)
 
     def test_duplicate_conditions_distinct_primes(self):
         delta = [(D10_QUINTIC, D10_DELTA)]
-        wit = find_bT(delta[0][0], delta, [DT_RES_ZERO, DT_RES_ZERO], bad_set_s0(delta[0][0], delta))
+        inv = delta_record(D10_QUINTIC, delta)
+        wit = find_bT(inv, [DT_RES_ZERO, DT_RES_ZERO], bad_set_s0(inv))
         assert len(set(wit.primes)) == 2
         for w in wit.primes:
             assert val_unit(D10_QUINTIC(wit.b), w)[0] == 1
@@ -883,5 +899,5 @@ class TestFindBT:
         from quadpencil.localarith import NoWitnessError
 
         with pytest.raises(NoWitnessError):
-            fs = [(T5_MINUS_2, poly(1))]
-            find_bT(T5_MINUS_2, fs, [IDENTITY_CONDITION], bad_set_s0(T5_MINUS_2, fs), prime_bound=120)
+            fs = delta_record(T5_MINUS_2, [(T5_MINUS_2, poly(1))])
+            find_bT(fs, [IDENTITY_CONDITION], bad_set_s0(fs), prime_bound=120)

@@ -1,6 +1,5 @@
 """Tests for pencil normalization and delta invariants."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,10 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from quadpencil.exact import (
     RatPoly,
     Residue,
-    discriminant,
     factor_q,
     is_square_q,
-    resultant,
     sqrt_in_etale,
     strip_square_content,
 )
@@ -23,7 +20,7 @@ from quadpencil.pencil import (
     DeltaInvariant,
     Pencil,
     SingularPencilError,
-    _chart_candidates,
+    CHARTS,
     b_delta_group,
     char_poly_t,
     chart_poly,
@@ -75,12 +72,6 @@ def chart_members(norm):
     a, b, c, d = norm.chart
     pencil = norm.pencil
     return mat_combine(pencil.phi1, pencil.phi2, a, b), mat_combine(pencil.phi1, pencil.phi2, c, d)
-
-
-def delta_datum(P, factors, reps):
-    """A DeltaInvariant built by hand, with its disc(P) and norms."""
-    norms = tuple(resultant(f, d) for f, d in zip(factors, reps))
-    return DeltaInvariant(P, factors, reps, discriminant(P), norms)
 
 
 class TestNormalization:
@@ -178,6 +169,21 @@ class TestDeltaInvariant:
         assert verify_norm_square(inv) and calls == []
         assert inv.square_flags == inv.square_flags and len(calls) == len(inv.factors)
 
+    def test_disc_and_norms_on_first_read(self, monkeypatch):
+        # the record computes disc(P) and the norms Res(P_i, d_i) when a
+        # stage first reads them, once each, and never before
+        norm = normalize_pencil(random_pencil(random.Random(314)))
+        discs = count_calls(monkeypatch, "discriminant")
+        resultants = count_calls(monkeypatch, "resultant")
+        inv = delta_invariant(norm)
+        assert discs == [] and resultants == []
+        inv.norms, inv.norms
+        assert resultants == inv.factor_reps() and discs == []
+        inv.disc, inv.disc  # disc(P) is itself Res(P, P')
+        assert discs == [inv.P] and len(resultants) == len(inv.factors) + 1
+        inv.norms, inv.disc
+        assert len(discs) == 1 and len(resultants) == len(inv.factors) + 1
+
     def test_norm_square_law(self):
         norm = normalize_pencil(DIAG_PENCIL)
         inv = delta_invariant(norm)
@@ -192,7 +198,7 @@ class TestDeltaInvariant:
 
     def test_hand_built_violation(self):
         split = RatPoly.from_roots([0, 1, 2, 3, 4])
-        inv = delta_datum(
+        inv = DeltaInvariant(
             split,
             tuple(RatPoly.of([-r, 1]) for r in range(5)),
             (poly(5), poly(1), poly(1), poly(1), poly(1)),
@@ -361,7 +367,7 @@ class TestChartPoly:
         rng = random.Random(seed)
         pencils = [DIAG_PENCIL, random_pencil(rng), split_pencil(rng)]
         for pencil in pencils:
-            for chart in itertools.islice(_chart_candidates(), 30):
+            for chart in CHARTS:
                 a, b, c, d = chart
                 phi1n = mat_combine(pencil.phi1, pencil.phi2, a, b)
                 phi2n = mat_combine(pencil.phi1, pencil.phi2, c, d)
@@ -493,7 +499,7 @@ def assert_matches_reference(norm):
 
 def _split_invariant(deltas):
     split = RatPoly.from_roots([0, 1, 2, 3, 4])
-    return delta_datum(
+    return DeltaInvariant(
         split,
         tuple(RatPoly.of([-r, 1]) for r in range(5)),
         tuple(poly(d) for d in deltas),
@@ -519,7 +525,7 @@ class TestBrauerQuotient:
 class TestHasseClass:
     def test_irreducible(self):
         P = poly(-2, 0, 0, 0, 0, 1)
-        inv = delta_datum(P, (P,), (poly(1),))
+        inv = DeltaInvariant(P, (P,), (poly(1),))
         prof = galois_profile(P)
         assert hasse_class(inv, prof, b_delta_group(inv)).kind == "IRREDUCIBLE"
 
