@@ -44,7 +44,7 @@ def main():
             P = RatPoly.of([rng.randrange(-9, 10) for _ in range(5)] + [1])
             if discriminant(P) == 0:
                 continue
-            c = squarefree_part(int(discriminant(P) * P.denominator_lcm() ** 10))
+            c = squarefree_part(int(discriminant(P) * P.den ** 10))
             delta = strip_square_content(P.derivative() * c)
         done += 1
         rep = roundtrip_invariants(P, delta)

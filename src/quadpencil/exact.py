@@ -28,12 +28,11 @@ Z/N is the int list of its coefficients in [0, N), and `fp_reduce`, with
 one inverse of the denominator, is the one way a rational polynomial gets
 there.  One product (`poly_mul`) serves Z, Q and F_p, Z and Q share one
 long division (`pseudo_divmod`) and F_p has its own (`fp_divmod`).
-Determinants of integer matrices are fraction-free Bareiss elimination
-(Bareiss, Math. Comp. 22, 1968), and a resultant is the determinant of an
-integer Sylvester matrix.  One fraction-free Gauss-Jordan elimination
-gives a whole column of cofactors, the signed maximal minors of the other
-columns (`adjugate_column`; a nonzero column of the adjugate of a
-corank-1 symmetric matrix spans its kernel).
+Every determinant, minor and cofactor of an integer matrix is `int_det`,
+fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and a
+resultant is the determinant of an integer Sylvester matrix; the same
+elimination without row exchanges gives Sylvester's leading principal
+minors (`pencil.definite_sign`).
 
 A polynomial over Z is an int list as well, with one long division,
 `pseudo_divmod` (Collins, J. ACM 14, 1967).  It makes no rational
@@ -209,9 +208,6 @@ class RatPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
 
-    def denominator_lcm(self) -> int:
-        return self.den
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -264,52 +260,6 @@ def int_det(a: list[list[int]]) -> int:
     """Determinant of an integer matrix; the rows of a are overwritten."""
     sign, pivots = _bareiss(a)
     return sign * pivots[-1] if pivots else 1
-
-
-def adjugate_column(a: Sequence[Sequence[int]], k: int) -> list[int]:
-    """The cofactors C_0k ... C_{n-1,k} of column k of the n x n integer
-    matrix a, that is row k of adj(a) (its column k when a is symmetric);
-    all zero when a has rank below n - 1.
-
-    One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968), with row and column exchanges, of the (n-1) x n matrix B whose
-    rows are the columns j != k of a.  It ends in [D I | y] up to the column
-    order, and the kernel vector (-y, D) of B is, up to the sign of the
-    exchanges, the vector of signed maximal minors m_i = (-1)^i det(B
-    without column i).  B without column i is the transposed minor of a
-    without row i and column k, so C_ik = (-1)^k m_i."""
-    n = len(a)
-    m = n - 1
-    rows = [[a[i][j] for i in range(n)] for j in range(n) if j != k]
-    order = list(range(n))  # the column of B standing at each position
-    sign, prev = (-1) ** (m + k), 1
-    for c in range(m):
-        piv = next((r for r in range(c, m) if rows[r][c]), None)
-        if piv is None:
-            found = next(((r, j) for j in range(c + 1, n) for r in range(c, m) if rows[r][j]), None)
-            if found is None:
-                return [0] * n
-            piv, j = found
-            for row in rows:
-                row[c], row[j] = row[j], row[c]
-            order[c], order[j] = order[j], order[c]
-            sign = -sign
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        row_c = rows[c]
-        pivot = row_c[c]
-        for r, row in enumerate(rows):
-            if r != c:
-                f = row[c]
-                for j in range(c + 1, n):
-                    row[j] = (row[j] * pivot - f * row_c[j]) // prev
-        prev = pivot
-    out = [0] * n
-    for r, row in enumerate(rows):
-        out[order[r]] = -sign * row[m]
-    out[order[m]] = sign * prev
-    return out
 
 
 # ---------------------------------------------------------------------------

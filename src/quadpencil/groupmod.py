@@ -23,13 +23,6 @@ def perm_mul(a: Perm, b: Perm) -> Perm:
     return tuple(a[b[i]] for i in range(5))
 
 
-def perm_inv(a: Perm) -> Perm:
-    out = [0] * 5
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
 def permute_mask(perm: Perm, mask: int) -> int:
     """Push a sign vector forward: bit i of mask lands at position perm[i]."""
     out = 0
@@ -52,16 +45,8 @@ class WreathElement:
             perm_mul(self.perm, other.perm),
         )
 
-    def inverse(self) -> "WreathElement":
-        pinv = perm_inv(self.perm)
-        return WreathElement(permute_mask(pinv, self.sign), pinv)
-
     def fixed_points(self) -> list["DeltaPoint"]:
         return [x for x in all_delta_points() if act_on_delta(self, x) == x]
-
-    def __str__(self) -> str:
-        bits = "".join(str((self.sign >> i) & 1) for i in range(5))
-        return f"({bits}; {self.perm})"
 
 
 WREATH_IDENTITY = WreathElement(0, IDENTITY_PERM)

@@ -57,7 +57,6 @@ from .exact import (
     BadSet,
     LocalPlace,
     RatPoly,
-    adjugate_column,
     fp_reduce,
     fp_roots,
     good_primes,
@@ -349,23 +348,18 @@ def _lifting(forms_int, x: Sequence[int], p: int, level: int, reason: str
              ) -> Optional[LocalCertificate]:
     """The Hensel certificate of x, a primitive common zero of the forms mod
     p^level: "soluble" when some maximal minor of the Jacobian at x has
-    valuation e with 2e < level, else None.  e is read capped at the level.
-    At level 1 that asks whether some minor is a p-unit, that is whether
-    the rows have full rank mod p (`_reduce_mod_p`); above it the minors are
-    scanned until the first p-unit one.  This is the only place that builds
-    a p-adic "soluble"."""
+    valuation e with 2e < level, else None.  One rule at every level: e is
+    the least valuation of the maximal minors, each one `int_det`, read
+    capped at the level and scanned until the first p-unit minor.  This is
+    the only place that builds a p-adic "soluble"."""
     rows = _jacobian(forms_int, x)
-    m = len(rows)
-    if level == 1:
-        e = 0 if len(_reduce_mod_p(rows, len(x), p)) == m else 1
-    else:
-        e = level
-        for cols in itertools.combinations(range(len(x)), m):
-            d = int_det([[row[c] for c in cols] for row in rows])
-            if d:
-                e = min(e, valuation(d, p))
-                if not e:
-                    break
+    e = level
+    for cols in itertools.combinations(range(len(x)), len(rows)):
+        d = int_det([[row[c] for c in cols] for row in rows])
+        if d:
+            e = min(e, valuation(d, p))
+            if not e:
+                break
     if 2 * e >= level:
         return None
     key = "point_mod_p" if level == 1 else "point_mod_pk"
@@ -501,13 +495,20 @@ class DiagonalModel:
 
 def _kernel_vector(a: list[list[int]]) -> list[int]:
     """The primitive integer vector spanning the kernel of a symmetric
-    integer matrix of corank 1: adj(a) = c v v^T, so column k is a multiple
-    of v exactly when C_kk != 0, and the first such k is taken, one
-    `adjugate_column` per k."""
-    for k in range(len(a)):
-        column = adjugate_column(a, k)
-        if column[k]:
-            return _primitive(column)
+    integer matrix of corank 1: adj(a) = c v v^T, so column k of adj(a), the
+    cofactors C_jk = (-1)^(j+k) det(a without row k and column j), is a
+    multiple of v exactly when C_kk != 0.  The first such k is taken, and
+    each cofactor is one `int_det`."""
+    n = len(a)
+
+    def cofactor(j: int, k: int) -> int:
+        minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(a) if r != k]
+        return (-1) ** (j + k) * int_det(minor)
+
+    for k in range(n):
+        diagonal = cofactor(k, k)
+        if diagonal:
+            return _primitive([diagonal if j == k else cofactor(j, k) for j in range(n)])
     raise ArithmeticError("matrix has corank > 1")
 
 

@@ -9,13 +9,13 @@ quadrics whose restricted Gram determinants give the delta invariant, a
 tuple of square classes in the residue fields Q[t]/(P_i).
 
 The rational entries are cleared of denominators once per pencil
-(`Pencil.cleared`); the chart members, their characteristic polynomial,
-the principal minors behind the delta invariant and the real members
-tested for definiteness are integer combinations of that pair, and
-rationals are built only for what a report states.  A singular member M
-has rank 4, so over its residue field adj(M) = c v v^T for a kernel
-vector v, and each delta component is one diagonal cofactor of M: one
-4x4 determinant per interpolation node.
+(`Pencil.cleared`); det(phi1 - t phi2), the chart members, their
+characteristic polynomial, the principal minors behind the delta
+invariant and the real members tested for definiteness are integer
+combinations of that pair, and rationals are built only for what a report
+states.  A singular member M has rank 4, so over its residue field
+adj(M) = c v v^T for a kernel vector v, and each delta component is one
+diagonal cofactor of M: one 4x4 determinant per interpolation node.
 
 The norm-relation group (the products of the norms of the nonsquare delta
 components that are rational squares) is the machine-checkable core.
@@ -118,10 +118,18 @@ class Pencil:
         return den, tuple(map(tuple, a)), tuple(map(tuple, b))
 
     @functools.cached_property
+    def int_det_poly(self) -> tuple[int, ...]:
+        """The six integer coefficients, low to high, of det(den phi1 -
+        t den phi2) = den^5 det(phi1 - t phi2), from `cleared`; computed
+        once per pencil."""
+        _, a, b = self.cleared
+        return tuple(_int_char_poly(a, b))
+
+    @functools.cached_property
     def det_poly(self) -> RatPoly:
-        """det(phi1 - t phi2), computed once per pencil; the binary quintic
-        det(mu phi1 - nu phi2) has the same coefficients."""
-        return char_poly_t(self.phi1, self.phi2)
+        """det(phi1 - t phi2); the binary quintic det(mu phi1 - nu phi2) has
+        the same coefficients."""
+        return RatPoly.over(self.int_det_poly, self.cleared[0] ** 5)
 
     @functools.cached_property
     def smoothness_certificate(self) -> RatPoly:
@@ -250,14 +258,11 @@ def chart_poly(form: Sequence, degree: int, chart: Chart) -> list:
 def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
     """Move a rational point of the pencil line off the singular locus to
     infinity and return the monic separable degree-5 characteristic quintic."""
-    q = pencil.smoothness_certificate  # raises SingularPencilError unless the pencil is smooth
+    pencil.smoothness_certificate  # raises SingularPencilError unless the pencil is smooth
     den, m1, m2 = pencil.cleared
-    scale = den**5
-    # the coefficients of det(m1 - t m2) = den^5 det(phi1 - t phi2)
-    form = [x * (scale // q.den) for x in q.num] + [0] * (5 - q.degree)
     for chart in CHARTS:
         a, b, c, d = chart
-        chart_q = chart_poly(form, 5, chart)
+        chart_q = chart_poly(pencil.int_det_poly, 5, chart)
         if chart_q[5] == 0:
             continue
         lc = chart_q[5]
@@ -268,7 +273,7 @@ def normalize_pencil(pencil: Pencil) -> NormalizedPencil:
             tuple(tuple(a * x + b * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)),
             tuple(tuple(c * x + d * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)),
             RatPoly.over(chart_q, lc),
-            Fraction(lc, scale),
+            Fraction(lc, den**5),
         )
     raise SingularPencilError("no usable chart found")  # pragma: no cover
 

@@ -40,7 +40,6 @@ from quadpencil.exact import (
     fp_roots,
     fp_trim,
     good_primes,
-    int_det,
     interpolate_rational,
     inverse_mod,
     is_square_q,
@@ -404,11 +403,11 @@ def factor_fp(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], int]
 def frobenius_ramified(P: RatPoly, delta_factors: Sequence[tuple[RatPoly, RatPoly]], p: int) -> bool:
     """p = 2, or p divides a denominator of P or of a d_i, disc(P) or some
     Res(P_i, d_i) (a zero resultant counts as divisible)."""
-    if p == 2 or P.denominator_lcm() % p == 0 or val_unit(discriminant(P), p)[0] != 0:
+    if p == 2 or P.den % p == 0 or val_unit(discriminant(P), p)[0] != 0:
         return True
     for Pi, di in delta_factors:
         res = resultant(Pi, di)
-        if di.denominator_lcm() % p == 0 or res == 0 or val_unit(res, p)[0] != 0:
+        if di.den % p == 0 or res == 0 or val_unit(res, p)[0] != 0:
             return True
     return False
 
@@ -611,7 +610,7 @@ def strip_square_content_by_trial_division(d: RatPoly, bound: int = 10**6) -> Ra
     cofactor left after trial division too when it is a square."""
     if d.is_zero:
         return d
-    den = d.denominator_lcm()
+    den = d.den
     e = d * den * den
     g = 0
     for c in e.coeffs:
@@ -646,7 +645,7 @@ def sqrt_in_etale_walk(
     a unit mod m."""
     d = d % m
     disc_m = discriminant(m)
-    bad = BadSet((disc_m.numerator, disc_m.denominator, m.denominator_lcm(), d.denominator_lcm()), 0)
+    bad = BadSet((disc_m.numerator, disc_m.denominator, m.den, d.den), 0)
     primes = good_primes(bad, 3)
     n = m.degree
     split_seen = 0
@@ -695,20 +694,6 @@ def nextprime_walk(bad: BadSet, start: int, stop=None):
         p = int(sympy.nextprime(p))
         if p not in bad:
             yield p
-
-
-# ---------------------------------------------------------------------------
-# Cofactors, one determinant each
-
-
-def adjugate_column_by_minors(a: Sequence[Sequence[int]], k: int) -> list[int]:
-    """The cofactors C_ik = (-1)^(i+k) det(a without row i and column k) of
-    column k of the integer matrix a, one determinant per minor."""
-    n = len(a)
-    return [
-        (-1) ** (i + k) * int_det([[a[r][c] for c in range(n) if c != k] for r in range(n) if r != i])
-        for i in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -256,14 +256,14 @@ class TestAnalyze:
         path = tmp_path / "random.json"
         path.write_text(pencil_dumps(pen))
         calls = []
-        original = pencil_mod.char_poly_t
+        original = pencil_mod._int_char_poly
 
-        def counting(phi1, phi2):
-            if (phi1, phi2) == (pen.phi1, pen.phi2):
+        def counting(a, b):
+            if (a, b) == pen.cleared[1:]:
                 calls.append(1)
-            return original(phi1, phi2)
+            return original(a, b)
 
-        monkeypatch.setattr(pencil_mod, "char_poly_t", counting)
+        monkeypatch.setattr(pencil_mod, "_int_char_poly", counting)
         assert main(["--json", "--out", str(tmp_path / "r.json"), "analyze", str(path)]) in (0, 2)
         assert len(calls) == 1
 
@@ -342,20 +342,19 @@ class TestAnalyze:
         # the delta component of the irreducible P is one diagonal cofactor,
         # a 4x4 principal minor at t = 0..4; the other eliminations are
         # det(phi1 - t phi2) at t = 0..5, the two definiteness tests of the
-        # real place, disc(P) and Res(P, delta), 9x9 Sylvester matrices
+        # real place, disc(P) and Res(P, delta), 9x9 Sylvester matrices, and
+        # the 2x2 Jacobian minors of the level-1 Hensel tests of the sweep
         import random
 
         from quadpencil.pencil import random_pencil
 
         path = tmp_path / "random.json"
         path.write_text(pencil_dumps(random_pencil(random.Random(314))))
-        columns = count_calls(monkeypatch, "adjugate_column")
         eliminations = count_calls(monkeypatch, "_bareiss")
         out = tmp_path / "r.json"
         assert main(["--json", "--out", str(out), "analyze", str(path)]) in (0, 2)
         assert json.loads(out.read_text())["galois"]["label"] == "S5"
-        assert columns == []
-        assert sorted(len(a) for a in eliminations) == [4] * 5 + [5] * 8 + [9] * 2
+        assert sorted(len(a) for a in eliminations) == [2] * 18 + [4] * 5 + [5] * 8 + [9] * 2
 
     def test_galois_failure_is_one_error_line(self, t52_pencil_file, monkeypatch, capsys):
         import quadpencil.galois as galois_mod

@@ -16,7 +16,6 @@ from quadpencil.exact import (
     BadSet,
     RatPoly,
     Residue,
-    adjugate_column,
     crt_poly,
     cycle_type,
     discriminant,
@@ -47,7 +46,6 @@ from quadpencil.exact import (
 )
 from reference import (
     FracPoly,
-    adjugate_column_by_minors,
     diag,
     factor_fp,
     hilbert_support,
@@ -413,7 +411,7 @@ class TestRatPolyAgainstFracPoly:
             assert_canonical(f)
             assert f.coeffs == ref.coeffs
             assert all(type(c) is Fraction for c in f.coeffs)
-            assert f.denominator_lcm() == ref.denominator_lcm()
+            assert f.den == ref.denominator_lcm()
             assert str(f) == str(ref)
             assert f.degree == ref.degree
             assert f == RatPoly.of(ref.coeffs) and hash(f) == hash(RatPoly.of(ref.coeffs))
@@ -482,41 +480,6 @@ class TestFpDivmod:
         assert fp_rem(a, m, p) == r
 
 
-@st.composite
-def adjugate_inputs(draw):
-    """A square integer matrix of size 1 to 6 with zero-heavy, small or
-    2^100-sized entries, with up to two rows replaced by combinations of
-    the others (corank 0, 1 or more), transposed or not."""
-    n = draw(st.integers(1, 6))
-    entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9) | st.integers(-2**100, 2**100)
-    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, n - 1))
-        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        a[i] = [sum(c * a[r][j] for r, c in enumerate(coeffs) if r != i) for j in range(n)]
-    if draw(st.booleans()):
-        a = [list(col) for col in zip(*a)]
-    return a
-
-
-class TestAdjugateColumn:
-    @settings(max_examples=300, deadline=None)
-    @given(adjugate_inputs())
-    @example([[7]])  # n = 1: the empty minor is 1
-    @example([[1, 0, 1], [0, 1, 0], [1, 1, 1]])  # k = 0 needs a row exchange
-    @example([[1, 0, 0], [0, 1, 2], [0, 3, 4]])  # k = 0 needs a column exchange
-    @example([[0, 0, 0], [0, 1, 2], [0, 3, 4]])  # a zero row: only column 0 is nonzero
-    @example([[1, 2, 3], [2, 4, 6], [3, 6, 9]])  # rank 1: every cofactor vanishes
-    def test_against_minors(self, a):
-        for k in range(len(a)):
-            assert adjugate_column(a, k) == adjugate_column_by_minors(a, k)
-
-    def test_rows_are_not_overwritten(self):
-        a = [[0, 1, 2], [3, 0, 5], [6, 7, 0]]
-        adjugate_column(a, 1)
-        assert a == [[0, 1, 2], [3, 0, 5], [6, 7, 0]]
-
-
 class TestUnramifiedPrime:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=15), min_size=3, max_size=6))
@@ -527,7 +490,7 @@ class TestUnramifiedPrime:
         f = RatPoly.of(coeffs)
         assume(f.degree >= 2)
         disc = discriminant(f)
-        bad = BadSet((f.lc.numerator, f.denominator_lcm(), disc.numerator), 0) if disc else None
+        bad = BadSet((f.lc.numerator, f.den, disc.numerator), 0) if disc else None
         assert unramified_prime(f) == (next(good_primes(bad, 3)) if bad else None)
 
     def test_fallback_takes_one_discriminant(self, monkeypatch):

@@ -67,7 +67,7 @@ C5_QUINTIC = poly(1, 3, -3, -4, 1, 1)  # real subfield of the 11th cyclotomic fi
 def galois_bad_set(P):
     """2 and the primes dividing disc(P) or a denominator of P."""
     disc = discriminant(P)
-    return BadSet((disc.numerator, disc.denominator, P.denominator_lcm()), 0)
+    return BadSet((disc.numerator, disc.denominator, P.den), 0)
 
 
 def sample_cycle_types(P, count):
@@ -320,7 +320,7 @@ class TestResolvent:
         lam = Fraction(num, den)
         Q = RatPoly.of([c * lam ** (5 - i) for i, c in enumerate(P.coeffs)])  # roots lam * r
         for F, scaled in ((P, roots), (Q, [lam * r for r in roots])):
-            mu = F.denominator_lcm()  # the integer quintic has roots mu * r
+            mu = F.den  # the integer quintic has roots mu * r
             assert resolvent_sextic(F) == self._product_over_conjugates([mu * r for r in scaled])
 
 
@@ -457,7 +457,8 @@ class TestFrobenius:
             assert frobenius_class(P, factors, p) == frobenius_datum(P, factors, p)
 
     def test_takes_no_discriminant_or_resultant(self, monkeypatch):
-        calls = count_calls(monkeypatch, "discriminant") + count_calls(monkeypatch, "resultant")
+        discs = count_calls(monkeypatch, "discriminant")
+        resultants = count_calls(monkeypatch, "resultant")
         factors = [(poly(-r, 1), poly(d)) for r, d in zip(range(5), [5, 5, 1, 1, 1])]
         for P, fs in ((T5_MINUS_2, [(T5_MINUS_2, poly(0, 1))]), (SPLIT_QUINTIC, factors)):
             for p in (3, 5, 7, 11, 13, 241):
@@ -465,7 +466,7 @@ class TestFrobenius:
                     frobenius_class(P, fs, p)
                 except RamifiedPrimeError:
                     pass
-        assert calls == []
+        assert discs == [] and resultants == []
 
     def test_zero_sum_relation(self):
         # sum of bits == residue bit of the rational norm at p, here 0 for

@@ -115,6 +115,19 @@ def test_one_record_of_p_and_delta():
         assert not {"disc", "norms"} & {p.name for p in params}, f"{fn.__name__} takes disc or norms"
 
 
+def test_one_elimination_per_ring():
+    # every determinant, minor and cofactor over Z is exact.int_det, and
+    # localarith._reduce_mod_p is the one elimination mod p: exact keeps no
+    # second elimination for cofactors, and the Hensel test reads its minor
+    # valuation from int_det at every level, level 1 included
+    from quadpencil import exact, localarith
+
+    assert not hasattr(exact, "adjugate_column"), "exact defines adjugate_column"
+    named = _used_names(ast.parse(inspect.getsource(localarith._lifting)))
+    assert "int_det" in named and "_reduce_mod_p" not in named, \
+        f"_lifting names {sorted(named & {'int_det', '_reduce_mod_p'})}"
+
+
 def test_canon_inverts_nothing():
     # by Euler's identity every canonical Gram matrix is read off g mod P,
     # and the round trip compares delta classes through pencil.chart_poly:

@@ -117,7 +117,7 @@ class TestBadSet:
 
         ref = {2} | set(sympy.primerange(2, margin))
         ref |= divisors(discriminant(P)) | divisors(resultant(P, d))
-        ref |= set(sympy.factorint(P.denominator_lcm())) | set(sympy.factorint(d.denominator_lcm()))
+        ref |= set(sympy.factorint(P.den)) | set(sympy.factorint(d.den))
         ref |= set(sympy.factorint(math.gcd(*(c.numerator for c in d.coeffs))))
         for p in sympy.primerange(2, 500):
             assert (p in s0) == (p in ref), p
@@ -695,6 +695,56 @@ UNDECIDED_BY_SEARCH = [
     ([-3, 0, 2, 5, 7], [2, 3, 1, 1, 6]),
     ([-6, -5, 2, 7, 9], [5, 5, 1, 1, 1]),
 ]
+
+
+@st.composite
+def corank_one_symmetric(draw):
+    """A symmetric integer matrix of size 1 to 6 and rank n - 1, C^T M C for
+    a symmetric (n-1) x (n-1) matrix M and an (n-1) x n matrix C, with
+    zero-heavy, small or 2^60-sized entries."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9) | st.integers(-2**60, 2**60)
+    m = [[0] * (n - 1) for _ in range(n - 1)]
+    for i in range(n - 1):
+        for j in range(i, n - 1):
+            m[i][j] = m[j][i] = draw(entry)
+    c = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n - 1, max_size=n - 1))
+    a = [[sum(c[r][i] * m[r][s] * c[s][j] for r in range(n - 1) for s in range(n - 1))
+          for j in range(n)] for i in range(n)]
+    assume(sympy.Matrix(a).rank() == n - 1)
+    return a
+
+
+class TestKernelVector:
+    @settings(max_examples=200, deadline=None)
+    @given(corank_one_symmetric())
+    @example([[0]])  # n = 1: the empty minor is 1
+    @example([[1, 0, 0], [0, 0, 0], [0, 0, 1]])  # C_00 = 0: column 1 is taken
+    @example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # the minors need a row exchange
+    @example([[1, 2, 3], [2, 4, 6], [3, 6, 10]])
+    def test_against_sympy_nullspace(self, a):
+        # a v = 0, v is primitive and proportional to sympy's kernel vector,
+        # and its first nonzero entry v_k has the sign of C_kk: adj(a) =
+        # c v v^T and the vector is column k of adj(a), made primitive
+        n = len(a)
+        v = localarith_mod._kernel_vector(a)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+        assert math.gcd(*v) == 1
+        (w,) = sympy.Matrix(a).nullspace()
+        assert all(v[i] * w[j] == v[j] * w[i] for i in range(n) for j in range(n))
+        k = next(i for i, x in enumerate(v) if x)
+        keep = [i for i in range(n) if i != k]
+        c_kk = sympy.Matrix([[a[r][s] for s in keep] for r in keep]).det() if keep else 1
+        assert c_kk * v[k] > 0
+
+    def test_rows_are_not_overwritten(self):
+        a = [[2, 1, 3], [1, 2, 3], [3, 3, 6]]
+        assert localarith_mod._kernel_vector(a) == [1, 1, -1]
+        assert a == [[2, 1, 3], [1, 2, 3], [3, 3, 6]]
+
+    def test_corank_two_raises(self):
+        with pytest.raises(ArithmeticError):
+            localarith_mod._kernel_vector([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 @st.composite
